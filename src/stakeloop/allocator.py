@@ -11,21 +11,24 @@ optimum is characterized by a single shadow rate ``lambda_star``:
   rises above the staking rate until the per-market responses exactly
   absorb the budget.
 
-Responses are piecewise affine in the shadow rate, so ``lambda_star`` is
-found exactly by scanning response breakpoints; a bracketed root finder
-covers the brackets where liquidity caps add extra kinks.
+Every market's response is piecewise affine in the shadow rate, with its
+breakpoints (the liquidity cap included) given by ``response_breakpoints``
+and jumps only at breakpoints. ``solve`` sorts all breakpoints once and
+sweeps down from the highest, keeping running totals of the summed response
+and its slope, and stops at the piece or the jump where the total reaches
+the budget. Inside a piece ``lambda_star`` has a closed form; on a jump it
+is the breakpoint itself and the jumping markets share what is left.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ._roots import bracketed_root
 from .errors import ConstraintError, DomainError, UnsupportedModelError
 from .irm import (
-    IrmParams,
     LinearIrmParams,
     MarketState,
     borrow_rate,
@@ -38,7 +41,6 @@ from .position import max_leverage_bound
 SATURATED = "saturated"
 UNSATURATED = "unsaturated"
 
-_LAMBDA_TOL = 1e-12
 _REL_BUDGET_TOL = 1e-9
 
 
@@ -56,8 +58,8 @@ class ProblemInstance:
             raise DomainError("at least one market is required")
         if len(self.markets) != len(self.l_max):
             raise DomainError("markets and l_max must have the same length")
-        if self.budget <= 0.0:
-            raise DomainError(f"budget must be positive, got {self.budget}")
+        if not 0.0 < self.budget < math.inf:
+            raise DomainError(f"budget must be positive and finite, got {self.budget}")
         if not math.isfinite(self.staking_rate):
             raise DomainError(f"staking_rate must be finite, got {self.staking_rate}")
         seen: set[str] = set()
@@ -244,7 +246,10 @@ def solve_saturated(p: ProblemInstance) -> Allocation | None:
     Returns None when those responses overshoot the budget, in which case
     the caller must fall through to the unsaturated solve.
     """
-    exposures = _responses(p, p.staking_rate)
+    return _saturated(p, _responses(p, p.staking_rate))
+
+
+def _saturated(p: ProblemInstance, exposures: list[float]) -> Allocation | None:
     used = sum(exposures)
     if used > p.budget:
         return None
@@ -259,84 +264,117 @@ def solve_saturated(p: ProblemInstance) -> Allocation | None:
     return replace(alloc, expected_yield=_position_yield(alloc.exposures, alloc.unleveraged, p))
 
 
+def _response_events(
+    market: MarketState, l_max: float, s: float, x_at_s: float
+) -> list[tuple[float, float, float]]:
+    """``(level, jump, slope)`` at each of the market's breakpoints above ``s``.
+
+    ``jump`` is what the response gains as the shadow rate crosses ``level``
+    from above; ``slope`` is its gain per unit fall of the rate on the piece
+    below ``level``. Each piece, the last one cut at ``s``, is read off two
+    responses: at its lower end (the limit from above there) and at its
+    midpoint.
+    """
+    levels = [b for b in response_breakpoints(market, l_max, s) if b > s]
+    events = []
+    above = 0.0  # the response is zero from its first breakpoint up
+    for k, hi in enumerate(levels):
+        if k + 1 < len(levels):
+            lo = levels[k + 1]
+            x_lo = market_response(market, l_max, s, lo)
+        else:
+            lo, x_lo = s, x_at_s
+        mid = 0.5 * (lo + hi)
+        if lo < mid < hi:
+            x_mid = market_response(market, l_max, s, mid)
+            slope = (x_lo - x_mid) / (mid - lo)
+        else:  # no float inside the piece: it is all jump at hi
+            x_mid, slope = x_lo, 0.0
+        # The affine piece extended to hi; the response is monotone, so a
+        # negative difference from the value above is rounding.
+        events.append((hi, max(0.0, 2.0 * x_mid - x_lo - above), slope))
+        above = x_lo
+    return events
+
+
+def _shadow_rate(
+    p: ProblemInstance, at_s: list[float]
+) -> tuple[float, list[tuple[int, float]], list[float]]:
+    """Where the summed response crosses the budget, by a descending sweep.
+
+    Returns ``lambda_star``, the markets jumping there with their jump sizes
+    (in market order; empty unless the crossing is a jump), and each
+    market's slope on the piece just below ``lambda_star``.
+    """
+    s = p.staking_rate
+    events = sorted(
+        (
+            (level, i, jump, slope)
+            for i, (market, l_max) in enumerate(zip(p.markets, p.l_max))
+            for level, jump, slope in _response_events(market, l_max, s, at_s[i])
+        ),
+        key=lambda e: e[0],
+        reverse=True,
+    )
+    slopes = [0.0] * len(p.markets)
+    # Summed response just below hi, and its slope on the piece below hi.
+    total = slope = 0.0
+    hi = events[0][0]
+    for level, group in itertools.groupby(events, key=lambda e: e[0]):
+        at_level = total + slope * (hi - level)
+        if at_level >= p.budget:
+            lo = level
+            break
+        total = at_level
+        jumpers = []
+        for _, i, jump, market_slope in group:
+            total += jump
+            slope += market_slope - slopes[i]
+            slopes[i] = market_slope
+            if jump > 0.0:
+                jumpers.append((i, jump))
+        hi = level
+        if total >= p.budget:
+            return level, jumpers, slopes
+    else:
+        lo = s  # the saturated responses overshoot the budget
+    lam = hi - (p.budget - total) / slope if slope > 0.0 else hi
+    # Strictly below hi, every response is on the crossing piece.
+    return min(max(lam, lo), math.nextafter(hi, lo)), [], slopes
+
+
 def solve(p: ProblemInstance) -> Allocation:
     """Optimal allocation of the budget across markets plus pure staking.
 
-    Tries the saturated regime first; otherwise locates the shadow rate
-    ``lambda_star > s`` at which the summed responses equal the budget, by
-    scanning the merged response breakpoints and interpolating (exact on the
-    affine pieces), with a bracketed root finder as fallback wherever a
-    liquidity cap breaks the affine structure.
+    Tries the saturated regime first; otherwise sweeps the response
+    breakpoints for the shadow rate ``lambda_star > s`` at which the summed
+    responses equal the budget.
     """
-    saturated = solve_saturated(p)
+    at_s = _responses(p, p.staking_rate)
+    saturated = _saturated(p, at_s)
     if saturated is not None:
         return saturated
 
-    s = p.staking_rate
-
-    def total_at(lam: float) -> float:
-        return sum(_responses(p, lam))
-
-    levels: set[float] = set()
-    for market, l_max in zip(p.markets, p.l_max):
-        for bp in response_breakpoints(market, l_max, s):
-            if bp > s:
-                levels.add(bp)
-    ordered = sorted(levels, reverse=True) + [s]
-
-    lam_star = s
-    hi = ordered[0]
-    total_hi = total_at(hi)
-    if total_hi >= p.budget:
-        # Only reachable when every breakpoint sits exactly at s (responses
-        # flat at the staking rate); the residual fold below trims the excess.
-        lam_star = hi
-    else:
-        for lo in ordered[1:]:
-            total_lo = total_at(lo)
-            if total_lo >= p.budget:
-                spread = total_lo - total_hi
-                if spread <= 0.0:
-                    lam_star = lo
-                else:
-                    lam_star = hi - (hi - lo) * (p.budget - total_hi) / spread
-                if abs(total_at(lam_star) - p.budget) > _REL_BUDGET_TOL * p.budget:
-                    # A liquidity cap kinked this bracket; fall back to Brent.
-                    lam_star = bracketed_root(
-                        lambda lam: total_at(lam) - p.budget, lo, hi, tol=_LAMBDA_TOL
-                    )
-                break
-            hi, total_hi = lo, total_lo
-        else:
-            raise DomainError(
-                "no shadow rate matches the budget; instance is inconsistent"
-            )
-
+    lam_star, jumpers, slopes = _shadow_rate(p, at_s)
     exposures = _responses(p, lam_star)
-    used = sum(exposures)
-    # Fold the interpolation residual into one market so the budget
-    # constraint holds exactly: the largest exposure still below its
-    # liquidity cap, or the market with the best entry value when the root
-    # finder left every response at zero (tiny budgets).
-    caps = [
-        market.available_liquidity / (l_max - 1.0)
-        for market, l_max in zip(p.markets, p.l_max)
+    left = p.budget - math.fsum(exposures)
+    # lambda_star lies inside the marginal-value interval of a market
+    # anywhere on its jump, so the jumping markets fill in market order.
+    for i, jump in jumpers:
+        take = min(jump, left)
+        if take <= 0.0:
+            break
+        exposures[i] += take
+        left -= take
+    # Rounding leaves a remainder in the budget's last digits. The market
+    # with the steepest response below lambda_star takes it, since that moves
+    # its marginal value least; a market on a plateau or at its cap has slope
+    # zero and takes nothing, and no exposure turns negative.
+    open_markets = [
+        i for i, slope in enumerate(slopes) if slope > 0.0 and exposures[i] + left >= 0.0
     ]
-    open_markets = [i for i in range(len(exposures)) if exposures[i] < caps[i]]
-
-    def entry_value(i: int) -> float:
-        _, hi_g = marginal_cost_subgradient(
-            p.markets[i].irm, p.markets[i].supplied, p.markets[i].borrowed, 0.0
-        )
-        return p.l_max[i] * s - (p.l_max[i] - 1.0) * hi_g
-
-    if used > 0.0 and any(exposures[i] > 0.0 for i in open_markets):
-        idx = max(open_markets, key=lambda i: exposures[i])
-    elif open_markets:
-        idx = max(open_markets, key=entry_value)
-    else:
-        idx = max(range(len(exposures)), key=lambda i: exposures[i])
-    exposures[idx] += p.budget - used
+    if open_markets:
+        exposures[max(open_markets, key=slopes.__getitem__)] += left
     alloc = Allocation(
         market_ids=p.market_ids,
         exposures=tuple(exposures),

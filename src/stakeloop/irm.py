@@ -245,7 +245,7 @@ def marginal_cost_subgradient(
     lo_slope, hi_slope = _slopes(irm, supplied)
     if isinstance(irm, LinearIrmParams):
         return (rate + borrow_amount * lo_slope, rate + borrow_amount * lo_slope)
-    target_amount = supplied * _target_utilization(irm)
+    target_amount = supplied * irm.u_target
     # Amounts derived from the kink exposure can miss it by a few ulps; treat
     # anything that close as sitting on the kink.
     kink_snap = 1e-12 * max(1.0, target_amount)
@@ -254,10 +254,6 @@ def marginal_cost_subgradient(
     if total < target_amount:
         return (rate + borrow_amount * lo_slope, rate + borrow_amount * lo_slope)
     return (rate + borrow_amount * hi_slope, rate + borrow_amount * hi_slope)
-
-
-def _target_utilization(irm: IrmParams) -> float:
-    return irm.u_target
 
 
 def _kinked_response_params(
@@ -309,7 +305,8 @@ def market_response(market: MarketState, l_max: float, s: float, lam: float) -> 
     ``B = x*(l_max-1)``, handling the kink by pinning the exposure at the
     target-utilization boundary whenever ``lam`` falls inside the flat spot of
     the marginal cost. The result is clipped at available pool liquidity and
-    is non-increasing in ``lam``.
+    is non-increasing in ``lam``. Where it jumps (a flat stretch of the rate
+    curve), the value at the breakpoint is the limit from above.
     """
     _validate_leverage_cap(market, l_max)
     if not math.isfinite(lam):
@@ -337,11 +334,10 @@ def market_response(market: MarketState, l_max: float, s: float, lam: float) -> 
             # Pool already at or past target utilization: single steep branch.
             x = _affine_response(2.0 * p["c2"] * m * m, p["beta2"], lam)
             return min(x, cap)
-        if lam > p["lam1"]:
-            if p["c1"] == 0.0:
-                x = 0.0  # lam > lam1 == beta1, nothing profitable below the kink
-            else:
-                x = _affine_response(2.0 * p["c1"] * m * m, p["beta1"], lam)
+        if p["c1"] == 0.0 and lam >= p["beta1"]:
+            x = 0.0  # flat below the kink: nothing profitable from beta1 == lam1 up
+        elif lam > p["lam1"]:
+            x = _affine_response(2.0 * p["c1"] * m * m, p["beta1"], lam)
         elif lam >= p["lam2"]:
             x = p["headroom"] / m
         else:
@@ -354,28 +350,35 @@ def market_response(market: MarketState, l_max: float, s: float, lam: float) -> 
 def response_breakpoints(market: MarketState, l_max: float, s: float) -> list[float]:
     """Shadow rates at which the market's response changes analytic form.
 
-    Sorted descending; the response is affine in ``lam`` between consecutive
-    values (liquidity clipping aside).
+    Sorted descending. The response is zero from the first value up, equal
+    to the liquidity cap below the last, and affine between consecutive
+    values. The last value is where the cap starts to bind, which can only
+    happen on the steep branch of a kinked curve.
     """
     _validate_leverage_cap(market, l_max)
     m = l_max - 1.0
+    cap = market.available_liquidity / m
     irm = market.irm
     if isinstance(irm, AdaptiveIrmParams):
         irm = kinked_equivalent(irm)
     if isinstance(irm, LinearIrmParams):
         c1 = irm.r_slope1 / (market.supplied * irm.u_target)
-        return [l_max * s - m * (irm.r_base + market.borrowed * c1)]
-    if isinstance(irm, KinkedIrmParams):
+        beta = l_max * s - m * (irm.r_base + market.borrowed * c1)
+        points = [beta, beta - 2.0 * c1 * m * m * cap]
+    elif isinstance(irm, KinkedIrmParams):
         p = _kinked_response_params(irm, market.supplied, market.borrowed, l_max, s)
+        lam_cap = p["beta2"] - 2.0 * p["c2"] * m * m * cap
         if p["headroom"] <= 0.0:
-            return [p["beta2"]]
-        points = [p["beta1"], p["lam1"], p["lam2"]]
-        out: list[float] = []
-        for v in sorted(points, reverse=True):
-            if not out or v < out[-1]:
-                out.append(v)
-        return out
-    raise UnsupportedModelError(f"unknown rate model {type(market.irm).__name__}")
+            points = [p["beta2"], lam_cap]
+        else:
+            points = [p["beta1"], p["lam1"], p["lam2"], lam_cap]
+    else:
+        raise UnsupportedModelError(f"unknown rate model {type(market.irm).__name__}")
+    out: list[float] = []
+    for v in sorted(points, reverse=True):
+        if not out or v < out[-1]:
+            out.append(v)
+    return out
 
 
 def advance_adaptive_rate(

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
 import pytest
 
 from oracles import random_instance, simplex_objective, simplex_search
+from stakeloop import allocator
 from stakeloop.allocator import (
     SATURATED,
     UNSATURATED,
@@ -20,8 +22,15 @@ from stakeloop.allocator import (
     waterfilling_detail,
     yield_breakdown,
 )
+from stakeloop.data import irm_from_dict
 from stakeloop.errors import ConstraintError, DomainError, UnsupportedModelError
-from stakeloop.irm import KinkedIrmParams, LinearIrmParams, MarketState
+from stakeloop.irm import (
+    KinkedIrmParams,
+    LinearIrmParams,
+    MarketState,
+    market_response,
+    response_breakpoints,
+)
 
 LIN_A = MarketState("A", 100.0, 0.0, 0.945, LinearIrmParams(0.01, 0.04, 0.9))
 LIN_B = MarketState("B", 50.0, 0.0, 0.945, LinearIrmParams(0.02, 0.04, 0.9))
@@ -32,6 +41,59 @@ KINK = MarketState(
 
 def two_linear(budget: float) -> ProblemInstance:
     return ProblemInstance.uniform([LIN_A, LIN_B], 5.0, 0.03, budget)
+
+
+def assert_exact_optimum(alloc: Allocation, p: ProblemInstance) -> None:
+    assert verify_kkt(alloc, p, 1e-8).passed
+    total = math.fsum(alloc.exposures) + alloc.unleveraged
+    assert abs(total - p.budget) <= 1e-12 * p.budget
+
+
+# The first twelve markets the optimize benchmark's generator draws at seed
+# 149. At l_max 5, s 0.03 and half the saturated total, m0010 is pinned at its
+# rate kink and must stay there: any remainder put into it moves it off the
+# kink, where lambda* is no longer its marginal value.
+KINK_PINNED_MARKETS = [
+    ("m0000", 819.9837836733756, 359.51894564475947, 0.8940075697302572,
+     {"kind": "linear", "r_base": 0.0005496029571813676,
+      "r_slope1": 0.03409709479905701, "u_target": 0.8693606394880635}),
+    ("m0001", 775.5898114885584, 576.289901613773, 0.8944376137415274,
+     {"kind": "linear", "r_base": 0.0013688753593083002,
+      "r_slope1": 0.021569728945743837, "u_target": 0.8189016977233576}),
+    ("m0002", 2630.215611667778, 2199.9702984564324, 0.9423824771855299,
+     {"kind": "kinked", "r_base": 0.0031888477307192935, "r_slope1": 0.014396413608500119,
+      "r_slope2": 0.4987777629463208, "u_target": 0.8432745766755351}),
+    ("m0003", 1365.7776205022005, 555.8470352912892, 0.8894980210987382,
+     {"kind": "kinked", "r_base": 0.0025933738901730823, "r_slope1": 0.027200651913962356,
+      "r_slope2": 0.41428316227805995, "u_target": 0.8809307572719197}),
+    ("m0004", 3193.824885174629, 1699.3486109506462, 0.8838463497920762,
+     {"kind": "linear", "r_base": 0.0016377305405469145,
+      "r_slope1": 0.013219674553882857, "u_target": 0.8861748458534081}),
+    ("m0005", 3344.4822785111614, 1440.5700409087128, 0.8635477184215152,
+     {"kind": "adaptive", "rate_at_target": 0.04017569474437872, "curve_steepness": 4.0,
+      "u_target": 0.9, "adjustment_speed": 50.0, "t_last": 0.0,
+      "u_last": 0.43073035553652295}),
+    ("m0006", 4069.201819079154, 2236.0435743011863, 0.9342518086847112,
+     {"kind": "linear", "r_base": 0.01985243862706744,
+      "r_slope1": 2.8194331613830926e-05, "u_target": 0.9069795351923392}),
+    ("m0007", 4063.2588117451223, 1730.9883423452263, 0.9017456231899343,
+     {"kind": "linear", "r_base": 0.00690590181804069,
+      "r_slope1": 0.02720061464476664, "u_target": 0.8295609502017123}),
+    ("m0008", 4512.554075529788, 2704.6237294182642, 0.9205432891571043,
+     {"kind": "linear", "r_base": 0.017264724005380136,
+      "r_slope1": 2.7230945971627428e-05, "u_target": 0.8424215307777523}),
+    ("m0009", 4419.076645239411, 3672.241474240344, 0.8618156075170457,
+     {"kind": "linear", "r_base": 0.007656776086891332,
+      "r_slope1": 0.022841291727070515, "u_target": 0.8742450827015071}),
+    ("m0010", 3966.0759468013366, 2274.546654121293, 0.9059036321118297,
+     {"kind": "adaptive", "rate_at_target": 0.012697419000215126, "curve_steepness": 4.0,
+      "u_target": 0.9, "adjustment_speed": 50.0, "t_last": 0.0,
+      "u_last": 0.5735005291453705}),
+    ("m0011", 1854.6067897861387, 784.2267448815924, 0.9124626225883622,
+     {"kind": "adaptive", "rate_at_target": 0.017582373901922015, "curve_steepness": 4.0,
+      "u_target": 0.9, "adjustment_speed": 50.0, "t_last": 0.0,
+      "u_last": 0.42285337743858054}),
+]
 
 
 class TestSaturated:
@@ -90,6 +152,11 @@ class TestSolve:
         with pytest.raises(DomainError):
             two_linear(0.0)
 
+    def test_budget_must_be_finite(self):
+        for budget in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                two_linear(budget)
+
     def test_kink_plateau_solution(self):
         p = ProblemInstance.uniform([KINK], 5.0, 0.03, 2.5)
         alloc = solve(p)
@@ -146,6 +213,93 @@ class TestSolve:
             for k in range(1, len(values) - 1)
         ]
         assert all(d <= 1e-9 for d in second)
+
+
+class TestBreakpointSweep:
+    def test_kink_pinned_market_stays_on_its_kink(self):
+        markets = [
+            MarketState(mid, supplied, borrowed, max_ltv, irm_from_dict(irm))
+            for mid, supplied, borrowed, max_ltv, irm in KINK_PINNED_MARKETS
+        ]
+        saturated = math.fsum(market_response(m, 5.0, 0.03, 0.03) for m in markets)
+        p = ProblemInstance.uniform(markets, 5.0, 0.03, saturated / 2.0)
+        alloc = solve(p)
+        assert alloc.regime == UNSATURATED
+        assert_exact_optimum(alloc, p)
+        pinned = p.market_ids.index("m0010")
+        assert alloc.exposures[pinned] == market_response(
+            markets[pinned], 5.0, 0.03, alloc.lambda_star
+        )
+
+    def test_flat_curve_jump_straddles_budget(self):
+        # r_slope1 = 0: the response jumps from 0 to the cap 80/4 = 20 at beta.
+        # LIN_A takes 2.8125 at that rate, so a budget of 10 lands on the jump.
+        flat = MarketState("F", 100.0, 20.0, 0.945, LinearIrmParams(0.02, 0.0, 0.9))
+        p = ProblemInstance.uniform([LIN_A, flat], 5.0, 0.03, 10.0)
+        alloc = solve(p)
+        assert alloc.regime == UNSATURATED
+        assert alloc.lambda_star == response_breakpoints(flat, 5.0, 0.03)[0]
+        assert alloc.exposures == pytest.approx((2.8125, 7.1875), abs=1e-12)
+        assert_exact_optimum(alloc, p)
+
+    def test_crossing_below_a_cap_breakpoint(self):
+        # F is near flat and small: it enters at 0.198 and is capped at
+        # 1 by 0.1971. The budget leaves LIN_A alone on the margin, at
+        # lambda* = 0.21 - 7 / 70.3125, below F's cap breakpoint.
+        capped = MarketState("F", 40.0, 36.0, 0.945, LinearIrmParams(0.012, 0.001, 0.9))
+        p = ProblemInstance.uniform([LIN_A, capped], 5.0, 0.05, 8.0)
+        beta, lam_cap = response_breakpoints(capped, 5.0, 0.05)
+        assert beta - lam_cap == pytest.approx(2.0 * (0.001 / 36.0) * 16.0 * 1.0)
+        alloc = solve(p)
+        assert 0.05 < alloc.lambda_star < lam_cap
+        assert alloc.lambda_star == pytest.approx(0.21 - 7.0 / 70.3125, abs=1e-14)
+        assert alloc.exposures[1] == 1.0
+        assert_exact_optimum(alloc, p)
+
+    def test_piece_one_float_wide_is_a_jump(self):
+        # r_base = s puts both flat-below-kink markets' entry one float above
+        # s, so the piece down to s has no float inside it.
+        s = 0.009876191989661972
+        flat_kink = KinkedIrmParams(s, 0.0, 1.0, 0.75)
+        markets = [MarketState(f"k{i}", 10.0, 0.0, 0.945, flat_kink) for i in range(2)]
+        p = ProblemInstance.uniform(markets, 1.5, s, 7.5)
+        assert response_breakpoints(markets[0], 1.5, s)[0] == math.nextafter(s, 1.0)
+        alloc = solve(p)
+        assert alloc.exposures == (7.5, 0.0)
+        assert_exact_optimum(alloc, p)
+
+    def test_market_response_calls_linear_in_market_count(self, monkeypatch):
+        rng = random.Random(300)
+        markets = []
+        for i in range(300):
+            supplied = rng.uniform(500.0, 5000.0)
+            markets.append(
+                MarketState(
+                    f"m{i}",
+                    supplied,
+                    supplied * rng.uniform(0.3, 0.85),
+                    0.945,
+                    KinkedIrmParams(
+                        rng.uniform(0.0, 0.005),
+                        rng.uniform(0.01, 0.04),
+                        rng.uniform(0.3, 1.0),
+                        rng.uniform(0.8, 0.92),
+                    ),
+                )
+            )
+        saturated = math.fsum(market_response(m, 5.0, 0.03, 0.03) for m in markets)
+        p = ProblemInstance.uniform(markets, 5.0, 0.03, saturated / 2.0)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return market_response(*args)
+
+        monkeypatch.setattr(allocator, "market_response", counted)
+        alloc = solve(p)
+        assert alloc.regime == UNSATURATED
+        assert calls <= 10 * len(markets)
 
 
 class TestWaterfilling:

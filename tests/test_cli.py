@@ -96,6 +96,16 @@ class TestOptimize:
         assert code == 2
         assert "staking-rate" in err
 
+    def test_non_finite_budget_exits_2(self, capsys):
+        for budget in ("nan", "inf"):
+            code, out, err = run(
+                ["--json", "optimize", "--budget", budget, "-s", "0.03", "--market", MARKET_A],
+                capsys,
+            )
+            assert code == 2
+            assert out == ""
+            assert "budget must be positive and finite" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["optimize", "--budget", "3", "--no-such-flag"])

@@ -280,19 +280,27 @@ class TestMarketResponse:
 
 class TestBreakpoints:
     def test_linear_single_value(self):
-        assert response_breakpoints(MARKET_LINEAR, 5.0, 0.03) == [pytest.approx(0.11)]
+        # beta, then the cap breakpoint beta - 2*c*m^2*cap with c = 0.04/90, cap = 25
+        assert response_breakpoints(MARKET_LINEAR, 5.0, 0.03) == [
+            pytest.approx(0.11),
+            pytest.approx(0.11 - 2 * (0.04 / 90.0) * 16 * 25.0),
+        ]
 
     def test_kinked_below_target_ordering(self):
         points = response_breakpoints(MARKET_KINK, 5.0, 0.03)
-        assert len(points) == 3
-        beta1, lam1, lam2 = points
-        assert beta1 > lam1 > lam2
+        assert len(points) == 4
+        beta1, lam1, lam2, lam_cap = points
+        assert beta1 > lam1 > lam2 > lam_cap
         assert lam1 == pytest.approx(0.15 - 4 * (0.01 + 10.0 * 0.01 / 90.0))
+        # beta2 - 2*c2*m^2*cap with c2 = 0.5/10, beta2 = 0.15 - 4*(0.01 - 10*c2), cap = 5
+        assert lam_cap == pytest.approx(0.15 - 4 * (0.01 - 10.0 * 0.05) - 2 * 0.05 * 16 * 5.0)
 
     def test_above_target_single_value(self):
         market = MarketState("above", 100.0, 95.0, 0.945, KINKED)
         points = response_breakpoints(market, 5.0, 0.03)
-        assert len(points) == 1
+        # beta2 on the steep branch, then its cap breakpoint with c2 = 0.6/10, cap = 1.25
+        beta2 = 0.15 - 4 * (0.01 + 0.04 + 5.0 * 0.06)
+        assert points == [pytest.approx(beta2), pytest.approx(beta2 - 2 * 0.06 * 16 * 1.25)]
 
     def test_adaptive_breakpoints_match_kinked_image(self):
         irm = adaptive(0.05, 4.0, 0.9)
