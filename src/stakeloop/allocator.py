@@ -226,8 +226,9 @@ def _check_alloc_feasible(alloc: Allocation, p: ProblemInstance) -> None:
             f"allocation markets {alloc.market_ids} do not match instance "
             f"markets {p.market_ids}"
         )
+    # A negative exposure is a negative debt, which no rate curve can price.
     slack = _REL_BUDGET_TOL * max(1.0, p.budget)
-    if alloc.unleveraged < -slack or any(x < -slack for x in alloc.exposures):
+    if alloc.unleveraged < -slack or any(x < 0.0 for x in alloc.exposures):
         raise ConstraintError("allocation has a negative component")
     if abs(alloc.total - p.budget) > slack:
         raise ConstraintError(

@@ -11,7 +11,6 @@ the rebalancing frequency.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -30,6 +29,8 @@ STRATEGIES = (FIXED_FREQUENCY, DYNAMIC, STAKING_ONLY)
 # recorded rate-at-target into a full rate model.
 ADAPTIVE_CURVE_STEEPNESS = 4.0
 ADAPTIVE_TARGET_UTILIZATION = 0.9
+# market_state_at pins each curve's t_last to its own snapshot, so no time
+# elapses inside the controller and this speed never changes a backtest result.
 ADAPTIVE_ADJUSTMENT_SPEED = 50.0  # 1/year
 
 
@@ -321,11 +322,15 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
         equity = unleveraged + sum(c - d for c, d in zip(collateral, debt))
         fees_here = 0.0
         due = (snap.timestamp - t0) % cfg.rebalance_frequency == 0
-        if due and not passive and equity > 0.0:
-            markets = [
-                market_state_at(meta, snap.markets[meta.market_id], snap.timestamp, cfg.irm)
-                for meta in series.markets
-            ]
+        solving = due and not passive and equity > 0.0
+        # Every market when solving, else only the indebted ones for accrual.
+        markets = [
+            market_state_at(meta, snap.markets[meta.market_id], snap.timestamp, cfg.irm)
+            if solving or d > 0.0
+            else None
+            for meta, d in zip(series.markets, debt)
+        ]
+        if solving:
             p = ProblemInstance.uniform(
                 markets, cfg.l_max, snap.staking_rate, budget=equity
             )
@@ -366,12 +371,9 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
         if k + 1 < len(snaps):
             dt = (snaps[k + 1].timestamp - snap.timestamp) / SECONDS_PER_YEAR
             s = snap.staking_rate
-            for i, meta in enumerate(series.markets):
+            for i, market in enumerate(markets):
                 if debt[i] <= 0.0:
                     continue
-                market = market_state_at(
-                    meta, snap.markets[meta.market_id], snap.timestamp, cfg.irm
-                )
                 rate = _accrual_rate(market, debt[i])
                 interest_paid += debt[i] * rate * dt
                 debt[i] *= 1.0 + rate * dt
@@ -419,25 +421,18 @@ def _charge_fee(
     )
 
 
-def _run_with_budget(
-    series: SnapshotSeries, cfg: BacktestConfig, budget: float
-) -> tuple[float, float]:
-    result = run_backtest(series, replace(cfg, budget=budget))
-    return budget, result.apy
-
-
 def sweep_budgets(
-    series: SnapshotSeries,
-    cfg: BacktestConfig,
-    budgets: Sequence[float],
-    max_workers: int = 4,
+    series: SnapshotSeries, cfg: BacktestConfig, budgets: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """APY per starting budget; each backtest runs independently."""
+    """APY per starting budget, in budget order: the series is smoothed once,
+    then the backtests run serially (pure-Python work that threads cannot
+    overlap)."""
     if not budgets:
         raise DomainError("budget list must not be empty")
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(budgets))) as pool:
-        results = list(pool.map(lambda b: _run_with_budget(series, cfg, b), budgets))
-    return results
+    if cfg.smoothing_window:
+        series = smooth_rates(series, cfg.smoothing_window)
+        cfg = replace(cfg, smoothing_window=0)
+    return [(b, run_backtest(series, replace(cfg, budget=b)).apy) for b in budgets]
 
 
 def sweep_leverage(
@@ -445,12 +440,14 @@ def sweep_leverage(
     cfg: BacktestConfig,
     l_max_values: Sequence[float],
     budgets: Sequence[float],
-    max_workers: int = 4,
 ) -> dict[float, list[tuple[float, float]]]:
-    """Budget sweeps repeated per leverage cap."""
+    """Budget sweeps repeated per leverage cap over one smoothed series."""
     if not l_max_values:
         raise DomainError("l_max list must not be empty")
+    if cfg.smoothing_window:
+        series = smooth_rates(series, cfg.smoothing_window)
+        cfg = replace(cfg, smoothing_window=0)
     return {
-        l: sweep_budgets(series, replace(cfg, l_max=l), budgets, max_workers)
+        l: sweep_budgets(series, replace(cfg, l_max=l), budgets)
         for l in l_max_values
     }

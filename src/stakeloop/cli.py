@@ -55,6 +55,16 @@ def _markets_from_args(args) -> list[MarketState]:
         raws.extend(loaded if isinstance(loaded, list) else [loaded])
     for item in args.market or []:
         raws.append(json.loads(item))
+    markets = [
+        MarketState(
+            market_id=str(raw["id"]),
+            supplied=float(raw["supplied"]),
+            borrowed=float(raw["borrowed"]),
+            max_ltv=float(raw["max_ltv"]),
+            irm=datamod.irm_from_dict(raw["irm"]),
+        )
+        for raw in raws
+    ]
     if args.dataset:
         series = datamod.load_snapshots(Path(args.dataset))
         if args.at is None:
@@ -66,28 +76,9 @@ def _markets_from_args(args) -> list[MarketState]:
             snap = matches[0]
         if args.staking_rate is None:
             args.staking_rate = snap.staking_rate
-        for meta in series.markets:
-            raws.append(
-                {
-                    "id": meta.market_id,
-                    "_state": bt.market_state_at(
-                        meta, snap.markets[meta.market_id], snap.timestamp, None
-                    ),
-                }
-            )
-    markets = []
-    for raw in raws:
-        if "_state" in raw:
-            markets.append(raw["_state"])
-            continue
-        markets.append(
-            MarketState(
-                market_id=str(raw["id"]),
-                supplied=float(raw["supplied"]),
-                borrowed=float(raw["borrowed"]),
-                max_ltv=float(raw["max_ltv"]),
-                irm=datamod.irm_from_dict(raw["irm"]),
-            )
+        markets.extend(
+            bt.market_state_at(meta, snap.markets[meta.market_id], snap.timestamp, None)
+            for meta in series.markets
         )
     if not markets:
         raise StakeloopError("no markets given (use --markets, --market, or --dataset)")
@@ -136,8 +127,7 @@ def _cmd_optimize(args) -> int:
             exposures=[float(raw["exposures"][m.market_id]) for m in markets],
             unleveraged=float(raw["unleveraged"]),
         )
-        fees = FeeModel(args.gamma_plus, args.gamma_minus, args.horizon_days / 365.0)
-        plan = solve_with_fees(p, current, fees)
+        plan = solve_with_fees(p, current, _fees_from_args(args))
         if args.json:
             print(
                 json.dumps(
@@ -222,14 +212,14 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out) if args.out else None
     if args.l_max_list:
         levels = _parse_float_list(args.l_max_list)
-        curves = bt.sweep_leverage(series, cfg, levels, budgets, max_workers=args.workers)
+        curves = bt.sweep_leverage(series, cfg, levels, budgets)
         for level, curve in curves.items():
             if out:
                 datamod.emit_report(curve, out, label=f"lmax_{level:g}")
             for budget, value in curve:
                 print(f"l_max {level:g} budget {_sig(budget)} apy {_sig(value * 100)}%")
         return 0
-    curve = bt.sweep_budgets(series, cfg, budgets, max_workers=args.workers)
+    curve = bt.sweep_budgets(series, cfg, budgets)
     if out:
         datamod.emit_report(curve, out, label="apy")
     for budget, value in curve:
@@ -340,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--budgets", required=True, help="comma-separated budget list")
     sweep.add_argument("--l-max-list", help="comma-separated leverage caps")
     sweep.add_argument("--out", help="directory for curve files")
-    sweep.add_argument("--workers", type=int, default=4)
     sweep.set_defaults(func=_cmd_sweep)
 
     synth = sub.add_parser("synth", help="write a deterministic synthetic dataset")

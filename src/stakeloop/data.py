@@ -27,6 +27,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .backtest import (
+    ADAPTIVE_CURVE_STEEPNESS,
+    ADAPTIVE_TARGET_UTILIZATION,
     BacktestResult,
     MarketMeta,
     MarketSnapshot,
@@ -256,18 +258,14 @@ def load_snapshots(path: Path) -> SnapshotSeries:
         raise DataError(f"{directory}: staking series is empty")
     staking.sort(key=lambda item: item[0])
 
-    snapshots = []
-    cursor = 0
-    for ts in timestamps:
-        while cursor + 1 < len(staking) and staking[cursor + 1][0] <= ts:
-            cursor += 1
-        snapshots.append(
-            Snapshot(
-                timestamp=ts,
-                staking_rate=staking[cursor][1],
-                markets={mid: per_market[mid][ts] for mid in per_market},
-            )
+    snapshots = [
+        Snapshot(
+            timestamp=ts,
+            staking_rate=rate,
+            markets={mid: per_market[mid][ts] for mid in per_market},
         )
+        for ts, rate in zip(timestamps, staking_rates_at(timestamps, staking))
+    ]
     metas = tuple(
         MarketMeta(market_id=d.market_id, max_ltv=d.lltv) for d in manifest.markets
     )
@@ -282,6 +280,20 @@ def load_snapshots(path: Path) -> SnapshotSeries:
             stacklevel=2,
         )
     return series
+
+
+def staking_rates_at(
+    timestamps: Sequence[int], staking: Sequence[tuple[int, float]]
+) -> list[float]:
+    """Last rate of the time-sorted ``(timestamp, rate)`` list at or before
+    each sorted timestamp; the first rate before the first observation."""
+    rates = []
+    cursor = 0
+    for ts in timestamps:
+        while cursor + 1 < len(staking) and staking[cursor + 1][0] <= ts:
+            cursor += 1
+        rates.append(staking[cursor][1])
+    return rates
 
 
 def scan_gaps(series: SnapshotSeries, cadence_seconds: int) -> list[tuple[int, int]]:
@@ -381,7 +393,9 @@ def generate_synthetic(
         markets = {}
         for mspec in spec.markets:
             rate = _rate_at(mspec, day, rng)
-            factor = adaptive_curve_factor(mspec.utilization, 0.9, 4.0)
+            factor = adaptive_curve_factor(
+                mspec.utilization, ADAPTIVE_TARGET_UTILIZATION, ADAPTIVE_CURVE_STEEPNESS
+            )
             markets[mspec.market_id] = MarketSnapshot(
                 supplied=mspec.supplied,
                 borrowed=mspec.supplied * mspec.utilization,

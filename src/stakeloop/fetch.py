@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .backtest import MarketMeta, MarketSnapshot, Snapshot, SnapshotSeries
-from .data import DatasetManifest, MarketDescriptor, save_snapshots
+from .data import DatasetManifest, MarketDescriptor, save_snapshots, staking_rates_at
 from .errors import DataError
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -255,22 +255,13 @@ def fetch_market_history(
     else:
         staking = [(timestamps[0], float(staking_rate))]
 
-    def staking_at(ts: int) -> float:
-        value = staking[0][1]
-        for when, rate in staking:
-            if when <= ts:
-                value = rate
-            else:
-                break
-        return value
-
     snapshots = tuple(
         Snapshot(
             timestamp=ts,
-            staking_rate=staking_at(ts),
+            staking_rate=rate,
             markets={desc.market_id: snaps[ts] for desc, snaps in fetched},
         )
-        for ts in timestamps
+        for ts, rate in zip(timestamps, staking_rates_at(timestamps, staking))
     )
     series = SnapshotSeries(
         markets=tuple(

@@ -397,6 +397,15 @@ class TestYield:
         with pytest.raises(ConstraintError):
             expected_yield(mismatched, p)
 
+    def test_negative_exposure_rejected_not_priced(self):
+        # inside the budget slack, but a negative debt has no borrow rate
+        p = ProblemInstance.uniform([LIN_A], 5.0, 0.03, 1.0)
+        alloc = Allocation.from_position(["A"], [-1e-16], 1.0 + 1e-16)
+        with pytest.raises(ConstraintError):
+            expected_yield(alloc, p)
+        with pytest.raises(ConstraintError):
+            yield_breakdown(alloc, p)
+
 
 class TestVerifyKkt:
     def test_solver_output_passes_on_random_instances(self):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from stakeloop import backtest
 from stakeloop.backtest import (
     DYNAMIC,
     FIXED_FREQUENCY,
@@ -55,6 +56,16 @@ def flat_series(
         for k in range(hours + 1)
     )
     return SnapshotSeries(markets=(MarketMeta("m", 0.945),), snapshots=snaps)
+
+
+def without_rate_at_target(series: SnapshotSeries) -> SnapshotSeries:
+    return SnapshotSeries(
+        markets=series.markets,
+        snapshots=tuple(
+            replace(s, markets={"m": replace(s.markets["m"], rate_at_target=None)})
+            for s in series.snapshots
+        ),
+    )
 
 
 def config(**kwargs) -> BacktestConfig:
@@ -262,23 +273,28 @@ class TestRunBacktest:
             )
 
     def test_missing_rate_model_rejected(self):
-        series = flat_series()
-        stripped = SnapshotSeries(
-            markets=series.markets,
-            snapshots=tuple(
-                replace(
-                    s,
-                    markets={
-                        "m": replace(s.markets["m"], rate_at_target=None)
-                    },
-                )
-                for s in series.snapshots
-            ),
-        )
         from stakeloop.errors import DataError
 
         with pytest.raises(DataError):
-            run_backtest(stripped, config())
+            run_backtest(without_rate_at_target(flat_series()), config())
+
+    def test_staking_only_needs_no_rate_model(self):
+        series = without_rate_at_target(flat_series())
+        result = run_backtest(series, config(strategy=STAKING_ONLY, irm=None))
+        assert result.rebalance_count == 0
+
+    def test_one_market_state_per_market_per_step(self, monkeypatch):
+        series = flat_series(hours=48)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return market_state_at(*args)
+
+        monkeypatch.setattr(backtest, "market_state_at", counting)
+        result = run_backtest(series, config(strategy=FIXED_FREQUENCY))
+        assert result.rebalance_count > 0
+        assert len(calls) == len(series.snapshots) * len(series.markets)
 
     def test_deterministic(self):
         series = scenario_series("volatile", seed=3)
@@ -365,6 +381,32 @@ class TestSweeps:
         staking = run_backtest(series, config(strategy=STAKING_ONLY)).apy
         for _, value in curve:
             assert value == pytest.approx(staking, abs=1e-6)
+
+    def test_sweeps_equal_independent_backtests(self):
+        series = scenario_series("volatile")
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        assert cfg.smoothing_window
+        budgets = [1.0, 1e3, 1e6]
+
+        def independent(c):
+            return [(b, run_backtest(series, replace(c, budget=b)).apy) for b in budgets]
+
+        assert sweep_budgets(series, cfg, budgets) == independent(cfg)
+        curves = sweep_leverage(series, cfg, [3.0, 5.0], budgets)
+        for level, curve in curves.items():
+            assert curve == independent(replace(cfg, l_max=level))
+
+    def test_sweep_smooths_once(self, monkeypatch):
+        calls = []
+
+        def counting(series, window):
+            calls.append(window)
+            return smooth_rates(series, window)
+
+        monkeypatch.setattr(backtest, "smooth_rates", counting)
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        sweep_leverage(scenario_series(), cfg, [3.0, 5.0], [1.0, 100.0, 1e4])
+        assert calls == [SECONDS_PER_DAY]
 
     def test_empty_budget_list_rejected(self):
         with pytest.raises(DomainError):

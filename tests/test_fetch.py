@@ -18,6 +18,18 @@ def _points(start, end, value, step=SECONDS_PER_HOUR, scale=1.0):
     ]
 
 
+def staking_rewards():
+    """Daily APRs that change every day, posted at 05:00 so hourly snapshots
+    fall before, on and after each observation."""
+    return [
+        {
+            "blockTime": T0 + day * SECONDS_PER_DAY + 5 * SECONDS_PER_HOUR,
+            "apr": 0.031 + 0.001 * day,
+        }
+        for day in range(0, 5)
+    ]
+
+
 class FakeApi:
     """Canned GraphQL backend mimicking the market and staking sources."""
 
@@ -32,11 +44,7 @@ class FakeApi:
         if "totalRewards" in query:
             if variables["skip"] > 0:
                 return {"data": {"totalRewards": []}}
-            rewards = [
-                {"blockTime": T0 + day * SECONDS_PER_DAY, "apr": 0.031}
-                for day in range(0, 5)
-            ]
-            return {"data": {"totalRewards": rewards}}
+            return {"data": {"totalRewards": staking_rewards()}}
         market_id = variables["id"]
         if market_id not in self.known_ids:
             return {"data": {"market": None}}
@@ -83,6 +91,24 @@ class TestFetch:
         manifest = load_manifest(out)
         assert manifest.source == "fetched"
         assert manifest.markets[0].lltv == pytest.approx(0.945)
+
+    def test_staking_rate_is_last_observation_at_or_before(self, tmp_path):
+        out = fetch_market_history(
+            ["mkt-1"],
+            start=T0,
+            end=T0 + 3 * SECONDS_PER_DAY,
+            out_dir=tmp_path / "ds",
+            transport=FakeApi(),
+            staking_endpoint="graphql://staking",
+            min_interval=0.0,
+        )
+        rewards = staking_rewards()
+        series = load_snapshots(out)
+        for snap in series.snapshots:
+            seen = [r["apr"] for r in rewards if r["blockTime"] <= snap.timestamp]
+            # before the first observation the first rate applies
+            assert snap.staking_rate == (seen[-1] if seen else rewards[0]["apr"])
+        assert len({s.staking_rate for s in series.snapshots}) == 3
 
     def test_refetch_is_idempotent(self, tmp_path):
         api = FakeApi()
