@@ -50,7 +50,7 @@ from .irm import (
     kinked_equivalent,
     marginal_cost_subgradient,
     market_response,
-    response_breakpoints,
+    response_events,
 )
 from .position import (
     CollateralDebt,

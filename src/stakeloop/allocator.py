@@ -11,13 +11,14 @@ optimum is characterized by a single shadow rate ``lambda_star``:
   rises above the staking rate until the per-market responses exactly
   absorb the budget.
 
-Every market's response is piecewise affine in the shadow rate, with its
-breakpoints (the liquidity cap included) given by ``response_breakpoints``
-and jumps only at breakpoints. ``solve`` sorts all breakpoints once and
-sweeps down from the highest, keeping running totals of the summed response
-and its slope, and stops at the piece or the jump where the total reaches
-the budget. Inside a piece ``lambda_star`` has a closed form; on a jump it
-is the breakpoint itself and the jumping markets share what is left.
+Every market's response is piecewise affine in the shadow rate, and
+``response_events`` gives it in closed form: each breakpoint (the liquidity
+cap included) with the jump there and the slope below it. ``solve`` sorts
+all events above the staking rate once and sweeps down from the highest,
+keeping running totals of the summed response and its slope, and stops at
+the piece or the jump where the total reaches the budget. Inside a piece
+``lambda_star`` has a closed form; on a jump it is the breakpoint itself and
+the jumping markets share what is left.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .irm import (
     borrow_rate,
     marginal_cost_subgradient,
     market_response,
-    response_breakpoints,
+    response_events,
 )
 from .position import max_leverage_bound
 
@@ -265,42 +266,7 @@ def _saturated(p: ProblemInstance, exposures: list[float]) -> Allocation | None:
     return replace(alloc, expected_yield=_position_yield(alloc.exposures, alloc.unleveraged, p))
 
 
-def _response_events(
-    market: MarketState, l_max: float, s: float, x_at_s: float
-) -> list[tuple[float, float, float]]:
-    """``(level, jump, slope)`` at each of the market's breakpoints above ``s``.
-
-    ``jump`` is what the response gains as the shadow rate crosses ``level``
-    from above; ``slope`` is its gain per unit fall of the rate on the piece
-    below ``level``. Each piece, the last one cut at ``s``, is read off two
-    responses: at its lower end (the limit from above there) and at its
-    midpoint.
-    """
-    levels = [b for b in response_breakpoints(market, l_max, s) if b > s]
-    events = []
-    above = 0.0  # the response is zero from its first breakpoint up
-    for k, hi in enumerate(levels):
-        if k + 1 < len(levels):
-            lo = levels[k + 1]
-            x_lo = market_response(market, l_max, s, lo)
-        else:
-            lo, x_lo = s, x_at_s
-        mid = 0.5 * (lo + hi)
-        if lo < mid < hi:
-            x_mid = market_response(market, l_max, s, mid)
-            slope = (x_lo - x_mid) / (mid - lo)
-        else:  # no float inside the piece: it is all jump at hi
-            x_mid, slope = x_lo, 0.0
-        # The affine piece extended to hi; the response is monotone, so a
-        # negative difference from the value above is rounding.
-        events.append((hi, max(0.0, 2.0 * x_mid - x_lo - above), slope))
-        above = x_lo
-    return events
-
-
-def _shadow_rate(
-    p: ProblemInstance, at_s: list[float]
-) -> tuple[float, list[tuple[int, float]], list[float]]:
+def _shadow_rate(p: ProblemInstance) -> tuple[float, list[tuple[int, float]], list[float]]:
     """Where the summed response crosses the budget, by a descending sweep.
 
     Returns ``lambda_star``, the markets jumping there with their jump sizes
@@ -312,7 +278,8 @@ def _shadow_rate(
         (
             (level, i, jump, slope)
             for i, (market, l_max) in enumerate(zip(p.markets, p.l_max))
-            for level, jump, slope in _response_events(market, l_max, s, at_s[i])
+            for level, jump, slope in response_events(market, l_max, s)
+            if level > s
         ),
         key=lambda e: e[0],
         reverse=True,
@@ -351,12 +318,11 @@ def solve(p: ProblemInstance) -> Allocation:
     breakpoints for the shadow rate ``lambda_star > s`` at which the summed
     responses equal the budget.
     """
-    at_s = _responses(p, p.staking_rate)
-    saturated = _saturated(p, at_s)
+    saturated = _saturated(p, _responses(p, p.staking_rate))
     if saturated is not None:
         return saturated
 
-    lam_star, jumpers, slopes = _shadow_rate(p, at_s)
+    lam_star, jumpers, slopes = _shadow_rate(p)
     exposures = _responses(p, lam_star)
     left = p.budget - math.fsum(exposures)
     # lambda_star lies inside the marginal-value interval of a market

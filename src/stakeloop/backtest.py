@@ -316,12 +316,17 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     positions: list[PositionRecord] = []
     total_fees = 0.0
     rebalances = 0
-    t0 = snaps[0].timestamp
+    t0 = next_due = snaps[0].timestamp
 
     for k, snap in enumerate(snaps):
         equity = unleveraged + sum(c - d for c, d in zip(collateral, debt))
         fees_here = 0.0
-        due = (snap.timestamp - t0) % cfg.rebalance_frequency == 0
+        # Due at the first snapshot at or after each point t0 + j * frequency;
+        # a gap over several points gives one rebalance.
+        due = snap.timestamp >= next_due
+        if due:
+            elapsed = (snap.timestamp - t0) // cfg.rebalance_frequency
+            next_due = t0 + (elapsed + 1) * cfg.rebalance_frequency
         solving = due and not passive and equity > 0.0
         # Every market when solving, else only the indebted ones for accrual.
         markets = [

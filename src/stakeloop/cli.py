@@ -365,17 +365,18 @@ def main(argv: list[str] | None = None) -> int:
             config = json.loads(Path(args_list[idx + 1]).read_text())
         except (IndexError, OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read --config: {exc}")
-        parser.set_defaults(**{k.replace("-", "_"): v for k, v in config.items()})
+        config = {k.replace("-", "_"): v for k, v in config.items()}
+        parsers = [parser]
         for sub_action in parser._subparsers._group_actions:  # noqa: SLF001
-            for sub_parser in sub_action.choices.values():
-                known = {a.dest for a in sub_parser._actions}  # noqa: SLF001
-                sub_parser.set_defaults(
-                    **{
-                        k.replace("-", "_"): v
-                        for k, v in config.items()
-                        if k.replace("-", "_") in known
-                    }
-                )
+            parsers.extend(sub_action.choices.values())
+        unknown = set(config)
+        # Each parser takes only the keys it knows; a key none knows is an error.
+        for each in parsers:
+            known = {a.dest for a in each._actions}  # noqa: SLF001
+            each.set_defaults(**{k: v for k, v in config.items() if k in known})
+            unknown -= known
+        if unknown:
+            parser.error(f"cannot read --config: unknown key(s) {', '.join(sorted(unknown))}")
 
     args = parser.parse_args(args_list)
     if args.print_config:

@@ -158,17 +158,22 @@ def adaptive_curve_factor(u: float, u_target: float, curve_steepness: float) -> 
     return (curve_steepness - 1.0) * err + 1.0
 
 
+def _kinked_form(
+    irm: KinkedIrmParams | AdaptiveIrmParams,
+) -> tuple[float, float, float, float]:
+    """``(r_base, r_slope1, r_slope2, u_target)`` of the kinked curve equal to
+    ``irm`` (at a frozen controller state when ``irm`` is adaptive)."""
+    if isinstance(irm, KinkedIrmParams):
+        return irm.r_base, irm.r_slope1, irm.r_slope2, irm.u_target
+    r_t = irm.rate_at_target
+    steep = irm.curve_steepness
+    return r_t / steep, r_t * (1.0 - 1.0 / steep), r_t * (steep - 1.0), irm.u_target
+
+
 def kinked_equivalent(irm: AdaptiveIrmParams) -> KinkedIrmParams:
     """Kinked parameterization producing the same rate curve as ``irm`` at a
     frozen controller state."""
-    r_t = irm.rate_at_target
-    steep = irm.curve_steepness
-    return KinkedIrmParams(
-        r_base=r_t / steep,
-        r_slope1=r_t * (1.0 - 1.0 / steep),
-        r_slope2=r_t * (steep - 1.0),
-        u_target=irm.u_target,
-    )
+    return KinkedIrmParams(*_kinked_form(irm))
 
 
 def _check_pool_amounts(supplied: float, borrowed: float, delta_borrow: float) -> float:
@@ -221,13 +226,12 @@ def _slopes(irm: IrmParams, supplied: float) -> tuple[float, float]:
     if isinstance(irm, LinearIrmParams):
         c = irm.r_slope1 / (supplied * irm.u_target)
         return c, c
-    if isinstance(irm, KinkedIrmParams):
+    if isinstance(irm, (KinkedIrmParams, AdaptiveIrmParams)):
+        _, r_slope1, r_slope2, u_target = _kinked_form(irm)
         return (
-            irm.r_slope1 / (supplied * irm.u_target),
-            irm.r_slope2 / (supplied * (1.0 - irm.u_target)),
+            r_slope1 / (supplied * u_target),
+            r_slope2 / (supplied * (1.0 - u_target)),
         )
-    if isinstance(irm, AdaptiveIrmParams):
-        return _slopes(kinked_equivalent(irm), supplied)
     raise UnsupportedModelError(f"unknown rate model {type(irm).__name__}")
 
 
@@ -256,38 +260,6 @@ def marginal_cost_subgradient(
     return (rate + borrow_amount * hi_slope, rate + borrow_amount * hi_slope)
 
 
-def _kinked_response_params(
-    kinked: KinkedIrmParams, supplied: float, borrowed: float, l_max: float, s: float
-) -> dict[str, float]:
-    """Coefficients of the piecewise response for a kinked curve."""
-    m = l_max - 1.0
-    target_amount = supplied * kinked.u_target
-    c1 = kinked.r_slope1 / (supplied * kinked.u_target)
-    c2 = kinked.r_slope2 / (supplied * (1.0 - kinked.u_target))
-    headroom = target_amount - borrowed  # borrowing room below the kink
-    beta1 = l_max * s - m * (kinked.r_base + borrowed * c1)
-    beta2 = l_max * s - m * (kinked.r_base + kinked.r_slope1 + (borrowed - target_amount) * c2)
-    lam1 = l_max * s - m * (kinked.r_base + kinked.r_slope1 + headroom * c1)
-    lam2 = l_max * s - m * (kinked.r_base + kinked.r_slope1 + headroom * c2)
-    return {
-        "m": m,
-        "c1": c1,
-        "c2": c2,
-        "headroom": headroom,
-        "beta1": beta1,
-        "beta2": beta2,
-        "lam1": lam1,
-        "lam2": lam2,
-    }
-
-
-def _affine_response(slope_times_two: float, beta: float, lam: float) -> float:
-    """Positive part of the affine response, written to avoid inf * 0."""
-    if lam >= beta:
-        return 0.0
-    return (beta - lam) / slope_times_two
-
-
 def _validate_leverage_cap(market: MarketState, l_max: float) -> None:
     bound = 1.0 / (1.0 - market.max_ltv)
     if not 1.0 < l_max <= bound:
@@ -295,6 +267,63 @@ def _validate_leverage_cap(market: MarketState, l_max: float) -> None:
             f"l_max={l_max} outside (1, {bound:.6g}] allowed by "
             f"max_ltv={market.max_ltv} of market {market.market_id}"
         )
+
+
+def _response_pieces(
+    market: MarketState, l_max: float, s: float
+) -> list[tuple[float, float, float]]:
+    """The market's response as ``(level, denom, value)`` pieces, highest first.
+
+    Below ``level``, down to the next piece's level, the response is the
+    affine ``(value - lam) / denom``, or the constant ``value`` where
+    ``denom`` is 0: the kink plateau ``headroom / m``, or the liquidity cap,
+    which is always the last piece. The response is zero from the first
+    level up. A piece not wider than one float gives way to the piece below
+    it, which then starts at its level. A pool with no liquidity left has no
+    pieces.
+    """
+    m = l_max - 1.0
+    cap = market.available_liquidity / m
+    if cap <= 0.0:
+        return []
+    irm = market.irm
+    if isinstance(irm, LinearIrmParams):
+        c1 = irm.r_slope1 / (market.supplied * irm.u_target)
+        beta = l_max * s - m * (irm.r_base + market.borrowed * c1)
+        denom = 2.0 * c1 * m * m
+        forms = [(beta, denom, beta), (beta - denom * cap, 0.0, cap)]
+    elif isinstance(irm, (KinkedIrmParams, AdaptiveIrmParams)):
+        r_base, r_slope1, r_slope2, u_target = _kinked_form(irm)
+        target_amount = market.supplied * u_target
+        c1 = r_slope1 / (market.supplied * u_target)
+        c2 = r_slope2 / (market.supplied * (1.0 - u_target))
+        headroom = target_amount - market.borrowed  # borrowing room below the kink
+        beta2 = l_max * s - m * (r_base + r_slope1 + (market.borrowed - target_amount) * c2)
+        denom2 = 2.0 * c2 * m * m
+        forms = [(beta2, denom2, beta2), (beta2 - denom2 * cap, 0.0, cap)]
+        if headroom > 0.0:
+            # Below target: the gentle branch, then the plateau pinned at the
+            # kink while lam crosses the jump in marginal cost.
+            beta1 = l_max * s - m * (r_base + market.borrowed * c1)
+            lam1 = l_max * s - m * (r_base + r_slope1 + headroom * c1)
+            lam2 = l_max * s - m * (r_base + r_slope1 + headroom * c2)
+            forms[:1] = [
+                (beta1, 2.0 * c1 * m * m, beta1),
+                (lam1, 0.0, headroom / m),
+                (lam2, denom2, beta2),
+            ]
+    else:
+        raise UnsupportedModelError(f"unknown rate model {type(irm).__name__}")
+    pieces = [forms[0]]
+    for level, denom, value in forms[1:]:
+        if level >= math.nextafter(pieces[-1][0], -math.inf):
+            level = pieces.pop()[0]  # the piece above is not wider than one float
+        pieces.append((level, denom, value))
+    return pieces
+
+
+def _piece_at(denom: float, value: float, lam: float) -> float:
+    return (value - lam) / denom if denom else value
 
 
 def market_response(market: MarketState, l_max: float, s: float, lam: float) -> float:
@@ -311,74 +340,33 @@ def market_response(market: MarketState, l_max: float, s: float, lam: float) -> 
     _validate_leverage_cap(market, l_max)
     if not math.isfinite(lam):
         raise DomainError(f"lam must be finite, got {lam}")
-    m = l_max - 1.0
-    cap = market.available_liquidity / m
-    if cap <= 0.0:
-        return 0.0
-
-    irm = market.irm
-    if isinstance(irm, AdaptiveIrmParams):
-        irm = kinked_equivalent(irm)
-
-    if isinstance(irm, LinearIrmParams):
-        c1 = irm.r_slope1 / (market.supplied * irm.u_target)
-        beta = l_max * s - m * (irm.r_base + market.borrowed * c1)
-        if c1 == 0.0:
-            # Flat marginal cost: all-or-nothing up to the liquidity cap.
-            return cap if lam < beta else 0.0
-        return min(_affine_response(2.0 * c1 * m * m, beta, lam), cap)
-
-    if isinstance(irm, KinkedIrmParams):
-        p = _kinked_response_params(irm, market.supplied, market.borrowed, l_max, s)
-        if p["headroom"] <= 0.0:
-            # Pool already at or past target utilization: single steep branch.
-            x = _affine_response(2.0 * p["c2"] * m * m, p["beta2"], lam)
-            return min(x, cap)
-        if p["c1"] == 0.0 and lam >= p["beta1"]:
-            x = 0.0  # flat below the kink: nothing profitable from beta1 == lam1 up
-        elif lam > p["lam1"]:
-            x = _affine_response(2.0 * p["c1"] * m * m, p["beta1"], lam)
-        elif lam >= p["lam2"]:
-            x = p["headroom"] / m
-        else:
-            x = _affine_response(2.0 * p["c2"] * m * m, p["beta2"], lam)
-        return min(x, cap)
-
-    raise UnsupportedModelError(f"unknown rate model {type(market.irm).__name__}")
+    cap = market.available_liquidity / (l_max - 1.0)
+    for level, denom, value in reversed(_response_pieces(market, l_max, s)):
+        if lam < level:
+            return min(_piece_at(denom, value, lam), cap)
+    return 0.0
 
 
-def response_breakpoints(market: MarketState, l_max: float, s: float) -> list[float]:
-    """Shadow rates at which the market's response changes analytic form.
+def response_events(
+    market: MarketState, l_max: float, s: float
+) -> list[tuple[float, float, float]]:
+    """``(level, jump, slope)`` for each piece of the market's response.
 
-    Sorted descending. The response is zero from the first value up, equal
-    to the liquidity cap below the last, and affine between consecutive
-    values. The last value is where the cap starts to bind, which can only
-    happen on the steep branch of a kinked curve.
+    Levels are sorted descending: the response is zero from the first one
+    up, equal to the liquidity cap below the last, and affine in between.
+    ``jump`` is what the response gains as the shadow rate crosses ``level``
+    from above; ``slope`` is its gain per unit fall of the rate on the piece
+    below ``level``.
     """
     _validate_leverage_cap(market, l_max)
-    m = l_max - 1.0
-    cap = market.available_liquidity / m
-    irm = market.irm
-    if isinstance(irm, AdaptiveIrmParams):
-        irm = kinked_equivalent(irm)
-    if isinstance(irm, LinearIrmParams):
-        c1 = irm.r_slope1 / (market.supplied * irm.u_target)
-        beta = l_max * s - m * (irm.r_base + market.borrowed * c1)
-        points = [beta, beta - 2.0 * c1 * m * m * cap]
-    elif isinstance(irm, KinkedIrmParams):
-        p = _kinked_response_params(irm, market.supplied, market.borrowed, l_max, s)
-        lam_cap = p["beta2"] - 2.0 * p["c2"] * m * m * cap
-        if p["headroom"] <= 0.0:
-            points = [p["beta2"], lam_cap]
-        else:
-            points = [p["beta1"], p["lam1"], p["lam2"], lam_cap]
-    else:
-        raise UnsupportedModelError(f"unknown rate model {type(market.irm).__name__}")
-    out: list[float] = []
-    for v in sorted(points, reverse=True):
-        if not out or v < out[-1]:
-            out.append(v)
-    return out
+    events = []
+    above = (0.0, 0.0)  # the constant zero above the first level
+    for level, denom, value in _response_pieces(market, l_max, s):
+        # The response is monotone, so a negative jump is rounding.
+        jump = _piece_at(denom, value, level) - _piece_at(*above, level)
+        events.append((level, max(0.0, jump), 1.0 / denom if denom else 0.0))
+        above = (denom, value)
+    return events
 
 
 def advance_adaptive_rate(

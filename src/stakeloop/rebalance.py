@@ -94,19 +94,21 @@ def solve_with_fees(
             f"current position markets {current.market_ids} do not match "
             f"instance markets {p.market_ids}"
         )
-    current_collateral = total_collateral(current, p.l_max)
+    # Collateral within rounding of the current total counts as equal, so an
+    # ulp in the solver's exposures cannot flip the direction.
+    tie = total_collateral(current, p.l_max) + _EQUAL_TOL * p.budget * max(p.l_max)
 
     candidate: Allocation | None = None
     direction = HOLD
     s_up = p.staking_rate - fees.gamma_plus / fees.horizon_years
     up = solve(replace(p, staking_rate=s_up))
-    if total_collateral(up, p.l_max) > current_collateral:
+    if total_collateral(up, p.l_max) > tie:
         candidate = up
         direction = INCREASE
     else:
         s_down = p.staking_rate + fees.gamma_minus / fees.horizon_years
         down = solve(replace(p, staking_rate=s_down))
-        if total_collateral(down, p.l_max) <= current_collateral:
+        if total_collateral(down, p.l_max) <= tie:
             candidate = down
             direction = DECREASE
 

@@ -8,7 +8,3 @@ years with a fixed 365-day year, the convention used by on-chain rate math.
 SECONDS_PER_YEAR = 365 * 24 * 3600
 SECONDS_PER_DAY = 24 * 3600
 SECONDS_PER_HOUR = 3600
-
-
-def years_between(t_start: float, t_end: float) -> float:
-    return (t_end - t_start) / SECONDS_PER_YEAR

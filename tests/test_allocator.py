@@ -29,8 +29,13 @@ from stakeloop.irm import (
     LinearIrmParams,
     MarketState,
     market_response,
-    response_breakpoints,
+    response_events,
 )
+
+
+def event_levels(market, l_max, s):
+    return [level for level, _, _ in response_events(market, l_max, s)]
+
 
 LIN_A = MarketState("A", 100.0, 0.0, 0.945, LinearIrmParams(0.01, 0.04, 0.9))
 LIN_B = MarketState("B", 50.0, 0.0, 0.945, LinearIrmParams(0.02, 0.04, 0.9))
@@ -238,7 +243,7 @@ class TestBreakpointSweep:
         p = ProblemInstance.uniform([LIN_A, flat], 5.0, 0.03, 10.0)
         alloc = solve(p)
         assert alloc.regime == UNSATURATED
-        assert alloc.lambda_star == response_breakpoints(flat, 5.0, 0.03)[0]
+        assert alloc.lambda_star == event_levels(flat, 5.0, 0.03)[0]
         assert alloc.exposures == pytest.approx((2.8125, 7.1875), abs=1e-12)
         assert_exact_optimum(alloc, p)
 
@@ -248,7 +253,7 @@ class TestBreakpointSweep:
         # lambda* = 0.21 - 7 / 70.3125, below F's cap breakpoint.
         capped = MarketState("F", 40.0, 36.0, 0.945, LinearIrmParams(0.012, 0.001, 0.9))
         p = ProblemInstance.uniform([LIN_A, capped], 5.0, 0.05, 8.0)
-        beta, lam_cap = response_breakpoints(capped, 5.0, 0.05)
+        beta, lam_cap = event_levels(capped, 5.0, 0.05)
         assert beta - lam_cap == pytest.approx(2.0 * (0.001 / 36.0) * 16.0 * 1.0)
         alloc = solve(p)
         assert 0.05 < alloc.lambda_star < lam_cap
@@ -263,7 +268,7 @@ class TestBreakpointSweep:
         flat_kink = KinkedIrmParams(s, 0.0, 1.0, 0.75)
         markets = [MarketState(f"k{i}", 10.0, 0.0, 0.945, flat_kink) for i in range(2)]
         p = ProblemInstance.uniform(markets, 1.5, s, 7.5)
-        assert response_breakpoints(markets[0], 1.5, s)[0] == math.nextafter(s, 1.0)
+        assert event_levels(markets[0], 1.5, s)[0] == math.nextafter(s, 1.0)
         alloc = solve(p)
         assert alloc.exposures == (7.5, 0.0)
         assert_exact_optimum(alloc, p)
@@ -299,7 +304,7 @@ class TestBreakpointSweep:
         monkeypatch.setattr(allocator, "market_response", counted)
         alloc = solve(p)
         assert alloc.regime == UNSATURATED
-        assert calls <= 10 * len(markets)
+        assert calls == 2 * len(markets)
 
 
 class TestWaterfilling:

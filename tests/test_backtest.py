@@ -24,7 +24,7 @@ from stakeloop.backtest import (
 )
 from stakeloop.data import generate_synthetic, scenario
 from stakeloop.errors import DomainError, ValidationError
-from stakeloop.rebalance import FeeModel
+from stakeloop.rebalance import FeeModel, solve_with_fees
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR
 
 T0 = 1735689600
@@ -323,6 +323,44 @@ class TestRunBacktest:
         # the gross comparison ignores the cost drag, so it clears the gate
         # whenever the net one does
         assert gross.rebalance_count >= net.rebalance_count
+
+
+def shifted(series: SnapshotSeries, start: int, seconds: int) -> SnapshotSeries:
+    """The series with snapshot ``start`` and every later one ``seconds`` later."""
+    snaps = tuple(
+        replace(s, timestamp=s.timestamp + seconds) if k >= start else s
+        for k, s in enumerate(series.snapshots)
+    )
+    return SnapshotSeries(markets=series.markets, snapshots=snaps)
+
+
+class TestSchedule:
+    def test_one_second_jitter_keeps_the_daily_schedule(self):
+        series = scenario_series("positive-carry")
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        assert run_backtest(series, cfg).rebalance_count == 91
+        assert run_backtest(shifted(series, 5, 1), cfg).rebalance_count == 91
+
+    def test_multi_day_gap_rebalances_once_after_it(self, monkeypatch):
+        # Drop the hourly samples from day 10 - 3h up to day 13 + 5h: the
+        # daily points 10 to 13 fall in the gap.
+        series = flat_series(hours=24 * 20)
+        gap = range(24 * 10 - 3, 24 * 13 + 5)
+        series = SnapshotSeries(
+            markets=series.markets,
+            snapshots=tuple(s for k, s in enumerate(series.snapshots) if k not in gap),
+        )
+        solved_at = []
+
+        def recording(p, current, fees):
+            solved_at.append(p.markets[0].irm.t_last)  # pinned to the snapshot
+            return solve_with_fees(p, current, fees)
+
+        monkeypatch.setattr(backtest, "solve_with_fees", recording)
+        result = run_backtest(series, config(rebalance_frequency=SECONDS_PER_DAY))
+        days = [(t - T0) / SECONDS_PER_DAY for t in solved_at]
+        assert days == [*range(10), 13 + 5 / 24, *range(14, 21)]
+        assert result.rebalance_count == len(days)
 
 
 class TestSweeps:

@@ -337,3 +337,29 @@ class TestConfigHandling:
         # budget flag overrode the config file; staking rate came from it
         assert payload["regime"] == "unsaturated"
         assert payload["lambda_star"] == pytest.approx(0.068222, abs=1e-6)
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"smoothng": "1h", "workers": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(config), "--print-config", "sweep",
+                  "--dataset", "ds", "--budget", "1", "--budgets", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot read --config" in err
+        assert "smoothng" in err
+        assert "workers" not in err
+
+    def test_config_key_of_another_subcommand_accepted(self, tmp_path, capsys):
+        # fetch knows workers; sweep does not, and ignores it.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"smoothing": "1h", "workers": 2}))
+        code, out, _ = run(
+            ["--config", str(config), "--print-config", "sweep",
+             "--dataset", "ds", "--budget", "1", "--budgets", "1"],
+            capsys,
+        )
+        assert code == 0
+        resolved = json.loads(out)
+        assert resolved["smoothing"] == "1h"
+        assert "workers" not in resolved

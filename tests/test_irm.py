@@ -21,9 +21,14 @@ from stakeloop.irm import (
     kinked_equivalent,
     marginal_cost_subgradient,
     market_response,
-    response_breakpoints,
+    response_events,
 )
 from stakeloop.units import SECONDS_PER_YEAR
+
+
+def event_levels(market, l_max, s):
+    return [level for level, _, _ in response_events(market, l_max, s)]
+
 
 LINEAR = LinearIrmParams(r_base=0.01, r_slope1=0.04, u_target=0.9)
 KINKED = KinkedIrmParams(r_base=0.01, r_slope1=0.04, r_slope2=0.6, u_target=0.9)
@@ -281,13 +286,13 @@ class TestMarketResponse:
 class TestBreakpoints:
     def test_linear_single_value(self):
         # beta, then the cap breakpoint beta - 2*c*m^2*cap with c = 0.04/90, cap = 25
-        assert response_breakpoints(MARKET_LINEAR, 5.0, 0.03) == [
+        assert event_levels(MARKET_LINEAR, 5.0, 0.03) == [
             pytest.approx(0.11),
             pytest.approx(0.11 - 2 * (0.04 / 90.0) * 16 * 25.0),
         ]
 
     def test_kinked_below_target_ordering(self):
-        points = response_breakpoints(MARKET_KINK, 5.0, 0.03)
+        points = event_levels(MARKET_KINK, 5.0, 0.03)
         assert len(points) == 4
         beta1, lam1, lam2, lam_cap = points
         assert beta1 > lam1 > lam2 > lam_cap
@@ -297,7 +302,7 @@ class TestBreakpoints:
 
     def test_above_target_single_value(self):
         market = MarketState("above", 100.0, 95.0, 0.945, KINKED)
-        points = response_breakpoints(market, 5.0, 0.03)
+        points = event_levels(market, 5.0, 0.03)
         # beta2 on the steep branch, then its cap breakpoint with c2 = 0.6/10, cap = 1.25
         beta2 = 0.15 - 4 * (0.01 + 0.04 + 5.0 * 0.06)
         assert points == [pytest.approx(beta2), pytest.approx(beta2 - 2 * 0.06 * 16 * 1.25)]
@@ -306,13 +311,22 @@ class TestBreakpoints:
         irm = adaptive(0.05, 4.0, 0.9)
         m_a = MarketState("a", 200.0, 60.0, 0.945, irm)
         m_k = MarketState("k", 200.0, 60.0, 0.945, kinked_equivalent(irm))
-        assert response_breakpoints(m_a, 5.0, 0.03) == pytest.approx(
-            response_breakpoints(m_k, 5.0, 0.03)
+        assert event_levels(m_a, 5.0, 0.03) == pytest.approx(
+            event_levels(m_k, 5.0, 0.03)
         )
+
+    def test_piece_one_float_wide_gives_way(self):
+        # One ulp below target utilization the gentle branch spans one float,
+        # from 0.11 down to the float below; the plateau starts at 0.11.
+        market = MarketState("k", 100.0, math.nextafter(90.0, 0.0), 0.945, STEEP_KINK)
+        (level, jump, slope), *rest = response_events(market, 5.0, 0.03)
+        assert (level, slope) == (0.11, 0.0)
+        assert jump == (90.0 - market.borrowed) / 4.0
+        assert len(rest) == 2
 
     def test_response_affine_between_breakpoints(self):
         for market in (MARKET_LINEAR, MARKET_KINK):
-            points = [p for p in response_breakpoints(market, 5.0, 0.03) if p > 0.0]
+            points = [p for p in event_levels(market, 5.0, 0.03) if p > 0.0]
             grid = sorted(set(points + [0.0, max(points) + 0.05]), reverse=True)
             for hi, lo in zip(grid, grid[1:]):
                 mid = (hi + lo) / 2.0

@@ -1,4 +1,5 @@
-"""Property-based checks of the allocator on random mixed instances."""
+"""Property-based checks of the market responses and the allocator on random
+mixed instances."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from stakeloop.irm import (
     LinearIrmParams,
     MarketState,
     market_response,
+    response_events,
 )
 
 
@@ -50,8 +52,8 @@ def markets(draw, index: int) -> MarketState:
 
 
 @st.composite
-def instances(draw) -> ProblemInstance:
-    n = draw(st.integers(1, 50))
+def instances(draw, min_n: int = 1, max_n: int = 50) -> ProblemInstance:
+    n = draw(st.integers(min_n, max_n))
     pool = [draw(markets(i)) for i in range(n)]
     l_max = draw(st.floats(1.5, 10.0))
     s = draw(st.floats(0.005, 0.08))
@@ -62,11 +64,41 @@ def instances(draw) -> ProblemInstance:
     return ProblemInstance.uniform(pool, l_max, s, budget)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(instances())
-def test_solve_is_certified_and_spends_the_budget(p):
+def assert_certified(p: ProblemInstance) -> None:
     alloc = solve(p)
     report = verify_kkt(alloc, p, 1e-8)
     assert report.passed, report
     total = math.fsum(alloc.exposures) + alloc.unleveraged
     assert abs(total - p.budget) <= 1e-12 * p.budget
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(instances())
+def test_solve_is_certified_and_spends_the_budget(p):
+    assert_certified(p)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(instances(min_n=50, max_n=300))
+def test_solve_is_certified_with_hundreds_of_markets(p):
+    assert_certified(p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(markets(0), st.floats(1.5, 10.0), st.floats(0.005, 0.08))
+def test_events_add_up_to_the_response(market, l_max, s):
+    events = response_events(market, l_max, s)
+    levels = [level for level, _, _ in events]
+    probes = levels + [(hi + lo) / 2.0 for hi, lo in zip(levels, levels[1:])]
+    probes.append(levels[-1] - 1.0 if levels else s)
+    cap = market.available_liquidity / (l_max - 1.0)
+    for lam in probes:
+        # Jumps at every level above lam, plus each slope over its piece's
+        # width down to lam.
+        total = 0.0
+        for k, (level, jump, slope) in enumerate(events):
+            if level <= lam:
+                break
+            lo = levels[k + 1] if k + 1 < len(levels) else -math.inf
+            total += jump + slope * (level - max(lo, lam))
+        assert abs(total - market_response(market, l_max, s, lam)) <= 1e-9 * max(1.0, cap)

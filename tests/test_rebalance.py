@@ -158,6 +158,16 @@ class TestSolveWithFees:
             else:
                 assert after <= before
 
+    def test_direction_survives_one_ulp_of_collateral(self):
+        # -1e-15 unleveraged puts the current collateral one ulp below the
+        # fully invested 15; the direction must not flip to INCREASE.
+        p = instance(3.0)
+        fees = FeeModel(1e-5, 1e-5, horizon_years=30.0 / 365.0)
+        nudged = position(p, [3.0, 0.0], -1e-15)
+        assert total_collateral(nudged, p.l_max) < 15.0
+        for current in (position(p, [3.0, 0.0], 0.0), nudged):
+            assert solve_with_fees(p, current, fees).direction == DECREASE
+
     def test_net_gain_rate_accounts_for_cost(self):
         # long horizon so the amortized exit fee still leaves the pure-staking
         # target optimal and the collateral actually drops
