@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConstraintError, DomainError, UnsupportedModelError
@@ -168,9 +168,9 @@ def effective_staking_rate(lam: float, s: float, l_max: float) -> float:
     return s + (s - lam) / (l_max - 1.0)
 
 
-def _responses(p: ProblemInstance, lam: float) -> list[float]:
+def _responses(p: ProblemInstance, s: float, lam: float) -> list[float]:
     return [
-        market_response(market, l_max, p.staking_rate, lam)
+        market_response(market, l_max, s, lam)
         for market, l_max in zip(p.markets, p.l_max)
     ]
 
@@ -248,32 +248,31 @@ def solve_saturated(p: ProblemInstance) -> Allocation | None:
     Returns None when those responses overshoot the budget, in which case
     the caller must fall through to the unsaturated solve.
     """
-    return _saturated(p, _responses(p, p.staking_rate))
+    return _saturated(p, p.staking_rate)
 
 
-def _saturated(p: ProblemInstance, exposures: list[float]) -> Allocation | None:
+def _saturated(p: ProblemInstance, s: float) -> Allocation | None:
+    exposures = _responses(p, s, s)
     used = sum(exposures)
     if used > p.budget:
         return None
-    alloc = Allocation(
+    return Allocation(
         market_ids=p.market_ids,
         exposures=tuple(exposures),
         unleveraged=p.budget - used,
-        lambda_star=p.staking_rate,
-        expected_yield=0.0,
+        lambda_star=s,
+        expected_yield=_position_yield(exposures, p.budget - used, p),
         regime=SATURATED,
     )
-    return replace(alloc, expected_yield=_position_yield(alloc.exposures, alloc.unleveraged, p))
 
 
-def _shadow_rate(p: ProblemInstance) -> tuple[float, list[tuple[int, float]], list[float]]:
+def _shadow_rate(p: ProblemInstance, s: float) -> tuple[float, list[tuple[int, float]], list[float]]:
     """Where the summed response crosses the budget, by a descending sweep.
 
     Returns ``lambda_star``, the markets jumping there with their jump sizes
     (in market order; empty unless the crossing is a jump), and each
     market's slope on the piece just below ``lambda_star``.
     """
-    s = p.staking_rate
     events = sorted(
         (
             (level, i, jump, slope)
@@ -318,12 +317,17 @@ def solve(p: ProblemInstance) -> Allocation:
     breakpoints for the shadow rate ``lambda_star > s`` at which the summed
     responses equal the budget.
     """
-    saturated = _saturated(p, _responses(p, p.staking_rate))
+    return _solve(p, p.staking_rate)
+
+
+def _solve(p: ProblemInstance, s: float) -> Allocation:
+    """:func:`solve` at staking rate ``s``, the yield priced at ``p.staking_rate``."""
+    saturated = _saturated(p, s)
     if saturated is not None:
         return saturated
 
-    lam_star, jumpers, slopes = _shadow_rate(p)
-    exposures = _responses(p, lam_star)
+    lam_star, jumpers, slopes = _shadow_rate(p, s)
+    exposures = _responses(p, s, lam_star)
     left = p.budget - math.fsum(exposures)
     # lambda_star lies inside the marginal-value interval of a market
     # anywhere on its jump, so the jumping markets fill in market order.
@@ -342,15 +346,14 @@ def solve(p: ProblemInstance) -> Allocation:
     ]
     if open_markets:
         exposures[max(open_markets, key=slopes.__getitem__)] += left
-    alloc = Allocation(
+    return Allocation(
         market_ids=p.market_ids,
         exposures=tuple(exposures),
         unleveraged=0.0,
         lambda_star=lam_star,
-        expected_yield=0.0,
+        expected_yield=_position_yield(exposures, 0.0, p),
         regime=UNSATURATED,
     )
-    return replace(alloc, expected_yield=_position_yield(alloc.exposures, alloc.unleveraged, p))
 
 
 def _linear_coefficients(
@@ -415,10 +418,9 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
         exposures=tuple(exposures),
         unleveraged=0.0,
         lambda_star=lam_star,
-        expected_yield=0.0,
+        expected_yield=_position_yield(exposures, 0.0, p),
         regime=UNSATURATED,
     )
-    alloc = replace(alloc, expected_yield=_position_yield(alloc.exposures, alloc.unleveraged, p))
     return WaterfillingDetail(
         allocation=alloc,
         active_count=active,

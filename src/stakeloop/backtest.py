@@ -84,12 +84,17 @@ class SnapshotSeries:
                     f"match series markets {sorted(ids)}"
                 )
                 continue
+            # The records a dataset load rejects, so no writer can save one.
             for mid, ms in snap.markets.items():
-                if ms.borrowed > ms.supplied:
-                    problems.append(
-                        f"t={snap.timestamp} market {mid}: borrowed {ms.borrowed} "
-                        f"exceeds supplied {ms.supplied}"
-                    )
+                where = f"t={snap.timestamp} market {mid}"
+                if ms.supplied <= 0.0:
+                    problems.append(f"{where}: supplied {ms.supplied} must be positive")
+                if not 0.0 <= ms.borrowed <= ms.supplied:
+                    problems.append(f"{where}: borrowed {ms.borrowed} outside [0, supplied]")
+                if ms.borrow_rate < 0.0 or (
+                    ms.rate_at_target is not None and ms.rate_at_target < 0.0
+                ):
+                    problems.append(f"{where}: negative rate")
         if not problems:
             for mid in ids:
                 with_target = sum(
@@ -205,28 +210,24 @@ def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
             f"window {window}s is shorter than the data cadence {cadence}s"
         )
     snaps = series.snapshots
+    rates = {mid: [s.markets[mid].borrow_rate for s in snaps] for mid in series.market_ids}
+    targets = {mid: [s.markets[mid].rate_at_target for s in snaps] for mid in series.market_ids}
     out: list[Snapshot] = []
     start = 0
     for k, snap in enumerate(snaps):
         # window is (t - window, t]: a one-sample-period window is the identity
         while snaps[start].timestamp <= snap.timestamp - window:
             start += 1
-        span = snaps[start : k + 1]
+        span = slice(start, k + 1)
+        count = k + 1 - start
         markets = {}
         for mid in series.market_ids:
             ms = snap.markets[mid]
-            markets[mid] = replace(
-                ms,
-                borrow_rate=math.fsum(s.markets[mid].borrow_rate for s in span)
-                / len(span),
-                rate_at_target=(
-                    None
-                    if ms.rate_at_target is None
-                    else math.fsum(s.markets[mid].rate_at_target for s in span)
-                    / len(span)
-                ),
+            target = None if ms.rate_at_target is None else math.fsum(targets[mid][span]) / count
+            markets[mid] = MarketSnapshot(
+                ms.supplied, ms.borrowed, math.fsum(rates[mid][span]) / count, target
             )
-        out.append(replace(snap, markets=markets))
+        out.append(Snapshot(snap.timestamp, snap.staking_rate, markets))
     return SnapshotSeries(markets=series.markets, snapshots=tuple(out))
 
 

@@ -21,7 +21,7 @@ from .allocator import (
     verify_kkt,
     yield_breakdown,
 )
-from .errors import StakeloopError
+from .errors import StakeloopError, ValidationError
 from .irm import MarketState
 from .rebalance import HOLD, FeeModel, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -358,13 +358,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args_list = list(sys.argv[1:] if argv is None else argv)
 
+    args = parser.parse_args(args_list)
     # Config files supply defaults; explicit flags win.
-    if "--config" in args_list:
-        idx = args_list.index("--config")
+    if args.config is not None:
         try:
-            config = json.loads(Path(args_list[idx + 1]).read_text())
-        except (IndexError, OSError, json.JSONDecodeError) as exc:
+            config = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read --config: {exc}")
+        if not isinstance(config, dict):
+            parser.error(f"cannot read --config: expected a JSON object, got {type(config).__name__}")
         config = {k.replace("-", "_"): v for k, v in config.items()}
         parsers = [parser]
         for sub_action in parser._subparsers._group_actions:  # noqa: SLF001
@@ -377,8 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             unknown -= known
         if unknown:
             parser.error(f"cannot read --config: unknown key(s) {', '.join(sorted(unknown))}")
-
-    args = parser.parse_args(args_list)
+        args = parser.parse_args(args_list)
     if args.print_config:
         resolved = {
             k: v for k, v in vars(args).items() if k not in ("func", "print_config")
@@ -389,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (StakeloopError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ValidationError):
+            for record in exc.records:
+                print(f"  {record}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {exc}", file=sys.stderr)

@@ -11,10 +11,11 @@ adjustment assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
-from .allocator import Allocation, ProblemInstance, _position_yield, solve
+from .allocator import Allocation, ProblemInstance, _position_yield, _solve
 from .errors import ConstraintError, DomainError
 
 INCREASE = "increase"
@@ -42,6 +43,9 @@ class FeeModel:
             raise DomainError("fee rates must be in [0, 1)")
         if self.horizon_years <= 0.0:
             raise DomainError(f"horizon_years must be positive, got {self.horizon_years}")
+        # The fee per year shifts the staking rate, which must stay finite.
+        if not math.isfinite(max(self.gamma_plus, self.gamma_minus) / self.horizon_years):
+            raise DomainError(f"fees over horizon_years={self.horizon_years} are not finite per year")
 
 
 @dataclass(frozen=True)
@@ -100,14 +104,12 @@ def solve_with_fees(
 
     candidate: Allocation | None = None
     direction = HOLD
-    s_up = p.staking_rate - fees.gamma_plus / fees.horizon_years
-    up = solve(replace(p, staking_rate=s_up))
+    up = _solve(p, p.staking_rate - fees.gamma_plus / fees.horizon_years)
     if total_collateral(up, p.l_max) > tie:
         candidate = up
         direction = INCREASE
     else:
-        s_down = p.staking_rate + fees.gamma_minus / fees.horizon_years
-        down = solve(replace(p, staking_rate=s_down))
+        down = _solve(p, p.staking_rate + fees.gamma_minus / fees.horizon_years)
         if total_collateral(down, p.l_max) <= tie:
             candidate = down
             direction = DECREASE
@@ -116,14 +118,14 @@ def solve_with_fees(
         return RebalancePlan(target=current, cost=0.0, direction=HOLD, net_gain_rate=0.0)
 
     cost = rebalance_cost(candidate, current, fees, p.l_max)
-    # Yields compared at the true staking rate, not the fee-adjusted one.
-    target_yield = _position_yield(candidate.exposures, candidate.unleveraged, p)
+    # Yields compared at the true staking rate, not the fee-adjusted one:
+    # _solve prices the candidate at p.staking_rate.
     current_yield = _position_yield(
         current.exposures, current.unleveraged, p, clamp_utilization=True
     )
-    net_gain = target_yield - current_yield - cost / fees.horizon_years
+    net_gain = candidate.expected_yield - current_yield - cost / fees.horizon_years
     return RebalancePlan(
-        target=replace(candidate, expected_yield=target_yield),
+        target=candidate,
         cost=cost,
         direction=direction,
         net_gain_rate=net_gain,

@@ -7,6 +7,7 @@ tests never reuse the code paths they are checking.
 
 from __future__ import annotations
 
+import math
 import random
 
 from stakeloop.irm import (
@@ -183,3 +184,26 @@ def random_instance(rng: random.Random, n: int | None = None):
     else:
         budget = rng.uniform(1.0, 100.0)
     return markets, l_maxes, s, max(budget, 1e-3)
+
+
+def window_means(series, window: int) -> list[dict[str, tuple[float, float | None]]]:
+    """Per snapshot, each market's mean borrow rate and rate-at-target over
+    the snapshots in ``(t - window, t]``, each window summed from scratch."""
+    out = []
+    for snap in series.snapshots:
+        span = [
+            s
+            for s in series.snapshots
+            if snap.timestamp - window < s.timestamp <= snap.timestamp
+        ]
+        means = {}
+        for mid, ms in snap.markets.items():
+            rate = math.fsum(s.markets[mid].borrow_rate for s in span) / len(span)
+            target = (
+                None
+                if ms.rate_at_target is None
+                else math.fsum(s.markets[mid].rate_at_target for s in span) / len(span)
+            )
+            means[mid] = (rate, target)
+        out.append(means)
+    return out

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from stakeloop import backtest
+from stakeloop.allocator import ProblemInstance
 from stakeloop.backtest import (
     DYNAMIC,
     FIXED_FREQUENCY,
@@ -91,6 +92,24 @@ class TestSeriesValidation:
                 ),
             )
         assert "m" in err.value.records[0]
+
+    @pytest.mark.parametrize(
+        "ms, problem",
+        [
+            (MarketSnapshot(0.0, 0.0, 0.02), "supplied 0.0 must be positive"),
+            (MarketSnapshot(10.0, -1.0, 0.02), "borrowed -1.0 outside [0, supplied]"),
+            (MarketSnapshot(10.0, 1.0, -0.01), "negative rate"),
+            (MarketSnapshot(10.0, 1.0, 0.02, -0.01), "negative rate"),
+        ],
+        ids=["no-supply", "negative-debt", "negative-rate", "negative-rate-at-target"],
+    )
+    def test_rejects_what_a_dataset_load_rejects(self, ms, problem):
+        with pytest.raises(ValidationError) as err:
+            SnapshotSeries(
+                markets=(MarketMeta("m", 0.9),),
+                snapshots=(Snapshot(T0, 0.03, {"m": ms}),),
+            )
+        assert err.value.records == [f"t={T0} market m: {problem}"]
 
     def test_out_of_order_timestamps_rejected(self):
         snaps = (
@@ -295,6 +314,23 @@ class TestRunBacktest:
         result = run_backtest(series, config(strategy=FIXED_FREQUENCY))
         assert result.rebalance_count > 0
         assert len(calls) == len(series.snapshots) * len(series.markets)
+
+    def test_one_problem_instance_per_solving_step(self, monkeypatch):
+        series = flat_series(hours=48)
+        built = []
+        validate = ProblemInstance.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(ProblemInstance, "__post_init__", counting)
+        fees = FeeModel(0.0001, 0.0001, 7.0 / 365.0)
+        result = run_backtest(series, config(strategy=FIXED_FREQUENCY, fees=fees))
+        assert result.rebalance_count > 0
+        # Hourly data rebalanced hourly: every step solves, with and without
+        # the fee shifts of the staking rate, on the one instance it builds.
+        assert len(built) == len(series.snapshots)
 
     def test_deterministic(self):
         series = scenario_series("volatile", seed=3)

@@ -224,6 +224,22 @@ class TestSynthAndBacktest:
         payload = json.loads(out.splitlines()[-1])
         assert "apy" in payload
 
+    def test_validation_records_printed(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        market_csv = sorted(ds.glob("market_*.csv"))[0]
+        lines = market_csv.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[3] = "-0.01"  # borrow_rate
+        lines[1] = ",".join(fields)
+        market_csv.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: dataset at {ds} failed validation (1 records)",
+            f"  {market_csv}:2: negative rate",
+        ]
+
     def test_report_files_written(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
@@ -337,6 +353,27 @@ class TestConfigHandling:
         # budget flag overrode the config file; staking rate came from it
         assert payload["regime"] == "unsaturated"
         assert payload["lambda_star"] == pytest.approx(0.068222, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "spelling", [["--config=CFG"], ["--conf", "CFG"]], ids=["equals", "abbreviated"]
+    )
+    def test_config_flag_spellings(self, tmp_path, capsys, spelling):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"staking_rate": 0.03}))
+        flag = [part.replace("CFG", str(config)) for part in spelling]
+        code, out, _ = run(
+            [*flag, "--print-config", "optimize", "--budget", "3"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["staking_rate"] == 0.03
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(config), "--print-config", "optimize", "--budget", "3"])
+        assert exc.value.code == 2
+        assert "cannot read --config" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

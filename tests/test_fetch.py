@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from stakeloop.data import load_manifest, load_snapshots
-from stakeloop.errors import DataError
+from stakeloop.errors import DataError, ValidationError
 from stakeloop.fetch import fetch_market_history
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -141,6 +141,27 @@ class TestFetch:
                 staking_endpoint="graphql://staking",
                 min_interval=0.0,
             )
+        assert not (tmp_path / "ds").exists()
+
+    def test_empty_pool_rejected_before_writing(self, tmp_path):
+        api = FakeApi()
+
+        def empty_first_hour(url, payload):
+            body = api(url, payload)
+            body["data"]["market"]["historicalState"]["supplyAssets"][0]["y"] = 0.0
+            return body
+
+        with pytest.raises(ValidationError) as err:
+            fetch_market_history(
+                ["mkt-1"],
+                start=T0,
+                end=T0 + SECONDS_PER_DAY,
+                out_dir=tmp_path / "ds",
+                transport=empty_first_hour,
+                staking_rate=0.03,
+                min_interval=0.0,
+            )
+        assert err.value.records == [f"t={T0} market mkt-1: supplied 0.0 must be positive"]
         assert not (tmp_path / "ds").exists()
 
     def test_graphql_errors_surface(self, tmp_path):

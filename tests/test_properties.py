@@ -1,14 +1,21 @@
 """Property-based checks of the market responses and the allocator on random
-mixed instances."""
+mixed instances, and of smoothing and dataset round trips on random series."""
 
 from __future__ import annotations
 
 import math
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stakeloop.allocator import ProblemInstance, solve, verify_kkt
+from oracles import window_means
+from stakeloop.allocator import ProblemInstance, _solve, expected_yield, solve, verify_kkt
+from stakeloop.backtest import MarketMeta, MarketSnapshot, Snapshot, SnapshotSeries, smooth_rates
+from stakeloop.data import DatasetManifest, MarketDescriptor, load_snapshots, save_snapshots
 from stakeloop.irm import (
     AdaptiveIrmParams,
     KinkedIrmParams,
@@ -17,6 +24,9 @@ from stakeloop.irm import (
     market_response,
     response_events,
 )
+from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
+
+T0 = 1735689600
 
 
 @st.composite
@@ -102,3 +112,79 @@ def test_events_add_up_to_the_response(market, l_max, s):
             lo = levels[k + 1] if k + 1 < len(levels) else -math.inf
             total += jump + slope * (level - max(lo, lam))
         assert abs(total - market_response(market, l_max, s, lam)) <= 1e-9 * max(1.0, cap)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(instances(), st.floats(-0.5, 0.5))
+def test_solve_at_a_shifted_rate_keeps_the_instance(p, offset):
+    # The fee-aware rebalancer solves at fee-shifted staking rates.
+    s = p.staking_rate + offset
+    alloc = _solve(p, s)
+    rebuilt = solve(replace(p, staking_rate=s))
+    assert alloc.exposures == rebuilt.exposures
+    assert alloc.unleveraged == rebuilt.unleveraged
+    assert alloc.lambda_star == rebuilt.lambda_star
+    assert alloc.regime == rebuilt.regime
+    # ...but the yield is priced at the instance's own rate.
+    assert alloc.expected_yield == expected_yield(alloc, p)
+
+
+@st.composite
+def series(draw) -> SnapshotSeries:
+    """An hourly series with up to ten minutes of jitter per step and, at
+    about one step in ten, a gap of up to two days."""
+    metas = tuple(
+        MarketMeta(f"m{i}", draw(st.floats(0.5, 0.95)))
+        for i in range(draw(st.integers(1, 3)))
+    )
+    adaptive = {m.market_id: draw(st.booleans()) for m in metas}
+    snaps = []
+    ts = T0
+    for _ in range(draw(st.integers(2, 40))):
+        markets = {}
+        for meta in metas:
+            supplied = draw(st.floats(1.0, 1e4))
+            markets[meta.market_id] = MarketSnapshot(
+                supplied=supplied,
+                borrowed=supplied * draw(st.floats(0.0, 1.0)),
+                borrow_rate=draw(st.floats(0.0, 0.5)),
+                rate_at_target=draw(st.floats(0.0, 0.5)) if adaptive[meta.market_id] else None,
+            )
+        snaps.append(Snapshot(ts, draw(st.floats(0.0, 0.2)), markets))
+        ts += SECONDS_PER_HOUR + draw(st.integers(-600, 600))
+        if draw(st.integers(0, 9)) == 0:
+            ts += draw(st.integers(1, 48)) * SECONDS_PER_HOUR
+    return SnapshotSeries(markets=metas, snapshots=tuple(snaps))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_smoothing_is_the_exact_window_mean(data):
+    x = data.draw(series())
+    window = data.draw(st.integers(x.cadence_seconds, 3 * SECONDS_PER_DAY))
+    smoothed = smooth_rates(x, window)
+    assert [
+        {mid: (ms.borrow_rate, ms.rate_at_target) for mid, ms in snap.markets.items()}
+        for snap in smoothed.snapshots
+    ] == window_means(x, window)
+    for a, b in zip(x.snapshots, smoothed.snapshots):
+        assert (a.timestamp, a.staking_rate) == (b.timestamp, b.staking_rate)
+        for mid, ms in a.markets.items():
+            assert (ms.supplied, ms.borrowed) == (b.markets[mid].supplied, b.markets[mid].borrowed)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(series())
+def test_save_then_load_is_exact(x):
+    manifest = DatasetManifest(
+        chain="ethereum",
+        markets=tuple(MarketDescriptor(m.market_id, "", m.max_ltv) for m in x.markets),
+        period_start=x.snapshots[0].timestamp,
+        period_end=x.snapshots[-1].timestamp,
+        cadence_seconds=SECONDS_PER_HOUR,
+        source="synthetic",
+    )
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gaps are reported, never filled
+        save_snapshots(x, manifest, Path(tmp))
+        assert load_snapshots(Path(tmp)) == x

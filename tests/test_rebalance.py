@@ -43,6 +43,17 @@ class TestTotalCollateral:
         assert total_collateral(alloc, (5.0, 3.0)) == pytest.approx(13.0)
 
 
+class TestFeeModel:
+    @pytest.mark.parametrize("gammas", [(0.001, 0.0), (0.0, 0.001)], ids=["entry", "exit"])
+    def test_fee_per_year_must_be_finite(self, gammas):
+        # 0.001 over a subnormal horizon overflows to an infinite rate shift.
+        with pytest.raises(DomainError, match="horizon_years"):
+            FeeModel(*gammas, horizon_years=1e-318 / 365.0)
+
+    def test_zero_fee_over_a_tiny_horizon_is_allowed(self):
+        assert FeeModel(0.0, 0.0, 1e-318 / 365.0).gamma_plus == 0.0
+
+
 class TestRebalanceCost:
     def test_zero_entry_fee_makes_increases_free(self):
         p = instance(10.0)
