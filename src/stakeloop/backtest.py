@@ -10,9 +10,11 @@ the rebalancing frequency.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field, replace
+from typing import Callable, Mapping
 
 from .allocator import Allocation, ProblemInstance
 from .errors import DataError, DomainError, ValidationError
@@ -46,7 +48,7 @@ class MarketMeta:
 
 @dataclass(frozen=True)
 class MarketSnapshot:
-    """One market's pool state at one timestamp, in loan-asset units."""
+    """One market's pool state at one timestamp, in loan-asset units (a row)."""
 
     supplied: float
     borrowed: float
@@ -63,55 +65,98 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class SnapshotSeries:
-    markets: tuple[MarketMeta, ...]
-    snapshots: tuple[Snapshot, ...]
+    """Pool states of markets on one timestamp grid, as one column per market
+    (``None`` for a rate-at-target never recorded), checked once when built.
 
-    def __post_init__(self) -> None:
+    ``origin`` titles a failed check and locates snapshot ``k`` of market
+    ``i`` (``None`` for the snapshot itself); the default is ``t=<timestamp>``.
+    """
+
+    markets: tuple[MarketMeta, ...]
+    timestamps: tuple[int, ...]
+    staking_rates: tuple[float, ...]
+    supplied: tuple[tuple[float, ...], ...]
+    borrowed: tuple[tuple[float, ...], ...]
+    borrow_rate: tuple[tuple[float, ...], ...]
+    rate_at_target: tuple[tuple[float, ...] | None, ...]
+    origin: InitVar[tuple[str, Callable[[int, int | None], str]] | None] = None
+
+    def __post_init__(self, origin) -> None:
         if not self.markets:
             raise ValidationError("series has no markets")
-        if not self.snapshots:
+        if not self.timestamps:
             raise ValidationError("series has no snapshots")
-        ids = {m.market_id for m in self.markets}
-        problems: list[str] = []
-        prev_ts: int | None = None
-        for snap in self.snapshots:
-            if prev_ts is not None and snap.timestamp <= prev_ts:
-                problems.append(f"timestamp {snap.timestamp} not increasing")
-            prev_ts = snap.timestamp
-            if set(snap.markets) != ids:
-                problems.append(
-                    f"t={snap.timestamp}: markets {sorted(snap.markets)} do not "
-                    f"match series markets {sorted(ids)}"
-                )
-                continue
-            # The records a dataset load rejects, so no writer can save one.
-            for mid, ms in snap.markets.items():
-                where = f"t={snap.timestamp} market {mid}"
-                if ms.supplied <= 0.0:
-                    problems.append(f"{where}: supplied {ms.supplied} must be positive")
-                if not 0.0 <= ms.borrowed <= ms.supplied:
-                    problems.append(f"{where}: borrowed {ms.borrowed} outside [0, supplied]")
-                if ms.borrow_rate < 0.0 or (
-                    ms.rate_at_target is not None and ms.rate_at_target < 0.0
-                ):
-                    problems.append(f"{where}: negative rate")
-        if not problems:
-            for mid in ids:
-                with_target = sum(
-                    1
-                    for snap in self.snapshots
-                    if snap.markets[mid].rate_at_target is not None
-                )
-                if 0 < with_target < len(self.snapshots):
-                    problems.append(
-                        f"market {mid}: rate_at_target present in {with_target} of "
-                        f"{len(self.snapshots)} snapshots; must be all or none"
-                    )
+        title, where = origin or ("snapshot series", self._at)
+        try:
+            problems = self._problems(where)
+        except ValueError as exc:  # from zip(strict=True)
+            raise ValidationError("series columns do not match markets and timestamps") from exc
         if problems:
             raise ValidationError(
-                f"snapshot series failed validation ({len(problems)} records)",
-                records=problems,
+                f"{title} failed validation ({len(problems)} records)", records=problems
             )
+
+    def _at(self, k: int, i: int | None) -> str:
+        market = "" if i is None else f" market {self.markets[i].market_id}"
+        return f"t={self.timestamps[k]}{market}"
+
+    def _problems(self, where: Callable[[int, int | None], str]) -> list[str]:
+        """The record check: increasing timestamps and finite values, with
+        supplied > 0, borrowed in [0, supplied], no negative rate and a
+        positive rate-at-target."""
+        ts = self.timestamps
+        problems = []
+        for k, (t, s) in enumerate(zip(ts, self.staking_rates, strict=True)):
+            if k and t <= ts[k - 1]:
+                problems.append(f"{where(k, None)}: timestamp {t} out of order")
+            if not 0.0 <= s < math.inf:
+                bad = "negative staking rate" if s < 0.0 else f"staking_rate {s} is not finite"
+                problems.append(f"{where(k, None)}: {bad}")
+        per_market = (self.supplied, self.borrowed, self.borrow_rate, self.rate_at_target)
+        for i, (_, *columns, targets) in enumerate(zip(self.markets, *per_market, strict=True)):
+            records = zip(ts, *columns, targets or (None,) * len(ts), strict=True)
+            for k, (_, s, b, r, t) in enumerate(records):
+                # NaN fails every comparison, so only good records pass this test.
+                if (0.0 < s < math.inf and 0.0 <= b <= s and 0.0 <= r < math.inf
+                        and (t is None or 0.0 < t < math.inf)):
+                    continue
+                named = {"supplied": s, "borrowed": b, "borrow_rate": r, "rate_at_target": t or 0.0}
+                bad = [f"{n} {v} is not finite" for n, v in named.items() if not math.isfinite(v)]
+                if not bad:
+                    if s <= 0.0:
+                        bad.append(f"supplied {s} must be positive")
+                    if not 0.0 <= b <= s:
+                        bad.append(f"borrowed {b} outside [0, supplied]")
+                    if r < 0.0 or (t is not None and t < 0.0):
+                        bad.append("negative rate")
+                    elif t == 0.0:
+                        bad.append("rate_at_target 0.0 must be positive")
+                problems += (f"{where(k, i)}: {p}" for p in bad)
+        return problems
+
+    @classmethod
+    def from_rows(cls, markets: Sequence[MarketMeta], rows: Sequence[Snapshot]) -> SnapshotSeries:
+        """Transpose rows, each holding a record for every market, into a series."""
+        records = [[row.markets[m.market_id] for row in rows] for m in markets]
+
+        def columns(name: str) -> tuple:
+            return tuple(tuple(getattr(ms, name) for ms in c) for c in records)
+
+        targets = zip(markets, columns("rate_at_target"))
+        return cls(
+            markets=tuple(markets),
+            timestamps=tuple(row.timestamp for row in rows),
+            staking_rates=tuple(row.staking_rate for row in rows),
+            supplied=columns("supplied"),
+            borrowed=columns("borrowed"),
+            borrow_rate=columns("borrow_rate"),
+            rate_at_target=tuple(_optional_column(m.market_id, c) for m, c in targets),
+        )
+
+    @property
+    def snapshots(self) -> Sequence[Snapshot]:
+        """A read-only view of the series as rows, each built when it is read."""
+        return _Rows(self)
 
     @property
     def market_ids(self) -> tuple[str, ...]:
@@ -119,12 +164,40 @@ class SnapshotSeries:
 
     @property
     def cadence_seconds(self) -> int:
-        if len(self.snapshots) < 2:
-            return 0
-        return min(
-            b.timestamp - a.timestamp
-            for a, b in zip(self.snapshots, self.snapshots[1:])
+        ts = self.timestamps
+        return min((b - a for a, b in zip(ts, ts[1:])), default=0)
+
+
+class _Rows(Sequence):
+    def __init__(self, series: SnapshotSeries) -> None:
+        self._series = series
+
+    def __len__(self) -> int:
+        return len(self._series.timestamps)
+
+    def __getitem__(self, k):
+        ks = range(len(self))[k]  # negative indices and slices as for a tuple
+        return tuple(map(self._row, ks)) if isinstance(k, slice) else self._row(ks)
+
+    def _row(self, k: int) -> Snapshot:
+        x = self._series
+        columns = zip(x.markets, x.supplied, x.borrowed, x.borrow_rate, x.rate_at_target)
+        markets = {
+            m.market_id: MarketSnapshot(s[k], b[k], r[k], None if t is None else t[k])
+            for m, s, b, r, t in columns
+        }
+        return Snapshot(x.timestamps[k], x.staking_rates[k], markets)
+
+
+def _optional_column(market_id: str, values: tuple) -> tuple | None:
+    """A rate-at-target column, recorded at every timestamp or at none."""
+    present = sum(v is not None for v in values)
+    if 0 < present < len(values):
+        raise ValidationError(
+            f"market {market_id}: rate_at_target present in {present} of "
+            f"{len(values)} snapshots; must be all or none"
         )
+    return values if present else None
 
 
 @dataclass(frozen=True)
@@ -140,16 +213,16 @@ class BacktestConfig:
     irm: IrmParams | None = None  # fallback when snapshots lack rate_at_target
 
     def __post_init__(self) -> None:
-        if self.budget <= 0.0:
-            raise DomainError(f"budget must be positive, got {self.budget}")
-        if self.l_max < 1.0:
-            raise DomainError(f"l_max must be at least 1, got {self.l_max}")
+        if not 0.0 < self.budget < math.inf:
+            raise DomainError(f"budget must be positive and finite, got {self.budget}")
+        if not 1.0 <= self.l_max < math.inf:
+            raise DomainError(f"l_max must be at least 1 and finite, got {self.l_max}")
         if self.rebalance_frequency <= 0:
             raise DomainError("rebalance_frequency must be positive")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}")
-        if self.threshold < 0.0:
-            raise DomainError(f"threshold must be non-negative, got {self.threshold}")
+        if not 0.0 <= self.threshold < math.inf:
+            raise DomainError(f"threshold must be non-negative and finite, got {self.threshold}")
         if self.smoothing_window < 0:
             raise DomainError("smoothing_window must be non-negative")
 
@@ -209,26 +282,18 @@ def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
         raise DomainError(
             f"window {window}s is shorter than the data cadence {cadence}s"
         )
-    snaps = series.snapshots
-    rates = {mid: [s.markets[mid].borrow_rate for s in snaps] for mid in series.market_ids}
-    targets = {mid: [s.markets[mid].rate_at_target for s in snaps] for mid in series.market_ids}
-    out: list[Snapshot] = []
-    start = 0
-    for k, snap in enumerate(snaps):
-        # window is (t - window, t]: a one-sample-period window is the identity
-        while snaps[start].timestamp <= snap.timestamp - window:
-            start += 1
-        span = slice(start, k + 1)
-        count = k + 1 - start
-        markets = {}
-        for mid in series.market_ids:
-            ms = snap.markets[mid]
-            target = None if ms.rate_at_target is None else math.fsum(targets[mid][span]) / count
-            markets[mid] = MarketSnapshot(
-                ms.supplied, ms.borrowed, math.fsum(rates[mid][span]) / count, target
-            )
-        out.append(Snapshot(snap.timestamp, snap.staking_rate, markets))
-    return SnapshotSeries(markets=series.markets, snapshots=tuple(out))
+    ts = series.timestamps
+    # Window k is (t_k - window, t_k]: a one-sample-period window is the identity.
+    starts = [bisect.bisect_right(ts, t - window) for t in ts]
+
+    def means(column: tuple[float, ...]) -> tuple[float, ...]:
+        return tuple(math.fsum(column[a : k + 1]) / (k + 1 - a) for k, a in enumerate(starts))
+
+    return replace(
+        series,
+        borrow_rate=tuple(means(c) for c in series.borrow_rate),
+        rate_at_target=tuple(None if c is None else means(c) for c in series.rate_at_target),
+    )
 
 
 def apy(equity_curve: Sequence[tuple[int, float]]) -> float:
@@ -245,17 +310,20 @@ def apy(equity_curve: Sequence[tuple[int, float]]) -> float:
 
 
 def market_state_at(
-    meta: MarketMeta, ms: MarketSnapshot, timestamp: int, fallback_irm: IrmParams | None
+    series: SnapshotSeries, i: int, k: int, fallback_irm: IrmParams | None
 ) -> MarketState:
-    """Pool state plus a rate model, preferring the recorded rate-at-target."""
-    if ms.rate_at_target is not None:
+    """Market ``i``'s pool state at snapshot ``k`` plus a rate model,
+    preferring the recorded rate-at-target."""
+    meta, supplied, borrowed = series.markets[i], series.supplied[i][k], series.borrowed[i][k]
+    targets = series.rate_at_target[i]
+    if targets is not None:
         irm: IrmParams = AdaptiveIrmParams(
-            rate_at_target=ms.rate_at_target,
+            rate_at_target=targets[k],
             curve_steepness=ADAPTIVE_CURVE_STEEPNESS,
             u_target=ADAPTIVE_TARGET_UTILIZATION,
             adjustment_speed=ADAPTIVE_ADJUSTMENT_SPEED,
-            t_last=timestamp,
-            u_last=ms.borrowed / ms.supplied if ms.supplied > 0 else 0.0,
+            t_last=series.timestamps[k],
+            u_last=borrowed / supplied,
         )
     elif fallback_irm is not None:
         irm = fallback_irm
@@ -266,8 +334,8 @@ def market_state_at(
         )
     return MarketState(
         market_id=meta.market_id,
-        supplied=ms.supplied,
-        borrowed=ms.borrowed,
+        supplied=supplied,
+        borrowed=borrowed,
         max_ltv=meta.max_ltv,
         irm=irm,
     )
@@ -287,8 +355,8 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     without the strategy's own footprint; accrual between steps prices the
     debt at the pool rate including the footprint.
     """
-    snaps = series.snapshots
-    if len(snaps) < 2:
+    ts = series.timestamps
+    if len(ts) < 2:
         raise DomainError("series needs at least two snapshots")
     cadence = series.cadence_seconds
     if cfg.rebalance_frequency < cadence:
@@ -296,13 +364,11 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
             f"rebalance frequency {cfg.rebalance_frequency}s is below the data "
             f"cadence {cadence}s"
         )
-    span = snaps[-1].timestamp - snaps[0].timestamp
-    if span < 2 * cfg.rebalance_frequency:
+    if ts[-1] - ts[0] < 2 * cfg.rebalance_frequency:
         raise DomainError("series must cover at least two rebalance intervals")
 
     if cfg.smoothing_window:
         series = smooth_rates(series, cfg.smoothing_window)
-        snaps = series.snapshots
 
     ids = series.market_ids
     n = len(ids)
@@ -317,28 +383,26 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     positions: list[PositionRecord] = []
     total_fees = 0.0
     rebalances = 0
-    t0 = next_due = snaps[0].timestamp
+    t0 = next_due = ts[0]
 
-    for k, snap in enumerate(snaps):
+    for k, t in enumerate(ts):
         equity = unleveraged + sum(c - d for c, d in zip(collateral, debt))
         fees_here = 0.0
         # Due at the first snapshot at or after each point t0 + j * frequency;
         # a gap over several points gives one rebalance.
-        due = snap.timestamp >= next_due
+        due = t >= next_due
         if due:
-            elapsed = (snap.timestamp - t0) // cfg.rebalance_frequency
+            elapsed = (t - t0) // cfg.rebalance_frequency
             next_due = t0 + (elapsed + 1) * cfg.rebalance_frequency
         solving = due and not passive and equity > 0.0
         # Every market when solving, else only the indebted ones for accrual.
         markets = [
-            market_state_at(meta, snap.markets[meta.market_id], snap.timestamp, cfg.irm)
-            if solving or d > 0.0
-            else None
-            for meta, d in zip(series.markets, debt)
+            market_state_at(series, i, k, cfg.irm) if solving or d > 0.0 else None
+            for i, d in enumerate(debt)
         ]
         if solving:
             p = ProblemInstance.uniform(
-                markets, cfg.l_max, snap.staking_rate, budget=equity
+                markets, cfg.l_max, series.staking_rates[k], budget=equity
             )
             exposures = [d / m for d in debt]
             current = Allocation.from_position(
@@ -365,7 +429,7 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
 
         positions.append(
             PositionRecord(
-                timestamp=snap.timestamp,
+                timestamp=t,
                 unleveraged=unleveraged,
                 collateral=tuple(collateral),
                 debt=tuple(debt),
@@ -374,9 +438,9 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
 
         staking_accrued = 0.0
         interest_paid = 0.0
-        if k + 1 < len(snaps):
-            dt = (snaps[k + 1].timestamp - snap.timestamp) / SECONDS_PER_YEAR
-            s = snap.staking_rate
+        if k + 1 < len(ts):
+            dt = (ts[k + 1] - t) / SECONDS_PER_YEAR
+            s = series.staking_rates[k]
             for i, market in enumerate(markets):
                 if debt[i] <= 0.0:
                     continue
@@ -389,7 +453,7 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
 
         steps.append(
             StepRecord(
-                timestamp=snap.timestamp,
+                timestamp=t,
                 equity=equity,
                 staking_accrued=staking_accrued,
                 interest_paid=interest_paid,
@@ -438,7 +502,8 @@ def sweep_budgets(
     if cfg.smoothing_window:
         series = smooth_rates(series, cfg.smoothing_window)
         cfg = replace(cfg, smoothing_window=0)
-    return [(b, run_backtest(series, replace(cfg, budget=b)).apy) for b in budgets]
+    configs = [replace(cfg, budget=b) for b in budgets]  # every budget checked before a replay
+    return [(c.budget, run_backtest(series, c).apy) for c in configs]
 
 
 def sweep_leverage(
@@ -453,7 +518,5 @@ def sweep_leverage(
     if cfg.smoothing_window:
         series = smooth_rates(series, cfg.smoothing_window)
         cfg = replace(cfg, smoothing_window=0)
-    return {
-        l: sweep_budgets(series, replace(cfg, l_max=l), budgets)
-        for l in l_max_values
-    }
+    configs = [replace(cfg, l_max=l) for l in l_max_values]  # every cap checked before a replay
+    return {c.l_max: sweep_budgets(series, c, budgets) for c in configs}

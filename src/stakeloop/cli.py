@@ -67,18 +67,13 @@ def _markets_from_args(args) -> list[MarketState]:
     ]
     if args.dataset:
         series = datamod.load_snapshots(Path(args.dataset))
-        if args.at is None:
-            snap = series.snapshots[-1]
-        else:
-            matches = [s for s in series.snapshots if s.timestamp == args.at]
-            if not matches:
-                raise StakeloopError(f"no snapshot at timestamp {args.at}")
-            snap = matches[0]
+        if args.at is not None and args.at not in series.timestamps:
+            raise StakeloopError(f"no snapshot at timestamp {args.at}")
+        k = -1 if args.at is None else series.timestamps.index(args.at)
         if args.staking_rate is None:
-            args.staking_rate = snap.staking_rate
+            args.staking_rate = series.staking_rates[k]
         markets.extend(
-            bt.market_state_at(meta, snap.markets[meta.market_id], snap.timestamp, None)
-            for meta in series.markets
+            bt.market_state_at(series, i, k, None) for i in range(len(series.markets))
         )
     if not markets:
         raise StakeloopError("no markets given (use --markets, --market, or --dataset)")

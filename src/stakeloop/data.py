@@ -17,7 +17,9 @@ against hourly); it is held piecewise-constant onto the market timestamps.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import json
 import math
 import random
@@ -31,9 +33,7 @@ from .backtest import (
     ADAPTIVE_TARGET_UTILIZATION,
     BacktestResult,
     MarketMeta,
-    MarketSnapshot,
     PositionRecord,
-    Snapshot,
     SnapshotSeries,
 )
 from .errors import DataError, DomainError, ValidationError
@@ -129,25 +129,39 @@ def load_manifest(path: Path) -> DatasetManifest:
         raise DataError(f"{mpath}: missing manifest field {exc}") from exc
 
 
-def _parse_float(text: str, where: str) -> float:
+def _floats(column: Sequence[str], path: Path) -> tuple[float, ...]:
+    """A CSV column of finite floats starting at line 2; the first bad field
+    raises a ``DataError`` at its ``path:line``."""
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise DataError(f"{where}: not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise DataError(f"{where}: non-finite value {text!r}")
-    return value
+        values = tuple(map(float, column))
+    except ValueError:
+        values = (math.nan,)
+    if not all(map(math.isfinite, values)):
+        for lineno, text in enumerate(column, start=2):
+            try:
+                value = float(text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: not a number: {text!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite value {text!r}")
+    return values
 
 
-def _read_rows(path: Path, header: list[str]) -> list[list[str]]:
+def _read_columns(path: Path, header: list[str] | None) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The header of a CSV file and its columns below it. Every row must have
+    the header's field count; ``header``, when given, is the one expected."""
     if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+        raise DataError(f"file not found: {path}")
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
-    if not rows or rows[0] != header:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    if header is not None and rows[0] != header:
         raise DataError(f"{path}: expected header {','.join(header)}")
-    return rows[1:]
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise DataError(f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(row)}")
+    return rows[0], [column[1:] for column in zip(*rows)]
 
 
 def save_snapshots(
@@ -156,29 +170,21 @@ def save_snapshots(
     """Write a series in the canonical layout; returns the written paths."""
     directory = Path(directory)
     written = [save_manifest(manifest, directory)]
-    for meta in series.markets:
+    for i, meta in enumerate(series.markets):
+        values = [map(repr, c[i]) for c in (series.supplied, series.borrowed, series.borrow_rate)]
+        targets = series.rate_at_target[i]
+        values.append(itertools.repeat("") if targets is None else map(repr, targets))
         path = directory / f"market_{meta.market_id}.csv"
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(_MARKET_HEADER)
-            for snap in series.snapshots:
-                ms = snap.markets[meta.market_id]
-                writer.writerow(
-                    [
-                        snap.timestamp,
-                        repr(ms.supplied),
-                        repr(ms.borrowed),
-                        repr(ms.borrow_rate),
-                        "" if ms.rate_at_target is None else repr(ms.rate_at_target),
-                    ]
-                )
+            writer.writerows(zip(series.timestamps, *values))
         written.append(path)
     staking_path = directory / "staking.csv"
     with staking_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_STAKING_HEADER)
-        for snap in series.snapshots:
-            writer.writerow([snap.timestamp, repr(snap.staking_rate)])
+        writer.writerows(zip(series.timestamps, map(repr, series.staking_rates)))
     written.append(staking_path)
     return written
 
@@ -191,85 +197,49 @@ def load_snapshots(path: Path) -> SnapshotSeries:
     """
     directory = _manifest_path(Path(path)).parent
     manifest = load_manifest(directory)
-
-    per_market: dict[str, dict[int, MarketSnapshot]] = {}
-    timestamps: list[int] | None = None
-    problems: list[str] = []
-    for descriptor in manifest.markets:
-        mid = descriptor.market_id
-        mpath = directory / f"market_{mid}.csv"
-        rows = _read_rows(mpath, _MARKET_HEADER)
-        records: dict[int, MarketSnapshot] = {}
-        ts_order: list[int] = []
-        for lineno, row in enumerate(rows, start=2):
-            where = f"{mpath}:{lineno}"
-            if len(row) != len(_MARKET_HEADER):
-                raise DataError(f"{where}: expected {len(_MARKET_HEADER)} fields")
-            ts = int(_parse_float(row[0], where))
-            supplied = _parse_float(row[1], where)
-            borrowed = _parse_float(row[2], where)
-            rate = _parse_float(row[3], where)
-            target = None if row[4] == "" else _parse_float(row[4], where)
-            if ts_order and ts <= ts_order[-1]:
-                problems.append(f"{where}: timestamp {ts} out of order")
-            ts_order.append(ts)
-            if supplied <= 0.0:
-                problems.append(f"{where}: supplied must be positive")
-            if borrowed < 0.0 or borrowed > supplied:
-                problems.append(
-                    f"{where}: market {mid} borrowed {borrowed} outside [0, supplied]"
-                )
-            if rate < 0.0 or (target is not None and target < 0.0):
-                problems.append(f"{where}: negative rate")
-            records[ts] = MarketSnapshot(
-                supplied=supplied,
-                borrowed=borrowed,
-                borrow_rate=rate,
-                rate_at_target=target,
-            )
-        if timestamps is None:
-            timestamps = ts_order
-        elif ts_order != timestamps:
-            problems.append(
-                f"{mpath}: timestamp grid differs from market "
-                f"{manifest.markets[0].market_id}"
-            )
-        per_market[mid] = records
-    if timestamps is None:
+    if not manifest.markets:
         raise DataError(f"dataset at {directory} has no market files")
+    paths = [directory / f"market_{d.market_id}.csv" for d in manifest.markets]
+
+    columns = []
+    for mpath in paths:
+        _, (times, *values, targets) = _read_columns(mpath, _MARKET_HEADER)
+        grid = tuple(map(int, _floats(times, mpath)))
+        # Empty fields mean no rate-at-target, in every row or in none.
+        targets = _floats(targets, mpath) if any(targets) else None
+        columns.append((grid, *(_floats(v, mpath) for v in values), targets))
+    grids, supplied, borrowed, rates, targets = zip(*columns)
+    staking_path = directory / "staking.csv"
+    _, (times, staking) = _read_columns(staking_path, _STAKING_HEADER)
+    if not times:
+        raise DataError(f"{directory}: staking series is empty")
+    times, staking = _floats(times, staking_path), _floats(staking, staking_path)
+    problems = [
+        f"{mpath}: timestamp grid differs from market {manifest.markets[0].market_id}"
+        for mpath, grid in zip(paths, grids)
+        if grid != grids[0]
+    ] + [
+        f"{staking_path}:{lineno}: negative staking rate"
+        for lineno, rate in enumerate(staking, start=2)
+        if rate < 0.0
+    ]
     if problems:
         raise ValidationError(
             f"dataset at {directory} failed validation ({len(problems)} records)",
             records=problems,
         )
-
-    staking_rows = _read_rows(directory / "staking.csv", _STAKING_HEADER)
-    staking: list[tuple[int, float]] = []
-    for lineno, row in enumerate(staking_rows, start=2):
-        where = f"{directory / 'staking.csv'}:{lineno}"
-        rate = _parse_float(row[1], where)
-        if rate < 0.0:
-            raise ValidationError(
-                f"dataset at {directory} failed validation (1 records)",
-                records=[f"{where}: negative staking rate"],
-            )
-        staking.append((int(_parse_float(row[0], where)), rate))
-    if not staking:
-        raise DataError(f"{directory}: staking series is empty")
-    staking.sort(key=lambda item: item[0])
-
-    snapshots = [
-        Snapshot(
-            timestamp=ts,
-            staking_rate=rate,
-            markets={mid: per_market[mid][ts] for mid in per_market},
-        )
-        for ts, rate in zip(timestamps, staking_rates_at(timestamps, staking))
-    ]
-    metas = tuple(
-        MarketMeta(market_id=d.market_id, max_ltv=d.lltv) for d in manifest.markets
+    observed = sorted(zip(map(int, times), staking), key=lambda item: item[0])
+    series = SnapshotSeries(
+        markets=tuple(MarketMeta(d.market_id, d.lltv) for d in manifest.markets),
+        timestamps=grids[0],
+        staking_rates=tuple(staking_rates_at(grids[0], observed)),
+        supplied=supplied,
+        borrowed=borrowed,
+        borrow_rate=rates,
+        rate_at_target=targets,
+        # Snapshot records (i is None) point into the first market file's grid.
+        origin=(f"dataset at {directory}", lambda k, i: f"{paths[i or 0]}:{k + 2}"),
     )
-    series = SnapshotSeries(markets=metas, snapshots=tuple(snapshots))
     gaps = scan_gaps(series, manifest.cadence_seconds)
     if gaps:
         first = gaps[0]
@@ -286,23 +256,15 @@ def staking_rates_at(
     timestamps: Sequence[int], staking: Sequence[tuple[int, float]]
 ) -> list[float]:
     """Last rate of the time-sorted ``(timestamp, rate)`` list at or before
-    each sorted timestamp; the first rate before the first observation."""
-    rates = []
-    cursor = 0
-    for ts in timestamps:
-        while cursor + 1 < len(staking) and staking[cursor + 1][0] <= ts:
-            cursor += 1
-        rates.append(staking[cursor][1])
-    return rates
+    each timestamp; the first rate before the first observation."""
+    times = [t for t, _ in staking]
+    return [staking[max(bisect.bisect_right(times, ts) - 1, 0)][1] for ts in timestamps]
 
 
 def scan_gaps(series: SnapshotSeries, cadence_seconds: int) -> list[tuple[int, int]]:
     """Intervals longer than the declared cadence, reported, never filled."""
-    gaps = []
-    for a, b in zip(series.snapshots, series.snapshots[1:]):
-        if b.timestamp - a.timestamp > cadence_seconds:
-            gaps.append((a.timestamp, b.timestamp))
-    return gaps
+    ts = series.timestamps
+    return [(a, b) for a, b in zip(ts, ts[1:]) if b - a > cadence_seconds]
 
 
 # --- synthetic datasets ----------------------------------------------------
@@ -385,31 +347,22 @@ def generate_synthetic(
     """
     rng = random.Random(seed)
     count = int(spec.days * SECONDS_PER_DAY / spec.cadence_seconds) + 1
-    timestamps = [spec.start + k * spec.cadence_seconds for k in range(count)]
-
-    snapshots = []
-    for ts in timestamps:
-        day = (ts - spec.start) / SECONDS_PER_DAY
-        markets = {}
-        for mspec in spec.markets:
-            rate = _rate_at(mspec, day, rng)
-            factor = adaptive_curve_factor(
-                mspec.utilization, ADAPTIVE_TARGET_UTILIZATION, ADAPTIVE_CURVE_STEEPNESS
-            )
-            markets[mspec.market_id] = MarketSnapshot(
-                supplied=mspec.supplied,
-                borrowed=mspec.supplied * mspec.utilization,
-                borrow_rate=rate,
-                rate_at_target=rate / factor,
-            )
-        snapshots.append(
-            Snapshot(timestamp=ts, staking_rate=spec.staking_rate, markets=markets)
-        )
+    timestamps = tuple(spec.start + k * spec.cadence_seconds for k in range(count))
+    days = [(ts - spec.start) / SECONDS_PER_DAY for ts in timestamps]
+    # One draw per market per timestamp, in timestamp order.
+    rates = list(zip(*([_rate_at(m, day, rng) for m in spec.markets] for day in days)))
+    factors = [
+        adaptive_curve_factor(m.utilization, ADAPTIVE_TARGET_UTILIZATION, ADAPTIVE_CURVE_STEEPNESS)
+        for m in spec.markets
+    ]
     series = SnapshotSeries(
-        markets=tuple(
-            MarketMeta(market_id=m.market_id, max_ltv=m.lltv) for m in spec.markets
-        ),
-        snapshots=tuple(snapshots),
+        markets=tuple(MarketMeta(m.market_id, m.lltv) for m in spec.markets),
+        timestamps=timestamps,
+        staking_rates=(spec.staking_rate,) * count,
+        supplied=tuple((m.supplied,) * count for m in spec.markets),
+        borrowed=tuple((m.supplied * m.utilization,) * count for m in spec.markets),
+        borrow_rate=tuple(rates),
+        rate_at_target=tuple(tuple(r / f for r in c) for c, f in zip(rates, factors)),
     )
     manifest = DatasetManifest(
         chain=spec.chain,
@@ -609,33 +562,14 @@ def _emit_curve(
 def load_position_history(path: Path) -> list[PositionRecord]:
     """Read back an emitted ``positions.csv`` (debts stored negative)."""
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: empty positions file")
-    header = rows[0]
-    if header[:2] != ["timestamp", "unleveraged"] or (len(header) - 2) % 2 != 0:
+    header, columns = _read_columns(path, None)
+    if header[:2] != ["timestamp", "unleveraged"] or len(header) % 2 != 0:
         raise DataError(f"{path}: unexpected positions header")
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        where = f"{path}:{lineno}"
-        ts = int(_parse_float(row[0], where))
-        unleveraged = _parse_float(row[1], where)
-        collateral = []
-        debt = []
-        for i in range(2, len(header), 2):
-            collateral.append(_parse_float(row[i], where))
-            debt.append(-_parse_float(row[i + 1], where))
-        records.append(
-            PositionRecord(
-                timestamp=ts,
-                unleveraged=unleveraged,
-                collateral=tuple(collateral),
-                debt=tuple(debt),
-            )
-        )
-    return records
+    values = [_floats(column, path) for column in columns]
+    return [
+        PositionRecord(int(v[0]), v[1], v[2::2], tuple(-d for d in v[3::2]))
+        for v in zip(*values)
+    ]
 
 
 def irm_from_dict(raw: dict) -> object:

@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .backtest import MarketMeta, MarketSnapshot, Snapshot, SnapshotSeries
+from .backtest import MarketMeta, SnapshotSeries, _optional_column
 from .data import DatasetManifest, MarketDescriptor, save_snapshots, staking_rates_at
 from .errors import DataError
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -131,7 +131,9 @@ def _fetch_one_market(
     end: int,
     limiter: _RateLimiter,
     chunk_days: int = 30,
-) -> tuple[MarketDescriptor, dict[int, MarketSnapshot]]:
+) -> tuple[MarketDescriptor, dict[int, tuple[float, float, float, float | None]]]:
+    """The market's descriptor and, per complete hour, its supplied,
+    borrowed, borrow rate and rate-at-target (None when not recorded)."""
     supplied: dict[int, float] = {}
     borrowed: dict[int, float] = {}
     rates: dict[int, float] = {}
@@ -171,18 +173,13 @@ def _fetch_one_market(
     if lltv is None or not supplied:
         raise DataError(f"market {market_id}: no data returned for [{start}, {end})")
 
-    snapshots: dict[int, MarketSnapshot] = {}
-    for ts in sorted(supplied):
-        if ts not in borrowed or ts not in rates:
-            continue  # incomplete hour; surfaces later as a gap
-        snapshots[ts] = MarketSnapshot(
-            supplied=supplied[ts],
-            borrowed=min(borrowed[ts], supplied[ts]),
-            borrow_rate=rates[ts],
-            rate_at_target=targets.get(ts),
-        )
+    hours = {
+        ts: (supplied[ts], min(borrowed[ts], supplied[ts]), rates[ts], targets.get(ts))
+        for ts in sorted(supplied)
+        if ts in borrowed and ts in rates  # else incomplete; surfaces later as a gap
+    }
     descriptor = MarketDescriptor(market_id=market_id, creation_date=creation, lltv=lltv)
-    return descriptor, snapshots
+    return descriptor, hours
 
 
 def _fetch_staking(
@@ -245,7 +242,7 @@ def fetch_market_history(
             )
         )
 
-    common = set.intersection(*(set(snaps) for _, snaps in fetched))
+    common = set.intersection(*(set(hours) for _, hours in fetched))
     if not common:
         raise DataError("markets share no common timestamps in the range")
     timestamps = sorted(common)
@@ -255,19 +252,20 @@ def fetch_market_history(
     else:
         staking = [(timestamps[0], float(staking_rate))]
 
-    snapshots = tuple(
-        Snapshot(
-            timestamp=ts,
-            staking_rate=rate,
-            markets={desc.market_id: snaps[ts] for desc, snaps in fetched},
-        )
-        for ts, rate in zip(timestamps, staking_rates_at(timestamps, staking))
+    # Per field, one column per market on the common grid.
+    supplied, borrowed, rates, targets = zip(
+        *(zip(*(hours[ts] for ts in timestamps)) for _, hours in fetched)
     )
     series = SnapshotSeries(
-        markets=tuple(
-            MarketMeta(market_id=d.market_id, max_ltv=d.lltv) for d, _ in fetched
+        markets=tuple(MarketMeta(d.market_id, d.lltv) for d, _ in fetched),
+        timestamps=tuple(timestamps),
+        staking_rates=tuple(staking_rates_at(timestamps, staking)),
+        supplied=supplied,
+        borrowed=borrowed,
+        borrow_rate=rates,
+        rate_at_target=tuple(
+            _optional_column(d.market_id, c) for (d, _), c in zip(fetched, targets)
         ),
-        snapshots=snapshots,
     )
     manifest = DatasetManifest(
         chain=chain,

@@ -56,17 +56,11 @@ def flat_series(
         )
         for k in range(hours + 1)
     )
-    return SnapshotSeries(markets=(MarketMeta("m", 0.945),), snapshots=snaps)
+    return SnapshotSeries.from_rows((MarketMeta("m", 0.945),), snaps)
 
 
 def without_rate_at_target(series: SnapshotSeries) -> SnapshotSeries:
-    return SnapshotSeries(
-        markets=series.markets,
-        snapshots=tuple(
-            replace(s, markets={"m": replace(s.markets["m"], rate_at_target=None)})
-            for s in series.snapshots
-        ),
-    )
+    return replace(series, rate_at_target=(None,))
 
 
 def config(**kwargs) -> BacktestConfig:
@@ -85,11 +79,9 @@ def config(**kwargs) -> BacktestConfig:
 class TestSeriesValidation:
     def test_borrowed_over_supplied_rejected(self):
         with pytest.raises(ValidationError) as err:
-            SnapshotSeries(
-                markets=(MarketMeta("m", 0.9),),
-                snapshots=(
-                    Snapshot(T0, 0.03, {"m": MarketSnapshot(10.0, 11.0, 0.02)}),
-                ),
+            SnapshotSeries.from_rows(
+                (MarketMeta("m", 0.9),),
+                (Snapshot(T0, 0.03, {"m": MarketSnapshot(10.0, 11.0, 0.02)}),),
             )
         assert "m" in err.value.records[0]
 
@@ -100,16 +92,45 @@ class TestSeriesValidation:
             (MarketSnapshot(10.0, -1.0, 0.02), "borrowed -1.0 outside [0, supplied]"),
             (MarketSnapshot(10.0, 1.0, -0.01), "negative rate"),
             (MarketSnapshot(10.0, 1.0, 0.02, -0.01), "negative rate"),
+            (MarketSnapshot(math.nan, 1.0, 0.02), "supplied nan is not finite"),
+            (MarketSnapshot(math.inf, 1.0, 0.02), "supplied inf is not finite"),
+            (MarketSnapshot(10.0, math.nan, 0.02), "borrowed nan is not finite"),
+            (MarketSnapshot(10.0, 1.0, math.nan), "borrow_rate nan is not finite"),
+            (MarketSnapshot(10.0, 1.0, 0.02, math.nan), "rate_at_target nan is not finite"),
+            (MarketSnapshot(10.0, 1.0, 0.02, 0.0), "rate_at_target 0.0 must be positive"),
         ],
-        ids=["no-supply", "negative-debt", "negative-rate", "negative-rate-at-target"],
+        ids=[
+            "no-supply",
+            "negative-debt",
+            "negative-rate",
+            "negative-rate-at-target",
+            "nan-supply",
+            "infinite-supply",
+            "nan-debt",
+            "nan-rate",
+            "nan-rate-at-target",
+            "zero-rate-at-target",
+        ],
     )
     def test_rejects_what_a_dataset_load_rejects(self, ms, problem):
         with pytest.raises(ValidationError) as err:
-            SnapshotSeries(
-                markets=(MarketMeta("m", 0.9),),
-                snapshots=(Snapshot(T0, 0.03, {"m": ms}),),
-            )
+            SnapshotSeries.from_rows((MarketMeta("m", 0.9),), (Snapshot(T0, 0.03, {"m": ms}),))
         assert err.value.records == [f"t={T0} market m: {problem}"]
+
+    @pytest.mark.parametrize(
+        "rate, problem",
+        [
+            (math.nan, "staking_rate nan is not finite"),
+            (math.inf, "staking_rate inf is not finite"),
+            (-0.01, "negative staking rate"),
+        ],
+        ids=["nan", "infinite", "negative"],
+    )
+    def test_rejects_a_staking_rate_a_dataset_load_rejects(self, rate, problem):
+        ms = MarketSnapshot(10.0, 1.0, 0.02)
+        with pytest.raises(ValidationError) as err:
+            SnapshotSeries.from_rows((MarketMeta("m", 0.9),), (Snapshot(T0, rate, {"m": ms}),))
+        assert err.value.records == [f"t={T0}: {problem}"]
 
     def test_out_of_order_timestamps_rejected(self):
         snaps = (
@@ -117,7 +138,35 @@ class TestSeriesValidation:
             Snapshot(T0, 0.03, {"m": MarketSnapshot(10.0, 1.0, 0.02)}),
         )
         with pytest.raises(ValidationError):
-            SnapshotSeries(markets=(MarketMeta("m", 0.9),), snapshots=snaps)
+            SnapshotSeries.from_rows((MarketMeta("m", 0.9),), snaps)
+
+    def test_rate_at_target_all_or_none(self):
+        snaps = (
+            Snapshot(T0, 0.03, {"m": MarketSnapshot(10.0, 1.0, 0.02, 0.03)}),
+            Snapshot(T0 + 3600, 0.03, {"m": MarketSnapshot(10.0, 1.0, 0.02)}),
+        )
+        with pytest.raises(ValidationError, match="present in 1 of 2 snapshots"):
+            SnapshotSeries.from_rows((MarketMeta("m", 0.9),), snaps)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            dict(staking_rates=(0.03,)),
+            dict(supplied=((10.0,) * 5,)),
+            dict(borrow_rate=((0.02,) * 4, (0.02,) * 4)),
+            dict(rate_at_target=((0.03,),)),
+        ],
+        ids=["short-staking", "long-supplied", "extra-market", "short-rate-at-target"],
+    )
+    def test_columns_must_match_markets_and_timestamps(self, columns):
+        with pytest.raises(ValidationError, match="do not match markets and timestamps"):
+            replace(flat_series(hours=3), **columns)
+
+    def test_rows_view_round_trips(self):
+        series = scenario_series("volatile")
+        assert len(series.snapshots) == len(series.timestamps)
+        assert SnapshotSeries.from_rows(series.markets, series.snapshots) == series
+        assert series.snapshots[-1] == series.snapshots[len(series.timestamps) - 1]
 
 
 class TestSmoothing:
@@ -146,7 +195,7 @@ class TestSmoothing:
             )
             for k in range(24 * 7)
         )
-        series = SnapshotSeries(markets=(MarketMeta("m", 0.9),), snapshots=snaps)
+        series = SnapshotSeries.from_rows((MarketMeta("m", 0.9),), snaps)
         out = smooth_rates(series, SECONDS_PER_DAY)
 
         def smoothed(ts):
@@ -253,9 +302,8 @@ class TestRunBacktest:
         # the optimizer input at each step must be the recorded pool state,
         # not the pool state inflated by our own borrowing
         series = flat_series()
-        meta = series.markets[0]
         snap = series.snapshots[10]
-        state = market_state_at(meta, snap.markets["m"], snap.timestamp, None)
+        state = market_state_at(series, 0, 10, None)
         assert state.borrowed == snap.markets["m"].borrowed
         assert state.supplied == snap.markets["m"].supplied
 
@@ -269,11 +317,8 @@ class TestRunBacktest:
         growth = 1.0
         tiny = cfg.budget
         snaps = series.snapshots
-        for a, b in zip(snaps, snaps[1:]):
-            markets = [
-                market_state_at(meta, a.markets[meta.market_id], a.timestamp, None)
-                for meta in series.markets
-            ]
+        for k, (a, b) in enumerate(zip(snaps, snaps[1:])):
+            markets = [market_state_at(series, i, k, None) for i in range(len(series.markets))]
             p = ProblemInstance.uniform(markets, 5.0, a.staking_rate, budget=tiny)
             rate = solve(p).expected_yield / tiny
             growth *= 1.0 + rate * (b.timestamp - a.timestamp) / SECONDS_PER_YEAR
@@ -367,7 +412,7 @@ def shifted(series: SnapshotSeries, start: int, seconds: int) -> SnapshotSeries:
         replace(s, timestamp=s.timestamp + seconds) if k >= start else s
         for k, s in enumerate(series.snapshots)
     )
-    return SnapshotSeries(markets=series.markets, snapshots=snaps)
+    return SnapshotSeries.from_rows(series.markets, snaps)
 
 
 class TestSchedule:
@@ -382,9 +427,8 @@ class TestSchedule:
         # daily points 10 to 13 fall in the gap.
         series = flat_series(hours=24 * 20)
         gap = range(24 * 10 - 3, 24 * 13 + 5)
-        series = SnapshotSeries(
-            markets=series.markets,
-            snapshots=tuple(s for k, s in enumerate(series.snapshots) if k not in gap),
+        series = SnapshotSeries.from_rows(
+            series.markets, [s for k, s in enumerate(series.snapshots) if k not in gap]
         )
         solved_at = []
 
@@ -469,6 +513,14 @@ class TestSweeps:
         curves = sweep_leverage(series, cfg, [3.0, 5.0], budgets)
         for level, curve in curves.items():
             assert curve == independent(replace(cfg, l_max=level))
+
+    def test_every_value_is_checked_before_any_replay(self, monkeypatch):
+        monkeypatch.setattr(backtest, "run_backtest", lambda *args: pytest.fail("replayed"))
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        with pytest.raises(DomainError, match="budget must be positive and finite"):
+            sweep_budgets(scenario_series(), cfg, [1.0, math.nan])
+        with pytest.raises(DomainError, match="l_max must be at least 1 and finite"):
+            sweep_leverage(scenario_series(), cfg, [3.0, math.nan], [1.0])
 
     def test_sweep_smooths_once(self, monkeypatch):
         calls = []

@@ -96,15 +96,19 @@ class TestOptimize:
         assert code == 2
         assert "staking-rate" in err
 
-    def test_non_finite_budget_exits_2(self, capsys):
+    def test_non_finite_budget_exits_2(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
         for budget in ("nan", "inf"):
-            code, out, err = run(
+            for argv in (
                 ["--json", "optimize", "--budget", budget, "-s", "0.03", "--market", MARKET_A],
-                capsys,
-            )
-            assert code == 2
-            assert out == ""
-            assert "budget must be positive and finite" in err
+                ["--json", "backtest", "--dataset", str(ds), "--budget", budget],
+                ["sweep", "--dataset", str(ds), "--budget", "1", "--budgets", f"1,{budget}"],
+            ):
+                code, out, err = run(argv, capsys)
+                assert code == 2, argv
+                assert out == ""
+                assert "budget must be positive and finite" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -223,6 +227,29 @@ class TestSynthAndBacktest:
         assert code == 0
         payload = json.loads(out.splitlines()[-1])
         assert "apy" in payload
+
+    def test_non_finite_threshold_exits_2(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        code, out, err = run(
+            ["backtest", "--dataset", str(ds), "--budget", "1", "--strategy", "dynamic",
+             "--threshold-bps", "nan"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold must be non-negative and finite" in err
+
+    def test_short_staking_row_exits_2(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        staking = ds / "staking.csv"
+        lines = staking.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0]
+        staking.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert code == 2
+        assert err.splitlines() == [f"error: {staking}:4: expected 2 fields, got 1"]
 
     def test_validation_records_printed(self, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -194,6 +194,42 @@ class TestValidation:
             load_snapshots(directory)
         assert "market_m.csv:3" in str(err.value)
 
+    @pytest.mark.parametrize("name", ["market_m.csv", "staking.csv"])
+    def test_short_row_has_line_context(self, tmp_path, name):
+        def corrupt(directory):
+            path = directory / name
+            lines = path.read_text().splitlines()
+            lines[2] = lines[2].split(",")[0]
+            path.write_text("\n".join(lines) + "\n")
+
+        directory = self._write(tmp_path, corrupt)
+        with pytest.raises(DataError, match=f"{name}:3: expected [25] fields, got 1"):
+            load_snapshots(directory)
+
+    def test_non_finite_field_has_line_context(self, tmp_path):
+        def corrupt(directory):
+            path = directory / "market_m.csv"
+            lines = path.read_text().splitlines()
+            parts = lines[4].split(",")
+            parts[3] = "nan"
+            lines[4] = ",".join(parts)
+            path.write_text("\n".join(lines) + "\n")
+
+        directory = self._write(tmp_path, corrupt)
+        with pytest.raises(DataError, match="market_m.csv:5: non-finite value 'nan'"):
+            load_snapshots(directory)
+
+    def test_rate_at_target_in_some_rows_only_rejected(self, tmp_path):
+        def corrupt(directory):
+            path = directory / "market_m.csv"
+            lines = path.read_text().splitlines()
+            lines[6] = lines[6].rsplit(",", 1)[0] + ","
+            path.write_text("\n".join(lines) + "\n")
+
+        directory = self._write(tmp_path, corrupt)
+        with pytest.raises(DataError, match="market_m.csv:7: not a number: ''"):
+            load_snapshots(directory)
+
     def test_loader_warns_about_gaps(self, tmp_path):
         import warnings as warnings_module
 
@@ -201,9 +237,8 @@ class TestValidation:
             SyntheticSpec(markets=(SyntheticMarketSpec(market_id="m"),), days=1.0),
             seed=0,
         )
-        thinned = SnapshotSeries(
-            markets=series.markets,
-            snapshots=series.snapshots[:5] + series.snapshots[8:],
+        thinned = SnapshotSeries.from_rows(
+            series.markets, series.snapshots[:5] + series.snapshots[8:]
         )
         directory = tmp_path / "ds"
         save_snapshots(thinned, manifest, directory)
@@ -217,9 +252,8 @@ class TestValidation:
             SyntheticSpec(markets=(SyntheticMarketSpec(market_id="m"),), days=1.0),
             seed=0,
         )
-        thinned = SnapshotSeries(
-            markets=series.markets,
-            snapshots=series.snapshots[:5] + series.snapshots[8:],
+        thinned = SnapshotSeries.from_rows(
+            series.markets, series.snapshots[:5] + series.snapshots[8:]
         )
         gaps = scan_gaps(thinned, SECONDS_PER_HOUR)
         assert len(gaps) == 1
@@ -251,6 +285,17 @@ class TestReports:
         rows = csv_path.read_text().splitlines()
         assert rows[0] == "budget,apy"
         assert len(rows) == 4
+
+    def test_short_position_row_has_line_context(self, tmp_path):
+        series, _ = generate_synthetic(scenario("positive-carry"), seed=0)
+        cfg = BacktestConfig(budget=5.0, rebalance_frequency=SECONDS_PER_DAY)
+        paths = emit_report(run_backtest(series, cfg), tmp_path / "report")
+        path = next(p for p in paths if p.name == "positions.csv")
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="positions.csv:3: expected 6 fields, got 3"):
+            load_position_history(path)
 
     def test_position_history_round_trip(self, tmp_path):
         series, _ = generate_synthetic(scenario("rate-crossing"), seed=5)

@@ -1,5 +1,6 @@
 """Property-based checks of the market responses and the allocator on random
-mixed instances, and of smoothing and dataset round trips on random series."""
+mixed instances, and of smoothing, dataset round trips and per-step equity
+conservation on random series."""
 
 from __future__ import annotations
 
@@ -9,12 +10,22 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import window_means
 from stakeloop.allocator import ProblemInstance, _solve, expected_yield, solve, verify_kkt
-from stakeloop.backtest import MarketMeta, MarketSnapshot, Snapshot, SnapshotSeries, smooth_rates
+from stakeloop.backtest import (
+    DYNAMIC,
+    FIXED_FREQUENCY,
+    BacktestConfig,
+    MarketMeta,
+    MarketSnapshot,
+    Snapshot,
+    SnapshotSeries,
+    run_backtest,
+    smooth_rates,
+)
 from stakeloop.data import DatasetManifest, MarketDescriptor, load_snapshots, save_snapshots
 from stakeloop.irm import (
     AdaptiveIrmParams,
@@ -24,6 +35,7 @@ from stakeloop.irm import (
     market_response,
     response_events,
 )
+from stakeloop.rebalance import FeeModel
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 T0 = 1735689600
@@ -130,12 +142,12 @@ def test_solve_at_a_shifted_rate_keeps_the_instance(p, offset):
 
 
 @st.composite
-def series(draw) -> SnapshotSeries:
+def series(draw, max_markets: int = 3) -> SnapshotSeries:
     """An hourly series with up to ten minutes of jitter per step and, at
     about one step in ten, a gap of up to two days."""
     metas = tuple(
         MarketMeta(f"m{i}", draw(st.floats(0.5, 0.95)))
-        for i in range(draw(st.integers(1, 3)))
+        for i in range(draw(st.integers(1, max_markets)))
     )
     adaptive = {m.market_id: draw(st.booleans()) for m in metas}
     snaps = []
@@ -148,13 +160,15 @@ def series(draw) -> SnapshotSeries:
                 supplied=supplied,
                 borrowed=supplied * draw(st.floats(0.0, 1.0)),
                 borrow_rate=draw(st.floats(0.0, 0.5)),
-                rate_at_target=draw(st.floats(0.0, 0.5)) if adaptive[meta.market_id] else None,
+                rate_at_target=(
+                    draw(st.floats(0.0, 0.5, exclude_min=True)) if adaptive[meta.market_id] else None
+                ),
             )
         snaps.append(Snapshot(ts, draw(st.floats(0.0, 0.2)), markets))
         ts += SECONDS_PER_HOUR + draw(st.integers(-600, 600))
         if draw(st.integers(0, 9)) == 0:
             ts += draw(st.integers(1, 48)) * SECONDS_PER_HOUR
-    return SnapshotSeries(markets=metas, snapshots=tuple(snaps))
+    return SnapshotSeries.from_rows(metas, snaps)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -188,3 +202,30 @@ def test_save_then_load_is_exact(x):
         warnings.simplefilter("ignore")  # gaps are reported, never filled
         save_snapshots(x, manifest, Path(tmp))
         assert load_snapshots(Path(tmp)) == x
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_equity_is_conserved_at_every_step(data):
+    x = data.draw(series(max_markets=30))
+    assume(len(x.timestamps) >= 3)  # two rebalance intervals of at least the cadence
+    cadence = x.cadence_seconds
+    span = x.timestamps[-1] - x.timestamps[0]
+    cfg = BacktestConfig(
+        budget=data.draw(st.floats(1e-3, 1e5)),
+        l_max=data.draw(st.floats(1.0, min(1.0 / (1.0 - m.max_ltv) for m in x.markets))),
+        rebalance_frequency=data.draw(st.integers(cadence, span // 2)),
+        strategy=data.draw(st.sampled_from((FIXED_FREQUENCY, DYNAMIC))),
+        threshold=data.draw(st.floats(0.0, 0.01)),
+        fees=FeeModel(
+            data.draw(st.floats(0.0, 0.01)),
+            data.draw(st.floats(0.0, 0.01)),
+            data.draw(st.floats(1.0, 30.0)) / 365.0,
+        ),
+        smoothing_window=data.draw(st.one_of(st.just(0), st.integers(cadence, SECONDS_PER_DAY))),
+        irm=LinearIrmParams(0.0, data.draw(st.floats(0.0, 0.2)), 0.9),  # for non-adaptive markets
+    )
+    steps = run_backtest(x, cfg).steps
+    for a, b in zip(steps, steps[1:]):
+        expected = a.equity + a.staking_accrued - a.interest_paid - a.fees_paid
+        assert abs(b.equity - expected) <= 1e-9 * max(1.0, abs(b.equity))
