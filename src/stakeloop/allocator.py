@@ -11,9 +11,10 @@ optimum is characterized by a single shadow rate ``lambda_star``:
   rises above the staking rate until the per-market responses exactly
   absorb the budget.
 
-Every market's response is piecewise affine in the shadow rate, and
-``response_events`` gives it in closed form: each breakpoint (the liquidity
-cap included) with the jump there and the slope below it. ``solve`` sorts
+Every market's response is piecewise affine in the shadow rate; compiled
+once per ``ProblemInstance``, its events give it in closed form: each
+breakpoint (the liquidity cap included) with the jump there and the slope
+below it. ``solve`` sorts
 all events above the staking rate once and sweeps down from the highest,
 keeping running totals of the summed response and its slope, and stops at
 the piece or the jump where the total reaches the budget. Inside a piece
@@ -25,19 +26,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ConstraintError, DomainError, UnsupportedModelError
 from .irm import (
     LinearIrmParams,
     MarketState,
+    _compile,
+    _events,
+    _response,
     borrow_rate,
     marginal_cost_subgradient,
-    market_response,
-    response_events,
 )
-from .position import max_leverage_bound
 
 SATURATED = "saturated"
 UNSATURATED = "unsaturated"
@@ -47,12 +48,15 @@ _REL_BUDGET_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Markets with their leverage caps, the staking rate, and the budget."""
+    """Markets with their leverage caps, the staking rate, and the budget.
+    Each market's response at its cap is compiled once, when built."""
 
     markets: tuple[MarketState, ...]
     l_max: tuple[float, ...]
     staking_rate: float
     budget: float
+    market_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _forms: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.markets:
@@ -63,17 +67,11 @@ class ProblemInstance:
             raise DomainError(f"budget must be positive and finite, got {self.budget}")
         if not math.isfinite(self.staking_rate):
             raise DomainError(f"staking_rate must be finite, got {self.staking_rate}")
-        seen: set[str] = set()
-        for market, l_max in zip(self.markets, self.l_max):
-            if market.market_id in seen:
-                raise DomainError(f"duplicate market id {market.market_id}")
-            seen.add(market.market_id)
-            bound = max_leverage_bound(market.max_ltv)
-            if not 1.0 < l_max <= bound:
-                raise ConstraintError(
-                    f"l_max={l_max} for market {market.market_id} outside "
-                    f"(1, {bound:.6g}]"
-                )
+        ids = tuple(m.market_id for m in self.markets)
+        if len(set(ids)) < len(ids):
+            raise DomainError(f"duplicate market id {next(i for i in ids if ids.count(i) > 1)}")
+        object.__setattr__(self, "market_ids", ids)
+        object.__setattr__(self, "_forms", tuple(map(_compile, self.markets, self.l_max)))
 
     @classmethod
     def uniform(
@@ -90,10 +88,6 @@ class ProblemInstance:
             staking_rate=staking_rate,
             budget=budget,
         )
-
-    @property
-    def market_ids(self) -> tuple[str, ...]:
-        return tuple(m.market_id for m in self.markets)
 
 
 @dataclass(frozen=True)
@@ -169,10 +163,7 @@ def effective_staking_rate(lam: float, s: float, l_max: float) -> float:
 
 
 def _responses(p: ProblemInstance, s: float, lam: float) -> list[float]:
-    return [
-        market_response(market, l_max, s, lam)
-        for market, l_max in zip(p.markets, p.l_max)
-    ]
+    return [_response(form, s, lam) for form in p._forms]
 
 
 def _position_yield(
@@ -276,8 +267,8 @@ def _shadow_rate(p: ProblemInstance, s: float) -> tuple[float, list[tuple[int, f
     events = sorted(
         (
             (level, i, jump, slope)
-            for i, (market, l_max) in enumerate(zip(p.markets, p.l_max))
-            for level, jump, slope in response_events(market, l_max, s)
+            for i, form in enumerate(p._forms)
+            for level, jump, slope in _events(form, s)
             if level > s
         ),
         key=lambda e: e[0],
@@ -356,24 +347,19 @@ def _solve(p: ProblemInstance, s: float) -> Allocation:
     )
 
 
-def _linear_coefficients(
-    market: MarketState, l_max: float, s: float
-) -> tuple[float, float]:
-    irm = market.irm
-    if not isinstance(irm, LinearIrmParams):
+def _linear_coefficients(market: MarketState, form: tuple, s: float) -> tuple[float, float]:
+    """``(alpha, beta)`` of a linear market's response ``alpha*(beta - lam)``."""
+    if not isinstance(market.irm, LinearIrmParams):
         raise UnsupportedModelError(
             f"market {market.market_id} does not use the linear rate model"
         )
-    m = l_max - 1.0
-    c1 = irm.r_slope1 / (market.supplied * irm.u_target)
-    if c1 == 0.0:
+    l_max, _, k, denom, _, _ = form
+    if denom == 0.0:
         raise UnsupportedModelError(
             f"market {market.market_id} has a flat rate curve; the closed form "
             "needs a positive slope"
         )
-    alpha = 1.0 / (2.0 * c1 * m * m)
-    beta = l_max * s - m * (irm.r_base + market.borrowed * c1)
-    return alpha, beta
+    return 1.0 / denom, l_max * s - k
 
 
 def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
@@ -384,8 +370,8 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
     shadow rate follows in closed form.
     """
     coeffs = [
-        _linear_coefficients(market, l_max, p.staking_rate)
-        for market, l_max in zip(p.markets, p.l_max)
+        _linear_coefficients(market, form, p.staking_rate)
+        for market, form in zip(p.markets, p._forms)
     ]
     order = sorted(
         range(len(p.markets)),

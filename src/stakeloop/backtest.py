@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, Mapping
@@ -101,11 +102,12 @@ class SnapshotSeries:
         return f"t={self.timestamps[k]}{market}"
 
     def _problems(self, where: Callable[[int, int | None], str]) -> list[str]:
-        """The record check: increasing timestamps and finite values, with
-        supplied > 0, borrowed in [0, supplied], no negative rate and a
-        positive rate-at-target."""
+        """The record check: distinct market ids, increasing timestamps and
+        finite values, with supplied > 0, borrowed in [0, supplied], no
+        negative rate and a positive rate-at-target."""
         ts = self.timestamps
-        problems = []
+        ids = Counter(m.market_id for m in self.markets)
+        problems = [f"market {mid}: listed {count} times" for mid, count in ids.items() if count > 1]
         for k, (t, s) in enumerate(zip(ts, self.staking_rates, strict=True)):
             if k and t <= ts[k - 1]:
                 problems.append(f"{where(k, None)}: timestamp {t} out of order")

@@ -21,7 +21,7 @@ from .allocator import (
     verify_kkt,
     yield_breakdown,
 )
-from .errors import StakeloopError, ValidationError
+from .errors import DataError, StakeloopError, ValidationError
 from .irm import MarketState
 from .rebalance import HOLD, FeeModel, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -48,23 +48,39 @@ def _load_json_arg(text: str) -> dict:
     return json.loads(text)
 
 
+def _object(value: object, flag: str) -> dict:
+    """``value`` when it is a JSON object, else a ``DataError`` naming ``flag``."""
+    if not isinstance(value, dict):
+        raise DataError(f"{flag}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _number(raw: dict, key: str, flag: str) -> float:
+    try:
+        return float(raw[key])
+    except TypeError:
+        raise DataError(f"{flag}: {key} must be a number, got {type(raw[key]).__name__}") from None
+
+
+def _market_from_json(value: object, flag: str) -> MarketState:
+    raw = _object(value, flag)
+    return MarketState(
+        market_id=str(raw["id"]),
+        supplied=_number(raw, "supplied", flag),
+        borrowed=_number(raw, "borrowed", flag),
+        max_ltv=_number(raw, "max_ltv", flag),
+        irm=datamod.irm_from_dict(_object(raw["irm"], f"{flag} irm")),
+    )
+
+
 def _markets_from_args(args) -> list[MarketState]:
-    raws: list[dict] = []
+    markets = []
     if args.markets:
         loaded = _load_json_arg(args.markets)
-        raws.extend(loaded if isinstance(loaded, list) else [loaded])
+        for raw in loaded if isinstance(loaded, list) else [loaded]:
+            markets.append(_market_from_json(raw, "--markets"))
     for item in args.market or []:
-        raws.append(json.loads(item))
-    markets = [
-        MarketState(
-            market_id=str(raw["id"]),
-            supplied=float(raw["supplied"]),
-            borrowed=float(raw["borrowed"]),
-            max_ltv=float(raw["max_ltv"]),
-            irm=datamod.irm_from_dict(raw["irm"]),
-        )
-        for raw in raws
-    ]
+        markets.append(_market_from_json(json.loads(item), "--market"))
     if args.dataset:
         series = datamod.load_snapshots(Path(args.dataset))
         if args.at is not None and args.at not in series.timestamps:
@@ -116,11 +132,12 @@ def _cmd_optimize(args) -> int:
     if args.command == "rebalance" and not wants_plan:
         raise StakeloopError("rebalance requires --current")
     if wants_plan:
-        raw = _load_json_arg(args.current)
+        raw = _object(_load_json_arg(args.current), "--current")
+        exposures = _object(raw["exposures"], "--current exposures")
         current = Allocation.from_position(
             market_ids=[m.market_id for m in markets],
-            exposures=[float(raw["exposures"][m.market_id]) for m in markets],
-            unleveraged=float(raw["unleveraged"]),
+            exposures=[_number(exposures, m.market_id, "--current exposures") for m in markets],
+            unleveraged=_number(raw, "unleveraged", "--current"),
         )
         plan = solve_with_fees(p, current, _fees_from_args(args))
         if args.json:
@@ -152,7 +169,7 @@ def _fees_from_args(args) -> FeeModel:
 
 
 def _config_from_args(args) -> bt.BacktestConfig:
-    irm = datamod.irm_from_dict(json.loads(args.irm)) if args.irm else None
+    irm = datamod.irm_from_dict(_object(json.loads(args.irm), "--irm")) if args.irm else None
     return bt.BacktestConfig(
         budget=args.budget,
         l_max=args.l_max,
@@ -226,11 +243,15 @@ def _cmd_synth(args) -> int:
     if args.scenario:
         spec = datamod.scenario(args.scenario)
     elif args.spec:
-        raw = _load_json_arg(args.spec)
-        markets = tuple(
-            datamod.SyntheticMarketSpec(**m) for m in raw.pop("markets")
-        )
-        spec = datamod.SyntheticSpec(markets=markets, **raw)
+        raw = _object(_load_json_arg(args.spec), "--spec")
+        try:
+            markets = tuple(
+                datamod.SyntheticMarketSpec(**_object(m, "--spec markets"))
+                for m in raw.pop("markets")
+            )
+            spec = datamod.SyntheticSpec(markets=markets, **raw)
+        except TypeError as exc:  # a field of the wrong name or type
+            raise DataError(f"--spec: {exc}") from exc
     else:
         raise StakeloopError("use --scenario or --spec")
     series, manifest = datamod.generate_synthetic(spec, seed=args.seed)

@@ -28,7 +28,11 @@ from .errors import (
     LiquidityExceededError,
     UnsupportedModelError,
 )
+from .position import max_leverage_bound
 from .units import SECONDS_PER_YEAR
+
+# Every check below is written so that NaN fails it, as NaN fails every
+# comparison: a field must pass a test, not merely dodge one.
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,8 @@ class LinearIrmParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.u_target < 1.0:
             raise DomainError(f"u_target must be in (0, 1), got {self.u_target}")
-        if self.r_base < 0.0 or self.r_slope1 < 0.0:
-            raise DomainError("r_base and r_slope1 must be non-negative")
+        if not (0.0 <= self.r_base < math.inf and 0.0 <= self.r_slope1 < math.inf):
+            raise DomainError("r_base and r_slope1 must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,8 @@ class KinkedIrmParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.u_target < 1.0:
             raise DomainError(f"u_target must be in (0, 1), got {self.u_target}")
-        if min(self.r_base, self.r_slope1, self.r_slope2) < 0.0:
-            raise DomainError("rate parameters must be non-negative")
+        if not all(0.0 <= r < math.inf for r in (self.r_base, self.r_slope1, self.r_slope2)):
+            raise DomainError("rate parameters must be non-negative and finite")
         bound = self.u_target / (1.0 - self.u_target) * self.r_slope2
         if not self.r_slope1 < bound:
             raise DomainError(
@@ -91,10 +95,14 @@ class AdaptiveIrmParams:
     u_last: float
 
     def __post_init__(self) -> None:
-        if self.rate_at_target <= 0.0:
-            raise DomainError("rate_at_target must be positive")
-        if self.curve_steepness <= 1.0:
-            raise DomainError("curve_steepness must exceed 1")
+        if not 0.0 < self.rate_at_target < math.inf:
+            raise DomainError(
+                f"rate_at_target must be positive and finite, got {self.rate_at_target}"
+            )
+        if not 1.0 < self.curve_steepness < math.inf:
+            raise DomainError(
+                f"curve_steepness must exceed 1 and be finite, got {self.curve_steepness}"
+            )
         if not 0.0 < self.u_target < 1.0:
             raise DomainError(f"u_target must be in (0, 1), got {self.u_target}")
         if (1.0 - self.u_target) / self.u_target >= self.curve_steepness:
@@ -102,8 +110,12 @@ class AdaptiveIrmParams:
                 "curve_steepness must exceed (1 - u_target) / u_target for the "
                 "marginal borrow cost to increase across the target"
             )
-        if self.adjustment_speed <= 0.0:
-            raise DomainError("adjustment_speed must be positive")
+        if not 0.0 < self.adjustment_speed < math.inf:
+            raise DomainError(
+                f"adjustment_speed must be positive and finite, got {self.adjustment_speed}"
+            )
+        if not math.isfinite(self.t_last):
+            raise DomainError(f"t_last must be finite, got {self.t_last}")
         if not 0.0 <= self.u_last <= 1.0:
             raise DomainError(f"u_last must be in [0, 1], got {self.u_last}")
 
@@ -122,14 +134,10 @@ class MarketState:
     irm: IrmParams
 
     def __post_init__(self) -> None:
-        if self.supplied <= 0.0:
-            raise DomainError(f"supplied must be positive, got {self.supplied}")
-        if self.borrowed < 0.0:
-            raise DomainError(f"borrowed must be non-negative, got {self.borrowed}")
-        if self.borrowed > self.supplied:
-            raise DomainError(
-                f"borrowed {self.borrowed} exceeds supplied {self.supplied}"
-            )
+        if not 0.0 < self.supplied < math.inf:
+            raise DomainError(f"supplied must be positive and finite, got {self.supplied}")
+        if not 0.0 <= self.borrowed <= self.supplied:
+            raise DomainError(f"borrowed {self.borrowed} outside [0, supplied {self.supplied}]")
         if not 0.0 < self.max_ltv < 1.0:
             raise DomainError(f"max_ltv must be in (0, 1), got {self.max_ltv}")
 
@@ -260,60 +268,62 @@ def marginal_cost_subgradient(
     return (rate + borrow_amount * hi_slope, rate + borrow_amount * hi_slope)
 
 
-def _validate_leverage_cap(market: MarketState, l_max: float) -> None:
-    bound = 1.0 / (1.0 - market.max_ltv)
+def _compile(market: MarketState, l_max: float) -> tuple:
+    """``(l_max, cap, k, denom, drop, kink)``: the terms of the market's
+    response at ``l_max`` that are free of the staking rate ``s``, after the
+    one cap check. A branch has level and value ``l_max*s - k`` and slope
+    ``1/denom``: a linear curve's only branch, or the steep one above a kink.
+    ``kink``, when there is room to borrow below it, holds ``(k, denom, k_in,
+    plateau, k_out)`` of the gentle branch and plateau; ``cap`` starts
+    ``drop`` below the last branch."""
+    bound = max_leverage_bound(market.max_ltv)
     if not 1.0 < l_max <= bound:
         raise ConstraintError(
             f"l_max={l_max} outside (1, {bound:.6g}] allowed by "
             f"max_ltv={market.max_ltv} of market {market.market_id}"
         )
+    m = l_max - 1.0
+    cap = market.available_liquidity / m
+    irm, borrowed = market.irm, market.borrowed
+    c1, c2 = _slopes(irm, market.supplied)
+    kink = None
+    if isinstance(irm, LinearIrmParams):
+        k, c = m * (irm.r_base + borrowed * c1), c1
+    else:
+        r_base, r_slope1, _, u_target = _kinked_form(irm)
+        headroom = market.supplied * u_target - borrowed
+        if headroom > 0.0:
+            k_in = m * (r_base + r_slope1 + headroom * c1)
+            k_out = m * (r_base + r_slope1 + headroom * c2)
+            kink = (m * (r_base + borrowed * c1), 2.0 * c1 * m * m, k_in, headroom / m, k_out)
+        k, c = m * (r_base + r_slope1 - headroom * c2), c2
+    denom = 2.0 * c * m * m
+    return l_max, cap, k, denom, denom * cap, kink
 
 
-def _response_pieces(
-    market: MarketState, l_max: float, s: float
-) -> list[tuple[float, float, float]]:
-    """The market's response as ``(level, denom, value)`` pieces, highest first.
+def _pieces(form: tuple, s: float) -> list[tuple[float, float, float]]:
+    """The compiled response at staking rate ``s`` as ``(level, denom,
+    value)`` pieces, highest first.
 
     Below ``level``, down to the next piece's level, the response is the
     affine ``(value - lam) / denom``, or the constant ``value`` where
-    ``denom`` is 0: the kink plateau ``headroom / m``, or the liquidity cap,
-    which is always the last piece. The response is zero from the first
-    level up. A piece not wider than one float gives way to the piece below
-    it, which then starts at its level. A pool with no liquidity left has no
-    pieces.
+    ``denom`` is 0: the kink plateau, or the liquidity cap, which is always
+    the last piece. The response is zero from the first level up. A piece
+    not wider than one float gives way to the piece below it, which then
+    starts at its level. A pool with no liquidity left has no pieces.
     """
-    m = l_max - 1.0
-    cap = market.available_liquidity / m
+    l_max, cap, k, denom, drop, kink = form
     if cap <= 0.0:
         return []
-    irm = market.irm
-    if isinstance(irm, LinearIrmParams):
-        c1 = irm.r_slope1 / (market.supplied * irm.u_target)
-        beta = l_max * s - m * (irm.r_base + market.borrowed * c1)
-        denom = 2.0 * c1 * m * m
-        forms = [(beta, denom, beta), (beta - denom * cap, 0.0, cap)]
-    elif isinstance(irm, (KinkedIrmParams, AdaptiveIrmParams)):
-        r_base, r_slope1, r_slope2, u_target = _kinked_form(irm)
-        target_amount = market.supplied * u_target
-        c1 = r_slope1 / (market.supplied * u_target)
-        c2 = r_slope2 / (market.supplied * (1.0 - u_target))
-        headroom = target_amount - market.borrowed  # borrowing room below the kink
-        beta2 = l_max * s - m * (r_base + r_slope1 + (market.borrowed - target_amount) * c2)
-        denom2 = 2.0 * c2 * m * m
-        forms = [(beta2, denom2, beta2), (beta2 - denom2 * cap, 0.0, cap)]
-        if headroom > 0.0:
-            # Below target: the gentle branch, then the plateau pinned at the
-            # kink while lam crosses the jump in marginal cost.
-            beta1 = l_max * s - m * (r_base + market.borrowed * c1)
-            lam1 = l_max * s - m * (r_base + r_slope1 + headroom * c1)
-            lam2 = l_max * s - m * (r_base + r_slope1 + headroom * c2)
-            forms[:1] = [
-                (beta1, 2.0 * c1 * m * m, beta1),
-                (lam1, 0.0, headroom / m),
-                (lam2, denom2, beta2),
-            ]
-    else:
-        raise UnsupportedModelError(f"unknown rate model {type(irm).__name__}")
+    ls = l_max * s
+    beta = ls - k
+    forms = [(beta, denom, beta), (beta - drop, 0.0, cap)]
+    if kink is not None:
+        # Below target: the gentle branch, then the plateau pinned at the
+        # kink while lam crosses the jump in marginal cost.
+        k1, denom1, k_in, plateau, k_out = kink
+        beta1 = ls - k1
+        forms[:1] = [(beta1, denom1, beta1), (ls - k_in, 0.0, plateau), (ls - k_out, denom, beta)]
     pieces = [forms[0]]
     for level, denom, value in forms[1:]:
         if level >= math.nextafter(pieces[-1][0], -math.inf):
@@ -324,6 +334,26 @@ def _response_pieces(
 
 def _piece_at(denom: float, value: float, lam: float) -> float:
     return (value - lam) / denom if denom else value
+
+
+def _response(form: tuple, s: float, lam: float) -> float:
+    """:func:`market_response` of a compiled market."""
+    for level, denom, value in reversed(_pieces(form, s)):
+        if lam < level:
+            return min(_piece_at(denom, value, lam), form[1])
+    return 0.0
+
+
+def _events(form: tuple, s: float) -> list[tuple[float, float, float]]:
+    """:func:`response_events` of a compiled market."""
+    events = []
+    above = (0.0, 0.0)  # the constant zero above the first level
+    for level, denom, value in _pieces(form, s):
+        # The response is monotone, so a negative jump is rounding.
+        jump = _piece_at(denom, value, level) - _piece_at(*above, level)
+        events.append((level, max(0.0, jump), 1.0 / denom if denom else 0.0))
+        above = (denom, value)
+    return events
 
 
 def market_response(market: MarketState, l_max: float, s: float, lam: float) -> float:
@@ -337,14 +367,9 @@ def market_response(market: MarketState, l_max: float, s: float, lam: float) -> 
     is non-increasing in ``lam``. Where it jumps (a flat stretch of the rate
     curve), the value at the breakpoint is the limit from above.
     """
-    _validate_leverage_cap(market, l_max)
     if not math.isfinite(lam):
         raise DomainError(f"lam must be finite, got {lam}")
-    cap = market.available_liquidity / (l_max - 1.0)
-    for level, denom, value in reversed(_response_pieces(market, l_max, s)):
-        if lam < level:
-            return min(_piece_at(denom, value, lam), cap)
-    return 0.0
+    return _response(_compile(market, l_max), s, lam)
 
 
 def response_events(
@@ -358,15 +383,7 @@ def response_events(
     from above; ``slope`` is its gain per unit fall of the rate on the piece
     below ``level``.
     """
-    _validate_leverage_cap(market, l_max)
-    events = []
-    above = (0.0, 0.0)  # the constant zero above the first level
-    for level, denom, value in _response_pieces(market, l_max, s):
-        # The response is monotone, so a negative jump is rounding.
-        jump = _piece_at(denom, value, level) - _piece_at(*above, level)
-        events.append((level, max(0.0, jump), 1.0 / denom if denom else 0.0))
-        above = (denom, value)
-    return events
+    return _events(_compile(market, l_max), s)
 
 
 def advance_adaptive_rate(

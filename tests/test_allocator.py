@@ -295,13 +295,15 @@ class TestBreakpointSweep:
         saturated = math.fsum(market_response(m, 5.0, 0.03, 0.03) for m in markets)
         p = ProblemInstance.uniform(markets, 5.0, 0.03, saturated / 2.0)
         calls = 0
+        evaluate = allocator._response
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return market_response(*args)
+            return evaluate(*args)
 
-        monkeypatch.setattr(allocator, "market_response", counted)
+        # One evaluation per market in the saturated try and one at lambda*.
+        monkeypatch.setattr(allocator, "_response", counted)
         alloc = solve(p)
         assert alloc.regime == UNSATURATED
         assert calls == 2 * len(markets)

@@ -132,6 +132,12 @@ class TestSeriesValidation:
             SnapshotSeries.from_rows((MarketMeta("m", 0.9),), (Snapshot(T0, rate, {"m": ms}),))
         assert err.value.records == [f"t={T0}: {problem}"]
 
+    def test_repeated_market_id_rejected(self):
+        row = Snapshot(T0, 0.03, {"m": MarketSnapshot(10.0, 1.0, 0.02)})
+        with pytest.raises(ValidationError) as err:
+            SnapshotSeries.from_rows((MarketMeta("m", 0.9), MarketMeta("m", 0.9)), (row,))
+        assert err.value.records == ["market m: listed 2 times"]
+
     def test_out_of_order_timestamps_rejected(self):
         snaps = (
             Snapshot(T0 + 3600, 0.03, {"m": MarketSnapshot(10.0, 1.0, 0.02)}),

@@ -110,6 +110,27 @@ class TestOptimize:
                 assert out == ""
                 assert "budget must be positive and finite" in err
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"supplied": math.nan},
+            {"irm": {"kind": "linear", "r_base": math.nan, "r_slope1": 0.04, "u_target": 0.9}},
+            {"irm": {"kind": "kinked", "r_base": 0.0, "r_slope1": 0.04, "r_slope2": math.inf,
+                     "u_target": 0.9}},
+            {"irm": {"kind": "adaptive", "rate_at_target": math.nan, "curve_steepness": 4.0,
+                     "u_target": 0.9, "adjustment_speed": 50.0}},
+        ],
+        ids=["supplied", "linear.r_base", "kinked.r_slope2", "adaptive.rate_at_target"],
+    )
+    def test_non_finite_market_field_exits_2(self, field, capsys):
+        market = json.dumps({**json.loads(MARKET_A), **field})
+        code, out, err = run(
+            ["--json", "optimize", "--budget", "3", "-s", "0.03", "--market", market], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["optimize", "--budget", "3", "--no-such-flag"])
@@ -427,3 +448,39 @@ class TestConfigHandling:
         resolved = json.loads(out)
         assert resolved["smoothing"] == "1h"
         assert "workers" not in resolved
+
+
+class TestJsonFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["optimize", "--market", "[1]"], "--market: expected a JSON object, got list"),
+            (["optimize", "--markets", "[1]"], "--markets: expected a JSON object, got int"),
+            (["optimize", "--market", json.dumps({**json.loads(MARKET_A), "supplied": None})],
+             "--market: supplied must be a number, got NoneType"),
+            (["optimize", "--market", json.dumps({**json.loads(MARKET_A), "irm": [1]})],
+             "--market irm: expected a JSON object, got list"),
+            (["rebalance", "--market", MARKET_A, "--current", '{"exposures": [1], "unleveraged": 3}'],
+             "--current exposures: expected a JSON object, got list"),
+            (["backtest", "--irm", "[1]"], "--irm: expected a JSON object, got list"),
+            (["synth", "--spec", "[1]"], "--spec: expected a JSON object, got list"),
+            (["synth", "--spec", '{"markets": [1]}'],
+             "--spec markets: expected a JSON object, got int"),
+        ],
+        ids=["market", "markets", "market-null-field", "market-irm", "current-exposures",
+             "irm", "spec", "spec-markets"],
+    )
+    def test_json_of_the_wrong_type_exits_2(self, argv, message, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        if argv[0] == "backtest":
+            run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        required = {
+            "optimize": ["--budget", "3", "-s", "0.03"],
+            "rebalance": ["--budget", "3", "-s", "0.03"],
+            "backtest": ["--dataset", str(ds), "--budget", "1"],
+            "synth": ["--out", str(tmp_path / "out")],
+        }
+        code, out, err = run(argv + required[argv[0]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from stakeloop.backtest import (
@@ -161,6 +163,18 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             load_snapshots(directory)
         assert any("out of order" in rec for rec in err.value.records)
+
+    def test_market_listed_twice_rejected(self, tmp_path):
+        def corrupt(directory):
+            path = directory / "manifest.json"
+            raw = json.loads(path.read_text())
+            raw["markets"].append(raw["markets"][0])
+            path.write_text(json.dumps(raw))
+
+        directory = self._write(tmp_path, corrupt)
+        with pytest.raises(ValidationError) as err:
+            load_snapshots(directory)
+        assert err.value.records == ["market m: listed 2 times"]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):

@@ -73,6 +73,38 @@ class TestConstruction:
         with pytest.raises(DomainError):
             MarketState("x", 100.0, 10.0, 1.0, LINEAR)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: LinearIrmParams(v, 0.04, 0.9),
+            lambda v: LinearIrmParams(0.01, v, 0.9),
+            lambda v: LinearIrmParams(0.01, 0.04, v),
+            lambda v: KinkedIrmParams(v, 0.04, 0.6, 0.9),
+            lambda v: KinkedIrmParams(0.01, v, 0.6, 0.9),
+            lambda v: KinkedIrmParams(0.01, 0.04, v, 0.9),
+            lambda v: AdaptiveIrmParams(v, 4.0, 0.9, 50.0, 0.0, 0.9),
+            lambda v: AdaptiveIrmParams(0.04, v, 0.9, 50.0, 0.0, 0.9),
+            lambda v: AdaptiveIrmParams(0.04, 4.0, v, 50.0, 0.0, 0.9),
+            lambda v: AdaptiveIrmParams(0.04, 4.0, 0.9, v, 0.0, 0.9),
+            lambda v: AdaptiveIrmParams(0.04, 4.0, 0.9, 50.0, v, 0.9),
+            lambda v: AdaptiveIrmParams(0.04, 4.0, 0.9, 50.0, 0.0, v),
+            lambda v: MarketState("x", v, 10.0, 0.9, LINEAR),
+            lambda v: MarketState("x", 100.0, v, 0.9, LINEAR),
+            lambda v: MarketState("x", 100.0, 10.0, v, LINEAR),
+        ],
+        ids=[
+            "linear.r_base", "linear.r_slope1", "linear.u_target",
+            "kinked.r_base", "kinked.r_slope1", "kinked.r_slope2",
+            "adaptive.rate_at_target", "adaptive.curve_steepness", "adaptive.u_target",
+            "adaptive.adjustment_speed", "adaptive.t_last", "adaptive.u_last",
+            "market.supplied", "market.borrowed", "market.max_ltv",
+        ],
+    )
+    def test_non_finite_field_rejected(self, build, bad):
+        with pytest.raises(DomainError):
+            build(bad)
+
 
 class TestBorrowRate:
     def test_linear_rate_at_target(self):

@@ -1,6 +1,6 @@
-"""Property-based checks of the market responses and the allocator on random
-mixed instances, and of smoothing, dataset round trips and per-step equity
-conservation on random series."""
+"""Property-based checks of the market responses, the allocator and the
+fee-aware rebalancer on random mixed instances, and of smoothing, dataset
+round trips and per-step equity conservation on random series."""
 
 from __future__ import annotations
 
@@ -14,7 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import window_means
-from stakeloop.allocator import ProblemInstance, _solve, expected_yield, solve, verify_kkt
+from stakeloop.allocator import (
+    Allocation,
+    ProblemInstance,
+    _solve,
+    expected_yield,
+    solve,
+    verify_kkt,
+)
 from stakeloop.backtest import (
     DYNAMIC,
     FIXED_FREQUENCY,
@@ -35,7 +42,7 @@ from stakeloop.irm import (
     market_response,
     response_events,
 )
-from stakeloop.rebalance import FeeModel
+from stakeloop.rebalance import DECREASE, INCREASE, FeeModel, solve_with_fees, total_collateral
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 T0 = 1735689600
@@ -139,6 +146,52 @@ def test_solve_at_a_shifted_rate_keeps_the_instance(p, offset):
     assert alloc.regime == rebuilt.regime
     # ...but the yield is priced at the instance's own rate.
     assert alloc.expected_yield == expected_yield(alloc, p)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(instances(max_n=20), st.floats(1e-3, 1.0))
+def test_solved_value_is_nondecreasing_and_concave_in_the_budget(p, step):
+    budgets = [p.budget * (1.0 + k * step) for k in range(3)]
+    low, mid, high = (solve(replace(p, budget=b)).expected_yield for b in budgets)
+    # Rounding in cash flows of the order of budget * l_max.
+    tol = 1e-12 * budgets[-1] * max(p.l_max)
+    assert low <= mid + tol
+    assert mid <= high + tol
+    assert (low + high) / 2.0 <= mid + tol
+
+
+@st.composite
+def positions(draw, p: ProblemInstance) -> Allocation:
+    """A holding of the instance's budget within every market's liquidity."""
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(len(p.markets) + 1)]
+    total = sum(weights) or 1.0
+    exposures = [
+        min(w / total * p.budget, market.available_liquidity / (l_max - 1.0))
+        for w, market, l_max in zip(weights, p.markets, p.l_max)
+    ]
+    return Allocation.from_position(p.market_ids, exposures, p.budget - sum(exposures))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_fee_aware_direction_matches_the_collateral_move(data):
+    p = data.draw(instances(max_n=20))
+    current = data.draw(positions(p))
+    fees = FeeModel(
+        data.draw(st.floats(0.0, 0.01)),
+        data.draw(st.floats(0.0, 0.01)),
+        data.draw(st.floats(1.0, 30.0)) / 365.0,
+    )
+    plan = solve_with_fees(p, current, fees)
+    # Collateral within rounding of the current total is a tie, not a move.
+    tie = total_collateral(current, p.l_max) + 1e-12 * p.budget * max(p.l_max)
+    after = total_collateral(plan.target, p.l_max)
+    if plan.direction == INCREASE:
+        assert after > tie
+    elif plan.direction == DECREASE:
+        assert after <= tie
+    else:
+        assert plan.target is current and plan.cost == 0.0
 
 
 @st.composite

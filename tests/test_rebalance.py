@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from stakeloop import allocator, rebalance
 from stakeloop.allocator import Allocation, ProblemInstance, solve
 from stakeloop.errors import DomainError
 from stakeloop.irm import LinearIrmParams, MarketState
@@ -178,6 +179,26 @@ class TestSolveWithFees:
         assert total_collateral(nudged, p.l_max) < 15.0
         for current in (position(p, [3.0, 0.0], 0.0), nudged):
             assert solve_with_fees(p, current, fees).direction == DECREASE
+
+    def test_both_fee_shifted_solves_share_one_compile_per_market(self, monkeypatch):
+        compiled, solves = [], []
+        compile_market, solve_at = allocator._compile, rebalance._solve
+
+        def counted_compile(market, l_max):
+            compiled.append(market.market_id)
+            return compile_market(market, l_max)
+
+        def counted_solve(p, s):
+            solves.append(s)
+            return solve_at(p, s)
+
+        monkeypatch.setattr(allocator, "_compile", counted_compile)
+        monkeypatch.setattr(rebalance, "_solve", counted_solve)
+        p = instance(3.0, s=0.001)
+        plan = solve_with_fees(p, position(p, [3.0, 0.0], 0.0), FeeModel(0.0, 0.00001, DAY))
+        assert plan.direction == DECREASE
+        assert len(solves) == 2  # the increase branch, then the decrease branch
+        assert compiled == ["A", "B"]
 
     def test_net_gain_rate_accounts_for_cost(self):
         # long horizon so the amortized exit fee still leaves the pure-staking
