@@ -19,7 +19,8 @@ all events above the staking rate once and sweeps down from the highest,
 keeping running totals of the summed response and its slope, and stops at
 the piece or the jump where the total reaches the budget. Inside a piece
 ``lambda_star`` has a closed form; on a jump it is the breakpoint itself and
-the jumping markets share what is left.
+the jumping markets share what is left. Where the summed response passes the
+budget between two adjacent floats, the exposures mix the responses at both.
 """
 
 from __future__ import annotations
@@ -337,6 +338,9 @@ def _solve(p: ProblemInstance, s: float) -> Allocation:
     ]
     if open_markets:
         exposures[max(open_markets, key=slopes.__getitem__)] += left
+    # More than rounding left over: no float shadow rate spends the budget.
+    if abs(p.budget - math.fsum(exposures)) > _REL_BUDGET_TOL * max(1.0, p.budget):
+        lam_star, exposures = _between_floats(p, s)
     return Allocation(
         market_ids=p.market_ids,
         exposures=tuple(exposures),
@@ -345,6 +349,31 @@ def _solve(p: ProblemInstance, s: float) -> Allocation:
         expected_yield=_position_yield(exposures, 0.0, p),
         regime=UNSATURATED,
     )
+
+
+def _between_floats(p: ProblemInstance, s: float) -> tuple[float, list[float]]:
+    """``(lambda_star, exposures)`` when no float shadow rate spends the budget.
+
+    A response's slope is ``1/(2c(l_max-1)^2)``; with a leverage cap a hair
+    above 1 it moves by more than the budget per ulp of the shadow rate, and
+    the summed response jumps past the budget between two adjacent floats.
+    Bisection finds such floats ``lo < hi``, the summed response at least the
+    budget at ``lo`` and below it at ``hi``. The exposures mix the two
+    responses with the weights that spend the budget, so every market's
+    marginal value lies between ``lo`` and ``hi``.
+    """
+    lo = s
+    hi = max(level for form in p._forms for level, _, _ in _events(form, s)[:1])
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        if math.fsum(_responses(p, s, mid)) >= p.budget:
+            lo = mid
+        else:
+            hi = mid
+    at_lo, at_hi = _responses(p, s, lo), _responses(p, s, hi)
+    # Each weight comes from its own difference, so neither loses digits to 1 - w.
+    over, under = math.fsum(at_lo) - p.budget, p.budget - math.fsum(at_hi)
+    w_lo, w_hi = under / (over + under), over / (over + under)
+    return lo, [w_lo * a + w_hi * b for a, b in zip(at_lo, at_hi)]
 
 
 def _linear_coefficients(market: MarketState, form: tuple, s: float) -> tuple[float, float]:
@@ -367,7 +396,8 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
 
     Markets are sorted by marginal value at zero exposure; the active set is
     the smallest prefix whose fill thresholds bracket the budget, and the
-    shadow rate follows in closed form.
+    shadow rate follows in closed form. Raises ``UnsupportedModelError`` when
+    a market's liquidity cap would bind, since the closed form ignores caps.
     """
     coeffs = [
         _linear_coefficients(market, form, p.staking_rate)
@@ -399,6 +429,12 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
     exposures = [0.0] * n
     for rank in range(active):
         exposures[order[rank]] = alphas[rank] * max(betas[rank] - lam_star, 0.0)
+    for x, market, form in zip(exposures, p.markets, p._forms):
+        if x > form[1]:
+            raise UnsupportedModelError(
+                f"market {market.market_id} caps its exposure at {form[1]} below the "
+                f"closed form's {x}; the closed form needs no binding liquidity cap"
+            )
     alloc = Allocation(
         market_ids=p.market_ids,
         exposures=tuple(exposures),

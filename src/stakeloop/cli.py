@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,11 +35,13 @@ def _sig(value: float, digits: int = 6) -> str:
 def _parse_duration(text: str) -> int:
     """Durations like 1h, 4h, 1d, or plain seconds."""
     text = text.strip().lower()
-    if text.endswith("h"):
-        return int(float(text[:-1]) * SECONDS_PER_HOUR)
-    if text.endswith("d"):
-        return int(float(text[:-1]) * SECONDS_PER_DAY)
-    return int(text)
+    unit = {"h": SECONDS_PER_HOUR, "d": SECONDS_PER_DAY}.get(text[-1:])
+    if unit is None:
+        return int(text)
+    seconds = float(text[:-1]) * unit
+    if not math.isfinite(seconds):
+        raise DataError(f"duration {text} is not finite")
+    return int(seconds)
 
 
 def _load_json_arg(text: str) -> dict:

@@ -317,8 +317,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if not self.markets:
             raise DomainError("at least one synthetic market is required")
-        if self.days <= 0.0 or self.cadence_seconds <= 0:
-            raise DomainError("days and cadence must be positive")
+        if not 0.0 < self.days < math.inf or self.cadence_seconds <= 0:
+            raise DomainError("days must be positive and finite, and cadence positive")
         if self.staking_rate < 0.0:
             raise DomainError("staking_rate must be non-negative")
 

@@ -34,6 +34,20 @@ from .units import SECONDS_PER_YEAR
 # Every check below is written so that NaN fails it, as NaN fails every
 # comparison: a field must pass a test, not merely dodge one.
 
+# Each rate model states its curve once, when built: ``(r0, scale, u_target,
+# below, above)``. A branch ``(a, u0, w, b)`` gives the rate
+# ``scale*(a + (u - u0)/w*b)`` at utilization ``u``; ``below`` applies under
+# ``u_target``, else ``above``, and a one-slope curve has both be the same
+# object. ``r0`` is the rate at zero utilization. Each curve gives its
+# model's own formula float for float: IEEE ``+`` and ``*`` commute,
+# ``u - 0.0 == u`` and ``1.0*x == x``.
+
+
+def _adaptive_curve(rate_at_target: float, steepness: float, u_target: float) -> tuple:
+    below = (1.0, u_target, u_target, 1.0 - 1.0 / steepness)
+    above = (1.0, u_target, 1.0 - u_target, steepness - 1.0)
+    return rate_at_target / steepness, rate_at_target, u_target, below, above
+
 
 @dataclass(frozen=True)
 class LinearIrmParams:
@@ -49,6 +63,8 @@ class LinearIrmParams:
             raise DomainError(f"u_target must be in (0, 1), got {self.u_target}")
         if not (0.0 <= self.r_base < math.inf and 0.0 <= self.r_slope1 < math.inf):
             raise DomainError("r_base and r_slope1 must be non-negative and finite")
+        branch = (self.r_base, 0.0, self.u_target, self.r_slope1)
+        object.__setattr__(self, "_curve", (self.r_base, 1.0, self.u_target, branch, branch))
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,9 @@ class KinkedIrmParams:
                 f"r_slope1={self.r_slope1} must be below "
                 f"u_target/(1-u_target)*r_slope2={bound}"
             )
+        below = (self.r_base, 0.0, self.u_target, self.r_slope1)
+        above = (self.r_base + self.r_slope1, self.u_target, 1.0 - self.u_target, self.r_slope2)
+        object.__setattr__(self, "_curve", (self.r_base, 1.0, self.u_target, below, above))
 
 
 @dataclass(frozen=True)
@@ -118,6 +137,8 @@ class AdaptiveIrmParams:
             raise DomainError(f"t_last must be finite, got {self.t_last}")
         if not 0.0 <= self.u_last <= 1.0:
             raise DomainError(f"u_last must be in [0, 1], got {self.u_last}")
+        curve = _adaptive_curve(self.rate_at_target, self.curve_steepness, self.u_target)
+        object.__setattr__(self, "_curve", curve)
 
 
 IrmParams = Union[LinearIrmParams, KinkedIrmParams, AdaptiveIrmParams]
@@ -140,6 +161,7 @@ class MarketState:
             raise DomainError(f"borrowed {self.borrowed} outside [0, supplied {self.supplied}]")
         if not 0.0 < self.max_ltv < 1.0:
             raise DomainError(f"max_ltv must be in (0, 1), got {self.max_ltv}")
+        _curve_of(self.irm)
 
     @property
     def utilization(self) -> float:
@@ -150,38 +172,38 @@ class MarketState:
         return self.supplied - self.borrowed
 
 
-def utilization_error(u: float, u_target: float) -> float:
-    """Signed distance from target, normalized to [-1, 1] on each side."""
-    if u < u_target:
-        return (u - u_target) / u_target
-    return (u - u_target) / (1.0 - u_target)
+def _curve_of(irm: IrmParams) -> tuple:
+    """The curve of a rate model; any other object is refused."""
+    try:
+        return irm._curve
+    except AttributeError:
+        raise UnsupportedModelError(f"unknown rate model {type(irm).__name__}") from None
+
+
+def _rate(curve: tuple, u: float) -> float:
+    _, scale, u_target, below, above = curve
+    a, u0, w, b = below if u < u_target else above
+    return scale * (a + (u - u0) / w * b)
 
 
 def adaptive_curve_factor(u: float, u_target: float, curve_steepness: float) -> float:
     """Multiplier applied to rate_at_target: 1/steepness at u=0, 1 at target,
     steepness at u=1."""
-    err = utilization_error(u, u_target)
-    if u < u_target:
-        return (1.0 - 1.0 / curve_steepness) * err + 1.0
-    return (curve_steepness - 1.0) * err + 1.0
+    return _rate(_adaptive_curve(1.0, curve_steepness, u_target), u)
 
 
-def _kinked_form(
-    irm: KinkedIrmParams | AdaptiveIrmParams,
-) -> tuple[float, float, float, float]:
+def _kinked_form(curve: tuple) -> tuple[float, float, float, float]:
     """``(r_base, r_slope1, r_slope2, u_target)`` of the kinked curve equal to
-    ``irm`` (at a frozen controller state when ``irm`` is adaptive)."""
-    if isinstance(irm, KinkedIrmParams):
-        return irm.r_base, irm.r_slope1, irm.r_slope2, irm.u_target
-    r_t = irm.rate_at_target
-    steep = irm.curve_steepness
-    return r_t / steep, r_t * (1.0 - 1.0 / steep), r_t * (steep - 1.0), irm.u_target
+    a two-branch ``curve`` (at a frozen controller state when the model is
+    adaptive). ``r_base`` holds for a one-branch curve too."""
+    r0, scale, u_target, below, above = curve
+    return r0, scale * below[3], scale * above[3], u_target
 
 
 def kinked_equivalent(irm: AdaptiveIrmParams) -> KinkedIrmParams:
     """Kinked parameterization producing the same rate curve as ``irm`` at a
     frozen controller state."""
-    return KinkedIrmParams(*_kinked_form(irm))
+    return KinkedIrmParams(*_kinked_form(_curve_of(irm)))
 
 
 def _check_pool_amounts(supplied: float, borrowed: float, delta_borrow: float) -> float:
@@ -211,36 +233,14 @@ def borrow_rate(
     Continuous and non-decreasing in ``delta_borrow``; raises
     ``LiquidityExceededError`` when the post-trade utilization would exceed 1.
     """
-    total = _check_pool_amounts(supplied, borrowed, delta_borrow)
-    u = total / supplied
-    if isinstance(irm, LinearIrmParams):
-        return irm.r_base + u / irm.u_target * irm.r_slope1
-    if isinstance(irm, KinkedIrmParams):
-        if u < irm.u_target:
-            return irm.r_base + u / irm.u_target * irm.r_slope1
-        return (
-            irm.r_base
-            + irm.r_slope1
-            + (u - irm.u_target) / (1.0 - irm.u_target) * irm.r_slope2
-        )
-    if isinstance(irm, AdaptiveIrmParams):
-        factor = adaptive_curve_factor(u, irm.u_target, irm.curve_steepness)
-        return irm.rate_at_target * factor
-    raise UnsupportedModelError(f"unknown rate model {type(irm).__name__}")
+    curve = _curve_of(irm)
+    return _rate(curve, _check_pool_amounts(supplied, borrowed, delta_borrow) / supplied)
 
 
-def _slopes(irm: IrmParams, supplied: float) -> tuple[float, float]:
+def _slopes(curve: tuple, supplied: float) -> tuple[float, float]:
     """Rate-per-borrowed-unit slopes (below target, above target)."""
-    if isinstance(irm, LinearIrmParams):
-        c = irm.r_slope1 / (supplied * irm.u_target)
-        return c, c
-    if isinstance(irm, (KinkedIrmParams, AdaptiveIrmParams)):
-        _, r_slope1, r_slope2, u_target = _kinked_form(irm)
-        return (
-            r_slope1 / (supplied * u_target),
-            r_slope2 / (supplied * (1.0 - u_target)),
-        )
-    raise UnsupportedModelError(f"unknown rate model {type(irm).__name__}")
+    _, scale, _, (_, _, w1, b1), (_, _, w2, b2) = curve
+    return scale * b1 / (supplied * w1), scale * b2 / (supplied * w2)
 
 
 def marginal_cost_subgradient(
@@ -252,20 +252,18 @@ def marginal_cost_subgradient(
     interval is degenerate (lo == hi) wherever the rate curve is smooth and
     spans the left/right derivatives exactly at the kink.
     """
+    curve = _curve_of(irm)
     total = _check_pool_amounts(supplied, borrowed, borrow_amount)
-    rate = borrow_rate(irm, supplied, borrowed, borrow_amount)
-    lo_slope, hi_slope = _slopes(irm, supplied)
-    if isinstance(irm, LinearIrmParams):
-        return (rate + borrow_amount * lo_slope, rate + borrow_amount * lo_slope)
-    target_amount = supplied * irm.u_target
+    rate = _rate(curve, total / supplied)
+    lo_slope, hi_slope = _slopes(curve, supplied)
+    target_amount = supplied * curve[2]
     # Amounts derived from the kink exposure can miss it by a few ulps; treat
     # anything that close as sitting on the kink.
     kink_snap = 1e-12 * max(1.0, target_amount)
+    lo, hi = rate + borrow_amount * lo_slope, rate + borrow_amount * hi_slope
     if abs(total - target_amount) <= kink_snap:
-        return (rate + borrow_amount * lo_slope, rate + borrow_amount * hi_slope)
-    if total < target_amount:
-        return (rate + borrow_amount * lo_slope, rate + borrow_amount * lo_slope)
-    return (rate + borrow_amount * hi_slope, rate + borrow_amount * hi_slope)
+        return lo, hi
+    return (lo, lo) if total < target_amount else (hi, hi)
 
 
 def _compile(market: MarketState, l_max: float) -> tuple:
@@ -284,19 +282,17 @@ def _compile(market: MarketState, l_max: float) -> tuple:
         )
     m = l_max - 1.0
     cap = market.available_liquidity / m
-    irm, borrowed = market.irm, market.borrowed
-    c1, c2 = _slopes(irm, market.supplied)
-    kink = None
-    if isinstance(irm, LinearIrmParams):
-        k, c = m * (irm.r_base + borrowed * c1), c1
-    else:
-        r_base, r_slope1, _, u_target = _kinked_form(irm)
+    curve, borrowed = market.irm._curve, market.borrowed
+    c1, c2 = _slopes(curve, market.supplied)
+    r0, r_slope1, _, u_target = _kinked_form(curve)
+    k, c, kink = m * (r0 + borrowed * c1), c1, None
+    if curve[3] is not curve[4]:  # a kink at target
         headroom = market.supplied * u_target - borrowed
         if headroom > 0.0:
-            k_in = m * (r_base + r_slope1 + headroom * c1)
-            k_out = m * (r_base + r_slope1 + headroom * c2)
-            kink = (m * (r_base + borrowed * c1), 2.0 * c1 * m * m, k_in, headroom / m, k_out)
-        k, c = m * (r_base + r_slope1 - headroom * c2), c2
+            k_in = m * (r0 + r_slope1 + headroom * c1)
+            k_out = m * (r0 + r_slope1 + headroom * c2)
+            kink = (k, 2.0 * c1 * m * m, k_in, headroom / m, k_out)
+        k, c = m * (r0 + r_slope1 - headroom * c2), c2
     denom = 2.0 * c * m * m
     return l_max, cap, k, denom, denom * cap, kink
 
@@ -400,7 +396,9 @@ def advance_adaptive_rate(
     if not 0.0 <= u_now <= 1.0:
         raise DomainError(f"u_now must be in [0, 1], got {u_now}")
     elapsed_years = (t_now - irm.t_last) / SECONDS_PER_YEAR
-    err = utilization_error(irm.u_last, irm.u_target)
+    _, _, u_target, below, above = irm._curve
+    _, u0, w, _ = below if irm.u_last < u_target else above
+    err = (irm.u_last - u0) / w
     factor = math.exp(irm.adjustment_speed * err * elapsed_years)
     return replace(
         irm,

@@ -41,8 +41,10 @@ class FeeModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma_plus < 1.0 or not 0.0 <= self.gamma_minus < 1.0:
             raise DomainError("fee rates must be in [0, 1)")
-        if self.horizon_years <= 0.0:
-            raise DomainError(f"horizon_years must be positive, got {self.horizon_years}")
+        if not 0.0 < self.horizon_years < math.inf:
+            raise DomainError(
+                f"horizon_years must be positive and finite, got {self.horizon_years}"
+            )
         # The fee per year shifts the staking rate, which must stay finite.
         if not math.isfinite(max(self.gamma_plus, self.gamma_minus) / self.horizon_years):
             raise DomainError(f"fees over horizon_years={self.horizon_years} are not finite per year")

@@ -247,6 +247,20 @@ class TestBreakpointSweep:
         assert alloc.exposures == pytest.approx((2.8125, 7.1875), abs=1e-12)
         assert_exact_optimum(alloc, p)
 
+    def test_spends_the_budget_when_no_float_shadow_rate_does(self):
+        # At l_max = 1 + 2**-50 a response moves by about 1e17 per unit of
+        # lambda, so one ulp of lambda jumps the summed response past the
+        # budget.
+        markets = [
+            MarketState("A", 10000.0, 1000.0, 0.9, LinearIrmParams(0.02, 0.082, 0.9)),
+            MarketState("B", 1000.0, 0.0, 0.9, LinearIrmParams(0.044, 0.019, 0.9)),
+        ]
+        p = ProblemInstance.uniform(markets, 1.0 + 2.0**-50, 0.055, 10.0)
+        alloc = solve(p)
+        assert alloc.regime == UNSATURATED
+        assert math.fsum(alloc.exposures) == pytest.approx(10.0, rel=1e-12)
+        assert verify_kkt(alloc, p, 1e-8).passed
+
     def test_crossing_below_a_cap_breakpoint(self):
         # F is near flat and small: it enters at 0.198 and is capped at
         # 1 by 0.1971. The budget leaves LIN_A alone on the margin, at
@@ -373,6 +387,18 @@ class TestWaterfilling:
         p = ProblemInstance.uniform([KINK], 5.0, 0.03, 1.0)
         with pytest.raises(UnsupportedModelError):
             solve_waterfilling_linear(p)
+
+    def test_rejects_a_binding_liquidity_cap(self):
+        # A is nearly drained: its cap of 0.25 binds well below the closed
+        # form's exposure, which would price a borrow beyond the pool.
+        tight = MarketState("A", 1000.0, 999.0, 0.945, LinearIrmParams(0.0, 0.001, 0.9))
+        roomy = MarketState("B", 100.0, 0.0, 0.945, LinearIrmParams(0.01, 0.04, 0.9))
+        p = ProblemInstance.uniform([tight, roomy], 5.0, 0.03, 2.0)
+        with pytest.raises(UnsupportedModelError, match="market A"):
+            waterfilling_detail(p)
+        alloc = solve(p)
+        assert alloc.exposures == pytest.approx((0.25, 1.75))
+        assert verify_kkt(alloc, p, 1e-9).passed
 
 
 class TestYield:

@@ -450,6 +450,34 @@ class TestConfigHandling:
         assert "workers" not in resolved
 
 
+class TestNonFiniteDurations:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["backtest", "--frequency", "infh"],
+            ["backtest", "--frequency", "1e400d"],
+            ["backtest", "--smoothing", "infd"],
+            ["synth", "--spec", '{"markets": [{"market_id": "a"}], "days": Infinity}'],
+            ["rebalance", "--market", MARKET_A, "--current",
+             '{"exposures": {"A": 0.0}, "unleveraged": 3.0}',
+             "--gamma-plus", "0.01", "--horizon-days", "inf"],
+        ],
+        ids=["frequency-inf", "frequency-overflow", "smoothing-inf", "synth-days", "horizon"],
+    )
+    def test_exits_2(self, argv, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        required = {
+            "backtest": ["--dataset", str(ds), "--budget", "1"],
+            "synth": ["--out", str(tmp_path / "out")],
+            "rebalance": ["--budget", "3", "-s", "0.03"],
+        }
+        code, out, err = run(argv + required[argv[0]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestJsonFlags:
     @pytest.mark.parametrize(
         "argv, message",

@@ -10,6 +10,7 @@ from stakeloop.errors import (
     ConstraintError,
     DomainError,
     LiquidityExceededError,
+    UnsupportedModelError,
 )
 from stakeloop.irm import (
     AdaptiveIrmParams,
@@ -72,6 +73,15 @@ class TestConstruction:
             MarketState("x", 100.0, 101.0, 0.9, LINEAR)
         with pytest.raises(DomainError):
             MarketState("x", 100.0, 10.0, 1.0, LINEAR)
+
+    def test_market_state_refuses_an_unknown_rate_model(self):
+        with pytest.raises(UnsupportedModelError):
+            MarketState("x", 100.0, 10.0, 0.9, object())
+
+    @pytest.mark.parametrize("reader", [borrow_rate, marginal_cost_subgradient])
+    def test_rate_readers_refuse_an_unknown_rate_model(self, reader):
+        with pytest.raises(UnsupportedModelError):
+            reader(object(), 100.0, 10.0, 5.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize(

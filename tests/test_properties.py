@@ -5,6 +5,7 @@ round trips and per-step equity conservation on random series."""
 from __future__ import annotations
 
 import math
+import random
 import tempfile
 import warnings
 from dataclasses import replace
@@ -13,7 +14,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import window_means
+from oracles import oracle_rate, window_means
 from stakeloop.allocator import (
     Allocation,
     ProblemInstance,
@@ -39,6 +40,7 @@ from stakeloop.irm import (
     KinkedIrmParams,
     LinearIrmParams,
     MarketState,
+    borrow_rate,
     market_response,
     response_events,
 )
@@ -78,6 +80,27 @@ def markets(draw, index: int) -> MarketState:
             u_last=utilization,
         )
     return MarketState(f"m{index}", supplied, supplied * utilization, 0.945, irm)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    markets(0),
+    st.sampled_from(("zero", "below target", "target", "above target", "full")),
+    st.integers(-10, 30),
+)
+def test_borrow_rate_matches_the_oracle_at_the_breakpoints(market, point, log2_supplied):
+    u_target = market.irm.u_target
+    u = {
+        "zero": 0.0,
+        "below target": math.nextafter(u_target, 0.0),
+        "target": u_target,
+        "above target": math.nextafter(u_target, 1.0),
+        "full": 1.0,
+    }[point]
+    # Over a power-of-two pool, borrowed / supplied gives u back exactly.
+    supplied = 2.0**log2_supplied
+    expected = oracle_rate(market.irm, supplied, u * supplied)
+    assert abs(borrow_rate(market.irm, supplied, u * supplied) - expected) <= 1e-15 * expected
 
 
 @st.composite
@@ -276,6 +299,55 @@ def test_equity_is_conserved_at_every_step(data):
             data.draw(st.floats(1.0, 30.0)) / 365.0,
         ),
         smoothing_window=data.draw(st.one_of(st.just(0), st.integers(cadence, SECONDS_PER_DAY))),
+        irm=LinearIrmParams(0.0, data.draw(st.floats(0.0, 0.2)), 0.9),  # for non-adaptive markets
+    )
+    steps = run_backtest(x, cfg).steps
+    for a, b in zip(steps, steps[1:]):
+        expected = a.equity + a.staking_accrued - a.interest_paid - a.fees_paid
+        assert abs(b.equity - expected) <= 1e-9 * max(1.0, abs(b.equity))
+
+
+@st.composite
+def wide_series(draw) -> SnapshotSeries:
+    """A few jittered hourly steps over 100 to 300 markets, half of them
+    adaptive. The values come from one drawn seed: drawing each one, as
+    :func:`series` does, overruns hypothesis' data buffer at this width."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    metas = tuple(
+        MarketMeta(f"m{i}", rng.uniform(0.5, 0.95)) for i in range(draw(st.integers(100, 300)))
+    )
+    adaptive = [rng.random() < 0.5 for _ in metas]
+    snaps = []
+    ts = T0
+    for _ in range(draw(st.integers(3, 6))):
+        markets = {}
+        for meta, is_adaptive in zip(metas, adaptive):
+            supplied = rng.uniform(1.0, 1e4)
+            markets[meta.market_id] = MarketSnapshot(
+                supplied=supplied,
+                borrowed=supplied * rng.random(),
+                borrow_rate=rng.uniform(0.0, 0.5),
+                rate_at_target=rng.uniform(1e-6, 0.5) if is_adaptive else None,
+            )
+        snaps.append(Snapshot(ts, rng.uniform(0.0, 0.2), markets))
+        ts += SECONDS_PER_HOUR + rng.randint(-600, 600)
+    return SnapshotSeries.from_rows(metas, snaps)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_equity_is_conserved_at_every_step_with_hundreds_of_markets(data):
+    x = data.draw(wide_series())
+    cfg = BacktestConfig(
+        budget=10.0 ** data.draw(st.floats(-3.0, 7.0)),
+        l_max=data.draw(
+            st.floats(1.0, min(1.0 / (1.0 - m.max_ltv) for m in x.markets), exclude_min=True)
+        ),
+        rebalance_frequency=x.cadence_seconds,
+        strategy=data.draw(st.sampled_from((FIXED_FREQUENCY, DYNAMIC))),
+        threshold=data.draw(st.floats(0.0, 0.01)),
+        # Fees small enough over the horizon that a wide replay does rebalance.
+        fees=FeeModel(data.draw(st.floats(0.0, 1e-4)), data.draw(st.floats(0.0, 1e-4)), 30 / 365.0),
         irm=LinearIrmParams(0.0, data.draw(st.floats(0.0, 0.2)), 0.9),  # for non-adaptive markets
     )
     steps = run_backtest(x, cfg).steps
