@@ -41,6 +41,7 @@ ADAPTIVE_ADJUSTMENT_SPEED = 50.0  # 1/year
 class MarketMeta:
     market_id: str
     max_ltv: float
+    creation_date: str = ""
 
     def __post_init__(self) -> None:
         if not 0.0 < self.max_ltv < 1.0:
@@ -104,7 +105,8 @@ class SnapshotSeries:
     def _problems(self, where: Callable[[int, int | None], str]) -> list[str]:
         """The record check: distinct market ids, increasing timestamps and
         finite values, with supplied > 0, borrowed in [0, supplied], no
-        negative rate and a positive rate-at-target."""
+        negative rate and a positive rate-at-target at every snapshot or at
+        none."""
         ts = self.timestamps
         ids = Counter(m.market_id for m in self.markets)
         problems = [f"market {mid}: listed {count} times" for mid, count in ids.items() if count > 1]
@@ -115,7 +117,13 @@ class SnapshotSeries:
                 bad = "negative staking rate" if s < 0.0 else f"staking_rate {s} is not finite"
                 problems.append(f"{where(k, None)}: {bad}")
         per_market = (self.supplied, self.borrowed, self.borrow_rate, self.rate_at_target)
-        for i, (_, *columns, targets) in enumerate(zip(self.markets, *per_market, strict=True)):
+        for i, (meta, *columns, targets) in enumerate(zip(self.markets, *per_market, strict=True)):
+            if targets is not None and None in targets:
+                problems.append(
+                    f"market {meta.market_id}: rate_at_target present in "
+                    f"{len(targets) - targets.count(None)} of {len(targets)} snapshots; "
+                    "must be all or none"
+                )
             records = zip(ts, *columns, targets or (None,) * len(ts), strict=True)
             for k, (_, s, b, r, t) in enumerate(records):
                 # NaN fails every comparison, so only good records pass this test.
@@ -144,7 +152,6 @@ class SnapshotSeries:
         def columns(name: str) -> tuple:
             return tuple(tuple(getattr(ms, name) for ms in c) for c in records)
 
-        targets = zip(markets, columns("rate_at_target"))
         return cls(
             markets=tuple(markets),
             timestamps=tuple(row.timestamp for row in rows),
@@ -152,7 +159,7 @@ class SnapshotSeries:
             supplied=columns("supplied"),
             borrowed=columns("borrowed"),
             borrow_rate=columns("borrow_rate"),
-            rate_at_target=tuple(_optional_column(m.market_id, c) for m, c in targets),
+            rate_at_target=tuple(map(_optional_column, columns("rate_at_target"))),
         )
 
     @property
@@ -191,15 +198,9 @@ class _Rows(Sequence):
         return Snapshot(x.timestamps[k], x.staking_rates[k], markets)
 
 
-def _optional_column(market_id: str, values: tuple) -> tuple | None:
-    """A rate-at-target column, recorded at every timestamp or at none."""
-    present = sum(v is not None for v in values)
-    if 0 < present < len(values):
-        raise ValidationError(
-            f"market {market_id}: rate_at_target present in {present} of "
-            f"{len(values)} snapshots; must be all or none"
-        )
-    return values if present else None
+def _optional_column(values: tuple) -> tuple | None:
+    """A rate-at-target column, or ``None`` when no snapshot records one."""
+    return None if all(v is None for v in values) else values
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,12 @@ def apy(equity_curve: Sequence[tuple[int, float]]) -> float:
     if t1 <= t0:
         raise DomainError("equity curve must span positive time")
     years = (t1 - t0) / SECONDS_PER_YEAR
-    return (v1 / v0) ** (1.0 / years) - 1.0
+    try:
+        return (v1 / v0) ** (1.0 / years) - 1.0
+    except OverflowError:
+        raise DomainError(
+            f"growth factor {v1 / v0!r} over {t1 - t0} s overflows when annualized"
+        ) from None
 
 
 def market_state_at(

@@ -124,46 +124,50 @@ def _print_allocation(alloc: Allocation, p: ProblemInstance, args) -> None:
     print(f"kkt             {'pass' if report.passed else 'FAIL'} (tol {report.tol:g})")
 
 
-def _cmd_optimize(args) -> int:
+def _problem_from_args(args) -> ProblemInstance:
     markets = _markets_from_args(args)
     if args.staking_rate is None:
         raise StakeloopError("--staking-rate is required")
-    p = ProblemInstance.uniform(
-        markets, args.l_max, args.staking_rate, budget=args.budget
-    )
-    wants_plan = args.current is not None
-    if args.command == "rebalance" and not wants_plan:
-        raise StakeloopError("rebalance requires --current")
-    if wants_plan:
-        raw = _object(_load_json_arg(args.current), "--current")
-        exposures = _object(raw["exposures"], "--current exposures")
-        current = Allocation.from_position(
-            market_ids=[m.market_id for m in markets],
-            exposures=[_number(exposures, m.market_id, "--current exposures") for m in markets],
-            unleveraged=_number(raw, "unleveraged", "--current"),
-        )
-        plan = solve_with_fees(p, current, _fees_from_args(args))
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "direction": plan.direction,
-                        "cost": plan.cost,
-                        "net_gain_rate": plan.net_gain_rate,
-                        "exposures": dict(zip(plan.target.market_ids, plan.target.exposures)),
-                        "unleveraged": plan.target.unleveraged,
-                    },
-                    indent=2,
-                )
-            )
-            return 0
-        print(f"direction       {plan.direction}")
-        print(f"cost            {_sig(plan.cost)}")
-        print(f"net gain rate   {_sig(plan.net_gain_rate)} per year")
-        if plan.direction != HOLD:
-            _print_allocation(plan.target, p, args)
-        return 0
+    return ProblemInstance.uniform(markets, args.l_max, args.staking_rate, budget=args.budget)
+
+
+def _cmd_optimize(args) -> int:
+    p = _problem_from_args(args)
     _print_allocation(solve(p), p, args)
+    return 0
+
+
+def _cmd_rebalance(args) -> int:
+    if args.current is None:
+        raise StakeloopError("rebalance requires --current")
+    p = _problem_from_args(args)
+    raw = _object(_load_json_arg(args.current), "--current")
+    exposures = _object(raw["exposures"], "--current exposures")
+    current = Allocation.from_position(
+        market_ids=p.market_ids,
+        exposures=[_number(exposures, mid, "--current exposures") for mid in p.market_ids],
+        unleveraged=_number(raw, "unleveraged", "--current"),
+    )
+    plan = solve_with_fees(p, current, _fees_from_args(args))
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "direction": plan.direction,
+                    "cost": plan.cost,
+                    "net_gain_rate": plan.net_gain_rate,
+                    "exposures": dict(zip(plan.target.market_ids, plan.target.exposures)),
+                    "unleveraged": plan.target.unleveraged,
+                },
+                indent=2,
+            )
+        )
+        return 0
+    print(f"direction       {plan.direction}")
+    print(f"cost            {_sig(plan.cost)}")
+    print(f"net gain rate   {_sig(plan.net_gain_rate)} per year")
+    if plan.direction != HOLD:
+        _print_allocation(plan.target, p, args)
     return 0
 
 
@@ -220,13 +224,27 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
+def _check_labels(levels: list[float]) -> None:
+    """Each leverage cap names its own output; two that print alike would
+    write one curve over the other."""
+    seen: dict[str, float] = {}
+    for level in levels:
+        label = f"{level:g}"
+        if label in seen:
+            raise StakeloopError(
+                f"--l-max-list: {seen[label]!r} and {level!r} both print as l_max {label}"
+            )
+        seen[label] = level
+
+
 def _cmd_sweep(args) -> int:
+    budgets = _parse_float_list(args.budgets)
+    levels = _parse_float_list(args.l_max_list) if args.l_max_list else []
+    _check_labels(levels)
     series = datamod.load_snapshots(Path(args.dataset))
     cfg = _config_from_args(args)
-    budgets = _parse_float_list(args.budgets)
     out = Path(args.out) if args.out else None
-    if args.l_max_list:
-        levels = _parse_float_list(args.l_max_list)
+    if levels:
         curves = bt.sweep_leverage(series, cfg, levels, budgets)
         for level, curve in curves.items():
             if out:
@@ -298,7 +316,6 @@ def _add_market_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=float, required=True)
     parser.add_argument("--l-max", type=float, default=5.0, help="leverage cap per market (default 5)")
     parser.add_argument("--kkt-tol", type=float, default=1e-8)
-    parser.add_argument("--current", help="JSON with current exposures and unleveraged holding")
 
 
 def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:
@@ -331,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="one-shot optimal allocation")
     _add_market_flags(opt)
-    _add_fee_flags(opt)
     opt.set_defaults(func=_cmd_optimize)
 
     reb = sub.add_parser("rebalance", help="fee-aware rebalancing plan from a current position")
     _add_market_flags(reb)
+    reb.add_argument("--current", help="JSON with current exposures and unleveraged holding")
     _add_fee_flags(reb)
-    reb.set_defaults(func=_cmd_optimize)
+    reb.set_defaults(func=_cmd_rebalance)
 
     back = sub.add_parser("backtest", help="replay a strategy over a dataset")
     _add_backtest_flags(back)

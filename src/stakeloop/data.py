@@ -6,7 +6,7 @@ tied together by ``manifest.json``. Numeric fields are written with full
 
 Layout::
 
-    manifest.json            chain, market descriptors, period, cadence, source
+    manifest.json            chain, markets, period, cadence, source
     market_<id>.csv          timestamp,supplied,borrowed,borrow_rate,rate_at_target
     staking.csv              timestamp,staking_rate
 
@@ -47,29 +47,16 @@ _STAKING_HEADER = ["timestamp", "staking_rate"]
 
 
 @dataclass(frozen=True)
-class MarketDescriptor:
-    market_id: str
-    creation_date: str
-    lltv: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lltv < 1.0:
-            raise DomainError(f"lltv must be in (0, 1), got {self.lltv}")
-
-
-@dataclass(frozen=True)
 class DatasetManifest:
+    """What a dataset states beyond its series; the manifest file's markets
+    and period are written from the series and read back into it."""
+
     chain: str
-    markets: tuple[MarketDescriptor, ...]
-    period_start: int
-    period_end: int
     cadence_seconds: int
     source: str
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        if self.period_end <= self.period_start:
-            raise DomainError("period end must be after the start")
         if self.source not in ("fetched", "synthetic"):
             raise DomainError(f"unknown source {self.source!r}")
 
@@ -78,18 +65,18 @@ def _manifest_path(path: Path) -> Path:
     return path if path.name == "manifest.json" else path / "manifest.json"
 
 
-def save_manifest(manifest: DatasetManifest, directory: Path) -> Path:
+def _save_manifest(manifest: DatasetManifest, series: SnapshotSeries, directory: Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": manifest.schema_version,
         "chain": manifest.chain,
         "source": manifest.source,
-        "period_start": manifest.period_start,
-        "period_end": manifest.period_end,
+        "period_start": series.timestamps[0],
+        "period_end": series.timestamps[-1],
         "cadence_seconds": manifest.cadence_seconds,
         "markets": [
-            {"id": m.market_id, "creation_date": m.creation_date, "lltv": m.lltv}
-            for m in manifest.markets
+            {"id": m.market_id, "creation_date": m.creation_date, "lltv": m.max_ltv}
+            for m in series.markets
         ],
     }
     out = directory / "manifest.json"
@@ -98,6 +85,12 @@ def save_manifest(manifest: DatasetManifest, directory: Path) -> Path:
 
 
 def load_manifest(path: Path) -> DatasetManifest:
+    return _read_manifest(path)[0]
+
+
+def _read_manifest(path: Path) -> tuple[DatasetManifest, tuple[MarketMeta, ...]]:
+    """The manifest and the markets it lists, in file order. The period keys
+    are not read: the timestamp grid states the period."""
     mpath = _manifest_path(Path(path))
     if not mpath.exists():
         raise DataError(f"manifest not found at {mpath}")
@@ -112,19 +105,12 @@ def load_manifest(path: Path) -> DatasetManifest:
                 f"(expected {SCHEMA_VERSION})"
             )
         markets = tuple(
-            MarketDescriptor(
-                market_id=m["id"], creation_date=m["creation_date"], lltv=float(m["lltv"])
-            )
-            for m in raw["markets"]
+            MarketMeta(m["id"], float(m["lltv"]), m["creation_date"]) for m in raw["markets"]
         )
-        return DatasetManifest(
-            chain=raw["chain"],
-            markets=markets,
-            period_start=int(raw["period_start"]),
-            period_end=int(raw["period_end"]),
-            cadence_seconds=int(raw["cadence_seconds"]),
-            source=raw["source"],
+        manifest = DatasetManifest(
+            chain=raw["chain"], cadence_seconds=int(raw["cadence_seconds"]), source=raw["source"]
         )
+        return manifest, markets
     except KeyError as exc:
         raise DataError(f"{mpath}: missing manifest field {exc}") from exc
 
@@ -167,9 +153,10 @@ def _read_columns(path: Path, header: list[str] | None) -> tuple[list[str], list
 def save_snapshots(
     series: SnapshotSeries, manifest: DatasetManifest, directory: Path
 ) -> list[Path]:
-    """Write a series in the canonical layout; returns the written paths."""
+    """Write a series in the canonical layout; returns the written paths.
+    The manifest file lists the series' markets and period."""
     directory = Path(directory)
-    written = [save_manifest(manifest, directory)]
+    written = [_save_manifest(manifest, series, directory)]
     for i, meta in enumerate(series.markets):
         values = [map(repr, c[i]) for c in (series.supplied, series.borrowed, series.borrow_rate)]
         targets = series.rate_at_target[i]
@@ -196,10 +183,10 @@ def load_snapshots(path: Path) -> SnapshotSeries:
     onto it, holding the last observation between staking timestamps.
     """
     directory = _manifest_path(Path(path)).parent
-    manifest = load_manifest(directory)
-    if not manifest.markets:
+    manifest, markets = _read_manifest(directory)
+    if not markets:
         raise DataError(f"dataset at {directory} has no market files")
-    paths = [directory / f"market_{d.market_id}.csv" for d in manifest.markets]
+    paths = [directory / f"market_{m.market_id}.csv" for m in markets]
 
     columns = []
     for mpath in paths:
@@ -215,7 +202,7 @@ def load_snapshots(path: Path) -> SnapshotSeries:
         raise DataError(f"{directory}: staking series is empty")
     times, staking = _floats(times, staking_path), _floats(staking, staking_path)
     problems = [
-        f"{mpath}: timestamp grid differs from market {manifest.markets[0].market_id}"
+        f"{mpath}: timestamp grid differs from market {markets[0].market_id}"
         for mpath, grid in zip(paths, grids)
         if grid != grids[0]
     ] + [
@@ -230,7 +217,7 @@ def load_snapshots(path: Path) -> SnapshotSeries:
         )
     observed = sorted(zip(map(int, times), staking), key=lambda item: item[0])
     series = SnapshotSeries(
-        markets=tuple(MarketMeta(d.market_id, d.lltv) for d in manifest.markets),
+        markets=markets,
         timestamps=grids[0],
         staking_rates=tuple(staking_rates_at(grids[0], observed)),
         supplied=supplied,
@@ -356,7 +343,7 @@ def generate_synthetic(
         for m in spec.markets
     ]
     series = SnapshotSeries(
-        markets=tuple(MarketMeta(m.market_id, m.lltv) for m in spec.markets),
+        markets=tuple(MarketMeta(m.market_id, m.lltv, "synthetic") for m in spec.markets),
         timestamps=timestamps,
         staking_rates=(spec.staking_rate,) * count,
         supplied=tuple((m.supplied,) * count for m in spec.markets),
@@ -364,18 +351,7 @@ def generate_synthetic(
         borrow_rate=tuple(rates),
         rate_at_target=tuple(tuple(r / f for r in c) for c, f in zip(rates, factors)),
     )
-    manifest = DatasetManifest(
-        chain=spec.chain,
-        markets=tuple(
-            MarketDescriptor(market_id=m.market_id, creation_date="synthetic", lltv=m.lltv)
-            for m in spec.markets
-        ),
-        period_start=timestamps[0],
-        period_end=timestamps[-1],
-        cadence_seconds=spec.cadence_seconds,
-        source="synthetic",
-    )
-    return series, manifest
+    return series, DatasetManifest(spec.chain, spec.cadence_seconds, "synthetic")
 
 
 _SCENARIOS = {

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .backtest import MarketMeta, SnapshotSeries, _optional_column
-from .data import DatasetManifest, MarketDescriptor, save_snapshots, staking_rates_at
+from .data import DatasetManifest, save_snapshots, staking_rates_at
 from .errors import DataError
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -131,9 +131,9 @@ def _fetch_one_market(
     end: int,
     limiter: _RateLimiter,
     chunk_days: int = 30,
-) -> tuple[MarketDescriptor, dict[int, tuple[float, float, float, float | None]]]:
-    """The market's descriptor and, per complete hour, its supplied,
-    borrowed, borrow rate and rate-at-target (None when not recorded)."""
+) -> tuple[MarketMeta, dict[int, tuple[float, float, float, float | None]]]:
+    """The market and, per complete hour, its supplied, borrowed, borrow
+    rate and rate-at-target (None when not recorded)."""
     supplied: dict[int, float] = {}
     borrowed: dict[int, float] = {}
     rates: dict[int, float] = {}
@@ -178,8 +178,7 @@ def _fetch_one_market(
         for ts in sorted(supplied)
         if ts in borrowed and ts in rates  # else incomplete; surfaces later as a gap
     }
-    descriptor = MarketDescriptor(market_id=market_id, creation_date=creation, lltv=lltv)
-    return descriptor, hours
+    return MarketMeta(market_id, lltv, creation), hours
 
 
 def _fetch_staking(
@@ -257,24 +256,14 @@ def fetch_market_history(
         *(zip(*(hours[ts] for ts in timestamps)) for _, hours in fetched)
     )
     series = SnapshotSeries(
-        markets=tuple(MarketMeta(d.market_id, d.lltv) for d, _ in fetched),
+        markets=tuple(m for m, _ in fetched),
         timestamps=tuple(timestamps),
         staking_rates=tuple(staking_rates_at(timestamps, staking)),
         supplied=supplied,
         borrowed=borrowed,
         borrow_rate=rates,
-        rate_at_target=tuple(
-            _optional_column(d.market_id, c) for (d, _), c in zip(fetched, targets)
-        ),
-    )
-    manifest = DatasetManifest(
-        chain=chain,
-        markets=tuple(d for d, _ in fetched),
-        period_start=timestamps[0],
-        period_end=timestamps[-1],
-        cadence_seconds=SECONDS_PER_HOUR,
-        source="fetched",
+        rate_at_target=tuple(map(_optional_column, targets)),
     )
     out_dir = Path(out_dir)
-    save_snapshots(series, manifest, out_dir)
+    save_snapshots(series, DatasetManifest(chain, SECONDS_PER_HOUR, "fetched"), out_dir)
     return out_dir

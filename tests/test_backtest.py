@@ -151,8 +151,19 @@ class TestSeriesValidation:
             Snapshot(T0, 0.03, {"m": MarketSnapshot(10.0, 1.0, 0.02, 0.03)}),
             Snapshot(T0 + 3600, 0.03, {"m": MarketSnapshot(10.0, 1.0, 0.02)}),
         )
-        with pytest.raises(ValidationError, match="present in 1 of 2 snapshots"):
+        with pytest.raises(ValidationError) as err:
             SnapshotSeries.from_rows((MarketMeta("m", 0.9),), snaps)
+        assert err.value.records == [
+            "market m: rate_at_target present in 1 of 2 snapshots; must be all or none"
+        ]
+
+    def test_rate_at_target_all_or_none_in_a_built_column(self):
+        series = flat_series(hours=2)
+        with pytest.raises(ValidationError) as err:
+            replace(series, rate_at_target=((0.02, None, 0.02),))
+        assert err.value.records == [
+            "market m: rate_at_target present in 2 of 3 snapshots; must be all or none"
+        ]
 
     @pytest.mark.parametrize(
         "columns",
@@ -255,6 +266,10 @@ class TestApy:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             apy([(0, 1.0), (100, -2.0)])
+
+    def test_overflowing_annualization_rejected(self):
+        with pytest.raises(DomainError, match="growth factor 1.3 over 7200 s"):
+            apy([(0, 1.0), (7200, 1.3)])
 
 
 class TestRunBacktest:

@@ -136,6 +136,21 @@ class TestOptimize:
             main(["optimize", "--budget", "3", "--no-such-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--gamma-plus", "0.5", "--horizon-days", "1"],
+            ["--current", '{"exposures": {"A": 0.0}, "unleveraged": 3.0}'],
+        ],
+        ids=["fee", "current"],
+    )
+    def test_rebalance_flags_refused(self, flags, capsys):
+        # Fees and a current position belong to `rebalance`.
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--budget", "3", "-s", "0.03", "--market", MARKET_A, *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -359,6 +374,21 @@ class TestSweepCommand:
         curve = json.loads((out_dir / "apy_curve.json").read_text())
         apys = [row["apy"] for row in curve]
         assert apys == sorted(apys, reverse=True)
+
+    @pytest.mark.parametrize("levels", ["2,2.0000001,16", "2,2"], ids=["alike", "repeated"])
+    def test_leverage_caps_that_print_alike_exit_2(self, levels, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        out_dir = tmp_path / "curves"
+        code, out, err = run(
+            ["sweep", "--dataset", str(ds), "--budget", "1", "--budgets", "1",
+             "--l-max-list", levels, "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "both print as l_max 2" in err
+        assert not out_dir.exists()
 
     def test_empty_budget_list_usage_error(self, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -10,6 +10,7 @@ from stakeloop.backtest import (
     run_backtest,
 )
 from stakeloop.data import (
+    DatasetManifest,
     SyntheticMarketSpec,
     SyntheticSpec,
     emit_report,
@@ -108,6 +109,22 @@ class TestRoundTrip:
         loaded = load_snapshots(tmp_path / "ds")
         assert loaded == series
         assert load_manifest(tmp_path / "ds") == manifest
+
+    def test_markets_come_from_the_series(self, tmp_path):
+        spec = SyntheticSpec(
+            markets=(SyntheticMarketSpec(market_id="zeta"), SyntheticMarketSpec(market_id="alpha")),
+            days=1.0,
+        )
+        series, _ = generate_synthetic(spec, seed=0)
+        assert [m.max_ltv for m in series.markets] == [0.945, 0.945]
+        # A manifest holds no markets, so it cannot disagree with the series.
+        save_snapshots(series, DatasetManifest("ethereum", SECONDS_PER_HOUR, "fetched"), tmp_path)
+        loaded = load_snapshots(tmp_path)
+        assert loaded.markets == series.markets
+        assert loaded.market_ids == ("zeta", "alpha")
+        raw = json.loads((tmp_path / "manifest.json").read_text())
+        assert [(m["id"], m["lltv"]) for m in raw["markets"]] == [("zeta", 0.945), ("alpha", 0.945)]
+        assert (raw["period_start"], raw["period_end"]) == (series.timestamps[0], series.timestamps[-1])
 
     def test_loads_with_no_validation_errors(self, tmp_path):
         series, manifest = generate_synthetic(scenario("rate-crossing"), seed=2)

@@ -88,9 +88,8 @@ class TestFetch:
         assert snap.markets["mkt-1"].supplied == pytest.approx(2000.0)
         assert snap.markets["mkt-1"].rate_at_target == pytest.approx(0.025)
         assert snap.staking_rate == pytest.approx(0.031)
-        manifest = load_manifest(out)
-        assert manifest.source == "fetched"
-        assert manifest.markets[0].lltv == pytest.approx(0.945)
+        assert series.markets[0].max_ltv == pytest.approx(0.945)
+        assert load_manifest(out).source == "fetched"
 
     def test_staking_rate_is_last_observation_at_or_before(self, tmp_path):
         out = fetch_market_history(

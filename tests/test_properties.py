@@ -34,7 +34,7 @@ from stakeloop.backtest import (
     run_backtest,
     smooth_rates,
 )
-from stakeloop.data import DatasetManifest, MarketDescriptor, load_snapshots, save_snapshots
+from stakeloop.data import DatasetManifest, load_snapshots, save_snapshots
 from stakeloop.irm import (
     AdaptiveIrmParams,
     KinkedIrmParams,
@@ -266,14 +266,7 @@ def test_smoothing_is_the_exact_window_mean(data):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(series())
 def test_save_then_load_is_exact(x):
-    manifest = DatasetManifest(
-        chain="ethereum",
-        markets=tuple(MarketDescriptor(m.market_id, "", m.max_ltv) for m in x.markets),
-        period_start=x.snapshots[0].timestamp,
-        period_end=x.snapshots[-1].timestamp,
-        cadence_seconds=SECONDS_PER_HOUR,
-        source="synthetic",
-    )
+    manifest = DatasetManifest("ethereum", SECONDS_PER_HOUR, "synthetic")
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # gaps are reported, never filled
         save_snapshots(x, manifest, Path(tmp))
