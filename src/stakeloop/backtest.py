@@ -19,7 +19,15 @@ from typing import Callable, Mapping
 
 from .allocator import Allocation, ProblemInstance
 from .errors import DataError, DomainError, ValidationError
-from .irm import AdaptiveIrmParams, IrmParams, MarketState, borrow_rate
+from .irm import (
+    AdaptiveIrmParams,
+    IrmParams,
+    MarketState,
+    _adaptive_curve,
+    _check_pool_amounts,
+    _curve_of,
+    _rate,
+)
 from .rebalance import HOLD, FeeModel, should_rebalance, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_YEAR
 
@@ -103,15 +111,17 @@ class SnapshotSeries:
         return f"t={self.timestamps[k]}{market}"
 
     def _problems(self, where: Callable[[int, int | None], str]) -> list[str]:
-        """The record check: distinct market ids, increasing timestamps and
-        finite values, with supplied > 0, borrowed in [0, supplied], no
-        negative rate and a positive rate-at-target at every snapshot or at
-        none."""
+        """The record check: distinct market ids, increasing integer
+        timestamps and finite values, with supplied > 0, borrowed in
+        [0, supplied], no negative rate and a positive rate-at-target at every
+        snapshot or at none."""
         ts = self.timestamps
         ids = Counter(m.market_id for m in self.markets)
         problems = [f"market {mid}: listed {count} times" for mid, count in ids.items() if count > 1]
         for k, (t, s) in enumerate(zip(ts, self.staking_rates, strict=True)):
-            if k and t <= ts[k - 1]:
+            if not isinstance(t, int):
+                problems.append(f"{where(k, None)}: timestamp {t!r} is not an integer")
+            elif k and t <= ts[k - 1]:
                 problems.append(f"{where(k, None)}: timestamp {t} out of order")
             if not 0.0 <= s < math.inf:
                 bad = "negative staking rate" if s < 0.0 else f"staking_rate {s} is not finite"
@@ -228,6 +238,8 @@ class BacktestConfig:
             raise DomainError(f"threshold must be non-negative and finite, got {self.threshold}")
         if self.smoothing_window < 0:
             raise DomainError("smoothing_window must be non-negative")
+        if self.irm is not None:
+            _curve_of(self.irm)
 
 
 @dataclass(frozen=True)
@@ -349,13 +361,6 @@ def market_state_at(
     )
 
 
-def _accrual_rate(market: MarketState, own_debt: float) -> float:
-    # Stale positions can overshoot a shrinking pool; price them at full
-    # utilization rather than extrapolating beyond it.
-    delta = min(own_debt, market.available_liquidity)
-    return borrow_rate(market.irm, market.supplied, market.borrowed, delta)
-
-
 def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     """Replay the strategy over the series and account every flow.
 
@@ -383,6 +388,13 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     passive = cfg.strategy == STAKING_ONLY or cfg.l_max <= 1.0
     m = cfg.l_max - 1.0
 
+    # The accrual's curves: rate_at_target[i][k] times the unit adaptive curve
+    # is market_state_at's rate float for float. A market with no curve never
+    # holds debt, as its first solve raises.
+    unit = _adaptive_curve(1.0, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
+    fallback = None if cfg.irm is None else cfg.irm._curve
+    curves = [fallback if c is None else unit for c in series.rate_at_target]
+
     unleveraged = cfg.budget
     collateral = [0.0] * n
     debt = [0.0] * n
@@ -403,12 +415,8 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
             elapsed = (t - t0) // cfg.rebalance_frequency
             next_due = t0 + (elapsed + 1) * cfg.rebalance_frequency
         solving = due and not passive and equity > 0.0
-        # Every market when solving, else only the indebted ones for accrual.
-        markets = [
-            market_state_at(series, i, k, cfg.irm) if solving or d > 0.0 else None
-            for i, d in enumerate(debt)
-        ]
         if solving:
+            markets = [market_state_at(series, i, k, cfg.irm) for i in range(n)]
             p = ProblemInstance.uniform(
                 markets, cfg.l_max, series.staking_rates[k], budget=equity
             )
@@ -449,11 +457,17 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
         if k + 1 < len(ts):
             dt = (ts[k + 1] - t) / SECONDS_PER_YEAR
             s = series.staking_rates[k]
-            for i, market in enumerate(markets):
-                if debt[i] <= 0.0:
+            for i, d in enumerate(debt):
+                if d <= 0.0:
                     continue
-                rate = _accrual_rate(market, debt[i])
-                interest_paid += debt[i] * rate * dt
+                supplied, borrowed = series.supplied[i][k], series.borrowed[i][k]
+                # Stale positions can overshoot a shrinking pool; price them at
+                # full utilization rather than extrapolating beyond it.
+                total = _check_pool_amounts(supplied, borrowed, min(d, supplied - borrowed))
+                rate = _rate(curves[i], total / supplied)
+                if series.rate_at_target[i] is not None:
+                    rate *= series.rate_at_target[i][k]
+                interest_paid += d * rate * dt
                 debt[i] *= 1.0 + rate * dt
             staking_accrued = (unleveraged + sum(collateral)) * s * dt
             unleveraged *= 1.0 + s * dt

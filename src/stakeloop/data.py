@@ -59,6 +59,12 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         if self.source not in ("fetched", "synthetic"):
             raise DomainError(f"unknown source {self.source!r}")
+        _check_cadence(self.cadence_seconds)
+
+
+def _check_cadence(cadence_seconds: object) -> None:
+    if not (isinstance(cadence_seconds, int) and cadence_seconds > 0):
+        raise DomainError(f"cadence_seconds must be a positive integer, got {cadence_seconds!r}")
 
 
 def _manifest_path(path: Path) -> Path:
@@ -98,21 +104,28 @@ def _read_manifest(path: Path) -> tuple[DatasetManifest, tuple[MarketMeta, ...]]
         raw = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{mpath}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{mpath}: expected a JSON object, got {type(raw).__name__}")
     try:
         if raw["schema_version"] != SCHEMA_VERSION:
             raise DataError(
                 f"{mpath}: schema_version {raw['schema_version']} unsupported "
                 f"(expected {SCHEMA_VERSION})"
             )
+        listed = raw["markets"]
+        if not (isinstance(listed, list) and all(isinstance(m, dict) for m in listed)):
+            raise DataError(f"{mpath}: markets must be a list of objects")
         markets = tuple(
-            MarketMeta(m["id"], float(m["lltv"]), m["creation_date"]) for m in raw["markets"]
+            MarketMeta(m["id"], float(m["lltv"]), m["creation_date"]) for m in listed
         )
         manifest = DatasetManifest(
-            chain=raw["chain"], cadence_seconds=int(raw["cadence_seconds"]), source=raw["source"]
+            chain=raw["chain"], cadence_seconds=raw["cadence_seconds"], source=raw["source"]
         )
         return manifest, markets
     except KeyError as exc:
         raise DataError(f"{mpath}: missing manifest field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a field of the wrong type or value
+        raise DataError(f"{mpath}: {exc}") from exc
 
 
 def _floats(column: Sequence[str], path: Path) -> tuple[float, ...]:
@@ -131,6 +144,17 @@ def _floats(column: Sequence[str], path: Path) -> tuple[float, ...]:
             if not math.isfinite(value):
                 raise DataError(f"{path}:{lineno}: non-finite value {text!r}")
     return values
+
+
+def _timestamps(column: Sequence[str], path: Path) -> tuple[int, ...]:
+    """A CSV column of whole-second timestamps starting at line 2; a
+    fractional one raises a ``DataError`` at its ``path:line``."""
+    values = _floats(column, path)
+    if not all(map(float.is_integer, values)):
+        for lineno, (text, value) in enumerate(zip(column, values), start=2):
+            if not value.is_integer():
+                raise DataError(f"{path}:{lineno}: fractional timestamp {text!r}")
+    return tuple(map(int, values))
 
 
 def _read_columns(path: Path, header: list[str] | None) -> tuple[list[str], list[tuple[str, ...]]]:
@@ -191,7 +215,7 @@ def load_snapshots(path: Path) -> SnapshotSeries:
     columns = []
     for mpath in paths:
         _, (times, *values, targets) = _read_columns(mpath, _MARKET_HEADER)
-        grid = tuple(map(int, _floats(times, mpath)))
+        grid = _timestamps(times, mpath)
         # Empty fields mean no rate-at-target, in every row or in none.
         targets = _floats(targets, mpath) if any(targets) else None
         columns.append((grid, *(_floats(v, mpath) for v in values), targets))
@@ -200,7 +224,7 @@ def load_snapshots(path: Path) -> SnapshotSeries:
     _, (times, staking) = _read_columns(staking_path, _STAKING_HEADER)
     if not times:
         raise DataError(f"{directory}: staking series is empty")
-    times, staking = _floats(times, staking_path), _floats(staking, staking_path)
+    times, staking = _timestamps(times, staking_path), _floats(staking, staking_path)
     problems = [
         f"{mpath}: timestamp grid differs from market {markets[0].market_id}"
         for mpath, grid in zip(paths, grids)
@@ -215,7 +239,7 @@ def load_snapshots(path: Path) -> SnapshotSeries:
             f"dataset at {directory} failed validation ({len(problems)} records)",
             records=problems,
         )
-    observed = sorted(zip(map(int, times), staking), key=lambda item: item[0])
+    observed = sorted(zip(times, staking), key=lambda item: item[0])
     series = SnapshotSeries(
         markets=markets,
         timestamps=grids[0],
@@ -304,8 +328,9 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if not self.markets:
             raise DomainError("at least one synthetic market is required")
-        if not 0.0 < self.days < math.inf or self.cadence_seconds <= 0:
-            raise DomainError("days must be positive and finite, and cadence positive")
+        if not 0.0 < self.days < math.inf:
+            raise DomainError(f"days must be positive and finite, got {self.days}")
+        _check_cadence(self.cadence_seconds)
         if self.staking_rate < 0.0:
             raise DomainError("staking_rate must be non-negative")
 
@@ -541,10 +566,10 @@ def load_position_history(path: Path) -> list[PositionRecord]:
     header, columns = _read_columns(path, None)
     if header[:2] != ["timestamp", "unleveraged"] or len(header) % 2 != 0:
         raise DataError(f"{path}: unexpected positions header")
-    values = [_floats(column, path) for column in columns]
+    values = [_floats(column, path) for column in columns[1:]]
     return [
-        PositionRecord(int(v[0]), v[1], v[2::2], tuple(-d for d in v[3::2]))
-        for v in zip(*values)
+        PositionRecord(t, v[0], v[1::2], tuple(-d for d in v[2::2]))
+        for t, v in zip(_timestamps(columns[0], path), zip(*values))
     ]
 
 

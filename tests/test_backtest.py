@@ -24,7 +24,8 @@ from stakeloop.backtest import (
     sweep_leverage,
 )
 from stakeloop.data import generate_synthetic, scenario
-from stakeloop.errors import DomainError, ValidationError
+from stakeloop.errors import DomainError, UnsupportedModelError, ValidationError
+from stakeloop.irm import KinkedIrmParams, LinearIrmParams, borrow_rate
 from stakeloop.rebalance import FeeModel, solve_with_fees
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR
 
@@ -60,7 +61,7 @@ def flat_series(
 
 
 def without_rate_at_target(series: SnapshotSeries) -> SnapshotSeries:
-    return replace(series, rate_at_target=(None,))
+    return replace(series, rate_at_target=(None,) * len(series.markets))
 
 
 def config(**kwargs) -> BacktestConfig:
@@ -145,6 +146,14 @@ class TestSeriesValidation:
         )
         with pytest.raises(ValidationError):
             SnapshotSeries.from_rows((MarketMeta("m", 0.9),), snaps)
+
+    def test_non_integer_timestamp_rejected(self):
+        series = flat_series(hours=2)
+        with pytest.raises(ValidationError) as err:
+            replace(series, timestamps=(T0, T0 + 3600.5, T0 + 7200))
+        assert err.value.records == [
+            f"t={T0 + 3600.5}: timestamp {T0 + 3600.5!r} is not an integer"
+        ]
 
     def test_rate_at_target_all_or_none(self):
         snaps = (
@@ -381,6 +390,25 @@ class TestRunBacktest:
         assert result.rebalance_count > 0
         assert len(calls) == len(series.snapshots) * len(series.markets)
 
+    def test_market_states_only_on_solving_steps(self, monkeypatch):
+        series = flat_series(hours=48)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return market_state_at(*args)
+
+        monkeypatch.setattr(backtest, "market_state_at", counting)
+        result = run_backtest(series, config(rebalance_frequency=SECONDS_PER_DAY))
+        assert result.rebalance_count > 0
+        # Hourly data rebalanced daily: the points at hours 0, 24 and 48 solve;
+        # the accrual in between reads the series columns.
+        assert len(calls) == 3 * len(series.markets)
+
+    def test_non_rate_model_fallback_rejected(self):
+        with pytest.raises(UnsupportedModelError):
+            BacktestConfig(budget=1.0, irm=object())
+
     def test_one_problem_instance_per_solving_step(self, monkeypatch):
         series = flat_series(hours=48)
         built = []
@@ -425,6 +453,68 @@ class TestRunBacktest:
         # the gross comparison ignores the cost drag, so it clears the gate
         # whenever the net one does
         assert gross.rebalance_count >= net.rebalance_count
+
+
+def varied_series(hours: int = 72, shrink_at: int | None = None) -> SnapshotSeries:
+    """Two markets whose pools and rates-at-target move every hour; from
+    hour ``shrink_at`` on, market ``a`` keeps 1% of its supply free."""
+    ts = tuple(T0 + k * SECONDS_PER_HOUR for k in range(hours + 1))
+    supplied = [[2000.0 + 150.0 * math.sin(k / 5.0) for k in range(hours + 1)],
+                [900.0 + 60.0 * math.cos(k / 4.0) for k in range(hours + 1)]]
+    borrowed = [[x * (0.75 + 0.1 * math.sin(k / 7.0)) for k, x in enumerate(supplied[0])],
+                [x * (0.6 + 0.2 * math.cos(k / 3.0)) for k, x in enumerate(supplied[1])]]
+    if shrink_at is not None:
+        supplied[0][shrink_at:] = [b * 1.01 for b in borrowed[0][shrink_at:]]
+    targets = tuple(
+        tuple(level + 0.004 * math.sin(k / 3.0 + i) for k in range(hours + 1))
+        for i, level in enumerate((0.02, 0.022))
+    )
+    return SnapshotSeries(
+        markets=(MarketMeta("a", 0.945), MarketMeta("b", 0.945)),
+        timestamps=ts,
+        staking_rates=(0.031,) * len(ts),
+        supplied=tuple(map(tuple, supplied)),
+        borrowed=tuple(map(tuple, borrowed)),
+        borrow_rate=((0.02,) * len(ts),) * 2,
+        rate_at_target=targets,
+    )
+
+
+class TestAccrual:
+    """The interest of each step is the pool rate of each indebted market at
+    its debt, as market_state_at and borrow_rate price it."""
+
+    @pytest.mark.parametrize(
+        "series, irm, stale",
+        [
+            (varied_series(), None, False),
+            (without_rate_at_target(varied_series()), LinearIrmParams(0.005, 0.02, 0.9), False),
+            (without_rate_at_target(varied_series()), KinkedIrmParams(0.005, 0.015, 0.6, 0.9),
+             False),
+            (varied_series(shrink_at=30), None, True),
+        ],
+        ids=["rate-at-target", "linear", "kinked", "shrinking-pool"],
+    )
+    def test_interest_prices_each_debt_at_its_market_state(self, series, irm, stale):
+        cfg = config(budget=100.0, rebalance_frequency=SECONDS_PER_DAY, irm=irm)
+        result = run_backtest(series, cfg)
+        smoothed = smooth_rates(series, cfg.smoothing_window)
+        ts = series.timestamps
+        overshoots = 0
+        for k, (a, b) in enumerate(zip(ts, ts[1:])):
+            dt = (b - a) / SECONDS_PER_YEAR
+            expected = 0.0
+            for i, debt in enumerate(result.positions[k].debt):
+                if debt > 0.0:
+                    s = market_state_at(smoothed, i, k, cfg.irm)
+                    overshoots += debt > s.available_liquidity
+                    delta = min(debt, s.available_liquidity)
+                    expected += debt * borrow_rate(s.irm, s.supplied, s.borrowed, delta) * dt
+            assert result.steps[k].interest_paid == expected
+        assert result.steps[-1].interest_paid == 0.0
+        assert sum(s.interest_paid for s in result.steps) > 0.0
+        if stale:  # some debt outgrew its pool and was priced at full utilization
+            assert overshoots > 0
 
 
 def shifted(series: SnapshotSeries, start: int, seconds: int) -> SnapshotSeries:

@@ -303,6 +303,28 @@ class TestSynthAndBacktest:
             f"  {market_csv}:2: negative rate",
         ]
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda raw: [raw],
+            lambda raw: {**raw, "markets": {"id": "core"}},
+            lambda raw: {**raw, "markets": [{**raw["markets"][0], "lltv": "high"}]},
+            lambda raw: {**raw, "cadence_seconds": "hourly"},
+            lambda raw: {**raw, "cadence_seconds": 0},
+            lambda raw: {**raw, "cadence_seconds": -5},
+        ],
+        ids=["array", "markets-object", "lltv-text", "cadence-text", "cadence-0", "cadence-neg"],
+    )
+    def test_malformed_manifest_exits_2_naming_it(self, mutate, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        manifest = ds / "manifest.json"
+        manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()))))
+        code, out, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {manifest}: ")
+
     def test_report_files_written(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)

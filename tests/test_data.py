@@ -101,6 +101,11 @@ class TestSynthetic:
         with pytest.raises(DomainError):
             scenario("missing")
 
+    @pytest.mark.parametrize("cadence", [1800.5, 3600.0, 0, -5])
+    def test_cadence_must_be_a_positive_integer(self, cadence):
+        with pytest.raises(DomainError, match="cadence_seconds must be a positive integer"):
+            SyntheticSpec(markets=(SyntheticMarketSpec(market_id="m"),), cadence_seconds=cadence)
+
 
 class TestRoundTrip:
     def test_save_and_load_identical(self, tmp_path):
@@ -250,6 +255,20 @@ class TestValidation:
         with pytest.raises(DataError, match="market_m.csv:5: non-finite value 'nan'"):
             load_snapshots(directory)
 
+    @pytest.mark.parametrize("name", ["market_m.csv", "staking.csv"])
+    def test_fractional_timestamp_has_line_context(self, tmp_path, name):
+        def corrupt(directory):
+            path = directory / name
+            lines = path.read_text().splitlines()
+            parts = lines[2].split(",")
+            parts[0] += ".7"
+            lines[2] = ",".join(parts)
+            path.write_text("\n".join(lines) + "\n")
+
+        directory = self._write(tmp_path, corrupt)
+        with pytest.raises(DataError, match=rf"{name}:3: fractional timestamp '\d+\.7'"):
+            load_snapshots(directory)
+
     def test_rate_at_target_in_some_rows_only_rejected(self, tmp_path):
         def corrupt(directory):
             path = directory / "market_m.csv"
@@ -326,6 +345,12 @@ class TestReports:
         lines[2] = ",".join(lines[2].split(",")[:3])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="positions.csv:3: expected 6 fields, got 3"):
+            load_position_history(path)
+
+    def test_fractional_position_timestamp_has_line_context(self, tmp_path):
+        path = tmp_path / "positions.csv"
+        path.write_text("timestamp,unleveraged,collateral_a,debt_a\n1735689600.7,1.0,0.0,-0.0\n")
+        with pytest.raises(DataError, match="positions.csv:2: fractional timestamp '1735689600.7'"):
             load_position_history(path)
 
     def test_position_history_round_trip(self, tmp_path):
