@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field, replace
+from operator import sub
 from typing import Callable, Mapping
 
 from .allocator import Allocation, ProblemInstance
@@ -24,7 +25,6 @@ from .irm import (
     IrmParams,
     MarketState,
     _adaptive_curve,
-    _check_pool_amounts,
     _curve_of,
     _rate,
 )
@@ -243,44 +243,29 @@ class BacktestConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Equity mark at a timestamp plus the flows to the next one.
+class BacktestResult:
+    """A replay as columns with one entry per snapshot of ``timestamps``.
 
-    ``equity`` is marked before any trade at this timestamp; ``fees_paid`` is
+    ``equity`` is marked before any trade at a timestamp; ``fees_paid`` is
     charged by the trade made right after the mark; the accruals cover the
     interval up to the next snapshot. Hence
     ``equity[k+1] = equity[k] + staking_accrued[k] - interest_paid[k] - fees_paid[k]``.
+    ``unleveraged`` and, per market in ``market_ids`` order, ``collateral``
+    and ``debt`` are the holdings after that trade.
     """
 
-    timestamp: int
-    equity: float
-    staking_accrued: float
-    interest_paid: float
-    fees_paid: float
-
-
-@dataclass(frozen=True)
-class PositionRecord:
-    """Post-trade holdings at a timestamp."""
-
-    timestamp: int
-    unleveraged: float
-    collateral: tuple[float, ...]
-    debt: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class BacktestResult:
     market_ids: tuple[str, ...]
-    steps: tuple[StepRecord, ...]
-    positions: tuple[PositionRecord, ...]
+    timestamps: tuple[int, ...]
+    equity: tuple[float, ...]
+    staking_accrued: tuple[float, ...]
+    interest_paid: tuple[float, ...]
+    fees_paid: tuple[float, ...]
+    unleveraged: tuple[float, ...]
+    collateral: tuple[tuple[float, ...], ...]
+    debt: tuple[tuple[float, ...], ...]
     apy: float
     total_fees_paid: float
     rebalance_count: int
-
-    @property
-    def equity_curve(self) -> tuple[tuple[int, float], ...]:
-        return tuple((s.timestamp, s.equity) for s in self.steps)
 
 
 def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
@@ -311,11 +296,13 @@ def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
     )
 
 
-def apy(equity_curve: Sequence[tuple[int, float]]) -> float:
-    """Annualized compounded return between the curve's endpoints."""
-    if len(equity_curve) < 2:
+def apy(timestamps: Sequence[int], equity: Sequence[float]) -> float:
+    """Annualized compounded return between the first and last equity marks."""
+    if len(timestamps) != len(equity):
+        raise DomainError("equity curve needs one mark per timestamp")
+    if len(equity) < 2:
         raise DomainError("equity curve needs at least two points")
-    (t0, v0), (t1, v1) = equity_curve[0], equity_curve[-1]
+    t0, t1, v0, v1 = timestamps[0], timestamps[-1], equity[0], equity[-1]
     if v0 <= 0.0 or v1 <= 0.0:
         raise DomainError("equity values must be positive")
     if t1 <= t0:
@@ -399,14 +386,23 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     collateral = [0.0] * n
     debt = [0.0] * n
 
-    steps: list[StepRecord] = []
-    positions: list[PositionRecord] = []
+    # The columns of the result. The holdings are kept flat, each step's n
+    # collaterals then its n debts, and split by market at the end.
+    equity_col: list[float] = []
+    fees_col: list[float] = []
+    staking_col: list[float] = []
+    interest_col: list[float] = []
+    unleveraged_col: list[float] = []
+    holdings: list[float] = []
     total_fees = 0.0
     rebalances = 0
     t0 = next_due = ts[0]
+    last = len(ts) - 1
+    staking_rates = series.staking_rates
+    pools = tuple(zip(series.supplied, series.borrowed, curves, series.rate_at_target))
 
     for k, t in enumerate(ts):
-        equity = unleveraged + sum(c - d for c, d in zip(collateral, debt))
+        equity = unleveraged + sum(map(sub, collateral, debt))
         fees_here = 0.0
         # Due at the first snapshot at or after each point t0 + j * frequency;
         # a gap over several points gives one rebalance.
@@ -414,12 +410,9 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
         if due:
             elapsed = (t - t0) // cfg.rebalance_frequency
             next_due = t0 + (elapsed + 1) * cfg.rebalance_frequency
-        solving = due and not passive and equity > 0.0
-        if solving:
+        if due and not passive and equity > 0.0:
             markets = [market_state_at(series, i, k, cfg.irm) for i in range(n)]
-            p = ProblemInstance.uniform(
-                markets, cfg.l_max, series.staking_rates[k], budget=equity
-            )
+            p = ProblemInstance.uniform(markets, cfg.l_max, staking_rates[k], budget=equity)
             exposures = [d / m for d in debt]
             current = Allocation.from_position(
                 ids, exposures, equity - sum(exposures)
@@ -443,52 +436,51 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
                 rebalances += 1
                 total_fees += fees_here
 
-        positions.append(
-            PositionRecord(
-                timestamp=t,
-                unleveraged=unleveraged,
-                collateral=tuple(collateral),
-                debt=tuple(debt),
-            )
-        )
+        equity_col.append(equity)
+        fees_col.append(fees_here)
+        unleveraged_col.append(unleveraged)
+        holdings += collateral
+        holdings += debt
+        if k == last:
+            break
 
-        staking_accrued = 0.0
+        dt = (ts[k + 1] - t) / SECONDS_PER_YEAR
+        s = staking_rates[k]
         interest_paid = 0.0
-        if k + 1 < len(ts):
-            dt = (ts[k + 1] - t) / SECONDS_PER_YEAR
-            s = series.staking_rates[k]
-            for i, d in enumerate(debt):
-                if d <= 0.0:
-                    continue
-                supplied, borrowed = series.supplied[i][k], series.borrowed[i][k]
-                # Stale positions can overshoot a shrinking pool; price them at
-                # full utilization rather than extrapolating beyond it.
-                total = _check_pool_amounts(supplied, borrowed, min(d, supplied - borrowed))
-                rate = _rate(curves[i], total / supplied)
-                if series.rate_at_target[i] is not None:
-                    rate *= series.rate_at_target[i][k]
-                interest_paid += d * rate * dt
-                debt[i] *= 1.0 + rate * dt
-            staking_accrued = (unleveraged + sum(collateral)) * s * dt
-            unleveraged *= 1.0 + s * dt
-            collateral = [c * (1.0 + s * dt) for c in collateral]
+        for i, (d, (supplied_col, borrowed_col, curve, targets)) in enumerate(zip(debt, pools)):
+            if d <= 0.0:
+                continue
+            supplied, borrowed = supplied_col[k], borrowed_col[k]
+            # Stale positions can overshoot a shrinking pool; price them at
+            # full utilization rather than extrapolating beyond it. The record
+            # check keeps borrowed in [0, supplied], so the sum passes
+            # supplied by rounding only, as irm._check_pool_amounts allows.
+            total = min(borrowed + min(d, supplied - borrowed), supplied)
+            rate = _rate(curve, total / supplied)
+            if targets is not None:
+                rate *= targets[k]
+            interest_paid += d * rate * dt
+            debt[i] *= 1.0 + rate * dt
+        interest_col.append(interest_paid)
+        staking_col.append((unleveraged + sum(collateral)) * s * dt)
+        growth = 1.0 + s * dt
+        unleveraged *= growth
+        collateral = [c * growth for c in collateral]
 
-        steps.append(
-            StepRecord(
-                timestamp=t,
-                equity=equity,
-                staking_accrued=staking_accrued,
-                interest_paid=interest_paid,
-                fees_paid=fees_here,
-            )
-        )
-
-    curve = [(s.timestamp, s.equity) for s in steps]
+    # No flow follows the last mark.
+    staking_col.append(0.0)
+    interest_col.append(0.0)
     return BacktestResult(
         market_ids=ids,
-        steps=tuple(steps),
-        positions=tuple(positions),
-        apy=apy(curve),
+        timestamps=ts,
+        equity=tuple(equity_col),
+        staking_accrued=tuple(staking_col),
+        interest_paid=tuple(interest_col),
+        fees_paid=tuple(fees_col),
+        unleveraged=tuple(unleveraged_col),
+        collateral=tuple(tuple(holdings[i :: 2 * n]) for i in range(n)),
+        debt=tuple(tuple(holdings[n + i :: 2 * n]) for i in range(n)),
+        apy=apy(ts, equity_col),
         total_fees_paid=total_fees,
         rebalance_count=rebalances,
     )

@@ -25,15 +25,15 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from operator import neg
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .backtest import (
     ADAPTIVE_CURVE_STEEPNESS,
     ADAPTIVE_TARGET_UTILIZATION,
     BacktestResult,
     MarketMeta,
-    PositionRecord,
     SnapshotSeries,
 )
 from .errors import DataError, DomainError, ValidationError
@@ -494,40 +494,30 @@ def _emit_backtest(result: BacktestResult, directory: Path) -> list[Path]:
     with curve_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "equity", "staking_accrued", "interest_paid", "fees_paid"])
-        for step in result.steps:
-            writer.writerow(
-                [
-                    step.timestamp,
-                    _fmt(step.equity),
-                    _fmt(step.staking_accrued),
-                    _fmt(step.interest_paid),
-                    _fmt(step.fees_paid),
-                ]
-            )
+        columns = (result.equity, result.staking_accrued, result.interest_paid, result.fees_paid)
+        writer.writerows(zip(result.timestamps, *(map(_fmt, c) for c in columns)))
     paths.append(curve_path)
 
     positions_path = directory / "positions.csv"
     with positions_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         header = ["timestamp", "unleveraged"]
-        for mid in result.market_ids:
+        columns = [result.timestamps, map(_fmt, result.unleveraged)]
+        for mid, c, d in zip(result.market_ids, result.collateral, result.debt):
             header += [f"collateral_{mid}", f"debt_{mid}"]
+            columns += [map(_fmt, c), map(_fmt, map(neg, d))]  # debts are negative positions
         writer.writerow(header)
-        for record in result.positions:
-            row: list[object] = [record.timestamp, _fmt(record.unleveraged)]
-            for c, d in zip(record.collateral, record.debt):
-                row += [_fmt(c), _fmt(-d)]  # debts are negative positions
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
     paths.append(positions_path)
 
     summary = {
         "apy": result.apy,
         "rebalance_count": result.rebalance_count,
         "total_fees_paid": result.total_fees_paid,
-        "start_equity": result.steps[0].equity,
-        "end_equity": result.steps[-1].equity,
-        "start_timestamp": result.steps[0].timestamp,
-        "end_timestamp": result.steps[-1].timestamp,
+        "start_equity": result.equity[0],
+        "end_equity": result.equity[-1],
+        "start_timestamp": result.timestamps[0],
+        "end_timestamp": result.timestamps[-1],
         "markets": list(result.market_ids),
     }
     summary_json = directory / "summary.json"
@@ -560,17 +550,28 @@ def _emit_curve(
     return [csv_path, json_path]
 
 
-def load_position_history(path: Path) -> list[PositionRecord]:
+class PositionHistory(NamedTuple):
+    """The holdings columns of a backtest, as ``BacktestResult`` holds them."""
+
+    timestamps: tuple[int, ...]
+    unleveraged: tuple[float, ...]
+    collateral: tuple[tuple[float, ...], ...]
+    debt: tuple[tuple[float, ...], ...]
+
+
+def load_position_history(path: Path) -> PositionHistory:
     """Read back an emitted ``positions.csv`` (debts stored negative)."""
     path = Path(path)
     header, columns = _read_columns(path, None)
     if header[:2] != ["timestamp", "unleveraged"] or len(header) % 2 != 0:
         raise DataError(f"{path}: unexpected positions header")
     values = [_floats(column, path) for column in columns[1:]]
-    return [
-        PositionRecord(t, v[0], v[1::2], tuple(-d for d in v[2::2]))
-        for t, v in zip(_timestamps(columns[0], path), zip(*values))
-    ]
+    return PositionHistory(
+        timestamps=_timestamps(columns[0], path),
+        unleveraged=values[0],
+        collateral=tuple(values[1::2]),
+        debt=tuple(tuple(map(neg, v)) for v in values[2::2]),
+    )
 
 
 def irm_from_dict(raw: dict) -> object:

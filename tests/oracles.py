@@ -7,6 +7,7 @@ tests never reuse the code paths they are checking.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -125,6 +126,77 @@ def simplex_search(
                             improved = True
             delta *= 0.5
     return sum(terms)
+
+
+def fee_penalised_objective(
+    markets: list[MarketState],
+    l_max: list[float],
+    s: float,
+    x: list[float],
+    x0: float,
+    collateral0: float,
+    fees,
+) -> float:
+    """Cash flow of a holding net of the fee of reaching it from total
+    collateral ``collateral0``, amortized over the fee horizon:
+    ``f(x) - gamma_pm * |delta C| / horizon``."""
+    delta = x0 + sum(xi * l for xi, l in zip(x, l_max)) - collateral0
+    gamma = fees.gamma_plus if delta > 0.0 else fees.gamma_minus
+    return simplex_objective(markets, l_max, s, x, x0) - gamma * abs(delta) / fees.horizon_years
+
+
+def grid_best_with_fees(
+    markets: list[MarketState],
+    l_max: list[float],
+    s: float,
+    budget: float,
+    collateral0: float,
+    fees,
+    points: int,
+) -> float:
+    """Largest fee-penalised cash flow over a grid of ``points`` exposures
+    per market (one or two markets), each within its liquidity cap and all
+    within the budget."""
+    if not 1 <= len(markets) <= 2:
+        raise ValueError("the grid covers one or two markets")
+    axes = [
+        [min(budget, (m.supplied - m.borrowed) / (l - 1.0)) * k / (points - 1) for k in range(points)]
+        for m, l in zip(markets, l_max)
+    ]
+    best = -math.inf
+    for x in itertools.product(*axes):
+        x0 = budget - sum(x)
+        if x0 >= 0.0:
+            best = max(best, fee_penalised_objective(markets, l_max, s, list(x), x0, collateral0, fees))
+    return best
+
+
+def best_at_total_exposure(
+    markets: list[MarketState], l_max: float, s: float, budget: float, total: float
+) -> float:
+    """Largest cash flow over holdings of one or two markets at one leverage
+    cap whose exposures sum to ``total``, which fixes the total collateral
+    ``budget + total * (l_max - 1)``. The cash flow is concave along that
+    line, so a ternary search finds its maximum."""
+    caps = [(m.supplied - m.borrowed) / (l_max - 1.0) for m in markets]
+    x0 = budget - total
+
+    def value(x1: float) -> float:
+        x = [x1] if len(markets) == 1 else [x1, total - x1]
+        return simplex_objective(markets, [l_max] * len(markets), s, x, x0)
+
+    if len(markets) == 1:
+        return value(total)
+    if len(markets) != 2:
+        raise ValueError("the line covers one or two markets")
+    lo, hi = max(0.0, total - caps[1]), min(total, caps[0])
+    for _ in range(200):
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if value(a) < value(b):
+            lo = a
+        else:
+            hi = b
+    return max(value(lo), value(hi), value(max(0.0, total - caps[1])), value(min(total, caps[0])))
 
 
 def random_instance(rng: random.Random, n: int | None = None):

@@ -264,10 +264,11 @@ def test_criterion_08_backtest_conservation_and_size_effect():
     staking = run_backtest(series, BacktestConfig(budget=1.0, strategy=STAKING_ONLY)).apy
     assert abs(apys[-1] - staking) < 0.001, (apys[-1], staking)
 
-    result = run_backtest(series, BacktestConfig(budget=100.0, rebalance_frequency=SECONDS_PER_HOUR))
-    for a, b in zip(result.steps, result.steps[1:]):
-        expected = a.equity + a.staking_accrued - a.interest_paid - a.fees_paid
-        assert abs(b.equity - expected) <= 1e-9 * max(1.0, abs(b.equity))
+    r = run_backtest(series, BacktestConfig(budget=100.0, rebalance_frequency=SECONDS_PER_HOUR))
+    flows = zip(r.equity, r.staking_accrued, r.interest_paid, r.fees_paid, r.equity[1:])
+    for equity, staking, interest, fees, after in flows:
+        expected = equity + staking - interest - fees
+        assert abs(after - expected) <= 1e-9 * max(1.0, abs(after))
     print(
         PASS.format(
             8,

@@ -260,25 +260,26 @@ def scenario_series(name: str = "rate-crossing", seed: int = 1) -> SnapshotSerie
 
 class TestApy:
     def test_doubling_in_a_year(self):
-        curve = [(0, 100.0), (SECONDS_PER_YEAR, 200.0)]
-        assert apy(curve) == pytest.approx(1.0)
+        assert apy([0, SECONDS_PER_YEAR], [100.0, 200.0]) == pytest.approx(1.0)
 
     def test_flat_curve(self):
-        curve = [(0, 100.0), (SECONDS_PER_YEAR, 100.0)]
-        assert apy(curve) == 0.0
+        assert apy([0, SECONDS_PER_YEAR], [100.0, 100.0]) == 0.0
 
     def test_quarterly_annualization(self):
         ninety_days = 90 * SECONDS_PER_DAY
-        curve = [(0, 1.0), (ninety_days, 1.0075)]
-        assert apy(curve) == pytest.approx(0.0308, abs=2e-4)
+        assert apy([0, ninety_days], [1.0, 1.0075]) == pytest.approx(0.0308, abs=2e-4)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
-            apy([(0, 1.0), (100, -2.0)])
+            apy([0, 100], [1.0, -2.0])
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(DomainError, match="one mark per timestamp"):
+            apy([0, 100, 200], [1.0, 2.0])
 
     def test_overflowing_annualization_rejected(self):
         with pytest.raises(DomainError, match="growth factor 1.3 over 7200 s"):
-            apy([(0, 1.0), (7200, 1.3)])
+            apy([0, 7200], [1.0, 1.3])
 
 
 class TestRunBacktest:
@@ -307,19 +308,39 @@ class TestRunBacktest:
 
     def test_equity_conservation_every_step(self):
         series = scenario_series()
-        result = run_backtest(
+        r = run_backtest(
             series,
             config(budget=25.0, fees=FeeModel(0.0, 0.0001, 1.0 / 365.0)),
         )
-        steps = result.steps
-        for a, b in zip(steps, steps[1:]):
-            expected = a.equity + a.staking_accrued - a.interest_paid - a.fees_paid
-            assert b.equity == pytest.approx(expected, rel=1e-9)
+        flows = zip(r.equity, r.staking_accrued, r.interest_paid, r.fees_paid, r.equity[1:])
+        for equity, staking, interest, fees, after in flows:
+            assert after == pytest.approx(equity + staking - interest - fees, rel=1e-9)
 
     def test_equity_curve_starts_at_budget(self):
         series = scenario_series()
         result = run_backtest(series, config(budget=7.0))
-        assert result.equity_curve[0][1] == 7.0
+        assert result.equity[0] == 7.0
+
+    def test_fee_beyond_the_unleveraged_holding_unwinds_exposure(self):
+        # A small budget is fully levered, so each fee is paid by scaling the
+        # position down, and equity is conserved across every such trade.
+        r = run_backtest(
+            flat_series(hours=24 * 7),
+            config(budget=1e-3, fees=FeeModel(0.0005, 0.0005, 30.0 / 365.0)),
+        )
+        paid = [k for k, fee in enumerate(r.fees_paid) if fee > 0.0]
+        assert paid and all(r.unleveraged[k] == 0.0 for k in paid)
+        for k in paid:
+            held = r.collateral[0][k] - r.debt[0][k]
+            assert held == pytest.approx(r.equity[k] - r.fees_paid[k], rel=1e-9)
+        flows = zip(r.equity, r.staking_accrued, r.interest_paid, r.fees_paid, r.equity[1:])
+        for equity, staking, interest, fees, after in flows:
+            assert after == pytest.approx(equity + staking - interest - fees, rel=1e-9)
+
+    def test_fee_beyond_equity_is_refused(self):
+        # Unleveraged 0.5 and exposure 1.0 cannot pay a fee of 2.
+        with pytest.raises(DomainError, match="rebalance fee exceeds portfolio equity"):
+            backtest._charge_fee(2.0, 0.5, [5.0], [4.0])
 
     def test_own_footprint_raises_pool_rate(self):
         # bigger budgets borrow more, push utilization, and earn lower APY
@@ -431,7 +452,7 @@ class TestRunBacktest:
         cfg = config(budget=10.0, strategy=DYNAMIC, threshold=0.002)
         a = run_backtest(series, cfg)
         b = run_backtest(series, cfg)
-        assert a.equity_curve == b.equity_curve
+        assert (a.timestamps, a.equity) == (b.timestamps, b.equity)
 
     def test_gross_gate_rebalances_at_least_as_often_as_net(self):
         series = scenario_series("volatile", seed=4)
@@ -504,15 +525,15 @@ class TestAccrual:
         for k, (a, b) in enumerate(zip(ts, ts[1:])):
             dt = (b - a) / SECONDS_PER_YEAR
             expected = 0.0
-            for i, debt in enumerate(result.positions[k].debt):
+            for i, debt in enumerate(column[k] for column in result.debt):
                 if debt > 0.0:
                     s = market_state_at(smoothed, i, k, cfg.irm)
                     overshoots += debt > s.available_liquidity
                     delta = min(debt, s.available_liquidity)
                     expected += debt * borrow_rate(s.irm, s.supplied, s.borrowed, delta) * dt
-            assert result.steps[k].interest_paid == expected
-        assert result.steps[-1].interest_paid == 0.0
-        assert sum(s.interest_paid for s in result.steps) > 0.0
+            assert result.interest_paid[k] == expected
+        assert result.interest_paid[-1] == 0.0
+        assert sum(result.interest_paid) > 0.0
         if stale:  # some debt outgrew its pool and was priced at full utilization
             assert overshoots > 0
 

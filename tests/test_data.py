@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -26,6 +27,7 @@ from stakeloop.data import (
 )
 from stakeloop.errors import DataError, DomainError, ValidationError
 from stakeloop.irm import KinkedIrmParams, LinearIrmParams
+from stakeloop.rebalance import FeeModel
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
@@ -328,6 +330,28 @@ class TestReports:
             first = path.read_text().splitlines()[0]
             assert first  # header row present
 
+    def test_backtest_report_bytes_are_pinned(self, tmp_path):
+        # A replay with fees, six-hourly rebalances and smoothing. Any change to
+        # a float of the replay, its order of summation or its formatting
+        # changes these digests.
+        series, _ = generate_synthetic(scenario("rate-crossing"), seed=0)
+        cfg = BacktestConfig(
+            budget=40.0,
+            rebalance_frequency=6 * SECONDS_PER_HOUR,
+            fees=FeeModel(0.0001, 0.0002, 7.0 / 365.0),
+            smoothing_window=12 * SECONDS_PER_HOUR,
+        )
+        emit_report(run_backtest(series, cfg), tmp_path)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("equity_curve.csv", "positions.csv", "summary.json")
+        }
+        assert digests == {
+            "equity_curve.csv": "ed0df74bc4c89a2e92d1215f3273eda503d7431c9804e2cb8d0a1ff0c08f0e78",
+            "positions.csv": "185038244bb570dd797820a9f87274db86c575ed957b3042741cf0bbe12b216b",
+            "summary.json": "f05b5b0979ed5be6942a5ec47f4e756d175d0ba222a6cee0d25dd656a0f2943c",
+        }
+
     def test_sweep_report_rows(self, tmp_path):
         curve = [(10.0, 0.05), (100.0, 0.04), (1000.0, 0.035)]
         paths = emit_report(curve, tmp_path / "sweep", label="apy")
@@ -360,12 +384,10 @@ class TestReports:
         paths = emit_report(result, tmp_path / "report")
         positions_path = next(p for p in paths if p.name == "positions.csv")
         loaded = load_position_history(positions_path)
-        assert len(loaded) == len(result.positions)
-        for a, b in zip(loaded, result.positions):
-            assert a.timestamp == b.timestamp
-            assert a.unleveraged == b.unleveraged
-            assert a.collateral == b.collateral
-            assert a.debt == b.debt
+        assert loaded.timestamps == result.timestamps
+        assert loaded.unleveraged == result.unleveraged
+        assert loaded.collateral == result.collateral
+        assert loaded.debt == result.debt
 
 
 class TestIrmFromDict:

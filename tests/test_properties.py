@@ -14,7 +14,13 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_rate, window_means
+from oracles import (
+    best_at_total_exposure,
+    fee_penalised_objective,
+    grid_best_with_fees,
+    oracle_rate,
+    window_means,
+)
 from stakeloop.allocator import (
     Allocation,
     ProblemInstance,
@@ -44,7 +50,14 @@ from stakeloop.irm import (
     market_response,
     response_events,
 )
-from stakeloop.rebalance import DECREASE, INCREASE, FeeModel, solve_with_fees, total_collateral
+from stakeloop.rebalance import (
+    DECREASE,
+    HOLD,
+    INCREASE,
+    FeeModel,
+    solve_with_fees,
+    total_collateral,
+)
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 T0 = 1735689600
@@ -218,6 +231,62 @@ def test_fee_aware_direction_matches_the_collateral_move(data):
 
 
 @st.composite
+def fee_plans(draw):
+    """A one- or two-market instance, a holding of its budget, fees on a log
+    scale from negligible to prohibitive, and the fee-aware plan."""
+    p = draw(instances(max_n=2))
+    current = draw(positions(p))
+    fees = FeeModel(
+        10.0 ** draw(st.floats(-6.0, -2.0)),
+        10.0 ** draw(st.floats(-6.0, -2.0)),
+        draw(st.floats(1.0, 30.0)) / 365.0,
+    )
+    return p, current, fees, solve_with_fees(p, current, fees)
+
+
+def grid_and_line_best(p: ProblemInstance, current: Allocation, fees: FeeModel):
+    """The oracle's best fee-penalised cash flow over a grid of every
+    allocation, and its best cash flow at the current total collateral
+    (where no fee is due)."""
+    markets, l_max = list(p.markets), list(p.l_max)
+    grid = grid_best_with_fees(
+        markets, l_max, p.staking_rate, p.budget, total_collateral(current, p.l_max), fees,
+        points=2001 if len(markets) == 1 else 81,
+    )
+    line = best_at_total_exposure(
+        markets, l_max[0], p.staking_rate, p.budget, math.fsum(current.exposures)
+    )
+    return grid, line
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(fee_plans())
+def test_fee_aware_move_maximises_the_fee_penalised_yield(case):
+    p, current, fees, plan = case
+    assume(plan.direction != HOLD)
+    value = fee_penalised_objective(
+        list(p.markets), list(p.l_max), p.staking_rate, list(plan.target.exposures),
+        plan.target.unleveraged, total_collateral(current, p.l_max), fees,
+    )
+    grid, line = grid_and_line_best(p, current, fees)
+    tol = 1e-9 * p.budget * max(p.l_max)
+    assert value >= grid - tol
+    assert value >= line - tol
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(fee_plans())
+def test_fee_aware_hold_has_its_best_at_the_current_collateral(case):
+    # Neither fee-shifted branch moves collateral its own way (or the one
+    # that does is the current holding): no allocation, at any total
+    # collateral, beats the best one at the current total net of fees.
+    p, current, fees, plan = case
+    assume(plan.direction == HOLD)
+    grid, line = grid_and_line_best(p, current, fees)
+    assert grid <= line + 1e-9 * p.budget * max(p.l_max)
+
+
+@st.composite
 def series(draw, max_markets: int = 3) -> SnapshotSeries:
     """An hourly series with up to ten minutes of jitter per step and, at
     about one step in ten, a gap of up to two days."""
@@ -294,10 +363,11 @@ def test_equity_is_conserved_at_every_step(data):
         smoothing_window=data.draw(st.one_of(st.just(0), st.integers(cadence, SECONDS_PER_DAY))),
         irm=LinearIrmParams(0.0, data.draw(st.floats(0.0, 0.2)), 0.9),  # for non-adaptive markets
     )
-    steps = run_backtest(x, cfg).steps
-    for a, b in zip(steps, steps[1:]):
-        expected = a.equity + a.staking_accrued - a.interest_paid - a.fees_paid
-        assert abs(b.equity - expected) <= 1e-9 * max(1.0, abs(b.equity))
+    r = run_backtest(x, cfg)
+    flows = zip(r.equity, r.staking_accrued, r.interest_paid, r.fees_paid, r.equity[1:])
+    for equity, staking, interest, fees, after in flows:
+        expected = equity + staking - interest - fees
+        assert abs(after - expected) <= 1e-9 * max(1.0, abs(after))
 
 
 @st.composite
@@ -343,7 +413,8 @@ def test_equity_is_conserved_at_every_step_with_hundreds_of_markets(data):
         fees=FeeModel(data.draw(st.floats(0.0, 1e-4)), data.draw(st.floats(0.0, 1e-4)), 30 / 365.0),
         irm=LinearIrmParams(0.0, data.draw(st.floats(0.0, 0.2)), 0.9),  # for non-adaptive markets
     )
-    steps = run_backtest(x, cfg).steps
-    for a, b in zip(steps, steps[1:]):
-        expected = a.equity + a.staking_accrued - a.interest_paid - a.fees_paid
-        assert abs(b.equity - expected) <= 1e-9 * max(1.0, abs(b.equity))
+    r = run_backtest(x, cfg)
+    flows = zip(r.equity, r.staking_accrued, r.interest_paid, r.fees_paid, r.equity[1:])
+    for equity, staking, interest, fees, after in flows:
+        expected = equity + staking - interest - fees
+        assert abs(after - expected) <= 1e-9 * max(1.0, abs(after))
