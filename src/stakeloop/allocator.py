@@ -34,9 +34,12 @@ from .errors import ConstraintError, DomainError, UnsupportedModelError
 from .irm import (
     LinearIrmParams,
     MarketState,
-    _compile,
+    _check_pool_amounts,
     _events,
+    _pieces,
+    _rate,
     _response,
+    _state_form,
     borrow_rate,
     marginal_cost_subgradient,
 )
@@ -72,7 +75,21 @@ class ProblemInstance:
         if len(set(ids)) < len(ids):
             raise DomainError(f"duplicate market id {next(i for i in ids if ids.count(i) > 1)}")
         object.__setattr__(self, "market_ids", ids)
-        object.__setattr__(self, "_forms", tuple(map(_compile, self.markets, self.l_max)))
+        object.__setattr__(self, "_forms", tuple(map(_state_form, self.markets, self.l_max)))
+
+    @classmethod
+    def _compiled(cls, market_ids: tuple, l_max: tuple, forms: list, s: float, budget: float):
+        """An instance of forms the caller compiled from checked values. Its
+        ``markets`` is None, so a reader of market states such as
+        :func:`verify_kkt` fails rather than pass over an empty list."""
+        if not 0.0 < budget < math.inf:
+            raise DomainError(f"budget must be positive and finite, got {budget}")
+        p = object.__new__(cls)
+        vars(p).update(
+            markets=None, l_max=l_max, staking_rate=s, budget=budget, market_ids=market_ids,
+            _forms=tuple(forms),
+        )
+        return p
 
     @classmethod
     def uniform(
@@ -163,8 +180,8 @@ def effective_staking_rate(lam: float, s: float, l_max: float) -> float:
     return s + (s - lam) / (l_max - 1.0)
 
 
-def _responses(p: ProblemInstance, s: float, lam: float) -> list[float]:
-    return [_response(form, s, lam) for form in p._forms]
+def _responses(pieces: list[list[tuple[float, float, float]]], lam: float) -> list[float]:
+    return [_response(market_pieces, lam) for market_pieces in pieces]
 
 
 def _position_yield(
@@ -179,15 +196,13 @@ def _position_yield(
     utilization when the debt overshoots available liquidity (stale positions
     marked against a shrunk pool).
     """
-    total = unleveraged * p.staking_rate
-    for x, market, l_max in zip(exposures, p.markets, p.l_max):
+    s = p.staking_rate
+    total = unleveraged * s
+    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(exposures, p._forms):
         debt = x * (l_max - 1.0)
-        if clamp_utilization:
-            debt_for_rate = min(debt, market.available_liquidity)
-        else:
-            debt_for_rate = debt
-        rate = borrow_rate(market.irm, market.supplied, market.borrowed, debt_for_rate)
-        total += x * l_max * p.staking_rate - debt * rate
+        debt_for_rate = min(debt, supplied - borrowed) if clamp_utilization else debt
+        rate = _rate(curve, _check_pool_amounts(supplied, borrowed, debt_for_rate) / supplied)
+        total += x * l_max * s - debt * rate
     return total
 
 
@@ -235,31 +250,15 @@ def _check_alloc_feasible(alloc: Allocation, p: ProblemInstance) -> None:
 
 
 def solve_saturated(p: ProblemInstance) -> Allocation | None:
-    """Allocation with every market saturated at the staking rate.
-
-    Returns None when those responses overshoot the budget, in which case
-    the caller must fall through to the unsaturated solve.
-    """
-    return _saturated(p, p.staking_rate)
+    """Allocation with every market saturated at the staking rate, or None
+    when those responses overshoot the budget (the unsaturated regime)."""
+    alloc = solve(p)
+    return alloc if alloc.regime == SATURATED else None
 
 
-def _saturated(p: ProblemInstance, s: float) -> Allocation | None:
-    exposures = _responses(p, s, s)
-    used = sum(exposures)
-    if used > p.budget:
-        return None
-    return Allocation(
-        market_ids=p.market_ids,
-        exposures=tuple(exposures),
-        unleveraged=p.budget - used,
-        lambda_star=s,
-        expected_yield=_position_yield(exposures, p.budget - used, p),
-        regime=SATURATED,
-    )
-
-
-def _shadow_rate(p: ProblemInstance, s: float) -> tuple[float, list[tuple[int, float]], list[float]]:
-    """Where the summed response crosses the budget, by a descending sweep.
+def _shadow_rate(p: ProblemInstance, pieces: list, s: float) -> tuple[float, list, list[float]]:
+    """Where the summed response crosses the budget, by a descending sweep
+    over each market's ``pieces`` at staking rate ``s``.
 
     Returns ``lambda_star``, the markets jumping there with their jump sizes
     (in market order; empty unless the crossing is a jump), and each
@@ -268,14 +267,14 @@ def _shadow_rate(p: ProblemInstance, s: float) -> tuple[float, list[tuple[int, f
     events = sorted(
         (
             (level, i, jump, slope)
-            for i, form in enumerate(p._forms)
-            for level, jump, slope in _events(form, s)
+            for i, market_pieces in enumerate(pieces)
+            for level, jump, slope in _events(market_pieces)
             if level > s
         ),
         key=lambda e: e[0],
         reverse=True,
     )
-    slopes = [0.0] * len(p.markets)
+    slopes = [0.0] * len(pieces)
     # Summed response just below hi, and its slope on the piece below hi.
     total = slope = 0.0
     hi = events[0][0]
@@ -313,13 +312,22 @@ def solve(p: ProblemInstance) -> Allocation:
 
 
 def _solve(p: ProblemInstance, s: float) -> Allocation:
-    """:func:`solve` at staking rate ``s``, the yield priced at ``p.staking_rate``."""
-    saturated = _saturated(p, s)
-    if saturated is not None:
-        return saturated
-
-    lam_star, jumpers, slopes = _shadow_rate(p, s)
-    exposures = _responses(p, s, lam_star)
+    """:func:`solve` at staking rate ``s``, the yield priced at ``p.staking_rate``,
+    from each market's pieces at ``s``, built once."""
+    pieces = [_pieces(form, s) for form in p._forms]
+    exposures = _responses(pieces, s)
+    used = sum(exposures)
+    if used <= p.budget:
+        return Allocation(
+            market_ids=p.market_ids,
+            exposures=tuple(exposures),
+            unleveraged=p.budget - used,
+            lambda_star=s,
+            expected_yield=_position_yield(exposures, p.budget - used, p),
+            regime=SATURATED,
+        )
+    lam_star, jumpers, slopes = _shadow_rate(p, pieces, s)
+    exposures = _responses(pieces, lam_star)
     left = p.budget - math.fsum(exposures)
     # lambda_star lies inside the marginal-value interval of a market
     # anywhere on its jump, so the jumping markets fill in market order.
@@ -340,7 +348,7 @@ def _solve(p: ProblemInstance, s: float) -> Allocation:
         exposures[max(open_markets, key=slopes.__getitem__)] += left
     # More than rounding left over: no float shadow rate spends the budget.
     if abs(p.budget - math.fsum(exposures)) > _REL_BUDGET_TOL * max(1.0, p.budget):
-        lam_star, exposures = _between_floats(p, s)
+        lam_star, exposures = _between_floats(p, pieces, s)
     return Allocation(
         market_ids=p.market_ids,
         exposures=tuple(exposures),
@@ -351,7 +359,7 @@ def _solve(p: ProblemInstance, s: float) -> Allocation:
     )
 
 
-def _between_floats(p: ProblemInstance, s: float) -> tuple[float, list[float]]:
+def _between_floats(p: ProblemInstance, pieces: list, s: float) -> tuple[float, list[float]]:
     """``(lambda_star, exposures)`` when no float shadow rate spends the budget.
 
     A response's slope is ``1/(2c(l_max-1)^2)``; with a leverage cap a hair
@@ -363,13 +371,13 @@ def _between_floats(p: ProblemInstance, s: float) -> tuple[float, list[float]]:
     marginal value lies between ``lo`` and ``hi``.
     """
     lo = s
-    hi = max(level for form in p._forms for level, _, _ in _events(form, s)[:1])
+    hi = max(market_pieces[0][0] for market_pieces in pieces if market_pieces)
     while (mid := lo + (hi - lo) / 2) not in (lo, hi):
-        if math.fsum(_responses(p, s, mid)) >= p.budget:
+        if math.fsum(_responses(pieces, mid)) >= p.budget:
             lo = mid
         else:
             hi = mid
-    at_lo, at_hi = _responses(p, s, lo), _responses(p, s, hi)
+    at_lo, at_hi = _responses(pieces, lo), _responses(pieces, hi)
     # Each weight comes from its own difference, so neither loses digits to 1 - w.
     over, under = math.fsum(at_lo) - p.budget, p.budget - math.fsum(at_hi)
     w_lo, w_hi = under / (over + under), over / (over + under)
@@ -382,7 +390,7 @@ def _linear_coefficients(market: MarketState, form: tuple, s: float) -> tuple[fl
         raise UnsupportedModelError(
             f"market {market.market_id} does not use the linear rate model"
         )
-    l_max, _, k, denom, _, _ = form
+    l_max, _, k, denom, *_ = form
     if denom == 0.0:
         raise UnsupportedModelError(
             f"market {market.market_id} has a flat rate curve; the closed form "

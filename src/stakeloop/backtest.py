@@ -20,14 +20,7 @@ from typing import Callable, Mapping
 
 from .allocator import Allocation, ProblemInstance
 from .errors import DataError, DomainError, ValidationError
-from .irm import (
-    AdaptiveIrmParams,
-    IrmParams,
-    MarketState,
-    _adaptive_curve,
-    _curve_of,
-    _rate,
-)
+from .irm import IrmParams, _adaptive_curve, _compile, _curve_of, _rate
 from .rebalance import HOLD, FeeModel, should_rebalance, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_YEAR
 
@@ -37,12 +30,9 @@ STAKING_ONLY = "staking_only"
 STRATEGIES = (FIXED_FREQUENCY, DYNAMIC, STAKING_ONLY)
 
 # Controller constants of the deployed adaptive-curve markets; used to turn a
-# recorded rate-at-target into a full rate model.
+# recorded rate-at-target into a rate curve.
 ADAPTIVE_CURVE_STEEPNESS = 4.0
 ADAPTIVE_TARGET_UTILIZATION = 0.9
-# market_state_at pins each curve's t_last to its own snapshot, so no time
-# elapses inside the controller and this speed never changes a backtest result.
-ADAPTIVE_ADJUSTMENT_SPEED = 50.0  # 1/year
 
 
 @dataclass(frozen=True)
@@ -52,6 +42,11 @@ class MarketMeta:
     creation_date: str = ""
 
     def __post_init__(self) -> None:
+        # The id names the market's file in a dataset directory.
+        if not (mid := str(self.market_id)) or "/" in mid or "\\" in mid:
+            raise DomainError(
+                f"market id {self.market_id!r} must be non-empty and hold no '/' or '\\'"
+            )
         if not 0.0 < self.max_ltv < 1.0:
             raise DomainError(f"max_ltv must be in (0, 1), got {self.max_ltv}")
 
@@ -316,38 +311,6 @@ def apy(timestamps: Sequence[int], equity: Sequence[float]) -> float:
         ) from None
 
 
-def market_state_at(
-    series: SnapshotSeries, i: int, k: int, fallback_irm: IrmParams | None
-) -> MarketState:
-    """Market ``i``'s pool state at snapshot ``k`` plus a rate model,
-    preferring the recorded rate-at-target."""
-    meta, supplied, borrowed = series.markets[i], series.supplied[i][k], series.borrowed[i][k]
-    targets = series.rate_at_target[i]
-    if targets is not None:
-        irm: IrmParams = AdaptiveIrmParams(
-            rate_at_target=targets[k],
-            curve_steepness=ADAPTIVE_CURVE_STEEPNESS,
-            u_target=ADAPTIVE_TARGET_UTILIZATION,
-            adjustment_speed=ADAPTIVE_ADJUSTMENT_SPEED,
-            t_last=series.timestamps[k],
-            u_last=borrowed / supplied,
-        )
-    elif fallback_irm is not None:
-        irm = fallback_irm
-    else:
-        raise DataError(
-            f"market {meta.market_id} has no rate_at_target and no fallback "
-            "rate model is configured"
-        )
-    return MarketState(
-        market_id=meta.market_id,
-        supplied=supplied,
-        borrowed=borrowed,
-        max_ltv=meta.max_ltv,
-        irm=irm,
-    )
-
-
 def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     """Replay the strategy over the series and account every flow.
 
@@ -375,12 +338,20 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     passive = cfg.strategy == STAKING_ONLY or cfg.l_max <= 1.0
     m = cfg.l_max - 1.0
 
-    # The accrual's curves: rate_at_target[i][k] times the unit adaptive curve
-    # is market_state_at's rate float for float. A market with no curve never
-    # holds debt, as its first solve raises.
-    unit = _adaptive_curve(1.0, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
     fallback = None if cfg.irm is None else cfg.irm._curve
+    if not passive and fallback is None and None in series.rate_at_target:
+        missing = ids[series.rate_at_target.index(None)]
+        raise DataError(
+            f"market {missing} has no rate_at_target and no fallback rate model is configured"
+        )
+    # The accrual's curves: rate_at_target[i][k] times the unit adaptive curve
+    # is, float for float, the rate of the curve a solve compiles.
+    unit = _adaptive_curve(1.0, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
     curves = [fallback if c is None else unit for c in series.rate_at_target]
+    l_maxes = (cfg.l_max,) * n
+
+    def adaptive(target: float) -> tuple:
+        return _adaptive_curve(target, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
 
     unleveraged = cfg.budget
     collateral = [0.0] * n
@@ -400,6 +371,7 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     last = len(ts) - 1
     staking_rates = series.staking_rates
     pools = tuple(zip(series.supplied, series.borrowed, curves, series.rate_at_target))
+    ltvs = [meta.max_ltv for meta in series.markets]
 
     for k, t in enumerate(ts):
         equity = unleveraged + sum(map(sub, collateral, debt))
@@ -411,8 +383,12 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
             elapsed = (t - t0) // cfg.rebalance_frequency
             next_due = t0 + (elapsed + 1) * cfg.rebalance_frequency
         if due and not passive and equity > 0.0:
-            markets = [market_state_at(series, i, k, cfg.irm) for i in range(n)]
-            p = ProblemInstance.uniform(markets, cfg.l_max, staking_rates[k], budget=equity)
+            # The solver's instance, compiled from columns the record check has checked.
+            forms = [
+                _compile(mid, sup[k], bor[k], ltv, adaptive(at[k]) if at else curve, cfg.l_max)
+                for mid, ltv, (sup, bor, curve, at) in zip(ids, ltvs, pools)
+            ]
+            p = ProblemInstance._compiled(ids, l_maxes, forms, staking_rates[k], equity)
             exposures = [d / m for d in debt]
             current = Allocation.from_position(
                 ids, exposures, equity - sum(exposures)

@@ -23,7 +23,7 @@ from .allocator import (
     yield_breakdown,
 )
 from .errors import DataError, StakeloopError, ValidationError
-from .irm import MarketState
+from .irm import AdaptiveIrmParams, MarketState
 from .rebalance import HOLD, FeeModel, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -91,9 +91,17 @@ def _markets_from_args(args) -> list[MarketState]:
         k = -1 if args.at is None else series.timestamps.index(args.at)
         if args.staking_rate is None:
             args.staking_rate = series.staking_rates[k]
-        markets.extend(
-            bt.market_state_at(series, i, k, None) for i in range(len(series.markets))
-        )
+        columns = zip(series.markets, series.supplied, series.borrowed, series.rate_at_target)
+        for meta, supplied, borrowed, targets in columns:
+            if targets is None:
+                raise DataError(f"market {meta.market_id} has no rate_at_target")
+            # The controller is pinned to the snapshot: no time elapses in it,
+            # so its adjustment speed (1/year) changes no result.
+            irm = AdaptiveIrmParams(
+                targets[k], bt.ADAPTIVE_CURVE_STEEPNESS, bt.ADAPTIVE_TARGET_UTILIZATION,
+                50.0, series.timestamps[k], borrowed[k] / supplied[k],
+            )
+            markets.append(MarketState(meta.market_id, supplied[k], borrowed[k], meta.max_ltv, irm))
     if not markets:
         raise StakeloopError("no markets given (use --markets, --market, or --dataset)")
     return markets

@@ -563,7 +563,10 @@ def load_position_history(path: Path) -> PositionHistory:
     """Read back an emitted ``positions.csv`` (debts stored negative)."""
     path = Path(path)
     header, columns = _read_columns(path, None)
-    if header[:2] != ["timestamp", "unleveraged"] or len(header) % 2 != 0:
+    # After the first two names, one collateral_<id>, debt_<id> pair per market.
+    ids = [name.removeprefix("collateral_") for name in header[2::2]]
+    pairs = [name for mid in ids for name in (f"collateral_{mid}", f"debt_{mid}")]
+    if header != ["timestamp", "unleveraged", *pairs] or not all(ids):
         raise DataError(f"{path}: unexpected positions header")
     values = [_floats(column, path) for column in columns[1:]]
     return PositionHistory(

@@ -266,35 +266,37 @@ def marginal_cost_subgradient(
     return (lo, lo) if total < target_amount else (hi, hi)
 
 
-def _compile(market: MarketState, l_max: float) -> tuple:
-    """``(l_max, cap, k, denom, drop, kink)``: the terms of the market's
-    response at ``l_max`` that are free of the staking rate ``s``, after the
-    one cap check. A branch has level and value ``l_max*s - k`` and slope
-    ``1/denom``: a linear curve's only branch, or the steep one above a kink.
-    ``kink``, when there is room to borrow below it, holds ``(k, denom, k_in,
-    plateau, k_out)`` of the gentle branch and plateau; ``cap`` starts
-    ``drop`` below the last branch."""
-    bound = max_leverage_bound(market.max_ltv)
+def _compile(
+    market_id: str, supplied: float, borrowed: float, max_ltv: float, curve: tuple, l_max: float
+) -> tuple:
+    """``(l_max, cap, k, denom, drop, kink, curve, supplied, borrowed)``: the
+    terms of a market's response at ``l_max`` that are free of the staking
+    rate ``s``, after the one cap check, then what pricing a debt reads. The
+    caller has checked the values as ``MarketState`` does. A branch has level
+    and value ``l_max*s - k`` and slope ``1/denom``: a linear curve's only
+    branch, or the steep one above a kink. ``kink``, when there is room to
+    borrow below it, holds ``(k, denom, k_in, plateau, k_out)`` of the gentle
+    branch and plateau; ``cap`` starts ``drop`` below the last branch."""
+    bound = max_leverage_bound(max_ltv)
     if not 1.0 < l_max <= bound:
         raise ConstraintError(
             f"l_max={l_max} outside (1, {bound:.6g}] allowed by "
-            f"max_ltv={market.max_ltv} of market {market.market_id}"
+            f"max_ltv={max_ltv} of market {market_id}"
         )
     m = l_max - 1.0
-    cap = market.available_liquidity / m
-    curve, borrowed = market.irm._curve, market.borrowed
-    c1, c2 = _slopes(curve, market.supplied)
+    cap = (supplied - borrowed) / m
+    c1, c2 = _slopes(curve, supplied)
     r0, r_slope1, _, u_target = _kinked_form(curve)
     k, c, kink = m * (r0 + borrowed * c1), c1, None
     if curve[3] is not curve[4]:  # a kink at target
-        headroom = market.supplied * u_target - borrowed
+        headroom = supplied * u_target - borrowed
         if headroom > 0.0:
             k_in = m * (r0 + r_slope1 + headroom * c1)
             k_out = m * (r0 + r_slope1 + headroom * c2)
             kink = (k, 2.0 * c1 * m * m, k_in, headroom / m, k_out)
         k, c = m * (r0 + r_slope1 - headroom * c2), c2
     denom = 2.0 * c * m * m
-    return l_max, cap, k, denom, denom * cap, kink
+    return l_max, cap, k, denom, denom * cap, kink, curve, supplied, borrowed
 
 
 def _pieces(form: tuple, s: float) -> list[tuple[float, float, float]]:
@@ -308,7 +310,7 @@ def _pieces(form: tuple, s: float) -> list[tuple[float, float, float]]:
     not wider than one float gives way to the piece below it, which then
     starts at its level. A pool with no liquidity left has no pieces.
     """
-    l_max, cap, k, denom, drop, kink = form
+    l_max, cap, k, denom, drop, kink, _, _, _ = form
     if cap <= 0.0:
         return []
     ls = l_max * s
@@ -332,24 +334,30 @@ def _piece_at(denom: float, value: float, lam: float) -> float:
     return (value - lam) / denom if denom else value
 
 
-def _response(form: tuple, s: float, lam: float) -> float:
-    """:func:`market_response` of a compiled market."""
-    for level, denom, value in reversed(_pieces(form, s)):
+def _response(pieces: list[tuple[float, float, float]], lam: float) -> float:
+    """:func:`market_response` of a market's pieces; the last one's value is
+    the liquidity cap."""
+    for level, denom, value in reversed(pieces):
         if lam < level:
-            return min(_piece_at(denom, value, lam), form[1])
+            return min(_piece_at(denom, value, lam), pieces[-1][2])
     return 0.0
 
 
-def _events(form: tuple, s: float) -> list[tuple[float, float, float]]:
-    """:func:`response_events` of a compiled market."""
+def _events(pieces: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
+    """:func:`response_events` of a market's pieces."""
     events = []
     above = (0.0, 0.0)  # the constant zero above the first level
-    for level, denom, value in _pieces(form, s):
+    for level, denom, value in pieces:
         # The response is monotone, so a negative jump is rounding.
         jump = _piece_at(denom, value, level) - _piece_at(*above, level)
         events.append((level, max(0.0, jump), 1.0 / denom if denom else 0.0))
         above = (denom, value)
     return events
+
+
+def _state_form(m: MarketState, l_max: float) -> tuple:
+    """:func:`_compile` of a market's public state."""
+    return _compile(m.market_id, m.supplied, m.borrowed, m.max_ltv, m.irm._curve, l_max)
 
 
 def market_response(market: MarketState, l_max: float, s: float, lam: float) -> float:
@@ -365,7 +373,7 @@ def market_response(market: MarketState, l_max: float, s: float, lam: float) -> 
     """
     if not math.isfinite(lam):
         raise DomainError(f"lam must be finite, got {lam}")
-    return _response(_compile(market, l_max), s, lam)
+    return _response(_pieces(_state_form(market, l_max), s), lam)
 
 
 def response_events(
@@ -379,7 +387,7 @@ def response_events(
     from above; ``slope`` is its gain per unit fall of the rate on the piece
     below ``level``.
     """
-    return _events(_compile(market, l_max), s)
+    return _events(_pieces(_state_form(market, l_max), s))
 
 
 def advance_adaptive_rate(

@@ -279,3 +279,19 @@ def window_means(series, window: int) -> list[dict[str, tuple[float, float | Non
             means[mid] = (rate, target)
         out.append(means)
     return out
+
+
+def market_states_at(series, k: int, fallback_irm=None) -> list[MarketState]:
+    """The public ``MarketState`` of each market at snapshot ``k``: the
+    recorded rate-at-target under the deployed adaptive curve (steepness 4,
+    target 0.9, the controller pinned to the snapshot), else ``fallback_irm``."""
+    states = []
+    columns = zip(series.markets, series.supplied, series.borrowed, series.rate_at_target)
+    for meta, supplied, borrowed, targets in columns:
+        irm = fallback_irm
+        if targets is not None:
+            irm = AdaptiveIrmParams(
+                targets[k], 4.0, 0.9, 50.0, series.timestamps[k], borrowed[k] / supplied[k]
+            )
+        states.append(MarketState(meta.market_id, supplied[k], borrowed[k], meta.max_ltv, irm))
+    return states

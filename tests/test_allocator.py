@@ -322,6 +322,38 @@ class TestBreakpointSweep:
         assert alloc.regime == UNSATURATED
         assert calls == 2 * len(markets)
 
+    @pytest.mark.parametrize("case", ["saturated", "unsaturated", "between floats"])
+    def test_pieces_built_once_per_market_per_solve(self, case, monkeypatch):
+        if case == "between floats":
+            markets = [
+                MarketState("A", 10000.0, 1000.0, 0.9, LinearIrmParams(0.02, 0.082, 0.9)),
+                MarketState("B", 1000.0, 0.0, 0.9, LinearIrmParams(0.044, 0.019, 0.9)),
+            ]
+            p = ProblemInstance.uniform(markets, 1.0 + 2.0**-50, 0.055, 10.0)
+        else:
+            p = ProblemInstance.uniform([LIN_A, LIN_B, KINK], 5.0, 0.03, 1e6)
+            if case == "unsaturated":
+                p = replace(p, budget=math.fsum(solve_saturated(p).exposures) / 2.0)
+        built, crossed = [], []
+        pieces, between = allocator._pieces, allocator._between_floats
+
+        def counted(form, s):
+            built.append(form)
+            return pieces(form, s)
+
+        def spied(*args):
+            crossed.append(args)
+            return between(*args)
+
+        monkeypatch.setattr(allocator, "_pieces", counted)
+        monkeypatch.setattr(allocator, "_between_floats", spied)
+        for s in (p.staking_rate, p.staking_rate + 0.001):
+            built.clear()
+            alloc = allocator._solve(p, s)
+            assert built == list(p._forms)
+        assert alloc.regime == (SATURATED if case == "saturated" else UNSATURATED)
+        assert bool(crossed) == (case == "between floats")
+
 
 class TestWaterfilling:
     def test_matches_worked_example(self):
@@ -508,6 +540,23 @@ class TestVerifyKkt:
         assert alloc.exposures[1] == 0.0
         report = verify_kkt(alloc, p, tol=1e-8)
         assert report.passed and report.complementary_ok[1]
+
+
+    def test_instance_of_compiled_markets_refuses_readers_of_market_states(self):
+        p = ProblemInstance.uniform([LIN_A, LIN_B, KINK], 5.0, 0.03, 6.0)
+        compiled = ProblemInstance._compiled(
+            p.market_ids, p.l_max, p._forms, p.staking_rate, p.budget
+        )
+        alloc = solve(compiled)
+        assert alloc == solve(p)
+        assert verify_kkt(alloc, p, 1e-8).passed
+        # No market states to read: a reader fails instead of passing over none.
+        with pytest.raises(TypeError):
+            verify_kkt(alloc, compiled, 1e-8)
+        with pytest.raises(TypeError):
+            expected_yield(alloc, compiled)
+        with pytest.raises(DomainError, match="budget must be positive and finite"):
+            ProblemInstance._compiled(p.market_ids, p.l_max, p._forms, 0.03, math.inf)
 
 
 class TestEffectiveStakingRate:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import market_states_at
 from stakeloop import backtest
 from stakeloop.allocator import ProblemInstance
 from stakeloop.backtest import (
@@ -17,15 +18,20 @@ from stakeloop.backtest import (
     Snapshot,
     SnapshotSeries,
     apy,
-    market_state_at,
     run_backtest,
     smooth_rates,
     sweep_budgets,
     sweep_leverage,
 )
 from stakeloop.data import generate_synthetic, scenario
-from stakeloop.errors import DomainError, UnsupportedModelError, ValidationError
-from stakeloop.irm import KinkedIrmParams, LinearIrmParams, borrow_rate
+from stakeloop.errors import ConstraintError, DomainError, UnsupportedModelError, ValidationError
+from stakeloop.irm import (
+    AdaptiveIrmParams,
+    KinkedIrmParams,
+    LinearIrmParams,
+    MarketState,
+    borrow_rate,
+)
 from stakeloop.rebalance import FeeModel, solve_with_fees
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR
 
@@ -349,14 +355,27 @@ class TestRunBacktest:
         large = run_backtest(series, config(budget=200.0))
         assert large.apy < small.apy
 
-    def test_footprint_removal_restores_recorded_pool(self):
+    def test_footprint_removal_restores_recorded_pool(self, monkeypatch):
         # the optimizer input at each step must be the recorded pool state,
         # not the pool state inflated by our own borrowing
-        series = flat_series()
-        snap = series.snapshots[10]
-        state = market_state_at(series, 0, 10, None)
-        assert state.borrowed == snap.markets["m"].borrowed
-        assert state.supplied == snap.markets["m"].supplied
+        series = flat_series(hours=48, supplied=500.0)
+        solved = []
+
+        def recording(p, current, fees):
+            solved.append(p)
+            return solve_with_fees(p, current, fees)
+
+        monkeypatch.setattr(backtest, "solve_with_fees", recording)
+        cfg = config(budget=200.0, smoothing_window=0)
+        result = run_backtest(series, cfg)
+        assert max(result.debt[0]) > 0.0
+        # Hourly data rebalanced hourly: the solve at step k reads snapshot k.
+        assert len(solved) == len(series.timestamps)
+        for k, p in enumerate(solved):
+            recorded = ProblemInstance.uniform(
+                market_states_at(series, k), cfg.l_max, p.staking_rate, p.budget
+            )
+            assert p._forms == recorded._forms
 
     def test_zero_budget_limit_matches_instant_yield_path(self):
         from stakeloop.allocator import ProblemInstance, solve
@@ -369,8 +388,7 @@ class TestRunBacktest:
         tiny = cfg.budget
         snaps = series.snapshots
         for k, (a, b) in enumerate(zip(snaps, snaps[1:])):
-            markets = [market_state_at(series, i, k, None) for i in range(len(series.markets))]
-            p = ProblemInstance.uniform(markets, 5.0, a.staking_rate, budget=tiny)
+            p = ProblemInstance.uniform(market_states_at(series, k), 5.0, a.staking_rate, tiny)
             rate = solve(p).expected_yield / tiny
             growth *= 1.0 + rate * (b.timestamp - a.timestamp) / SECONDS_PER_YEAR
         years = (snaps[-1].timestamp - snaps[0].timestamp) / SECONDS_PER_YEAR
@@ -387,11 +405,25 @@ class TestRunBacktest:
                 flat_series(hours=3), config(rebalance_frequency=2 * SECONDS_PER_HOUR)
             )
 
-    def test_missing_rate_model_rejected(self):
+    def test_missing_rate_model_rejected(self, monkeypatch):
         from stakeloop.errors import DataError
 
-        with pytest.raises(DataError):
-            run_backtest(without_rate_at_target(flat_series()), config())
+        series = varied_series()
+        series = replace(series, rate_at_target=(series.rate_at_target[0], None))
+        calls = count_compiles(monkeypatch)
+        with pytest.raises(DataError, match="market b has no rate_at_target and no fallback"):
+            run_backtest(series, config())
+        assert calls == []
+
+    def test_leverage_cap_above_a_market_bound_names_the_market(self):
+        # max_ltv 0.945 bounds the leverage cap at about 18.18.
+        with pytest.raises(ConstraintError, match="max_ltv=0.945 of market a$"):
+            run_backtest(varied_series(), config(l_max=19.0))
+
+    @pytest.mark.parametrize("market_id", ["", "../m", "a/b", "a\\b"])
+    def test_market_id_that_is_no_file_name_rejected(self, market_id):
+        with pytest.raises(DomainError, match="must be non-empty and hold no"):
+            MarketMeta(market_id, 0.9)
 
     def test_staking_only_needs_no_rate_model(self):
         series = without_rate_at_target(flat_series())
@@ -399,27 +431,15 @@ class TestRunBacktest:
         assert result.rebalance_count == 0
 
     def test_one_market_state_per_market_per_step(self, monkeypatch):
-        series = flat_series(hours=48)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return market_state_at(*args)
-
-        monkeypatch.setattr(backtest, "market_state_at", counting)
+        series = varied_series(hours=48)
+        calls = count_compiles(monkeypatch)
         result = run_backtest(series, config(strategy=FIXED_FREQUENCY))
         assert result.rebalance_count > 0
-        assert len(calls) == len(series.snapshots) * len(series.markets)
+        assert len(calls) == len(series.timestamps) * len(series.markets)
 
     def test_market_states_only_on_solving_steps(self, monkeypatch):
-        series = flat_series(hours=48)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return market_state_at(*args)
-
-        monkeypatch.setattr(backtest, "market_state_at", counting)
+        series = varied_series(hours=48)
+        calls = count_compiles(monkeypatch)
         result = run_backtest(series, config(rebalance_frequency=SECONDS_PER_DAY))
         assert result.rebalance_count > 0
         # Hourly data rebalanced daily: the points at hours 0, 24 and 48 solve;
@@ -431,21 +451,29 @@ class TestRunBacktest:
             BacktestConfig(budget=1.0, irm=object())
 
     def test_one_problem_instance_per_solving_step(self, monkeypatch):
-        series = flat_series(hours=48)
+        series = varied_series(hours=48)
         built = []
-        validate = ProblemInstance.__post_init__
+        make = ProblemInstance._compiled.__func__
 
-        def counting(self):
-            built.append(self)
-            validate(self)
+        def counting(cls, *args):
+            built.append(args)
+            return make(cls, *args)
 
-        monkeypatch.setattr(ProblemInstance, "__post_init__", counting)
+        def refused(self, *args):
+            pytest.fail(f"the replay built a checked {type(self).__name__}")
+
+        monkeypatch.setattr(ProblemInstance, "_compiled", classmethod(counting))
+        for checked in (ProblemInstance, MarketState, AdaptiveIrmParams):
+            monkeypatch.setattr(checked, "__post_init__", refused)
+        compiles = count_compiles(monkeypatch)
         fees = FeeModel(0.0001, 0.0001, 7.0 / 365.0)
         result = run_backtest(series, config(strategy=FIXED_FREQUENCY, fees=fees))
         assert result.rebalance_count > 0
         # Hourly data rebalanced hourly: every step solves, with and without
-        # the fee shifts of the staking rate, on the one instance it builds.
-        assert len(built) == len(series.snapshots)
+        # the fee shifts of the staking rate, on the one instance it compiles
+        # straight from the series columns.
+        assert len(built) == len(series.timestamps)
+        assert len(compiles) == len(series.timestamps) * len(series.markets)
 
     def test_deterministic(self):
         series = scenario_series("volatile", seed=3)
@@ -476,6 +504,19 @@ class TestRunBacktest:
         assert gross.rebalance_count >= net.rebalance_count
 
 
+def count_compiles(monkeypatch) -> list[str]:
+    """The market ids the replay compiles, one per call, in call order."""
+    calls = []
+    compile_market = backtest._compile
+
+    def counting(market_id, *columns):
+        calls.append(market_id)
+        return compile_market(market_id, *columns)
+
+    monkeypatch.setattr(backtest, "_compile", counting)
+    return calls
+
+
 def varied_series(hours: int = 72, shrink_at: int | None = None) -> SnapshotSeries:
     """Two markets whose pools and rates-at-target move every hour; from
     hour ``shrink_at`` on, market ``a`` keeps 1% of its supply free."""
@@ -503,7 +544,7 @@ def varied_series(hours: int = 72, shrink_at: int | None = None) -> SnapshotSeri
 
 class TestAccrual:
     """The interest of each step is the pool rate of each indebted market at
-    its debt, as market_state_at and borrow_rate price it."""
+    its debt, as borrow_rate prices it on the market's public state."""
 
     @pytest.mark.parametrize(
         "series, irm, stale",
@@ -527,7 +568,7 @@ class TestAccrual:
             expected = 0.0
             for i, debt in enumerate(column[k] for column in result.debt):
                 if debt > 0.0:
-                    s = market_state_at(smoothed, i, k, cfg.irm)
+                    s = market_states_at(smoothed, k, cfg.irm)[i]
                     overshoots += debt > s.available_liquidity
                     delta = min(debt, s.available_liquidity)
                     expected += debt * borrow_rate(s.irm, s.supplied, s.borrowed, delta) * dt
@@ -558,14 +599,19 @@ class TestSchedule:
         # Drop the hourly samples from day 10 - 3h up to day 13 + 5h: the
         # daily points 10 to 13 fall in the gap.
         series = flat_series(hours=24 * 20)
+        # A staking rate a hair above 0.031 per snapshot names the snapshot a
+        # solve reads.
+        rates = tuple(0.031 + 1e-9 * k for k in range(len(series.timestamps)))
+        series = replace(series, staking_rates=rates)
         gap = range(24 * 10 - 3, 24 * 13 + 5)
         series = SnapshotSeries.from_rows(
             series.markets, [s for k, s in enumerate(series.snapshots) if k not in gap]
         )
+        time_of = dict(zip(series.staking_rates, series.timestamps))
         solved_at = []
 
         def recording(p, current, fees):
-            solved_at.append(p.markets[0].irm.t_last)  # pinned to the snapshot
+            solved_at.append(time_of[p.staking_rate])
             return solve_with_fees(p, current, fees)
 
         monkeypatch.setattr(backtest, "solve_with_fees", recording)

@@ -344,6 +344,18 @@ class TestSynthAndBacktest:
         assert (report / "equity_curve.csv").exists()
 
 
+    @pytest.mark.parametrize("market_id", ["../escaped", "a\\b", ""])
+    def test_market_id_that_is_no_file_name_exits_2_writing_nothing(
+        self, market_id, tmp_path, capsys
+    ):
+        out = tmp_path / "ds"
+        spec = json.dumps({"markets": [{"market_id": market_id}], "days": 2})
+        code, _, err = run(["synth", "--spec", spec, "--out", str(out)], capsys)
+        assert code == 2
+        assert f"market id {market_id!r}" in err
+        assert not out.exists()
+
+
 class TestOptimizeFromDataset:
     def test_uses_snapshot_markets_and_staking_rate(self, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -374,6 +386,17 @@ class TestOptimizeFromDataset:
         )
         assert code == 2
         assert "no snapshot" in err
+
+    def test_market_without_rate_at_target_exits_2_naming_it(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        path = ds / "market_alt.csv"
+        rows = [line.rsplit(",", 1)[0] + "," for line in path.read_text().splitlines()[1:]]
+        header = "timestamp,supplied,borrowed,borrow_rate,rate_at_target"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        code, _, err = run(["optimize", "--dataset", str(ds), "--budget", "100"], capsys)
+        assert code == 2
+        assert "market alt has no rate_at_target" in err
 
 
 class TestSweepCommand:

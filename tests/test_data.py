@@ -377,6 +377,22 @@ class TestReports:
         with pytest.raises(DataError, match="positions.csv:2: fractional timestamp '1735689600.7'"):
             load_position_history(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "timestamp,unleveraged,foo,bar",
+            "timestamp,unleveraged,collateral_a,debt_b",
+            "timestamp,unleveraged,debt_a,collateral_a",
+            "timestamp,unleveraged,collateral_,debt_",
+        ],
+        ids=["not-holdings", "ids-differ", "swapped", "empty-id"],
+    )
+    def test_position_columns_must_pair_collateral_and_debt(self, header, tmp_path):
+        path = tmp_path / "positions.csv"
+        path.write_text(f"{header}\n1735689600,1.0,2.0,-3.0\n")
+        with pytest.raises(DataError, match="positions.csv: unexpected positions header"):
+            load_position_history(path)
+
     def test_position_history_round_trip(self, tmp_path):
         series, _ = generate_synthetic(scenario("rate-crossing"), seed=5)
         cfg = BacktestConfig(budget=12.0, rebalance_frequency=SECONDS_PER_DAY)

@@ -280,7 +280,7 @@ class TestMarketResponse:
             assert market_response(market, 5.0, 0.03, lam) == 0.0
 
     def test_l_max_validation(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match=f"of market {MARKET_LINEAR.market_id}$"):
             market_response(MARKET_LINEAR, 19.0, 0.03, 0.03)  # bound is ~18.18
         with pytest.raises(ConstraintError):
             market_response(MARKET_LINEAR, 1.0, 0.03, 0.03)

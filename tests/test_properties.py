@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from oracles import (
     best_at_total_exposure,
     fee_penalised_objective,
     grid_best_with_fees,
+    market_states_at,
     oracle_rate,
     window_means,
 )
@@ -29,6 +31,7 @@ from stakeloop.allocator import (
     solve,
     verify_kkt,
 )
+from stakeloop import backtest
 from stakeloop.backtest import (
     DYNAMIC,
     FIXED_FREQUENCY,
@@ -370,31 +373,44 @@ def test_equity_is_conserved_at_every_step(data):
         assert abs(after - expected) <= 1e-9 * max(1.0, abs(after))
 
 
+def jittered_series(rng: random.Random, n: int, steps: int) -> SnapshotSeries:
+    """``steps`` hourly snapshots, each up to ten minutes off the hour, of
+    ``n`` markets, about half of them adaptive and the rest left to the
+    fallback rate model."""
+    metas = tuple(MarketMeta(f"m{i}", rng.uniform(0.5, 0.95)) for i in range(n))
+    adaptive = [rng.random() < 0.5 for _ in metas]
+    columns = [([], [], [], [] if is_adaptive else None) for is_adaptive in adaptive]
+    timestamps, staking_rates = [], []
+    ts = T0
+    for _ in range(steps):
+        for supplied, borrowed, rates, targets in columns:
+            supplied.append(rng.uniform(1.0, 1e4))
+            borrowed.append(supplied[-1] * rng.random())
+            rates.append(rng.uniform(0.0, 0.5))
+            if targets is not None:
+                targets.append(rng.uniform(1e-6, 0.5))
+        timestamps.append(ts)
+        staking_rates.append(rng.uniform(0.0, 0.2))
+        ts += SECONDS_PER_HOUR + rng.randint(-600, 600)
+    supplied, borrowed, rates, targets = zip(*columns)
+    return SnapshotSeries(
+        markets=metas,
+        timestamps=tuple(timestamps),
+        staking_rates=tuple(staking_rates),
+        supplied=tuple(map(tuple, supplied)),
+        borrowed=tuple(map(tuple, borrowed)),
+        borrow_rate=tuple(map(tuple, rates)),
+        rate_at_target=tuple(None if c is None else tuple(c) for c in targets),
+    )
+
+
 @st.composite
 def wide_series(draw) -> SnapshotSeries:
     """A few jittered hourly steps over 100 to 300 markets, half of them
     adaptive. The values come from one drawn seed: drawing each one, as
     :func:`series` does, overruns hypothesis' data buffer at this width."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    metas = tuple(
-        MarketMeta(f"m{i}", rng.uniform(0.5, 0.95)) for i in range(draw(st.integers(100, 300)))
-    )
-    adaptive = [rng.random() < 0.5 for _ in metas]
-    snaps = []
-    ts = T0
-    for _ in range(draw(st.integers(3, 6))):
-        markets = {}
-        for meta, is_adaptive in zip(metas, adaptive):
-            supplied = rng.uniform(1.0, 1e4)
-            markets[meta.market_id] = MarketSnapshot(
-                supplied=supplied,
-                borrowed=supplied * rng.random(),
-                borrow_rate=rng.uniform(0.0, 0.5),
-                rate_at_target=rng.uniform(1e-6, 0.5) if is_adaptive else None,
-            )
-        snaps.append(Snapshot(ts, rng.uniform(0.0, 0.2), markets))
-        ts += SECONDS_PER_HOUR + rng.randint(-600, 600)
-    return SnapshotSeries.from_rows(metas, snaps)
+    return jittered_series(rng, draw(st.integers(100, 300)), draw(st.integers(3, 6)))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -418,3 +434,75 @@ def test_equity_is_conserved_at_every_step_with_hundreds_of_markets(data):
     for equity, staking, interest, fees, after in flows:
         expected = equity + staking - interest - fees
         assert abs(after - expected) <= 1e-9 * max(1.0, abs(after))
+
+
+def test_equity_is_conserved_at_every_step_with_thousands_of_markets():
+    x = jittered_series(random.Random(2000), 2000, 4)
+    cfg = BacktestConfig(
+        budget=1e5,
+        l_max=1.8,  # below the cap 2 of the loosest max_ltv, 0.5
+        rebalance_frequency=x.cadence_seconds,
+        fees=FeeModel(1e-5, 2e-5, 30 / 365.0),
+        smoothing_window=SECONDS_PER_HOUR,
+        irm=KinkedIrmParams(0.0, 0.02, 0.5, 0.9),  # for non-adaptive markets
+    )
+    r = run_backtest(x, cfg)
+    assert r.rebalance_count > 0
+    flows = zip(r.equity, r.staking_accrued, r.interest_paid, r.fees_paid, r.equity[1:])
+    for equity, staking, interest, fees, after in flows:
+        expected = equity + staking - interest - fees
+        assert abs(after - expected) <= 1e-9 * max(1.0, abs(after))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_replay_plans_equal_plans_on_public_market_states(data):
+    # Each solving step compiles its instance from the series columns; the
+    # plan must be the one solve_with_fees gives on the public MarketStates
+    # of the same snapshot.
+    x = data.draw(wide_series())
+    fees = FeeModel(
+        10.0 ** data.draw(st.floats(-7.0, -2.0)),
+        10.0 ** data.draw(st.floats(-7.0, -2.0)),
+        data.draw(st.floats(1.0, 30.0)) / 365.0,
+    )
+    cfg = BacktestConfig(
+        budget=10.0 ** data.draw(st.floats(-3.0, 7.0)),
+        l_max=data.draw(
+            st.floats(1.0, min(1.0 / (1.0 - m.max_ltv) for m in x.markets), exclude_min=True)
+        ),
+        rebalance_frequency=x.cadence_seconds,
+        fees=fees,
+        smoothing_window=max(x.cadence_seconds, SECONDS_PER_HOUR),
+        irm=LinearIrmParams(0.0, data.draw(st.floats(0.0, 0.2)), 0.9),  # for non-adaptive markets
+    )
+    step_of = {s: k for k, s in enumerate(x.staking_rates)}
+    assume(len(step_of) == len(x.timestamps))  # the staking rate names the step
+    plans = []
+
+    def recording(p, current, fees):
+        plans.append((p, current, solve_with_fees(p, current, fees)))
+        return plans[-1][2]
+
+    with mock.patch.object(backtest, "solve_with_fees", recording):
+        run_backtest(x, cfg)
+    assert plans
+    smoothed = smooth_rates(x, cfg.smoothing_window)
+    for p, current, plan in plans:
+        states = market_states_at(smoothed, step_of[p.staking_rate], cfg.irm)
+        public = ProblemInstance.uniform(states, cfg.l_max, p.staking_rate, p.budget)
+        expected = solve_with_fees(public, current, fees)
+        assert (plan.direction, plan.cost, plan.net_gain_rate) == (
+            expected.direction, expected.cost, expected.net_gain_rate
+        )
+        if plan.direction == HOLD:
+            assert plan.target is current and expected.target is current
+            continue
+        a, b = plan.target, expected.target
+        assert (a.exposures, a.unleveraged, a.lambda_star, a.expected_yield) == (
+            b.exposures, b.unleveraged, b.lambda_star, b.expected_yield
+        )
+        # The target is the optimum at the fee-shifted staking rate it was solved at.
+        shift = -fees.gamma_plus if plan.direction == INCREASE else fees.gamma_minus
+        shifted = replace(public, staking_rate=p.staking_rate + shift / fees.horizon_years)
+        assert verify_kkt(b, shifted, 1e-8).passed

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from stakeloop import allocator, rebalance
+from stakeloop import irm, rebalance
 from stakeloop.allocator import Allocation, ProblemInstance, solve
 from stakeloop.errors import DomainError
 from stakeloop.irm import LinearIrmParams, MarketState
@@ -182,17 +182,17 @@ class TestSolveWithFees:
 
     def test_both_fee_shifted_solves_share_one_compile_per_market(self, monkeypatch):
         compiled, solves = [], []
-        compile_market, solve_at = allocator._compile, rebalance._solve
+        compile_market, solve_at = irm._compile, rebalance._solve
 
-        def counted_compile(market, l_max):
-            compiled.append(market.market_id)
-            return compile_market(market, l_max)
+        def counted_compile(market_id, *columns):
+            compiled.append(market_id)
+            return compile_market(market_id, *columns)
 
         def counted_solve(p, s):
             solves.append(s)
             return solve_at(p, s)
 
-        monkeypatch.setattr(allocator, "_compile", counted_compile)
+        monkeypatch.setattr(irm, "_compile", counted_compile)
         monkeypatch.setattr(rebalance, "_solve", counted_solve)
         p = instance(3.0, s=0.001)
         plan = solve_with_fees(p, position(p, [3.0, 0.0], 0.0), FeeModel(0.0, 0.00001, DAY))
