@@ -63,9 +63,12 @@ from .position import (
     unsplit,
 )
 from .rebalance import (
+    AT_TARGET,
     DECREASE,
+    GATED,
     HOLD,
     INCREASE,
+    NO_BRANCH,
     FeeModel,
     RebalancePlan,
     rebalance_cost,

@@ -312,20 +312,32 @@ def solve(p: ProblemInstance) -> Allocation:
 
 
 def _solve(p: ProblemInstance, s: float) -> Allocation:
-    """:func:`solve` at staking rate ``s``, the yield priced at ``p.staking_rate``,
-    from each market's pieces at ``s``, built once."""
+    """:func:`solve` at staking rate ``s``, the yield priced at ``p.staking_rate``."""
+    return _priced(p, *_solve_core(p, s))
+
+
+def _priced(
+    p: ProblemInstance, exposures: list[float], unleveraged: float, lam: float, regime: str
+) -> Allocation:
+    """The allocation of a solve's columns, its yield priced at ``p.staking_rate``."""
+    return Allocation(
+        market_ids=p.market_ids,
+        exposures=tuple(exposures),
+        unleveraged=unleveraged,
+        lambda_star=lam,
+        expected_yield=_position_yield(exposures, unleveraged, p),
+        regime=regime,
+    )
+
+
+def _solve_core(p: ProblemInstance, s: float) -> tuple[list[float], float, float, str]:
+    """``(exposures, unleveraged, lambda_star, regime)`` of the optimum at
+    staking rate ``s``, unpriced, from each market's pieces at ``s``, built once."""
     pieces = [_pieces(form, s) for form in p._forms]
     exposures = _responses(pieces, s)
     used = sum(exposures)
     if used <= p.budget:
-        return Allocation(
-            market_ids=p.market_ids,
-            exposures=tuple(exposures),
-            unleveraged=p.budget - used,
-            lambda_star=s,
-            expected_yield=_position_yield(exposures, p.budget - used, p),
-            regime=SATURATED,
-        )
+        return exposures, p.budget - used, s, SATURATED
     lam_star, jumpers, slopes = _shadow_rate(p, pieces, s)
     exposures = _responses(pieces, lam_star)
     left = p.budget - math.fsum(exposures)
@@ -349,14 +361,7 @@ def _solve(p: ProblemInstance, s: float) -> Allocation:
     # More than rounding left over: no float shadow rate spends the budget.
     if abs(p.budget - math.fsum(exposures)) > _REL_BUDGET_TOL * max(1.0, p.budget):
         lam_star, exposures = _between_floats(p, pieces, s)
-    return Allocation(
-        market_ids=p.market_ids,
-        exposures=tuple(exposures),
-        unleveraged=0.0,
-        lambda_star=lam_star,
-        expected_yield=_position_yield(exposures, 0.0, p),
-        regime=UNSATURATED,
-    )
+    return exposures, 0.0, lam_star, UNSATURATED
 
 
 def _between_floats(p: ProblemInstance, pieces: list, s: float) -> tuple[float, list[float]]:
@@ -443,16 +448,8 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
                 f"market {market.market_id} caps its exposure at {form[1]} below the "
                 f"closed form's {x}; the closed form needs no binding liquidity cap"
             )
-    alloc = Allocation(
-        market_ids=p.market_ids,
-        exposures=tuple(exposures),
-        unleveraged=0.0,
-        lambda_star=lam_star,
-        expected_yield=_position_yield(exposures, 0.0, p),
-        regime=UNSATURATED,
-    )
     return WaterfillingDetail(
-        allocation=alloc,
+        allocation=_priced(p, exposures, 0.0, lam_star, UNSATURATED),
         active_count=active,
         order=tuple(p.markets[i].market_id for i in order),
         fill_thresholds=tuple(thresholds),

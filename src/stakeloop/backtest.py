@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 from .allocator import Allocation, ProblemInstance
 from .errors import DataError, DomainError, ValidationError
 from .irm import IrmParams, _adaptive_curve, _compile, _curve_of, _rate
-from .rebalance import HOLD, FeeModel, should_rebalance, solve_with_fees
+from .rebalance import GATED, HOLD, FeeModel, RebalancePlan, should_rebalance, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_YEAR
 
 FIXED_FREQUENCY = "fixed_frequency"
@@ -263,13 +263,9 @@ class BacktestResult:
     rebalance_count: int
 
 
-def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
-    """Trailing moving average of the borrow rates over ``(t - window, t]``.
-
-    Applies to the observed borrow rate and, when present, the recorded
-    rate-at-target; pool amounts and the staking rate pass through unchanged.
-    A window of one sample period is the identity.
-    """
+def _window_means(series: SnapshotSeries, window: int) -> Callable[[tuple], tuple]:
+    """The trailing mean over ``(t - window, t]`` of a column on the series'
+    grid, after checking the window against the data cadence."""
     if window <= 0:
         raise DomainError(f"window must be positive, got {window}")
     cadence = series.cadence_seconds
@@ -284,11 +280,32 @@ def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
     def means(column: tuple[float, ...]) -> tuple[float, ...]:
         return tuple(math.fsum(column[a : k + 1]) / (k + 1 - a) for k, a in enumerate(starts))
 
+    return means
+
+
+def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
+    """Trailing moving average of the borrow rates over ``(t - window, t]``.
+
+    Applies to the observed borrow rate and, when present, the recorded
+    rate-at-target; pool amounts and the staking rate pass through unchanged.
+    A window of one sample period is the identity.
+    """
+    means = _window_means(series, window)
     return replace(
         series,
         borrow_rate=tuple(means(c) for c in series.borrow_rate),
         rate_at_target=tuple(None if c is None else means(c) for c in series.rate_at_target),
     )
+
+
+def _replay_targets(series: SnapshotSeries, window: int) -> tuple:
+    """The rate-at-target columns a replay reads: smoothed as by
+    :func:`smooth_rates` over a positive ``window``. No replay reads the
+    observed borrow rate, so it is left as it is."""
+    if not window:
+        return series.rate_at_target
+    means = _window_means(series, window)
+    return tuple(None if c is None else means(c) for c in series.rate_at_target)
 
 
 def apy(timestamps: Sequence[int], equity: Sequence[float]) -> float:
@@ -318,36 +335,43 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     without the strategy's own footprint; accrual between steps prices the
     debt at the pool rate including the footprint.
     """
+    _check_span(series, cfg.rebalance_frequency)
+    return _replay(series, cfg, _replay_targets(series, cfg.smoothing_window))
+
+
+def _check_span(series: SnapshotSeries, frequency: int) -> None:
+    """Refuse a series too short or too coarse to rebalance every ``frequency`` s."""
     ts = series.timestamps
     if len(ts) < 2:
         raise DomainError("series needs at least two snapshots")
     cadence = series.cadence_seconds
-    if cfg.rebalance_frequency < cadence:
+    if frequency < cadence:
         raise DomainError(
-            f"rebalance frequency {cfg.rebalance_frequency}s is below the data "
-            f"cadence {cadence}s"
+            f"rebalance frequency {frequency}s is below the data cadence {cadence}s"
         )
-    if ts[-1] - ts[0] < 2 * cfg.rebalance_frequency:
+    if ts[-1] - ts[0] < 2 * frequency:
         raise DomainError("series must cover at least two rebalance intervals")
 
-    if cfg.smoothing_window:
-        series = smooth_rates(series, cfg.smoothing_window)
 
+def _replay(series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple) -> BacktestResult:
+    """:func:`run_backtest` of a checked span, reading ``rate_at_target`` for
+    the series' own column and ignoring ``cfg.smoothing_window``."""
+    ts = series.timestamps
     ids = series.market_ids
     n = len(ids)
     passive = cfg.strategy == STAKING_ONLY or cfg.l_max <= 1.0
     m = cfg.l_max - 1.0
 
     fallback = None if cfg.irm is None else cfg.irm._curve
-    if not passive and fallback is None and None in series.rate_at_target:
-        missing = ids[series.rate_at_target.index(None)]
+    if not passive and fallback is None and None in rate_at_target:
+        missing = ids[rate_at_target.index(None)]
         raise DataError(
             f"market {missing} has no rate_at_target and no fallback rate model is configured"
         )
     # The accrual's curves: rate_at_target[i][k] times the unit adaptive curve
     # is, float for float, the rate of the curve a solve compiles.
     unit = _adaptive_curve(1.0, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
-    curves = [fallback if c is None else unit for c in series.rate_at_target]
+    curves = [fallback if c is None else unit for c in rate_at_target]
     l_maxes = (cfg.l_max,) * n
 
     def adaptive(target: float) -> tuple:
@@ -370,7 +394,7 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     t0 = next_due = ts[0]
     last = len(ts) - 1
     staking_rates = series.staking_rates
-    pools = tuple(zip(series.supplied, series.borrowed, curves, series.rate_at_target))
+    pools = tuple(zip(series.supplied, series.borrowed, curves, rate_at_target))
     ltvs = [meta.max_ltv for meta in series.markets]
 
     for k, t in enumerate(ts):
@@ -394,12 +418,8 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
                 ids, exposures, equity - sum(exposures)
             )
             plan = solve_with_fees(p, current, cfg.fees)
-            if plan.direction != HOLD and cfg.strategy == DYNAMIC:
-                improvement = plan.net_gain_rate
-                if not cfg.gate_net_of_costs:
-                    improvement += plan.cost / cfg.fees.horizon_years
-                if not should_rebalance(0.0, improvement, equity, cfg.threshold):
-                    plan = replace(plan, direction=HOLD)
+            if cfg.strategy == DYNAMIC:
+                plan = _gate(plan, cfg, equity)
             if plan.direction != HOLD:
                 target = plan.target
                 collateral = [x * cfg.l_max for x in target.exposures]
@@ -462,6 +482,20 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     )
 
 
+def _gate(plan: RebalancePlan, cfg: BacktestConfig, equity: float) -> RebalancePlan:
+    """The dynamic strategy's verdict: a move whose yield gain per unit of
+    equity (net of its amortized cost, unless the gate is gross) does not
+    beat the threshold becomes a hold that keeps the move it turned down."""
+    if plan.direction == HOLD:
+        return plan
+    improvement = plan.net_gain_rate
+    if not cfg.gate_net_of_costs:
+        improvement += plan.cost / cfg.fees.horizon_years
+    if should_rebalance(0.0, improvement, equity, cfg.threshold):
+        return plan
+    return replace(plan, direction=HOLD, reason=GATED)
+
+
 def _charge_fee(
     cost: float, unleveraged: float, collateral: list[float], debt: list[float]
 ) -> tuple[float, list[float], list[float]]:
@@ -484,16 +518,10 @@ def _charge_fee(
 def sweep_budgets(
     series: SnapshotSeries, cfg: BacktestConfig, budgets: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """APY per starting budget, in budget order: the series is smoothed once,
+    """APY per starting budget, in budget order: the rates are smoothed once,
     then the backtests run serially (pure-Python work that threads cannot
     overlap)."""
-    if not budgets:
-        raise DomainError("budget list must not be empty")
-    if cfg.smoothing_window:
-        series = smooth_rates(series, cfg.smoothing_window)
-        cfg = replace(cfg, smoothing_window=0)
-    configs = [replace(cfg, budget=b) for b in budgets]  # every budget checked before a replay
-    return [(c.budget, run_backtest(series, c).apy) for c in configs]
+    return sweep_leverage(series, cfg, [cfg.l_max], budgets)[cfg.l_max]
 
 
 def sweep_leverage(
@@ -502,11 +530,17 @@ def sweep_leverage(
     l_max_values: Sequence[float],
     budgets: Sequence[float],
 ) -> dict[float, list[tuple[float, float]]]:
-    """Budget sweeps repeated per leverage cap over one smoothed series."""
+    """Budget sweeps repeated per leverage cap over rates smoothed once."""
     if not l_max_values:
         raise DomainError("l_max list must not be empty")
-    if cfg.smoothing_window:
-        series = smooth_rates(series, cfg.smoothing_window)
-        cfg = replace(cfg, smoothing_window=0)
-    configs = [replace(cfg, l_max=l) for l in l_max_values]  # every cap checked before a replay
-    return {c.l_max: sweep_budgets(series, c, budgets) for c in configs}
+    if not budgets:
+        raise DomainError("budget list must not be empty")
+    targets = _replay_targets(series, cfg.smoothing_window)
+    # Every cap, then every budget, is checked before a replay.
+    caps = [replace(cfg, l_max=l) for l in l_max_values]
+    grid = [[replace(c, budget=b) for b in budgets] for c in caps]
+    _check_span(series, cfg.rebalance_frequency)
+    return {
+        c.l_max: [(r.budget, _replay(series, r, targets).apy) for r in row]
+        for c, row in zip(caps, grid)
+    }

@@ -162,6 +162,7 @@ def _cmd_rebalance(args) -> int:
             json.dumps(
                 {
                     "direction": plan.direction,
+                    "reason": plan.reason,
                     "cost": plan.cost,
                     "net_gain_rate": plan.net_gain_rate,
                     "exposures": dict(zip(plan.target.market_ids, plan.target.exposures)),
@@ -172,6 +173,8 @@ def _cmd_rebalance(args) -> int:
         )
         return 0
     print(f"direction       {plan.direction}")
+    if plan.reason:
+        print(f"reason          {plan.reason}")
     print(f"cost            {_sig(plan.cost)}")
     print(f"net gain rate   {_sig(plan.net_gain_rate)} per year")
     if plan.direction != HOLD:

@@ -229,11 +229,13 @@ def load_snapshots(path: Path) -> SnapshotSeries:
         f"{mpath}: timestamp grid differs from market {markets[0].market_id}"
         for mpath, grid in zip(paths, grids)
         if grid != grids[0]
-    ] + [
-        f"{staking_path}:{lineno}: negative staking rate"
-        for lineno, rate in enumerate(staking, start=2)
-        if rate < 0.0
     ]
+    first_line: dict[int, int] = {}
+    for lineno, (t, rate) in enumerate(zip(times, staking), start=2):
+        if first_line.setdefault(t, lineno) != lineno:
+            problems.append(f"{staking_path}:{lineno}: timestamp {t} repeated")
+        if rate < 0.0:
+            problems.append(f"{staking_path}:{lineno}: negative staking rate")
     if problems:
         raise ValidationError(
             f"dataset at {directory} failed validation ({len(problems)} records)",

@@ -315,13 +315,19 @@ def _pieces(form: tuple, s: float) -> list[tuple[float, float, float]]:
         return []
     ls = l_max * s
     beta = ls - k
-    forms = [(beta, denom, beta), (beta - drop, 0.0, cap)]
-    if kink is not None:
+    if kink is None:
+        forms = (beta, denom, beta), (beta - drop, 0.0, cap)
+    else:
         # Below target: the gentle branch, then the plateau pinned at the
         # kink while lam crosses the jump in marginal cost.
         k1, denom1, k_in, plateau, k_out = kink
         beta1 = ls - k1
-        forms[:1] = [(beta1, denom1, beta1), (ls - k_in, 0.0, plateau), (ls - k_out, denom, beta)]
+        forms = (
+            (beta1, denom1, beta1),
+            (ls - k_in, 0.0, plateau),
+            (ls - k_out, denom, beta),
+            (beta - drop, 0.0, cap),
+        )
     pieces = [forms[0]]
     for level, denom, value in forms[1:]:
         if level >= math.nextafter(pieces[-1][0], -math.inf):

@@ -13,14 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
-from .allocator import Allocation, ProblemInstance, _position_yield, _solve
+from .allocator import Allocation, ProblemInstance, _position_yield, _priced, _solve_core
 from .errors import ConstraintError, DomainError
 
 INCREASE = "increase"
 DECREASE = "decrease"
 HOLD = "hold"
+
+# Why a plan holds.
+NO_BRANCH = "no_branch"
+AT_TARGET = "at_target"
+GATED = "gated"
 
 _EQUAL_TOL = 1e-12
 
@@ -52,17 +58,37 @@ class FeeModel:
 
 @dataclass(frozen=True)
 class RebalancePlan:
+    """A move to ``target``, or a hold of the current position.
+
+    ``reason`` says why a plan holds: :data:`NO_BRANCH` when neither
+    fee-shifted solve moves collateral the way its shift assumed,
+    :data:`AT_TARGET` when the consistent one is the current position, and
+    :data:`GATED` when a replay's improvement gate turned a move down (that
+    plan keeps the move's target and cost). A move's is empty.
+    """
+
     target: Allocation
     cost: float
     direction: str
     net_gain_rate: float
+    reason: str = ""
+
+
+def _collateral(exposures: Sequence[float], unleveraged: float, l_max: Sequence[float]) -> float:
+    return unleveraged + sum(map(mul, exposures, l_max))
 
 
 def total_collateral(alloc: Allocation, l_max: Sequence[float]) -> float:
     """Unleveraged holding plus per-market collateral at the leverage caps."""
     if len(alloc.exposures) != len(l_max):
         raise DomainError("l_max must have one entry per market")
-    return alloc.unleveraged + sum(x * l for x, l in zip(alloc.exposures, l_max))
+    return _collateral(alloc.exposures, alloc.unleveraged, l_max)
+
+
+def _fee(delta: float, fees: FeeModel) -> float:
+    """Fee on a change ``delta`` of total collateral."""
+    gamma = fees.gamma_plus if delta > 0.0 else fees.gamma_minus
+    return gamma * abs(delta)
 
 
 def rebalance_cost(
@@ -73,16 +99,16 @@ def rebalance_cost(
         raise DomainError(
             f"allocations cover different markets: {new.market_ids} vs {old.market_ids}"
         )
-    delta = total_collateral(new, l_max) - total_collateral(old, l_max)
-    gamma = fees.gamma_plus if delta > 0.0 else fees.gamma_minus
-    return gamma * abs(delta)
+    return _fee(total_collateral(new, l_max) - total_collateral(old, l_max), fees)
 
 
-def _allocations_equal(a: Allocation, b: Allocation, scale: float) -> bool:
+def _is_position(
+    exposures: Sequence[float], unleveraged: float, position: Allocation, scale: float
+) -> bool:
     tol = _EQUAL_TOL * abs(scale)
-    if abs(a.unleveraged - b.unleveraged) > tol:
+    if abs(unleveraged - position.unleveraged) > tol:
         return False
-    return all(abs(x - y) <= tol for x, y in zip(a.exposures, b.exposures))
+    return all(abs(x - y) <= tol for x, y in zip(exposures, position.exposures))
 
 
 def solve_with_fees(
@@ -93,45 +119,43 @@ def solve_with_fees(
     Solves once with the fee-penalized staking rate for growing collateral
     and once for shrinking it, keeping whichever solution is consistent with
     its own direction. When neither is (or the consistent one is the current
-    position), holding is optimal.
+    position), holding is optimal. Only the kept solution is priced.
     """
     if current.market_ids != p.market_ids:
         raise ConstraintError(
             f"current position markets {current.market_ids} do not match "
             f"instance markets {p.market_ids}"
         )
+    held = total_collateral(current, p.l_max)
     # Collateral within rounding of the current total counts as equal, so an
     # ulp in the solver's exposures cannot flip the direction.
-    tie = total_collateral(current, p.l_max) + _EQUAL_TOL * p.budget * max(p.l_max)
+    tie = held + _EQUAL_TOL * p.budget * max(p.l_max)
+    s_up = p.staking_rate - fees.gamma_plus / fees.horizon_years
+    s_down = p.staking_rate + fees.gamma_minus / fees.horizon_years
 
-    candidate: Allocation | None = None
-    direction = HOLD
-    up = _solve(p, p.staking_rate - fees.gamma_plus / fees.horizon_years)
-    if total_collateral(up, p.l_max) > tie:
-        candidate = up
-        direction = INCREASE
-    else:
-        down = _solve(p, p.staking_rate + fees.gamma_minus / fees.horizon_years)
-        if total_collateral(down, p.l_max) <= tie:
-            candidate = down
-            direction = DECREASE
+    solved, direction = _solve_core(p, s_up), INCREASE
+    moved = _collateral(solved[0], solved[1], p.l_max)
+    if not moved > tie:
+        # Without fees both shifted rates are one float, and so is the solve.
+        if s_down != s_up:
+            solved = _solve_core(p, s_down)
+            moved = _collateral(solved[0], solved[1], p.l_max)
+        if not moved <= tie:
+            return RebalancePlan(current, 0.0, HOLD, 0.0, NO_BRANCH)
+        direction = DECREASE
+    exposures, unleveraged, lam, regime = solved
+    if _is_position(exposures, unleveraged, current, p.budget):
+        return RebalancePlan(current, 0.0, HOLD, 0.0, AT_TARGET)
 
-    if candidate is None or _allocations_equal(candidate, current, p.budget):
-        return RebalancePlan(target=current, cost=0.0, direction=HOLD, net_gain_rate=0.0)
-
-    cost = rebalance_cost(candidate, current, fees, p.l_max)
+    target = _priced(p, exposures, unleveraged, lam, regime)
+    cost = _fee(moved - held, fees)
     # Yields compared at the true staking rate, not the fee-adjusted one:
-    # _solve prices the candidate at p.staking_rate.
+    # _priced prices the target at p.staking_rate.
     current_yield = _position_yield(
         current.exposures, current.unleveraged, p, clamp_utilization=True
     )
-    net_gain = candidate.expected_yield - current_yield - cost / fees.horizon_years
-    return RebalancePlan(
-        target=candidate,
-        cost=cost,
-        direction=direction,
-        net_gain_rate=net_gain,
-    )
+    net_gain = target.expected_yield - current_yield - cost / fees.horizon_years
+    return RebalancePlan(target=target, cost=cost, direction=direction, net_gain_rate=net_gain)
 
 
 def should_rebalance(

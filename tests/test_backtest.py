@@ -32,7 +32,7 @@ from stakeloop.irm import (
     MarketState,
     borrow_rate,
 )
-from stakeloop.rebalance import FeeModel, solve_with_fees
+from stakeloop.rebalance import AT_TARGET, GATED, HOLD, NO_BRANCH, FeeModel, solve_with_fees
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR
 
 T0 = 1735689600
@@ -257,6 +257,35 @@ class TestSmoothing:
     def test_window_below_cadence_rejected(self):
         with pytest.raises(DomainError):
             smooth_rates(flat_series(), SECONDS_PER_HOUR // 2)
+
+    def test_replays_refuse_the_windows_smoothing_refuses(self):
+        series = flat_series()
+        message = "window 1800s is shorter than the data cadence 3600s"
+        cfg = config(smoothing_window=SECONDS_PER_HOUR // 2)
+        for replay in (
+            lambda: smooth_rates(series, cfg.smoothing_window),
+            lambda: run_backtest(series, cfg),
+            lambda: sweep_budgets(series, cfg, [1.0]),
+            lambda: sweep_leverage(series, cfg, [3.0], [1.0]),
+        ):
+            with pytest.raises(DomainError, match=message):
+                replay()
+
+    def test_replay_reads_no_borrow_rate(self):
+        series = scenario_series("volatile", seed=3)
+        # Other valid rates: zero, then steps up to twice the recorded ones.
+        other = replace(
+            series,
+            borrow_rate=tuple(
+                tuple(r * (k % 3) for k, r in enumerate(column)) for column in series.borrow_rate
+            ),
+        )
+        assert other.borrow_rate != series.borrow_rate
+        cfg = config(budget=10.0, fees=FeeModel(1e-4, 2e-4, 7.0 / 365.0))
+        for c in (cfg, replace(cfg, strategy=DYNAMIC, threshold=0.002, smoothing_window=0)):
+            assert run_backtest(other, c) == run_backtest(series, c)
+        daily = replace(cfg, rebalance_frequency=SECONDS_PER_DAY)
+        assert sweep_budgets(other, daily, [1.0, 1e4]) == sweep_budgets(series, daily, [1.0, 1e4])
 
 
 def scenario_series(name: str = "rate-crossing", seed: int = 1) -> SnapshotSeries:
@@ -503,6 +532,32 @@ class TestRunBacktest:
         # whenever the net one does
         assert gross.rebalance_count >= net.rebalance_count
 
+    def test_gated_move_holds_with_its_reason(self, monkeypatch):
+        verdicts = []
+        gate = backtest._gate
+
+        def recording(plan, cfg, equity):
+            verdicts.append((plan, gate(plan, cfg, equity)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(backtest, "_gate", recording)
+        series = scenario_series("volatile", seed=4)
+        fees = FeeModel(0.0, 0.0001, 7.0 / 365.0)
+        result = run_backtest(
+            series, config(budget=10.0, strategy=DYNAMIC, threshold=0.002, fees=fees)
+        )
+        gated = [(plan, out) for plan, out in verdicts if out.reason == GATED]
+        assert gated
+        for plan, out in gated:
+            # A move turned down: held, with the move's target and cost kept.
+            assert plan.direction != HOLD and plan.reason == ""
+            assert out == replace(plan, direction=HOLD, reason=GATED)
+        moves = [out for _, out in verdicts if out.direction != HOLD]
+        assert all(out.reason == "" for out in moves)
+        assert len(moves) == result.rebalance_count
+        held = {out.reason for _, out in verdicts if out.direction == HOLD}
+        assert held <= {NO_BRANCH, AT_TARGET, GATED}
+
 
 def count_compiles(monkeypatch) -> list[str]:
     """The market ids the replay compiles, one per call, in call order."""
@@ -693,7 +748,7 @@ class TestSweeps:
             assert curve == independent(replace(cfg, l_max=level))
 
     def test_every_value_is_checked_before_any_replay(self, monkeypatch):
-        monkeypatch.setattr(backtest, "run_backtest", lambda *args: pytest.fail("replayed"))
+        monkeypatch.setattr(backtest, "_replay", lambda *args: pytest.fail("replayed"))
         cfg = config(rebalance_frequency=SECONDS_PER_DAY)
         with pytest.raises(DomainError, match="budget must be positive and finite"):
             sweep_budgets(scenario_series(), cfg, [1.0, math.nan])
@@ -701,16 +756,25 @@ class TestSweeps:
             sweep_leverage(scenario_series(), cfg, [3.0, math.nan], [1.0])
 
     def test_sweep_smooths_once(self, monkeypatch):
-        calls = []
+        calls, checks = [], []
+        window_means, problems = backtest._window_means, SnapshotSeries._problems
 
         def counting(series, window):
             calls.append(window)
-            return smooth_rates(series, window)
+            return window_means(series, window)
 
-        monkeypatch.setattr(backtest, "smooth_rates", counting)
+        def checking(series, where):
+            checks.append(where)
+            return problems(series, where)
+
+        series = scenario_series()
+        monkeypatch.setattr(backtest, "_window_means", counting)
+        monkeypatch.setattr(SnapshotSeries, "_problems", checking)
         cfg = config(rebalance_frequency=SECONDS_PER_DAY)
-        sweep_leverage(scenario_series(), cfg, [3.0, 5.0], [1.0, 100.0, 1e4])
+        sweep_leverage(series, cfg, [3.0, 5.0], [1.0, 100.0, 1e4])
         assert calls == [SECONDS_PER_DAY]
+        # The smoothed columns feed the replays; no second series is built.
+        assert checks == []
 
     def test_empty_budget_list_rejected(self):
         with pytest.raises(DomainError):

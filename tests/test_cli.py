@@ -195,6 +195,39 @@ class TestRebalanceCommand:
         )
         assert code == 0
         assert "direction       increase" in out
+        assert "reason" not in out
+
+    def test_hold_prints_its_reason(self, capsys):
+        # A punitive exit fee freezes a position the fee-free solve would unwind.
+        current = json.dumps({"exposures": {"A": 9.0, "B": 0.5}, "unleveraged": 0.5})
+        argv = [
+            "rebalance",
+            "--budget", "10",
+            "-s", "0.03",
+            "--market", MARKET_A,
+            "--market", MARKET_B,
+            "--current", current,
+            "--gamma-minus", "0.5",
+            "--horizon-days", "1",
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "direction       hold\nreason          no_branch\n" in out
+        code, out, _ = run(["--json", *argv], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["direction"], payload["reason"]) == ("hold", "no_branch")
+
+    def test_move_has_an_empty_reason_under_json(self, capsys):
+        current = json.dumps({"exposures": {"A": 0.0, "B": 0.0}, "unleveraged": 3.0})
+        code, out, _ = run(
+            ["--json", "rebalance", "--budget", "3", "-s", "0.03", "--market", MARKET_A,
+             "--market", MARKET_B, "--current", current],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["direction"], payload["reason"]) == ("increase", "")
 
 
 class TestSynthAndBacktest:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from stakeloop.backtest import (
     BacktestConfig,
     SnapshotSeries,
     run_backtest,
+    sweep_budgets,
 )
 from stakeloop.data import (
     DatasetManifest,
@@ -218,6 +220,30 @@ class TestValidation:
             load_snapshots(directory)
         assert any("negative staking rate" in rec for rec in err.value.records)
 
+    def test_repeated_staking_timestamp_rejected(self, tmp_path):
+        def corrupt(directory):
+            path = directory / "staking.csv"
+            lines = path.read_text().splitlines()
+            repeated = lines[2].split(",")[0]
+            lines.insert(3, f"{repeated},0.5")  # line 4 repeats line 3's timestamp
+            path.write_text("\n".join(lines) + "\n")
+
+        directory = self._write(tmp_path, corrupt)
+        with pytest.raises(ValidationError) as err:
+            load_snapshots(directory)
+        repeated = (directory / "staking.csv").read_text().splitlines()[2].split(",")[0]
+        assert err.value.records == [f"{directory / 'staking.csv'}:4: timestamp {repeated} repeated"]
+
+    def test_staking_rows_out_of_order_are_sorted(self, tmp_path):
+        def shuffle(directory):
+            path = directory / "staking.csv"
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header, *reversed(rows)]) + "\n")
+
+        plain = load_snapshots(self._write(tmp_path / "plain", lambda directory: None))
+        shuffled = load_snapshots(self._write(tmp_path / "shuffled", shuffle))
+        assert shuffled.staking_rates == plain.staking_rates
+
     def test_non_numeric_field_has_line_context(self, tmp_path):
         def corrupt(directory):
             path = directory / "market_m.csv"
@@ -351,6 +377,18 @@ class TestReports:
             "positions.csv": "185038244bb570dd797820a9f87274db86c575ed957b3042741cf0bbe12b216b",
             "summary.json": "f05b5b0979ed5be6942a5ec47f4e756d175d0ba222a6cee0d25dd656a0f2943c",
         }
+
+    def test_zero_fee_sweep_report_bytes_are_pinned(self, tmp_path):
+        # Daily replays without fees, where both fee-shifted rates are one
+        # float, from the unsaturated to the saturated regime. Any change to
+        # a float of the sweep or its formatting changes this digest.
+        series, _ = generate_synthetic(replace(scenario("volatile"), days=20.0), seed=0)
+        cfg = BacktestConfig(budget=1.0, rebalance_frequency=SECONDS_PER_DAY)
+        assert cfg.fees.gamma_plus == cfg.fees.gamma_minus == 0.0
+        curve = sweep_budgets(series, cfg, [10.0**k for k in range(8)])
+        emit_report(curve, tmp_path, label="apy")
+        digest = hashlib.sha256((tmp_path / "apy_curve.json").read_bytes()).hexdigest()
+        assert digest == "9cf9274e4f1402dc7eba87875e2a5af88a4274e814edb3c28a65aa74b0d609f1"
 
     def test_sweep_report_rows(self, tmp_path):
         curve = [(10.0, 0.05), (100.0, 0.04), (1000.0, 0.035)]

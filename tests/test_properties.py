@@ -233,6 +233,23 @@ def test_fee_aware_direction_matches_the_collateral_move(data):
         assert plan.target is current and plan.cost == 0.0
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_moving_target_is_the_solve_at_its_shifted_rate(data):
+    p = data.draw(instances(max_n=20))
+    current = data.draw(positions(p))
+    fee = st.one_of(st.just(0.0), st.floats(0.0, 0.01))
+    fees = FeeModel(data.draw(fee), data.draw(fee), data.draw(st.floats(1.0, 30.0)) / 365.0)
+    plan = solve_with_fees(p, current, fees)
+    assume(plan.direction != HOLD)
+    if plan.direction == INCREASE:
+        s = p.staking_rate - fees.gamma_plus / fees.horizon_years
+    else:
+        s = p.staking_rate + fees.gamma_minus / fees.horizon_years
+    # Every field, the yield priced at the instance's own rate included.
+    assert plan.target == _solve(p, s)
+
+
 @st.composite
 def fee_plans(draw):
     """A one- or two-market instance, a holding of its budget, fees on a log

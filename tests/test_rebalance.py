@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from stakeloop import irm, rebalance
+from stakeloop import allocator, irm, rebalance
 from stakeloop.allocator import Allocation, ProblemInstance, solve
 from stakeloop.errors import DomainError
 from stakeloop.irm import LinearIrmParams, MarketState
 from stakeloop.rebalance import (
+    AT_TARGET,
     DECREASE,
     HOLD,
     INCREASE,
+    NO_BRANCH,
     FeeModel,
     rebalance_cost,
     should_rebalance,
@@ -182,7 +184,7 @@ class TestSolveWithFees:
 
     def test_both_fee_shifted_solves_share_one_compile_per_market(self, monkeypatch):
         compiled, solves = [], []
-        compile_market, solve_at = irm._compile, rebalance._solve
+        compile_market, solve_at = irm._compile, rebalance._solve_core
 
         def counted_compile(market_id, *columns):
             compiled.append(market_id)
@@ -193,12 +195,62 @@ class TestSolveWithFees:
             return solve_at(p, s)
 
         monkeypatch.setattr(irm, "_compile", counted_compile)
-        monkeypatch.setattr(rebalance, "_solve", counted_solve)
+        monkeypatch.setattr(rebalance, "_solve_core", counted_solve)
         p = instance(3.0, s=0.001)
         plan = solve_with_fees(p, position(p, [3.0, 0.0], 0.0), FeeModel(0.0, 0.00001, DAY))
         assert plan.direction == DECREASE
         assert len(solves) == 2  # the increase branch, then the decrease branch
         assert compiled == ["A", "B"]
+
+    def test_hold_without_a_consistent_branch_says_so(self):
+        p = instance(10.0, s=0.03)
+        over_levered = position(p, [9.0, 0.5], 0.5)
+        plan = solve_with_fees(p, over_levered, FeeModel(0.0, 0.5, horizon_years=DAY))
+        assert (plan.direction, plan.reason) == (HOLD, NO_BRANCH)
+        assert plan.target is over_levered
+
+    def test_hold_at_the_target_says_so(self):
+        p = instance(3.0, s=0.001)
+        fees = FeeModel(0.0, 0.0001, DAY)
+        first = solve_with_fees(p, position(p, [3.0, 0.0], 0.0), fees)
+        assert (first.direction, first.reason) == (DECREASE, "")
+        second = solve_with_fees(p, first.target, fees)
+        assert (second.direction, second.reason) == (HOLD, AT_TARGET)
+        assert second.target is first.target
+
+    def test_only_the_kept_target_is_priced(self, monkeypatch):
+        priced, rates = [], []
+        position_yield, solve_core = allocator._position_yield, rebalance._solve_core
+
+        def counted_yield(*args, **kwargs):
+            priced.append(args[0])
+            return position_yield(*args, **kwargs)
+
+        def counted_solve(p, rate):
+            rates.append(rate)
+            return solve_core(p, rate)
+
+        monkeypatch.setattr(allocator, "_position_yield", counted_yield)
+        monkeypatch.setattr(rebalance, "_position_yield", counted_yield)
+        monkeypatch.setattr(rebalance, "_solve_core", counted_solve)
+        free, exit_fee = FeeModel(0.0, 0.0, DAY), FeeModel(0.0, 1e-5, DAY)
+        big, low_rate = instance(10.0), instance(3.0, s=0.001)
+        cases = [
+            # (instance, current, fees, plan direction, solves)
+            (big, position(big, [9.0, 0.5], 0.5), FeeModel(0.0, 0.5, DAY), HOLD, 2),
+            (big, solve(big), free, HOLD, 1),
+            (big, position(big, [0.0, 0.0], 10.0), free, INCREASE, 1),
+            (low_rate, position(low_rate, [0.5, 0.0], 2.5), free, DECREASE, 1),
+            (low_rate, position(low_rate, [0.5, 0.0], 2.5), exit_fee, DECREASE, 2),
+        ]
+        for p, current, fees, direction, solves in cases:
+            priced.clear()
+            rates.clear()
+            assert solve_with_fees(p, current, fees).direction == direction
+            # Without fees both shifted rates are one float: one solve.
+            assert len(rates) == solves
+            # A move prices its target and the current holding; a hold, nothing.
+            assert len(priced) == (0 if direction == HOLD else 2)
 
     def test_net_gain_rate_accounts_for_cost(self):
         # long horizon so the amortized exit fee still leaves the pure-staking
