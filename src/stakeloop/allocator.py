@@ -32,7 +32,6 @@ from typing import Sequence
 
 from .errors import ConstraintError, DomainError, UnsupportedModelError
 from .irm import (
-    LinearIrmParams,
     MarketState,
     _check_pool_amounts,
     _events,
@@ -40,8 +39,7 @@ from .irm import (
     _rate,
     _response,
     _state_form,
-    borrow_rate,
-    marginal_cost_subgradient,
+    _subgradient,
 )
 
 SATURATED = "saturated"
@@ -53,14 +51,15 @@ _REL_BUDGET_TOL = 1e-9
 @dataclass(frozen=True)
 class ProblemInstance:
     """Markets with their leverage caps, the staking rate, and the budget.
-    Each market's response at its cap is compiled once, when built."""
+    Each market's response at its cap is compiled once, when built; every
+    reader of the instance works from ``market_ids`` and those forms."""
 
     markets: tuple[MarketState, ...]
     l_max: tuple[float, ...]
     staking_rate: float
     budget: float
-    market_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _forms: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    market_ids: tuple[str, ...] = field(init=False, repr=False)
+    _forms: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.markets:
@@ -79,9 +78,8 @@ class ProblemInstance:
 
     @classmethod
     def _compiled(cls, market_ids: tuple, l_max: tuple, forms: list, s: float, budget: float):
-        """An instance of forms the caller compiled from checked values. Its
-        ``markets`` is None, so a reader of market states such as
-        :func:`verify_kkt` fails rather than pass over an empty list."""
+        """An instance of forms the caller compiled from checked values, with
+        no market states: its ``markets`` is None."""
         if not 0.0 < budget < math.inf:
             raise DomainError(f"budget must be positive and finite, got {budget}")
         p = object.__new__(cls)
@@ -221,9 +219,9 @@ def yield_breakdown(alloc: Allocation, p: ProblemInstance) -> tuple[float, tuple
     _check_alloc_feasible(alloc, p)
     base = alloc.total * p.staking_rate
     carries = []
-    for x, market, l_max in zip(alloc.exposures, p.markets, p.l_max):
+    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(alloc.exposures, p._forms):
         debt = x * (l_max - 1.0)
-        rate = borrow_rate(market.irm, market.supplied, market.borrowed, debt)
+        rate = _rate(curve, _check_pool_amounts(supplied, borrowed, debt) / supplied)
         carries.append(debt * (p.staking_rate - rate))
     return base, tuple(carries)
 
@@ -235,18 +233,17 @@ def _check_alloc_feasible(alloc: Allocation, p: ProblemInstance) -> None:
             f"markets {p.market_ids}"
         )
     # A negative exposure is a negative debt, which no rate curve can price.
+    # Each test is written so that NaN fails it.
     slack = _REL_BUDGET_TOL * max(1.0, p.budget)
-    if alloc.unleveraged < -slack or any(x < 0.0 for x in alloc.exposures):
-        raise ConstraintError("allocation has a negative component")
-    if abs(alloc.total - p.budget) > slack:
+    if not (alloc.unleveraged >= -slack and all(x >= 0.0 for x in alloc.exposures)):
+        raise ConstraintError("allocation has a negative or NaN component")
+    if not abs(alloc.total - p.budget) <= slack:
         raise ConstraintError(
             f"allocation total {alloc.total} does not match budget {p.budget}"
         )
-    for x, market, l_max in zip(alloc.exposures, p.markets, p.l_max):
-        if x * (l_max - 1.0) > market.available_liquidity + slack:
-            raise ConstraintError(
-                f"exposure {x} exceeds liquidity of market {market.market_id}"
-            )
+    for x, mid, (l_max, *_, supplied, borrowed) in zip(alloc.exposures, p.market_ids, p._forms):
+        if not x * (l_max - 1.0) <= supplied - borrowed + slack:
+            raise ConstraintError(f"exposure {x} exceeds liquidity of market {mid}")
 
 
 def solve_saturated(p: ProblemInstance) -> Allocation | None:
@@ -308,12 +305,7 @@ def solve(p: ProblemInstance) -> Allocation:
     breakpoints for the shadow rate ``lambda_star > s`` at which the summed
     responses equal the budget.
     """
-    return _solve(p, p.staking_rate)
-
-
-def _solve(p: ProblemInstance, s: float) -> Allocation:
-    """:func:`solve` at staking rate ``s``, the yield priced at ``p.staking_rate``."""
-    return _priced(p, *_solve_core(p, s))
+    return _priced(p, *_solve_core(p, p.staking_rate))
 
 
 def _priced(
@@ -389,16 +381,14 @@ def _between_floats(p: ProblemInstance, pieces: list, s: float) -> tuple[float, 
     return lo, [w_lo * a + w_hi * b for a, b in zip(at_lo, at_hi)]
 
 
-def _linear_coefficients(market: MarketState, form: tuple, s: float) -> tuple[float, float]:
+def _linear_coefficients(market_id: str, form: tuple, s: float) -> tuple[float, float]:
     """``(alpha, beta)`` of a linear market's response ``alpha*(beta - lam)``."""
-    if not isinstance(market.irm, LinearIrmParams):
-        raise UnsupportedModelError(
-            f"market {market.market_id} does not use the linear rate model"
-        )
-    l_max, _, k, denom, *_ = form
+    l_max, _, k, denom, _, _, curve, _, _ = form
+    if curve[3] is not curve[4]:  # a kink at target
+        raise UnsupportedModelError(f"market {market_id} does not use the linear rate model")
     if denom == 0.0:
         raise UnsupportedModelError(
-            f"market {market.market_id} has a flat rate curve; the closed form "
+            f"market {market_id} has a flat rate curve; the closed form "
             "needs a positive slope"
         )
     return 1.0 / denom, l_max * s - k
@@ -412,14 +402,9 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
     shadow rate follows in closed form. Raises ``UnsupportedModelError`` when
     a market's liquidity cap would bind, since the closed form ignores caps.
     """
-    coeffs = [
-        _linear_coefficients(market, form, p.staking_rate)
-        for market, form in zip(p.markets, p._forms)
-    ]
-    order = sorted(
-        range(len(p.markets)),
-        key=lambda i: (-coeffs[i][1], p.markets[i].market_id),
-    )
+    ids = p.market_ids
+    coeffs = [_linear_coefficients(mid, form, p.staking_rate) for mid, form in zip(ids, p._forms)]
+    order = sorted(range(len(ids)), key=lambda i: (-coeffs[i][1], ids[i]))
     alphas = [coeffs[i][0] for i in order]
     betas = [coeffs[i][1] for i in order]
     n = len(order)
@@ -442,16 +427,16 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
     exposures = [0.0] * n
     for rank in range(active):
         exposures[order[rank]] = alphas[rank] * max(betas[rank] - lam_star, 0.0)
-    for x, market, form in zip(exposures, p.markets, p._forms):
+    for x, mid, form in zip(exposures, ids, p._forms):
         if x > form[1]:
             raise UnsupportedModelError(
-                f"market {market.market_id} caps its exposure at {form[1]} below the "
+                f"market {mid} caps its exposure at {form[1]} below the "
                 f"closed form's {x}; the closed form needs no binding liquidity cap"
             )
     return WaterfillingDetail(
         allocation=_priced(p, exposures, 0.0, lam_star, UNSATURATED),
         active_count=active,
-        order=tuple(p.markets[i].market_id for i in order),
+        order=tuple(ids[i] for i in order),
         fill_thresholds=tuple(thresholds),
     )
 
@@ -478,34 +463,25 @@ def verify_kkt(alloc: Allocation, p: ProblemInstance, tol: float) -> KktReport:
 
     stationarity: list[float] = []
     complementary: list[bool] = []
-    for x, market, l_max in zip(alloc.exposures, p.markets, p.l_max):
+    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(alloc.exposures, p._forms):
         m = l_max - 1.0
+        available = supplied - borrowed
         # Activity and cap proximity are judged on the market's own scale; a
         # budget-relative threshold would swallow small markets whole when
         # the budget dwarfs them.
-        zero_eps = _REL_BUDGET_TOL * max(1.0, market.available_liquidity / m)
-        if x <= zero_eps:
-            lo_g, hi_g = marginal_cost_subgradient(
-                market.irm, market.supplied, market.borrowed, 0.0
-            )
-            entry_value = l_max * s - m * hi_g
-            residual = max(0.0, entry_value - lam)
-            stationarity.append(residual)
-            complementary.append(residual <= tol)
-            continue
-        debt = x * m
-        lo_g, hi_g = marginal_cost_subgradient(
-            market.irm, market.supplied, market.borrowed, debt
-        )
+        active = x > _REL_BUDGET_TOL * max(1.0, available / m)
+        debt = x * m if active else 0.0
+        lo_g, hi_g = _subgradient(curve, supplied, borrowed, debt)
         lo_value = l_max * s - m * hi_g
         hi_value = l_max * s - m * lo_g
-        at_cap = debt >= market.available_liquidity * (1.0 - _REL_BUDGET_TOL)
-        if at_cap:
+        if not active:  # entering must not be worth it
+            residual = max(0.0, lo_value - lam)
+        elif debt >= available * (1.0 - _REL_BUDGET_TOL):  # at the liquidity cap
             residual = max(0.0, lam - hi_value)
         else:
             residual = max(lo_value - lam, lam - hi_value, 0.0)
         stationarity.append(residual)
-        complementary.append(True)
+        complementary.append(active or residual <= tol)
 
     if alloc.unleveraged > _REL_BUDGET_TOL * max(1.0, p.budget):
         multiplier_residual = abs(lam - s)

@@ -59,10 +59,13 @@ def _object(value: object, flag: str) -> dict:
 
 
 def _number(raw: dict, key: str, flag: str) -> float:
+    value = raw[key]
     try:
-        return float(raw[key])
+        if isinstance(value, bool):  # JSON true and false are no amounts
+            raise TypeError
+        return float(value)
     except TypeError:
-        raise DataError(f"{flag}: {key} must be a number, got {type(raw[key]).__name__}") from None
+        raise DataError(f"{flag}: {key} must be a number, got {type(value).__name__}") from None
 
 
 def _market_from_json(value: object, flag: str) -> MarketState:
@@ -149,14 +152,7 @@ def _cmd_rebalance(args) -> int:
     if args.current is None:
         raise StakeloopError("rebalance requires --current")
     p = _problem_from_args(args)
-    raw = _object(_load_json_arg(args.current), "--current")
-    exposures = _object(raw["exposures"], "--current exposures")
-    current = Allocation.from_position(
-        market_ids=p.market_ids,
-        exposures=[_number(exposures, mid, "--current exposures") for mid in p.market_ids],
-        unleveraged=_number(raw, "unleveraged", "--current"),
-    )
-    plan = solve_with_fees(p, current, _fees_from_args(args))
+    plan = solve_with_fees(p, _current_from_args(args, p), _fees_from_args(args))
     if args.json:
         print(
             json.dumps(
@@ -180,6 +176,25 @@ def _cmd_rebalance(args) -> int:
     if plan.direction != HOLD:
         _print_allocation(plan.target, p, args)
     return 0
+
+
+def _current_from_args(args, p: ProblemInstance) -> Allocation:
+    """The holding ``--current`` names: a non-negative amount per market of
+    ``p`` and an unleveraged rest, adding up to ``--budget``. The planner does
+    not check this, since a replay's rest can go negative as interest accrues."""
+    raw = _object(_load_json_arg(args.current), "--current")
+    exposures = _object(raw["exposures"], "--current exposures")
+    stray = sorted(set(exposures).symmetric_difference(p.market_ids))
+    if stray:
+        raise DataError(f"--current exposures: unknown or missing market ids {stray}")
+    values = [_number(exposures, mid, "--current exposures") for mid in p.market_ids]
+    current = Allocation.from_position(p.market_ids, values, _number(raw, "unleveraged", "--current"))
+    # Written so that NaN fails each test.
+    if not all(v >= 0.0 for v in (*values, current.unleveraged)):
+        raise DataError("--current: exposures and unleveraged must be non-negative numbers")
+    if not abs(current.total - p.budget) <= 1e-9 * max(1.0, p.budget):
+        raise DataError(f"--current: exposures and unleveraged total {current.total}, not --budget {p.budget}")
+    return current
 
 
 def _fees_from_args(args) -> FeeModel:

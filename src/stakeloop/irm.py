@@ -252,7 +252,13 @@ def marginal_cost_subgradient(
     interval is degenerate (lo == hi) wherever the rate curve is smooth and
     spans the left/right derivatives exactly at the kink.
     """
-    curve = _curve_of(irm)
+    return _subgradient(_curve_of(irm), supplied, borrowed, borrow_amount)
+
+
+def _subgradient(
+    curve: tuple, supplied: float, borrowed: float, borrow_amount: float
+) -> tuple[float, float]:
+    """:func:`marginal_cost_subgradient` of a rate curve."""
     total = _check_pool_amounts(supplied, borrowed, borrow_amount)
     rate = _rate(curve, total / supplied)
     lo_slope, hi_slope = _slopes(curve, supplied)

@@ -349,7 +349,7 @@ class TestBreakpointSweep:
         monkeypatch.setattr(allocator, "_between_floats", spied)
         for s in (p.staking_rate, p.staking_rate + 0.001):
             built.clear()
-            alloc = allocator._solve(p, s)
+            alloc = allocator._priced(p, *allocator._solve_core(p, s))
             assert built == list(p._forms)
         assert alloc.regime == (SATURATED if case == "saturated" else UNSATURATED)
         assert bool(crossed) == (case == "between floats")
@@ -462,6 +462,18 @@ class TestYield:
         with pytest.raises(ConstraintError):
             expected_yield(mismatched, p)
 
+    @pytest.mark.parametrize(
+        "exposures, unleveraged",
+        [([math.nan, 0.0], 10.0), ([0.0, 0.0], math.nan)],
+        ids=["nan-exposure", "nan-unleveraged"],
+    )
+    def test_nan_component_rejected(self, exposures, unleveraged):
+        p = two_linear(10.0)
+        alloc = Allocation.from_position(p.market_ids, exposures, unleveraged)
+        for reader in (expected_yield, yield_breakdown, lambda a, q: verify_kkt(a, q, 1e-8)):
+            with pytest.raises(ConstraintError):
+                reader(alloc, p)
+
     def test_negative_exposure_rejected_not_priced(self):
         # inside the budget slack, but a negative debt has no borrow rate
         p = ProblemInstance.uniform([LIN_A], 5.0, 0.03, 1.0)
@@ -542,21 +554,35 @@ class TestVerifyKkt:
         assert report.passed and report.complementary_ok[1]
 
 
-    def test_instance_of_compiled_markets_refuses_readers_of_market_states(self):
-        p = ProblemInstance.uniform([LIN_A, LIN_B, KINK], 5.0, 0.03, 6.0)
-        compiled = ProblemInstance._compiled(
-            p.market_ids, p.l_max, p._forms, p.staking_rate, p.budget
-        )
-        alloc = solve(compiled)
-        assert alloc == solve(p)
-        assert verify_kkt(alloc, p, 1e-8).passed
-        # No market states to read: a reader fails instead of passing over none.
-        with pytest.raises(TypeError):
-            verify_kkt(alloc, compiled, 1e-8)
-        with pytest.raises(TypeError):
-            expected_yield(alloc, compiled)
+    def test_instance_of_compiled_markets_reads_as_the_public_instance(self):
+        # A replay solves instances compiled from its columns, with no market
+        # states; each reader gives there what it gives on the public instance.
+        for markets in ([LIN_A, LIN_B, KINK], [LIN_A, LIN_B]):
+            p = ProblemInstance.uniform(markets, 5.0, 0.03, 6.0)
+            compiled = ProblemInstance._compiled(
+                p.market_ids, p.l_max, p._forms, p.staking_rate, p.budget
+            )
+            alloc = solve(compiled)
+            assert alloc == solve(p)
+            assert verify_kkt(alloc, compiled, 1e-8) == verify_kkt(alloc, p, 1e-8)
+            assert verify_kkt(alloc, compiled, 1e-8).passed
+            assert expected_yield(alloc, compiled) == expected_yield(alloc, p)
+            assert yield_breakdown(alloc, compiled) == yield_breakdown(alloc, p)
+        assert waterfilling_detail(compiled) == waterfilling_detail(p)
         with pytest.raises(DomainError, match="budget must be positive and finite"):
             ProblemInstance._compiled(p.market_ids, p.l_max, p._forms, 0.03, math.inf)
+
+    def test_instances_of_different_markets_differ(self):
+        def compiled(markets):
+            p = ProblemInstance.uniform(markets, 5.0, 0.03, 6.0)
+            return ProblemInstance._compiled(p.market_ids, p.l_max, p._forms, 0.03, 6.0)
+
+        assert compiled([LIN_A, LIN_B]) == compiled([LIN_A, LIN_B])
+        assert compiled([LIN_A, LIN_B]) != compiled([LIN_A, replace(LIN_B, borrowed=10.0)])
+        assert compiled([LIN_A, LIN_B]) != compiled([LIN_A, replace(LIN_B, market_id="C")])
+        assert ProblemInstance.uniform([LIN_A], 5.0, 0.03, 6.0) != ProblemInstance.uniform(
+            [LIN_A], 4.0, 0.03, 6.0
+        )
 
 
 class TestEffectiveStakingRate:

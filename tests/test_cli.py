@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import random
 
 import pytest
 
 from stakeloop.cli import main
+from stakeloop.data import irm_from_dict
+from stakeloop.irm import MarketState, market_response
 
 MARKET_A = json.dumps(
     {
@@ -88,6 +92,51 @@ class TestOptimize:
         )
         assert code == 0
         assert "carry non-positive" in out
+
+    def test_wide_instance_output_bytes_are_pinned(self, tmp_path, capsys):
+        # 200 seeded markets of every rate model, some with near-flat curves
+        # that reach their liquidity cap, at half the saturated budget. Any
+        # change to a float of the solve, its carry terms, its certificate or
+        # the JSON formatting changes this digest.
+        rng = random.Random(0)
+        raws = []
+        for i in range(200):
+            supplied = rng.uniform(500.0, 5000.0)
+            utilization = rng.uniform(0.3, 0.85)
+            kind = rng.choice(["linear", "kinked", "adaptive", "flat"])
+            if kind == "linear":
+                irm = {"kind": "linear", "r_base": rng.uniform(0.0, 0.01),
+                       "r_slope1": rng.uniform(0.01, 0.04), "u_target": rng.uniform(0.8, 0.92)}
+            elif kind == "flat":
+                irm = {"kind": "linear", "r_base": rng.uniform(0.005, 0.025),
+                       "r_slope1": rng.uniform(1e-5, 1e-4), "u_target": rng.uniform(0.8, 0.92)}
+            elif kind == "kinked":
+                irm = {"kind": "kinked", "r_base": rng.uniform(0.0, 0.005),
+                       "r_slope1": rng.uniform(0.01, 0.04), "r_slope2": rng.uniform(0.3, 1.0),
+                       "u_target": rng.uniform(0.8, 0.92)}
+            else:
+                irm = {"kind": "adaptive", "rate_at_target": rng.uniform(0.01, 0.05),
+                       "curve_steepness": 4.0, "u_target": 0.9, "adjustment_speed": 50.0,
+                       "u_last": utilization}
+            raws.append({"id": f"m{i:03d}", "supplied": supplied,
+                         "borrowed": supplied * utilization,
+                         "max_ltv": rng.uniform(0.86, 0.945), "irm": irm})
+        path = tmp_path / "markets.json"
+        path.write_text(json.dumps(raws))
+        saturated = math.fsum(
+            market_response(m, 5.0, 0.03, 0.03)
+            for m in (MarketState(r["id"], r["supplied"], r["borrowed"], r["max_ltv"],
+                                  irm_from_dict(r["irm"])) for r in raws)
+        )
+        code, out, _ = run(["--json", "optimize", "--markets", str(path), "-s", "0.03",
+                            "--budget", repr(saturated / 2.0)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == "unsaturated"
+        assert payload["kkt_passed"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "74f75d5593422db2457a1d433f2b96f47a3aeb58a24b79f99a1ed26fef007451"
+        )
 
     def test_missing_staking_rate_is_usage_error(self, capsys):
         code, _, err = run(
@@ -217,6 +266,30 @@ class TestRebalanceCommand:
         assert code == 0
         payload = json.loads(out)
         assert (payload["direction"], payload["reason"]) == ("hold", "no_branch")
+
+    @pytest.mark.parametrize(
+        "current, message",
+        [
+            ({"exposures": {"A": 1.0, "typo": 5.0}, "unleveraged": 2.0}, "unknown or missing market ids ['typo']"),
+            ({"exposures": {}, "unleveraged": 3.0}, "unknown or missing market ids ['A']"),
+            ({"exposures": {"A": -1.0}, "unleveraged": 4.0}, "non-negative"),
+            ({"exposures": {"A": 0.0}, "unleveraged": -1.0}, "non-negative"),
+            ({"exposures": {"A": math.nan}, "unleveraged": 3.0}, "non-negative"),
+            ({"exposures": {"A": 0.0}, "unleveraged": 1e300}, "not --budget 3.0"),
+        ],
+        ids=["unknown-id", "missing-id", "negative-exposure", "negative-unleveraged",
+             "nan-exposure", "total-off-budget"],
+    )
+    def test_bad_current_exits_2_naming_it(self, current, message, capsys):
+        code, out, err = run(
+            ["rebalance", "--budget", "3", "-s", "0.03", "--market", MARKET_A,
+             "--current", json.dumps(current)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --current")
+        assert message in err
 
     def test_move_has_an_empty_reason_under_json(self, capsys):
         current = json.dumps({"exposures": {"A": 0.0, "B": 0.0}, "unleveraged": 3.0})
@@ -594,6 +667,11 @@ class TestJsonFlags:
             (["optimize", "--markets", "[1]"], "--markets: expected a JSON object, got int"),
             (["optimize", "--market", json.dumps({**json.loads(MARKET_A), "supplied": None})],
              "--market: supplied must be a number, got NoneType"),
+            (["optimize", "--market", json.dumps({**json.loads(MARKET_A), "supplied": True})],
+             "--market: supplied must be a number, got bool"),
+            (["rebalance", "--market", MARKET_A, "--current",
+              '{"exposures": {"A": false}, "unleveraged": 3}'],
+             "--current exposures: A must be a number, got bool"),
             (["optimize", "--market", json.dumps({**json.loads(MARKET_A), "irm": [1]})],
              "--market irm: expected a JSON object, got list"),
             (["rebalance", "--market", MARKET_A, "--current", '{"exposures": [1], "unleveraged": 3}'],
@@ -603,7 +681,8 @@ class TestJsonFlags:
             (["synth", "--spec", '{"markets": [1]}'],
              "--spec markets: expected a JSON object, got int"),
         ],
-        ids=["market", "markets", "market-null-field", "market-irm", "current-exposures",
+        ids=["market", "markets", "market-null-field", "market-bool-field",
+             "current-bool-exposure", "market-irm", "current-exposures",
              "irm", "spec", "spec-markets"],
     )
     def test_json_of_the_wrong_type_exits_2(self, argv, message, tmp_path, capsys):

@@ -26,7 +26,8 @@ from oracles import (
 from stakeloop.allocator import (
     Allocation,
     ProblemInstance,
-    _solve,
+    _priced,
+    _solve_core,
     expected_yield,
     solve,
     verify_kkt,
@@ -177,7 +178,7 @@ def test_events_add_up_to_the_response(market, l_max, s):
 def test_solve_at_a_shifted_rate_keeps_the_instance(p, offset):
     # The fee-aware rebalancer solves at fee-shifted staking rates.
     s = p.staking_rate + offset
-    alloc = _solve(p, s)
+    alloc = _priced(p, *_solve_core(p, s))
     rebuilt = solve(replace(p, staking_rate=s))
     assert alloc.exposures == rebuilt.exposures
     assert alloc.unleveraged == rebuilt.unleveraged
@@ -247,7 +248,7 @@ def test_moving_target_is_the_solve_at_its_shifted_rate(data):
     else:
         s = p.staking_rate + fees.gamma_minus / fees.horizon_years
     # Every field, the yield priced at the instance's own rate included.
-    assert plan.target == _solve(p, s)
+    assert plan.target == _priced(p, *_solve_core(p, s))
 
 
 @st.composite
@@ -519,7 +520,10 @@ def test_replay_plans_equal_plans_on_public_market_states(data):
         assert (a.exposures, a.unleveraged, a.lambda_star, a.expected_yield) == (
             b.exposures, b.unleveraged, b.lambda_star, b.expected_yield
         )
-        # The target is the optimum at the fee-shifted staking rate it was solved at.
+        # The target is the optimum at the fee-shifted staking rate it was
+        # solved at, certified on the public instance and on the replay's own.
         shift = -fees.gamma_plus if plan.direction == INCREASE else fees.gamma_minus
-        shifted = replace(public, staking_rate=p.staking_rate + shift / fees.horizon_years)
-        assert verify_kkt(b, shifted, 1e-8).passed
+        s = p.staking_rate + shift / fees.horizon_years
+        assert verify_kkt(b, replace(public, staking_rate=s), 1e-8).passed
+        own = ProblemInstance._compiled(p.market_ids, p.l_max, p._forms, s, p.budget)
+        assert verify_kkt(a, own, 1e-8).passed
