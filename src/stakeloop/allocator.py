@@ -50,60 +50,43 @@ _REL_BUDGET_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Markets with their leverage caps, the staking rate, and the budget.
-    Each market's response at its cap is compiled once, when built; every
-    reader of the instance works from ``market_ids`` and those forms."""
+    """Markets as their responses at their leverage caps, with the staking
+    rate and the budget. ``forms`` holds each market's response compiled once
+    (``irm._compile``); every reader of the instance works from those forms."""
 
-    markets: tuple[MarketState, ...]
+    market_ids: tuple[str, ...]
     l_max: tuple[float, ...]
     staking_rate: float
     budget: float
-    market_ids: tuple[str, ...] = field(init=False, repr=False)
-    _forms: tuple[tuple, ...] = field(init=False, repr=False)
+    forms: tuple[tuple, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not self.markets:
+        ids = self.market_ids
+        if not ids:
             raise DomainError("at least one market is required")
-        if len(self.markets) != len(self.l_max):
-            raise DomainError("markets and l_max must have the same length")
+        if not len(ids) == len(self.l_max) == len(self.forms):
+            raise DomainError("markets, l_max and forms must have the same length")
         if not 0.0 < self.budget < math.inf:
             raise DomainError(f"budget must be positive and finite, got {self.budget}")
         if not math.isfinite(self.staking_rate):
             raise DomainError(f"staking_rate must be finite, got {self.staking_rate}")
-        ids = tuple(m.market_id for m in self.markets)
         if len(set(ids)) < len(ids):
             raise DomainError(f"duplicate market id {next(i for i in ids if ids.count(i) > 1)}")
-        object.__setattr__(self, "market_ids", ids)
-        object.__setattr__(self, "_forms", tuple(map(_state_form, self.markets, self.l_max)))
 
     @classmethod
-    def _compiled(cls, market_ids: tuple, l_max: tuple, forms: list, s: float, budget: float):
-        """An instance of forms the caller compiled from checked values, with
-        no market states: its ``markets`` is None."""
-        if not 0.0 < budget < math.inf:
-            raise DomainError(f"budget must be positive and finite, got {budget}")
-        p = object.__new__(cls)
-        vars(p).update(
-            markets=None, l_max=l_max, staking_rate=s, budget=budget, market_ids=market_ids,
-            _forms=tuple(forms),
-        )
-        return p
+    def of(
+        cls, markets: Sequence[MarketState], l_max: Sequence, staking_rate: float, budget: float
+    ) -> ProblemInstance:
+        """Market states, each compiled at its leverage cap."""
+        ids = tuple(m.market_id for m in markets)
+        return cls(ids, tuple(l_max), staking_rate, budget, tuple(map(_state_form, markets, l_max)))
 
     @classmethod
     def uniform(
-        cls,
-        markets: Sequence[MarketState],
-        l_max: float,
-        staking_rate: float,
-        budget: float,
-    ) -> "ProblemInstance":
+        cls, markets: Sequence[MarketState], l_max: float, staking_rate: float, budget: float
+    ) -> ProblemInstance:
         """Same leverage cap applied to every market."""
-        return cls(
-            markets=tuple(markets),
-            l_max=tuple(l_max for _ in markets),
-            staking_rate=staking_rate,
-            budget=budget,
-        )
+        return cls.of(markets, [l_max] * len(markets), staking_rate, budget)
 
 
 @dataclass(frozen=True)
@@ -196,7 +179,7 @@ def _position_yield(
     """
     s = p.staking_rate
     total = unleveraged * s
-    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(exposures, p._forms):
+    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(exposures, p.forms):
         debt = x * (l_max - 1.0)
         debt_for_rate = min(debt, supplied - borrowed) if clamp_utilization else debt
         rate = _rate(curve, _check_pool_amounts(supplied, borrowed, debt_for_rate) / supplied)
@@ -219,7 +202,7 @@ def yield_breakdown(alloc: Allocation, p: ProblemInstance) -> tuple[float, tuple
     _check_alloc_feasible(alloc, p)
     base = alloc.total * p.staking_rate
     carries = []
-    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(alloc.exposures, p._forms):
+    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(alloc.exposures, p.forms):
         debt = x * (l_max - 1.0)
         rate = _rate(curve, _check_pool_amounts(supplied, borrowed, debt) / supplied)
         carries.append(debt * (p.staking_rate - rate))
@@ -241,7 +224,7 @@ def _check_alloc_feasible(alloc: Allocation, p: ProblemInstance) -> None:
         raise ConstraintError(
             f"allocation total {alloc.total} does not match budget {p.budget}"
         )
-    for x, mid, (l_max, *_, supplied, borrowed) in zip(alloc.exposures, p.market_ids, p._forms):
+    for x, mid, (l_max, *_, supplied, borrowed) in zip(alloc.exposures, p.market_ids, p.forms):
         if not x * (l_max - 1.0) <= supplied - borrowed + slack:
             raise ConstraintError(f"exposure {x} exceeds liquidity of market {mid}")
 
@@ -325,7 +308,7 @@ def _priced(
 def _solve_core(p: ProblemInstance, s: float) -> tuple[list[float], float, float, str]:
     """``(exposures, unleveraged, lambda_star, regime)`` of the optimum at
     staking rate ``s``, unpriced, from each market's pieces at ``s``, built once."""
-    pieces = [_pieces(form, s) for form in p._forms]
+    pieces = [_pieces(form, s) for form in p.forms]
     exposures = _responses(pieces, s)
     used = sum(exposures)
     if used <= p.budget:
@@ -403,7 +386,7 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
     a market's liquidity cap would bind, since the closed form ignores caps.
     """
     ids = p.market_ids
-    coeffs = [_linear_coefficients(mid, form, p.staking_rate) for mid, form in zip(ids, p._forms)]
+    coeffs = [_linear_coefficients(mid, form, p.staking_rate) for mid, form in zip(ids, p.forms)]
     order = sorted(range(len(ids)), key=lambda i: (-coeffs[i][1], ids[i]))
     alphas = [coeffs[i][0] for i in order]
     betas = [coeffs[i][1] for i in order]
@@ -427,7 +410,7 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
     exposures = [0.0] * n
     for rank in range(active):
         exposures[order[rank]] = alphas[rank] * max(betas[rank] - lam_star, 0.0)
-    for x, mid, form in zip(exposures, ids, p._forms):
+    for x, mid, form in zip(exposures, ids, p.forms):
         if x > form[1]:
             raise UnsupportedModelError(
                 f"market {mid} caps its exposure at {form[1]} below the "
@@ -463,7 +446,7 @@ def verify_kkt(alloc: Allocation, p: ProblemInstance, tol: float) -> KktReport:
 
     stationarity: list[float] = []
     complementary: list[bool] = []
-    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(alloc.exposures, p._forms):
+    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(alloc.exposures, p.forms):
         m = l_max - 1.0
         available = supplied - borrowed
         # Activity and cap proximity are judged on the market's own scale; a

@@ -363,19 +363,13 @@ def _replay(series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple) 
     m = cfg.l_max - 1.0
 
     fallback = None if cfg.irm is None else cfg.irm._curve
-    if not passive and fallback is None and None in rate_at_target:
-        missing = ids[rate_at_target.index(None)]
-        raise DataError(
-            f"market {missing} has no rate_at_target and no fallback rate model is configured"
-        )
-    # The accrual's curves: rate_at_target[i][k] times the unit adaptive curve
+    if not passive:
+        _check_curves(series, rate_at_target, fallback)
+    # The accrual's curves: rate_at_target[i][k] times the unit recorded curve
     # is, float for float, the rate of the curve a solve compiles.
-    unit = _adaptive_curve(1.0, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
+    unit = _recorded_curve(1.0)
     curves = [fallback if c is None else unit for c in rate_at_target]
     l_maxes = (cfg.l_max,) * n
-
-    def adaptive(target: float) -> tuple:
-        return _adaptive_curve(target, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
 
     unleveraged = cfg.budget
     collateral = [0.0] * n
@@ -395,7 +389,6 @@ def _replay(series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple) 
     last = len(ts) - 1
     staking_rates = series.staking_rates
     pools = tuple(zip(series.supplied, series.borrowed, curves, rate_at_target))
-    ltvs = [meta.max_ltv for meta in series.markets]
 
     for k, t in enumerate(ts):
         equity = unleveraged + sum(map(sub, collateral, debt))
@@ -407,12 +400,8 @@ def _replay(series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple) 
             elapsed = (t - t0) // cfg.rebalance_frequency
             next_due = t0 + (elapsed + 1) * cfg.rebalance_frequency
         if due and not passive and equity > 0.0:
-            # The solver's instance, compiled from columns the record check has checked.
-            forms = [
-                _compile(mid, sup[k], bor[k], ltv, adaptive(at[k]) if at else curve, cfg.l_max)
-                for mid, ltv, (sup, bor, curve, at) in zip(ids, ltvs, pools)
-            ]
-            p = ProblemInstance._compiled(ids, l_maxes, forms, staking_rates[k], equity)
+            forms = _forms_at(series, k, rate_at_target, fallback, cfg.l_max)
+            p = ProblemInstance(ids, l_maxes, staking_rates[k], equity, forms)
             exposures = [d / m for d in debt]
             current = Allocation.from_position(
                 ids, exposures, equity - sum(exposures)
@@ -479,6 +468,31 @@ def _replay(series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple) 
         apy=apy(ts, equity_col),
         total_fees_paid=total_fees,
         rebalance_count=rebalances,
+    )
+
+
+def _recorded_curve(rate_at_target: float) -> tuple:
+    """The rate curve of a deployed adaptive-curve market at ``rate_at_target``."""
+    return _adaptive_curve(rate_at_target, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
+
+
+def _check_curves(series: SnapshotSeries, rate_at_target: tuple, fallback: tuple | None) -> None:
+    """Refuse a market with neither a ``rate_at_target`` column nor a ``fallback`` curve."""
+    if fallback is None and None in rate_at_target:
+        missing = series.market_ids[rate_at_target.index(None)]
+        raise DataError(
+            f"market {missing} has no rate_at_target and no fallback rate model is configured"
+        )
+
+
+def _forms_at(
+    series: SnapshotSeries, k: int, rate_at_target: tuple, fallback: tuple | None, l_max: float
+) -> tuple[tuple, ...]:
+    """Each market of ``series`` at snapshot ``k``, compiled at ``l_max`` on its
+    recorded rate-at-target's curve, or else on ``fallback``."""
+    return tuple(
+        _compile(m.market_id, s[k], b[k], m.max_ltv, _recorded_curve(t[k]) if t else fallback, l_max)
+        for m, s, b, t in zip(series.markets, series.supplied, series.borrowed, rate_at_target)
     )
 
 

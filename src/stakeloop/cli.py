@@ -23,7 +23,7 @@ from .allocator import (
     yield_breakdown,
 )
 from .errors import DataError, StakeloopError, ValidationError
-from .irm import AdaptiveIrmParams, MarketState
+from .irm import MarketState, _state_form
 from .rebalance import HOLD, FeeModel, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -79,7 +79,9 @@ def _market_from_json(value: object, flag: str) -> MarketState:
     )
 
 
-def _markets_from_args(args) -> list[MarketState]:
+def _problem_from_args(args) -> ProblemInstance:
+    """The instance of the markets the flags give, in this order: ``--markets``,
+    ``--market``, then the ``--dataset`` snapshot, compiled as the replay does."""
     markets = []
     if args.markets:
         loaded = _load_json_arg(args.markets)
@@ -87,6 +89,8 @@ def _markets_from_args(args) -> list[MarketState]:
             markets.append(_market_from_json(raw, "--markets"))
     for item in args.market or []:
         markets.append(_market_from_json(json.loads(item), "--market"))
+    ids = [m.market_id for m in markets]
+    forms = [_state_form(m, args.l_max) for m in markets]
     if args.dataset:
         series = datamod.load_snapshots(Path(args.dataset))
         if args.at is not None and args.at not in series.timestamps:
@@ -94,20 +98,15 @@ def _markets_from_args(args) -> list[MarketState]:
         k = -1 if args.at is None else series.timestamps.index(args.at)
         if args.staking_rate is None:
             args.staking_rate = series.staking_rates[k]
-        columns = zip(series.markets, series.supplied, series.borrowed, series.rate_at_target)
-        for meta, supplied, borrowed, targets in columns:
-            if targets is None:
-                raise DataError(f"market {meta.market_id} has no rate_at_target")
-            # The controller is pinned to the snapshot: no time elapses in it,
-            # so its adjustment speed (1/year) changes no result.
-            irm = AdaptiveIrmParams(
-                targets[k], bt.ADAPTIVE_CURVE_STEEPNESS, bt.ADAPTIVE_TARGET_UTILIZATION,
-                50.0, series.timestamps[k], borrowed[k] / supplied[k],
-            )
-            markets.append(MarketState(meta.market_id, supplied[k], borrowed[k], meta.max_ltv, irm))
-    if not markets:
+        bt._check_curves(series, series.rate_at_target, None)
+        ids += series.market_ids
+        forms += bt._forms_at(series, k, series.rate_at_target, None, args.l_max)
+    if not ids:
         raise StakeloopError("no markets given (use --markets, --market, or --dataset)")
-    return markets
+    if args.staking_rate is None:
+        raise StakeloopError("--staking-rate is required")
+    l_max = (args.l_max,) * len(ids)
+    return ProblemInstance(tuple(ids), l_max, args.staking_rate, args.budget, tuple(forms))
 
 
 def _print_allocation(alloc: Allocation, p: ProblemInstance, args) -> None:
@@ -133,13 +132,6 @@ def _print_allocation(alloc: Allocation, p: ProblemInstance, args) -> None:
         note = "" if carry > 0 or x > 0 else "  (carry non-positive)"
         print(f"  {mid}: exposure {_sig(x)}, carry {_sig(carry)}/year{note}")
     print(f"kkt             {'pass' if report.passed else 'FAIL'} (tol {report.tol:g})")
-
-
-def _problem_from_args(args) -> ProblemInstance:
-    markets = _markets_from_args(args)
-    if args.staking_rate is None:
-        raise StakeloopError("--staking-rate is required")
-    return ProblemInstance.uniform(markets, args.l_max, args.staking_rate, budget=args.budget)
 
 
 def _cmd_optimize(args) -> int:

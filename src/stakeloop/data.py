@@ -29,15 +29,9 @@ from operator import neg
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .backtest import (
-    ADAPTIVE_CURVE_STEEPNESS,
-    ADAPTIVE_TARGET_UTILIZATION,
-    BacktestResult,
-    MarketMeta,
-    SnapshotSeries,
-)
+from .backtest import BacktestResult, MarketMeta, SnapshotSeries, _recorded_curve
 from .errors import DataError, DomainError, ValidationError
-from .irm import adaptive_curve_factor
+from .irm import _rate
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 SCHEMA_VERSION = 1
@@ -365,10 +359,7 @@ def generate_synthetic(
     days = [(ts - spec.start) / SECONDS_PER_DAY for ts in timestamps]
     # One draw per market per timestamp, in timestamp order.
     rates = list(zip(*([_rate_at(m, day, rng) for m in spec.markets] for day in days)))
-    factors = [
-        adaptive_curve_factor(m.utilization, ADAPTIVE_TARGET_UTILIZATION, ADAPTIVE_CURVE_STEEPNESS)
-        for m in spec.markets
-    ]
+    factors = [_rate(_recorded_curve(1.0), m.utilization) for m in spec.markets]
     series = SnapshotSeries(
         markets=tuple(MarketMeta(m.market_id, m.lltv, "synthetic") for m in spec.markets),
         timestamps=timestamps,

@@ -60,7 +60,7 @@ def test_criterion_01_closed_form_matches_brute_force_oracle():
     worst_gap = 0.0
     for _ in range(200):
         markets, l_maxes, s, budget = random_instance(rng)
-        p = ProblemInstance(tuple(markets), tuple(l_maxes), s, budget)
+        p = ProblemInstance.of(markets, l_maxes, s, budget)
         alloc = solve(p)
         _remember(p, alloc)
         oracle_best = simplex_search(markets, l_maxes, s, budget, min_steps=10_000)

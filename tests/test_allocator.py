@@ -28,6 +28,7 @@ from stakeloop.irm import (
     KinkedIrmParams,
     LinearIrmParams,
     MarketState,
+    _compile,
     market_response,
     response_events,
 )
@@ -184,7 +185,7 @@ class TestSolve:
         rng = random.Random(99)
         for _ in range(50):
             markets, l_maxes, s, budget = random_instance(rng)
-            p = ProblemInstance(tuple(markets), tuple(l_maxes), s, budget)
+            p = ProblemInstance.of(markets, l_maxes, s, budget)
             alloc = solve(p)
             saturated = solve_saturated(p)
             if saturated is not None:
@@ -200,7 +201,7 @@ class TestSolve:
         t = 7.5
         scaled_markets = [
             replace(m, supplied=m.supplied * t, borrowed=m.borrowed * t)
-            for m in p.markets
+            for m in (LIN_A, LIN_B)
         ]
         p_scaled = ProblemInstance.uniform(scaled_markets, 5.0, 0.03, 3.0 * t)
         a, b = solve(p), solve(p_scaled)
@@ -350,7 +351,7 @@ class TestBreakpointSweep:
         for s in (p.staking_rate, p.staking_rate + 0.001):
             built.clear()
             alloc = allocator._priced(p, *allocator._solve_core(p, s))
-            assert built == list(p._forms)
+            assert built == list(p.forms)
         assert alloc.regime == (SATURATED if case == "saturated" else UNSATURATED)
         assert bool(crossed) == (case == "between floats")
 
@@ -489,7 +490,7 @@ class TestVerifyKkt:
         rng = random.Random(17)
         for _ in range(100):
             markets, l_maxes, s, budget = random_instance(rng)
-            p = ProblemInstance(tuple(markets), tuple(l_maxes), s, budget)
+            p = ProblemInstance.of(markets, l_maxes, s, budget)
             alloc = solve(p)
             report = verify_kkt(alloc, p, tol=1e-8)
             assert report.passed, (report, p)
@@ -555,13 +556,17 @@ class TestVerifyKkt:
 
 
     def test_instance_of_compiled_markets_reads_as_the_public_instance(self):
-        # A replay solves instances compiled from its columns, with no market
-        # states; each reader gives there what it gives on the public instance.
+        # A replay compiles its markets from its columns and calls the one
+        # constructor on the forms; that is the instance ``of`` compiles from
+        # market states, so each reader gives the same there.
         for markets in ([LIN_A, LIN_B, KINK], [LIN_A, LIN_B]):
             p = ProblemInstance.uniform(markets, 5.0, 0.03, 6.0)
-            compiled = ProblemInstance._compiled(
-                p.market_ids, p.l_max, p._forms, p.staking_rate, p.budget
+            forms = tuple(
+                _compile(m.market_id, m.supplied, m.borrowed, m.max_ltv, m.irm._curve, 5.0)
+                for m in markets
             )
+            compiled = ProblemInstance(p.market_ids, p.l_max, 0.03, 6.0, forms)
+            assert compiled == p
             alloc = solve(compiled)
             assert alloc == solve(p)
             assert verify_kkt(alloc, compiled, 1e-8) == verify_kkt(alloc, p, 1e-8)
@@ -569,13 +574,28 @@ class TestVerifyKkt:
             assert expected_yield(alloc, compiled) == expected_yield(alloc, p)
             assert yield_breakdown(alloc, compiled) == yield_breakdown(alloc, p)
         assert waterfilling_detail(compiled) == waterfilling_detail(p)
-        with pytest.raises(DomainError, match="budget must be positive and finite"):
-            ProblemInstance._compiled(p.market_ids, p.l_max, p._forms, 0.03, math.inf)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"budget": math.inf}, "budget must be positive and finite"),
+            ({"budget": 0.0}, "budget must be positive and finite"),
+            ({"staking_rate": math.nan}, "staking_rate must be finite"),
+            ({"market_ids": (), "l_max": (), "forms": ()}, "at least one market"),
+            ({"l_max": (5.0,)}, "must have the same length"),
+            ({"market_ids": ("A", "A")}, "duplicate market id A"),
+        ],
+        ids=["inf-budget", "zero-budget", "nan-rate", "empty", "lengths", "duplicate"],
+    )
+    def test_constructor_checks_an_instance_of_forms(self, change, message):
+        p = ProblemInstance.uniform([LIN_A, LIN_B], 5.0, 0.03, 6.0)
+        with pytest.raises(DomainError, match=message):
+            replace(p, **change)
 
     def test_instances_of_different_markets_differ(self):
         def compiled(markets):
             p = ProblemInstance.uniform(markets, 5.0, 0.03, 6.0)
-            return ProblemInstance._compiled(p.market_ids, p.l_max, p._forms, 0.03, 6.0)
+            return ProblemInstance(p.market_ids, p.l_max, 0.03, 6.0, p.forms)
 
         assert compiled([LIN_A, LIN_B]) == compiled([LIN_A, LIN_B])
         assert compiled([LIN_A, LIN_B]) != compiled([LIN_A, replace(LIN_B, borrowed=10.0)])
@@ -603,7 +623,7 @@ class TestOracleEquivalence:
         rng = random.Random(2024)
         for _ in range(25):
             markets, l_maxes, s, budget = random_instance(rng)
-            p = ProblemInstance(tuple(markets), tuple(l_maxes), s, budget)
+            p = ProblemInstance.of(markets, l_maxes, s, budget)
             alloc = solve(p)
             oracle_best = simplex_search(markets, l_maxes, s, budget, min_steps=4000)
             assert alloc.expected_yield >= oracle_best - 1e-6 * budget * max(s, 0.01)

@@ -404,7 +404,7 @@ class TestRunBacktest:
             recorded = ProblemInstance.uniform(
                 market_states_at(series, k), cfg.l_max, p.staking_rate, p.budget
             )
-            assert p._forms == recorded._forms
+            assert p.forms == recorded.forms
 
     def test_zero_budget_limit_matches_instant_yield_path(self):
         from stakeloop.allocator import ProblemInstance, solve
@@ -482,24 +482,25 @@ class TestRunBacktest:
     def test_one_problem_instance_per_solving_step(self, monkeypatch):
         series = varied_series(hours=48)
         built = []
-        make = ProblemInstance._compiled.__func__
+        check = ProblemInstance.__post_init__
 
-        def counting(cls, *args):
-            built.append(args)
-            return make(cls, *args)
+        def counting(self):
+            built.append(self)
+            check(self)
 
         def refused(self, *args):
             pytest.fail(f"the replay built a checked {type(self).__name__}")
 
-        monkeypatch.setattr(ProblemInstance, "_compiled", classmethod(counting))
-        for checked in (ProblemInstance, MarketState, AdaptiveIrmParams):
+        monkeypatch.setattr(ProblemInstance, "__post_init__", counting)
+        for checked in (MarketState, AdaptiveIrmParams):
             monkeypatch.setattr(checked, "__post_init__", refused)
         compiles = count_compiles(monkeypatch)
         fees = FeeModel(0.0001, 0.0001, 7.0 / 365.0)
         result = run_backtest(series, config(strategy=FIXED_FREQUENCY, fees=fees))
         assert result.rebalance_count > 0
         # Hourly data rebalanced hourly: every step solves, with and without
-        # the fee shifts of the staking rate, on the one instance it compiles
+        # the fee shifts of the staking rate, on the one instance it builds,
+        # through the constructor and its checks, from forms it compiles
         # straight from the series columns.
         assert len(built) == len(series.timestamps)
         assert len(compiles) == len(series.timestamps) * len(series.markets)

@@ -121,7 +121,8 @@ def test_borrow_rate_matches_the_oracle_at_the_breakpoints(market, point, log2_s
 
 
 @st.composite
-def instances(draw, min_n: int = 1, max_n: int = 50) -> ProblemInstance:
+def market_instances(draw, min_n: int = 1, max_n: int = 50):
+    """``(markets, instance)``: the market states and the instance they compile to."""
     n = draw(st.integers(min_n, max_n))
     pool = [draw(markets(i)) for i in range(n)]
     l_max = draw(st.floats(1.5, 10.0))
@@ -130,7 +131,11 @@ def instances(draw, min_n: int = 1, max_n: int = 50) -> ProblemInstance:
     # Mostly below the saturated total, where the shadow rate is swept for.
     share = draw(st.floats(1e-6, 1.2))
     budget = share * saturated if saturated > 0.0 else share
-    return ProblemInstance.uniform(pool, l_max, s, budget)
+    return pool, ProblemInstance.uniform(pool, l_max, s, budget)
+
+
+def instances(min_n: int = 1, max_n: int = 50):
+    return market_instances(min_n, max_n).map(lambda case: case[1])
 
 
 def assert_certified(p: ProblemInstance) -> None:
@@ -203,12 +208,10 @@ def test_solved_value_is_nondecreasing_and_concave_in_the_budget(p, step):
 @st.composite
 def positions(draw, p: ProblemInstance) -> Allocation:
     """A holding of the instance's budget within every market's liquidity."""
-    weights = [draw(st.floats(0.0, 1.0)) for _ in range(len(p.markets) + 1)]
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(len(p.forms) + 1)]
     total = sum(weights) or 1.0
-    exposures = [
-        min(w / total * p.budget, market.available_liquidity / (l_max - 1.0))
-        for w, market, l_max in zip(weights, p.markets, p.l_max)
-    ]
+    # A form's second term is the market's liquidity cap on exposure.
+    exposures = [min(w / total * p.budget, form[1]) for w, form in zip(weights, p.forms)]
     return Allocation.from_position(p.market_ids, exposures, p.budget - sum(exposures))
 
 
@@ -255,21 +258,21 @@ def test_moving_target_is_the_solve_at_its_shifted_rate(data):
 def fee_plans(draw):
     """A one- or two-market instance, a holding of its budget, fees on a log
     scale from negligible to prohibitive, and the fee-aware plan."""
-    p = draw(instances(max_n=2))
+    markets, p = draw(market_instances(max_n=2))
     current = draw(positions(p))
     fees = FeeModel(
         10.0 ** draw(st.floats(-6.0, -2.0)),
         10.0 ** draw(st.floats(-6.0, -2.0)),
         draw(st.floats(1.0, 30.0)) / 365.0,
     )
-    return p, current, fees, solve_with_fees(p, current, fees)
+    return markets, p, current, fees, solve_with_fees(p, current, fees)
 
 
-def grid_and_line_best(p: ProblemInstance, current: Allocation, fees: FeeModel):
+def grid_and_line_best(markets, p: ProblemInstance, current: Allocation, fees: FeeModel):
     """The oracle's best fee-penalised cash flow over a grid of every
-    allocation, and its best cash flow at the current total collateral
-    (where no fee is due)."""
-    markets, l_max = list(p.markets), list(p.l_max)
+    allocation of ``p``'s ``markets``, and its best cash flow at the current
+    total collateral (where no fee is due)."""
+    l_max = list(p.l_max)
     grid = grid_best_with_fees(
         markets, l_max, p.staking_rate, p.budget, total_collateral(current, p.l_max), fees,
         points=2001 if len(markets) == 1 else 81,
@@ -283,13 +286,13 @@ def grid_and_line_best(p: ProblemInstance, current: Allocation, fees: FeeModel):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(fee_plans())
 def test_fee_aware_move_maximises_the_fee_penalised_yield(case):
-    p, current, fees, plan = case
+    markets, p, current, fees, plan = case
     assume(plan.direction != HOLD)
     value = fee_penalised_objective(
-        list(p.markets), list(p.l_max), p.staking_rate, list(plan.target.exposures),
+        markets, list(p.l_max), p.staking_rate, list(plan.target.exposures),
         plan.target.unleveraged, total_collateral(current, p.l_max), fees,
     )
-    grid, line = grid_and_line_best(p, current, fees)
+    grid, line = grid_and_line_best(markets, p, current, fees)
     tol = 1e-9 * p.budget * max(p.l_max)
     assert value >= grid - tol
     assert value >= line - tol
@@ -301,9 +304,9 @@ def test_fee_aware_hold_has_its_best_at_the_current_collateral(case):
     # Neither fee-shifted branch moves collateral its own way (or the one
     # that does is the current holding): no allocation, at any total
     # collateral, beats the best one at the current total net of fees.
-    p, current, fees, plan = case
+    markets, p, current, fees, plan = case
     assume(plan.direction == HOLD)
-    grid, line = grid_and_line_best(p, current, fees)
+    grid, line = grid_and_line_best(markets, p, current, fees)
     assert grid <= line + 1e-9 * p.budget * max(p.l_max)
 
 
@@ -525,5 +528,5 @@ def test_replay_plans_equal_plans_on_public_market_states(data):
         shift = -fees.gamma_plus if plan.direction == INCREASE else fees.gamma_minus
         s = p.staking_rate + shift / fees.horizon_years
         assert verify_kkt(b, replace(public, staking_rate=s), 1e-8).passed
-        own = ProblemInstance._compiled(p.market_ids, p.l_max, p._forms, s, p.budget)
+        own = replace(p, staking_rate=s)
         assert verify_kkt(a, own, 1e-8).passed
