@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .allocator import (
     yield_breakdown,
 )
 from .errors import DataError, StakeloopError, ValidationError
-from .irm import MarketState, _state_form
+from .irm import IrmParams, MarketState, _state_form
 from .rebalance import HOLD, FeeModel, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -44,11 +45,19 @@ def _parse_duration(text: str) -> int:
     return int(seconds)
 
 
-def _load_json_arg(text: str) -> dict:
-    path = Path(text)
-    if path.exists():
-        return json.loads(path.read_text())
-    return json.loads(text)
+def _load_json_arg(text: str, flag: str) -> object:
+    """The value of a JSON flag: ``text`` parsed as JSON, or else the file it
+    names. An error names ``flag``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        literal = exc
+    try:
+        return json.loads(Path(text).read_text())
+    except OSError:
+        raise DataError(f"{flag}: neither JSON ({literal}) nor a readable file") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{flag}: invalid JSON in {text} ({exc})") from None
 
 
 def _object(value: object, flag: str) -> dict:
@@ -58,24 +67,46 @@ def _object(value: object, flag: str) -> dict:
     return value
 
 
+# The Python types of a JSON value of each kind, and its name.
+_JSON_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "a boolean"),
+    str: (str, "a string"),
+    list: (list, "a list"),
+}
+
+
+def _checked(value: object, kind: type, where: str) -> object:
+    """``value`` when it is a JSON value of ``kind``, else a ``DataError``
+    naming ``where``. JSON true and false are no numbers."""
+    types, name = _JSON_KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool):
+        raise DataError(f"{where} must be {name}, got {type(value).__name__}")
+    return value
+
+
 def _number(raw: dict, key: str, flag: str) -> float:
-    value = raw[key]
+    return float(_checked(raw[key], float, f"{flag}: {key}"))
+
+
+def _irm(value: object, flag: str) -> IrmParams:
+    """The rate model of a JSON object; an error names ``flag``."""
+    raw = _object(value, flag)
     try:
-        if isinstance(value, bool):  # JSON true and false are no amounts
-            raise TypeError
-        return float(value)
-    except TypeError:
-        raise DataError(f"{flag}: {key} must be a number, got {type(value).__name__}") from None
+        return datamod.irm_from_dict(raw)
+    except StakeloopError as exc:
+        raise DataError(f"{flag}: {exc}") from None
 
 
 def _market_from_json(value: object, flag: str) -> MarketState:
     raw = _object(value, flag)
     return MarketState(
-        market_id=str(raw["id"]),
+        market_id=_checked(raw["id"], str, f"{flag}: id"),
         supplied=_number(raw, "supplied", flag),
         borrowed=_number(raw, "borrowed", flag),
         max_ltv=_number(raw, "max_ltv", flag),
-        irm=datamod.irm_from_dict(_object(raw["irm"], f"{flag} irm")),
+        irm=_irm(raw["irm"], f"{flag} irm"),
     )
 
 
@@ -84,11 +115,11 @@ def _problem_from_args(args) -> ProblemInstance:
     ``--market``, then the ``--dataset`` snapshot, compiled as the replay does."""
     markets = []
     if args.markets:
-        loaded = _load_json_arg(args.markets)
+        loaded = _load_json_arg(args.markets, "--markets")
         for raw in loaded if isinstance(loaded, list) else [loaded]:
             markets.append(_market_from_json(raw, "--markets"))
     for item in args.market or []:
-        markets.append(_market_from_json(json.loads(item), "--market"))
+        markets.append(_market_from_json(_load_json_arg(item, "--market"), "--market"))
     ids = [m.market_id for m in markets]
     forms = [_state_form(m, args.l_max) for m in markets]
     if args.dataset:
@@ -174,7 +205,7 @@ def _current_from_args(args, p: ProblemInstance) -> Allocation:
     """The holding ``--current`` names: a non-negative amount per market of
     ``p`` and an unleveraged rest, adding up to ``--budget``. The planner does
     not check this, since a replay's rest can go negative as interest accrues."""
-    raw = _object(_load_json_arg(args.current), "--current")
+    raw = _object(_load_json_arg(args.current, "--current"), "--current")
     exposures = _object(raw["exposures"], "--current exposures")
     stray = sorted(set(exposures).symmetric_difference(p.market_ids))
     if stray:
@@ -194,7 +225,7 @@ def _fees_from_args(args) -> FeeModel:
 
 
 def _config_from_args(args) -> bt.BacktestConfig:
-    irm = datamod.irm_from_dict(_object(json.loads(args.irm), "--irm")) if args.irm else None
+    irm = _irm(_load_json_arg(args.irm, "--irm"), "--irm") if args.irm else None
     return bt.BacktestConfig(
         budget=args.budget,
         l_max=args.l_max,
@@ -278,16 +309,25 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _fields(value: object, cls: type, flag: str) -> dict:
+    """A JSON object whose every key that names a number or string field of
+    dataclass ``cls`` holds a value of that type; other keys are left to ``cls``."""
+    raw = _object(value, flag)
+    hints = typing.get_type_hints(cls)
+    for key, field_value in raw.items():
+        if hints.get(key) in (float, int, str):
+            _checked(field_value, hints[key], f"{flag}: {key}")
+    return raw
+
+
 def _cmd_synth(args) -> int:
     if args.scenario:
         spec = datamod.scenario(args.scenario)
     elif args.spec:
-        raw = _object(_load_json_arg(args.spec), "--spec")
+        raw = _fields(_load_json_arg(args.spec, "--spec"), datamod.SyntheticSpec, "--spec")
         try:
-            markets = tuple(
-                datamod.SyntheticMarketSpec(**_object(m, "--spec markets"))
-                for m in raw.pop("markets")
-            )
+            market = datamod.SyntheticMarketSpec
+            markets = tuple(market(**_fields(m, market, "--spec markets")) for m in raw.pop("markets"))
             spec = datamod.SyntheticSpec(markets=markets, **raw)
         except TypeError as exc:  # a field of the wrong name or type
             raise DataError(f"--spec: {exc}") from exc
@@ -408,6 +448,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config_value(key: str, value: object, action: argparse.Action) -> None:
+    """Refuse a ``--config`` value that the flag of ``action`` could not
+    give: a number (no boolean) for a float or int flag, a boolean for a
+    switch, a list of strings for a repeatable flag, a string otherwise; null
+    for a flag whose default is None. A value must be one of the flag's choices."""
+    if value is None and action.default is None:
+        return
+    if isinstance(action, argparse._AppendAction):  # noqa: SLF001
+        for item in _checked(value, list, key):
+            _checked(item, str, f"{key} item")
+    elif isinstance(action, argparse._StoreTrueAction):  # noqa: SLF001
+        _checked(value, bool, key)
+    else:
+        _checked(value, action.type if action.type in (float, int) else str, key)
+    if action.choices is not None and value not in action.choices:
+        raise DataError(f"{key} must be one of {', '.join(action.choices)}, got {value!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args_list = list(sys.argv[1:] if argv is None else argv)
@@ -428,9 +486,14 @@ def main(argv: list[str] | None = None) -> int:
         unknown = set(config)
         # Each parser takes only the keys it knows; a key none knows is an error.
         for each in parsers:
-            known = {a.dest for a in each._actions}  # noqa: SLF001
-            each.set_defaults(**{k: v for k, v in config.items() if k in known})
-            unknown -= known
+            known = {a.dest: a for a in each._actions if a.dest in config}  # noqa: SLF001
+            try:
+                for key, action in known.items():
+                    _check_config_value(key, config[key], action)
+            except DataError as exc:
+                parser.error(f"cannot read --config: {exc}")
+            each.set_defaults(**{k: config[k] for k in known})
+            unknown -= set(known)
         if unknown:
             parser.error(f"cannot read --config: unknown key(s) {', '.join(sorted(unknown))}")
         args = parser.parse_args(args_list)

@@ -571,11 +571,16 @@ def load_position_history(path: Path) -> PositionHistory:
 
 
 def irm_from_dict(raw: dict) -> object:
-    """Parse a rate-model description used in CLI flags and config files."""
+    """Parse a rate-model description used in CLI flags and config files.
+    Every field but ``kind`` must be a number: JSON true, false and strings
+    are refused."""
     from . import irm as irm_module
 
     kind = raw.get("kind")
     fields = {k: v for k, v in raw.items() if k != "kind"}
+    for key, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DataError(f"{key} must be a number, got {type(value).__name__}")
     try:
         if kind == "linear":
             return irm_module.LinearIrmParams(**fields)

@@ -317,6 +317,21 @@ class TestSynthAndBacktest:
         files_b = {p.name: p.read_text() for p in sorted(b.iterdir())}
         assert files_a == files_b
 
+    def test_frequency_in_seconds_equals_its_hours(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "rate-crossing", "--seed", "0", "--out", str(ds)], capsys)
+        reports = []
+        for frequency in ("3600", "1h"):
+            out_dir = tmp_path / frequency
+            code, out, _ = run(
+                ["--json", "backtest", "--dataset", str(ds), "--budget", "10",
+                 "--frequency", frequency, "--out", str(out_dir)],
+                capsys,
+            )
+            assert code == 0
+            reports.append((out.splitlines()[-1], (out_dir / "positions.csv").read_text()))
+        assert reports[0] == reports[1]
+
     def test_staking_only_apy_matches_rate(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
@@ -493,6 +508,60 @@ class TestOptimizeFromDataset:
         assert code == 2
         assert "no snapshot" in err
 
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("last", "968111b645a405587f29cdb6ac9a26149d593f78cc64fc2b2049ec576348244e"),
+            ("middle", "9e1a83d729131337d38ea44a2101ce1e96a82a6ac4a266dfaf2af65c2e85efb9"),
+            ("mixed", "05dfddcc0358fc573a7eaddf7fe186bee1a222d94f002b590d2a7927b8818909"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, case, digest, tmp_path, capsys):
+        # The last snapshot, one in the middle, and one JSON market ahead of
+        # the dataset's markets. Any change to a float of the compile from the
+        # columns, the solve or its JSON changes these digests.
+        from stakeloop.data import load_snapshots
+
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "rate-crossing", "--seed", "0", "--out", str(ds)], capsys)
+        timestamps = load_snapshots(ds).timestamps
+        extra = {
+            "last": [],
+            "middle": ["--at", str(timestamps[len(timestamps) // 2])],
+            "mixed": ["--market", json.dumps(
+                {"id": "X", "supplied": 300, "borrowed": 240, "max_ltv": 0.945,
+                 "irm": {"kind": "kinked", "r_base": 0.0, "r_slope1": 0.03, "r_slope2": 0.5,
+                         "u_target": 0.9}}
+            )],
+        }[case]
+        code, out, _ = run(
+            ["--json", "optimize", "--dataset", str(ds), "--budget", "20", *extra], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["kkt_passed"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["optimize", "rebalance"])
+    def test_builds_no_market_state_or_rate_model(self, command, tmp_path, capsys, monkeypatch):
+        from stakeloop.irm import AdaptiveIrmParams
+
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "rate-crossing", "--seed", "0", "--out", str(ds)], capsys)
+
+        def refused(self, *args):
+            pytest.fail(f"--dataset built a {type(self).__name__}")
+
+        for checked in (MarketState, AdaptiveIrmParams):
+            monkeypatch.setattr(checked, "__post_init__", refused)
+        current = ["--current", '{"exposures": {"core": 0, "alt": 0}, "unleveraged": 20}']
+        code, out, _ = run(
+            ["--json", command, "--dataset", str(ds), "--budget", "20",
+             *(current if command == "rebalance" else [])],
+            capsys,
+        )
+        assert code == 0
+        assert set(json.loads(out)["exposures"]) == {"core", "alt"}
+
     def test_market_without_rate_at_target_exits_2_naming_it(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
@@ -525,6 +594,35 @@ class TestSweepCommand:
         curve = json.loads((out_dir / "apy_curve.json").read_text())
         apys = [row["apy"] for row in curve]
         assert apys == sorted(apys, reverse=True)
+
+    def test_leverage_sweep_prints_and_writes_a_curve_per_cap(self, tmp_path, capsys):
+        from stakeloop import backtest
+        from stakeloop.data import load_snapshots
+
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "rate-crossing", "--seed", "1", "--out", str(ds)], capsys)
+        out_dir = tmp_path / "curves"
+        code, out, _ = run(
+            ["sweep", "--dataset", str(ds), "--budget", "1", "--budgets", "1,100",
+             "--l-max-list", "2,4.5", "--frequency", "1d", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        cfg = backtest.BacktestConfig(budget=1.0, rebalance_frequency=86400)
+        curves = backtest.sweep_leverage(load_snapshots(ds), cfg, [2.0, 4.5], [1.0, 100.0])
+        assert out.splitlines() == [
+            f"l_max {level:g} budget {budget:.6g} apy {value * 100:.6g}%"
+            for level, curve in curves.items()
+            for budget, value in curve
+        ]
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "lmax_2_curve.csv", "lmax_2_curve.json", "lmax_4.5_curve.csv", "lmax_4.5_curve.json",
+        ]
+        for level, curve in curves.items():
+            written = json.loads((out_dir / f"lmax_{level:g}_curve.json").read_text())
+            assert [(row["budget"], row["apy"]) for row in written] == curve
+            rows = (out_dir / f"lmax_{level:g}_curve.csv").read_text().splitlines()
+            assert rows == ["budget,apy", *(f"{b!r},{a!r}" for b, a in curve)]
 
     @pytest.mark.parametrize("levels", ["2,2.0000001,16", "2,2"], ids=["alike", "repeated"])
     def test_leverage_caps_that_print_alike_exit_2(self, levels, tmp_path, capsys):
@@ -604,6 +702,40 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert "cannot read --config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"irm": {"kind": "linear"}}, "irm must be a string, got dict"),
+            ({"staking_rate": True}, "staking_rate must be a number, got bool"),
+            ({"budget": "10"}, "budget must be a number, got str"),
+            ({"seed": 1.5}, "seed must be an integer, got float"),
+            ({"json": 1}, "json must be a boolean, got int"),
+            ({"market": MARKET_A}, "market must be a list, got str"),
+            ({"market": [{"id": "A"}]}, "market item must be a string, got dict"),
+            ({"gate": "both"}, "gate must be one of net, gross, got 'both'"),
+            ({"frequency": 3600}, "frequency must be a string, got int"),
+            ({"l_max": None}, "l_max must be a number, got NoneType"),
+        ],
+        ids=["irm-object", "bool-rate", "string-budget", "float-seed", "int-switch",
+             "market-string", "market-object", "gate-choice", "int-duration", "null-cap"],
+    )
+    def test_config_value_of_the_wrong_type_exits_2(self, config, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "--print-config", "optimize", "--budget", "3"])
+        assert exc.value.code == 2
+        assert f"cannot read --config: {message}" in capsys.readouterr().err
+
+    def test_config_values_of_their_flags_types_accepted(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"staking_rate": None, "json": True, "l_max": 4, "at": None,
+                                    "market": [MARKET_A], "gate": "gross", "seed": 3}))
+        code, out, _ = run(["--config", str(path), "optimize", "--budget", "3", "-s", "0.03"],
+                           capsys)
+        assert code == 0
+        assert set(json.loads(out)["exposures"]) == {"A"}
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"smoothng": "1h", "workers": 2}))
@@ -680,10 +812,37 @@ class TestJsonFlags:
             (["synth", "--spec", "[1]"], "--spec: expected a JSON object, got list"),
             (["synth", "--spec", '{"markets": [1]}'],
              "--spec markets: expected a JSON object, got int"),
+            (["optimize", "--market", "{"],
+             "--market: neither JSON (Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)) nor a readable file"),
+            (["backtest", "--irm", "nope"],
+             "--irm: neither JSON (Expecting value: line 1 column 1 (char 0)) nor a readable file"),
+            (["optimize", "--market", json.dumps({**json.loads(MARKET_A), "supplied": "100"})],
+             "--market: supplied must be a number, got str"),
+            (["optimize", "--market", json.dumps({**json.loads(MARKET_A), "id": None})],
+             "--market: id must be a string, got NoneType"),
+            (["optimize", "--markets", json.dumps([{**json.loads(MARKET_A), "id": 7}])],
+             "--markets: id must be a string, got int"),
+            (["optimize", "--market",
+              json.dumps({**json.loads(MARKET_A), "irm": {**json.loads(MARKET_A)["irm"], "r_base": True}})],
+             "--market irm: r_base must be a number, got bool"),
+            (["backtest", "--irm", '{"kind": "linear", "r_base": "0.01", "r_slope1": 0.04, "u_target": 0.9}'],
+             "--irm: r_base must be a number, got str"),
+            (["backtest", "--irm", '{"kind": "quadratic"}'],
+             "--irm: unknown rate model kind 'quadratic' (use linear/kinked/adaptive)"),
+            (["synth", "--spec", '{"markets": [{"market_id": "a"}], "days": true}'],
+             "--spec: days must be a number, got bool"),
+            (["synth", "--spec", '{"markets": [{"market_id": "a", "noise": true}]}'],
+             "--spec markets: noise must be a number, got bool"),
+            (["synth", "--spec", '{"markets": [{"market_id": "a"}], "start": true}'],
+             "--spec: start must be an integer, got bool"),
         ],
         ids=["market", "markets", "market-null-field", "market-bool-field",
              "current-bool-exposure", "market-irm", "current-exposures",
-             "irm", "spec", "spec-markets"],
+             "irm", "spec", "spec-markets", "market-decode", "irm-decode",
+             "market-string-amount", "market-null-id", "markets-number-id",
+             "market-irm-bool-field", "irm-string-field", "irm-unknown-kind",
+             "spec-bool-days", "spec-bool-noise", "spec-bool-start"],
     )
     def test_json_of_the_wrong_type_exits_2(self, argv, message, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -699,3 +858,44 @@ class TestJsonFlags:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_long_literals_are_parsed_and_files_read(self, tmp_path, capsys):
+        # Literals longer than a file name may be are JSON, not paths; every
+        # JSON flag also reads a file.
+        markets = [{**json.loads(MARKET_A), "id": mid} for mid in ("A", "B", "C")]
+        literal = json.dumps(markets)
+        current = json.dumps(
+            {"exposures": {"A": 0.0, "B": 0.0, "C": 0.0}, "unleveraged": 3.0, "note": "x" * 300}
+        )
+        assert len(literal) > 255 and len(current) > 255
+        base = ["--json", "rebalance", "--budget", "3", "-s", "0.03"]
+        code, from_literals, _ = run([*base, "--markets", literal, "--current", current], capsys)
+        assert code == 0
+        paths = {}
+        for name, text in [("markets", literal), ("current", current),
+                           *((f"m{i}", json.dumps(m)) for i, m in enumerate(markets))]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        code, from_files, _ = run(
+            [*base, *(f for i in range(3) for f in ("--market", str(paths[f"m{i}"]))),
+             "--current", str(paths["current"])],
+            capsys,
+        )
+        assert code == 0
+        assert from_files == from_literals
+        code, from_file, _ = run([*base, "--markets", str(paths["markets"]),
+                                  "--current", current], capsys)
+        assert (code, from_file) == (0, from_literals)
+
+    def test_irm_file_is_read(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        irm = tmp_path / "irm.json"
+        irm.write_text(json.dumps(json.loads(MARKET_A)["irm"]))
+        runs = [
+            run(["--json", "backtest", "--dataset", str(ds), "--budget", "1", "--irm", text], capsys)
+            for text in (str(irm), irm.read_text())
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0

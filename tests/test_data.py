@@ -479,3 +479,11 @@ class TestIrmFromDict:
     def test_unknown_kind(self):
         with pytest.raises(DataError):
             irm_from_dict({"kind": "quadratic"})
+
+    @pytest.mark.parametrize(
+        "value", [True, False, "0.01", None, [0.01]], ids=["true", "false", "string", "null", "list"]
+    )
+    def test_field_that_is_no_number_refused(self, value):
+        raw = {"kind": "linear", "r_base": value, "r_slope1": 0.04, "u_target": 0.9}
+        with pytest.raises(DataError, match=f"r_base must be a number, got {type(value).__name__}"):
+            irm_from_dict(raw)
