@@ -489,7 +489,8 @@ def _forms_at(
     series: SnapshotSeries, k: int, rate_at_target: tuple, fallback: tuple | None, l_max: float
 ) -> tuple[tuple, ...]:
     """Each market of ``series`` at snapshot ``k``, compiled at ``l_max`` on its
-    recorded rate-at-target's curve, or else on ``fallback``."""
+    recorded rate-at-target's curve, or else on ``fallback``. The record
+    check has checked the columns as ``MarketState`` would."""
     return tuple(
         _compile(m.market_id, s[k], b[k], m.max_ltv, _recorded_curve(t[k]) if t else fallback, l_max)
         for m, s, b, t in zip(series.markets, series.supplied, series.borrowed, rate_at_target)
