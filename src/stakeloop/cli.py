@@ -79,10 +79,13 @@ _JSON_KINDS = {
 
 def _checked(value: object, kind: type, where: str) -> object:
     """``value`` when it is a JSON value of ``kind``, else a ``DataError``
-    naming ``where``. JSON true and false are no numbers."""
+    naming ``where``. JSON true and false are no numbers, and a number is
+    one a float can hold."""
     types, name = _JSON_KINDS[kind]
     if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool):
         raise DataError(f"{where} must be {name}, got {type(value).__name__}")
+    if kind is float:
+        datamod._check_float(value, where)
     return value
 
 
@@ -470,11 +473,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args_list = list(sys.argv[1:] if argv is None else argv)
 
-    args = parser.parse_args(args_list)
-    # Config files supply defaults; explicit flags win.
-    if args.config is not None:
+    # Config files supply defaults; explicit flags win. A required flag that
+    # the config gives counts as given, so --config is read before the parse.
+    find_config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    find_config.add_argument("--config")
+    try:
+        path = find_config.parse_known_args(args_list)[0].config
+    except argparse.ArgumentError:  # the parse below reports it
+        path = None
+    if path is not None:
         try:
-            config = json.loads(Path(args.config).read_text())
+            config = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read --config: {exc}")
         if not isinstance(config, dict):
@@ -493,10 +502,13 @@ def main(argv: list[str] | None = None) -> int:
             except DataError as exc:
                 parser.error(f"cannot read --config: {exc}")
             each.set_defaults(**{k: config[k] for k in known})
+            for key, action in known.items():
+                if config[key] is not None:
+                    action.required = False
             unknown -= set(known)
         if unknown:
             parser.error(f"cannot read --config: unknown key(s) {', '.join(sorted(unknown))}")
-        args = parser.parse_args(args_list)
+    args = parser.parse_args(args_list)
     if args.print_config:
         resolved = {
             k: v for k, v in vars(args).items() if k not in ("func", "print_config")

@@ -570,10 +570,18 @@ def load_position_history(path: Path) -> PositionHistory:
     )
 
 
+def _check_float(value: int | float, where: str) -> None:
+    """Refuse, naming ``where``, a JSON integer too large for a float."""
+    try:
+        float(value)
+    except OverflowError:
+        raise DataError(f"{where} must be a number, got an integer too large for a float") from None
+
+
 def irm_from_dict(raw: dict) -> object:
     """Parse a rate-model description used in CLI flags and config files.
-    Every field but ``kind`` must be a number: JSON true, false and strings
-    are refused."""
+    Every field but ``kind`` must be a number a float can hold: JSON true,
+    false and strings are refused."""
     from . import irm as irm_module
 
     kind = raw.get("kind")
@@ -581,6 +589,7 @@ def irm_from_dict(raw: dict) -> object:
     for key, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DataError(f"{key} must be a number, got {type(value).__name__}")
+        _check_float(value, key)
     try:
         if kind == "linear":
             return irm_module.LinearIrmParams(**fields)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -769,6 +773,8 @@ class TestSweeps:
             return problems(series, where)
 
         series = scenario_series()
+        # One worker, so that the counters see every replay.
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(backtest, "_window_means", counting)
         monkeypatch.setattr(SnapshotSeries, "_problems", checking)
         cfg = config(rebalance_frequency=SECONDS_PER_DAY)
@@ -780,3 +786,108 @@ class TestSweeps:
     def test_empty_budget_list_rejected(self):
         with pytest.raises(DomainError):
             sweep_budgets(scenario_series(), config(), [])
+
+
+def assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def third(x: int) -> float:
+    return x / 3.0
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("runs", [1, 2, 5, 7])
+    def test_forced_workers_give_the_serial_list(self, monkeypatch, workers, runs):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
+        forks = count_forks(monkeypatch)
+        assert backtest._fan_out(third, range(runs)) == [third(x) for x in range(runs)]
+        assert len(forks) == min(workers, runs) - 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("budgets", [[1.0], [1.0, 1e3, 1e6]], ids=["one", "three"])
+    def test_forced_workers_give_equal_sweeps(self, monkeypatch, budgets):
+        series = scenario_series("volatile")
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        sweeps = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
+            sweeps.append((sweep_budgets(series, cfg, budgets),
+                           sweep_leverage(series, cfg, [2.0, 3.0, 5.0], budgets)))
+            assert_no_children()
+        assert sweeps[0] == sweeps[1] == sweeps[2]
+
+    def test_two_workers_fork_once(self, monkeypatch):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        forks = count_forks(monkeypatch)
+        sweep_budgets(scenario_series(), config(rebalance_frequency=SECONDS_PER_DAY), [1.0, 1e4])
+        assert forks == [1]
+        assert_no_children()
+
+    @pytest.mark.parametrize("caps", [[3.0, 30.0], [30.0, 3.0]], ids=["worker", "parent"])
+    def test_failing_replay_raises_the_serial_error(self, monkeypatch, caps):
+        series = scenario_series()
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
+            with pytest.raises(ConstraintError) as exc:
+                sweep_leverage(series, cfg, caps, [1.0])
+            errors.append(str(exc.value))
+            assert_no_children()
+        assert "l_max=30.0 outside" in errors[0]
+        assert errors[0] == errors[1]
+
+    def test_dead_worker_reruns_serially(self, monkeypatch):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def run(x):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return third(x)
+
+        assert backtest._fan_out(run, range(4)) == [third(x) for x in range(4)]
+        assert_no_children()
+
+    def test_interrupt_kills_every_worker(self, monkeypatch):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 3)
+        parent = os.getpid()
+
+        def run(x):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            backtest._fan_out(run, range(3))
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_live_thread_keeps_the_sweep_serial(self, monkeypatch):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a live thread"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            curve = sweep_budgets(scenario_series(), config(rebalance_frequency=SECONDS_PER_DAY),
+                                  [1.0, 1e4])
+        finally:
+            stop.set()
+            thread.join()
+        assert [b for b, _ in curve] == [1.0, 1e4]

@@ -715,9 +715,11 @@ class TestConfigHandling:
             ({"gate": "both"}, "gate must be one of net, gross, got 'both'"),
             ({"frequency": 3600}, "frequency must be a string, got int"),
             ({"l_max": None}, "l_max must be a number, got NoneType"),
+            ({"budget": 10 ** 400}, "budget must be a number, got an integer too large for a float"),
         ],
         ids=["irm-object", "bool-rate", "string-budget", "float-seed", "int-switch",
-             "market-string", "market-object", "gate-choice", "int-duration", "null-cap"],
+             "market-string", "market-object", "gate-choice", "int-duration", "null-cap",
+             "huge-budget"],
     )
     def test_config_value_of_the_wrong_type_exits_2(self, config, message, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -735,6 +737,36 @@ class TestConfigHandling:
                            capsys)
         assert code == 0
         assert set(json.loads(out)["exposures"]) == {"A"}
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"budget": 3}, ["optimize", "-s", "0.03", "--market", MARKET_A]),
+            ({"dataset": "ds", "budget": 1, "budgets": "1,10"}, ["sweep"]),
+            ({"out": "out"}, ["synth", "--scenario", "volatile"]),
+            ({"ids": "a", "start": 0, "end": 1, "out": "out"}, ["fetch"]),
+        ],
+        ids=["optimize", "sweep", "synth", "fetch"],
+    )
+    def test_config_supplies_required_flags(self, config, argv, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run(["--config", str(path), "--print-config", *argv], capsys)
+        assert code == 0
+        assert {k: json.loads(out)[k] for k in config} == config
+        if argv[0] == "optimize":
+            code, out, _ = run(["--json", "--config", str(path), *argv], capsys)
+            assert (code, json.loads(out)["exposures"]) == (0, {"A": 3.0})
+        # A flag that neither the command line nor the config gives, or that
+        # the config gives as null, is still required.
+        for key in config:
+            for value in ({k: v for k, v in config.items() if k != key}, {**config, key: None}):
+                path.write_text(json.dumps(value))
+                with pytest.raises(SystemExit) as exc:
+                    main(["--config", str(path), "--print-config", *argv])
+                assert exc.value.code == 2
+                flag = "--" + key.replace("_", "-")
+                assert f"the following arguments are required: {flag}" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -836,13 +868,22 @@ class TestJsonFlags:
              "--spec markets: noise must be a number, got bool"),
             (["synth", "--spec", '{"markets": [{"market_id": "a"}], "start": true}'],
              "--spec: start must be an integer, got bool"),
+            (["optimize", "--market", json.dumps({**json.loads(MARKET_A), "supplied": 10 ** 400})],
+             "--market: supplied must be a number, got an integer too large for a float"),
+            (["optimize", "--market",
+              json.dumps({**json.loads(MARKET_A), "irm": {**json.loads(MARKET_A)["irm"], "r_base": 10 ** 400}})],
+             "--market irm: r_base must be a number, got an integer too large for a float"),
+            (["rebalance", "--market", MARKET_A, "--current",
+              '{"exposures": {"A": 0}, "unleveraged": 1%s}' % ("0" * 400)],
+             "--current: unleveraged must be a number, got an integer too large for a float"),
         ],
         ids=["market", "markets", "market-null-field", "market-bool-field",
              "current-bool-exposure", "market-irm", "current-exposures",
              "irm", "spec", "spec-markets", "market-decode", "irm-decode",
              "market-string-amount", "market-null-id", "markets-number-id",
              "market-irm-bool-field", "irm-string-field", "irm-unknown-kind",
-             "spec-bool-days", "spec-bool-noise", "spec-bool-start"],
+             "spec-bool-days", "spec-bool-noise", "spec-bool-start",
+             "market-huge-amount", "market-irm-huge-field", "current-huge-amount"],
     )
     def test_json_of_the_wrong_type_exits_2(self, argv, message, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -480,6 +480,11 @@ class TestIrmFromDict:
         with pytest.raises(DataError):
             irm_from_dict({"kind": "quadratic"})
 
+    def test_integer_too_large_for_a_float_refused(self):
+        raw = {"kind": "linear", "r_base": 10 ** 400, "r_slope1": 0.04, "u_target": 0.9}
+        with pytest.raises(DataError, match="r_base must be a number, got an integer too large"):
+            irm_from_dict(raw)
+
     @pytest.mark.parametrize(
         "value", [True, False, "0.01", None, [0.01]], ids=["true", "false", "string", "null", "list"]
     )
