@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import mmap
 import os
 import signal
 import threading
@@ -20,7 +21,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field, replace
 from operator import sub
-from typing import BinaryIO, Callable, Mapping, NoReturn, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 from .allocator import Allocation, ProblemInstance
 from .errors import DataError, DomainError, ValidationError
@@ -555,7 +556,9 @@ def sweep_leverage(
     if not budgets:
         raise DomainError("budget list must not be empty")
     targets = _replay_targets(series, cfg.smoothing_window)
-    # Every cap, then every budget, is checked before a replay.
+    # Every cap, then every budget, is checked as a number before a replay; a
+    # cap above a market's LLTV bound fails only at the first solving step of
+    # its replay, which may run in a worker.
     caps = [replace(cfg, l_max=l) for l in l_max_values]
     runs = [replace(c, budget=b) for c in caps for b in budgets]
     _check_span(series, cfg.rebalance_frequency)
@@ -577,68 +580,45 @@ def _fan_out(run: Callable[[_T], float], items: Sequence[_T]) -> list[float]:
     """``[run(x) for x in items]``, with the items spread over forked
     processes, one per usable CPU and at most one per item.
 
-    Worker ``j`` of ``n`` runs ``items[j::n]``; this process runs share 0 and
-    reads the other shares' doubles from pipes, so every float is the serial
-    one. It runs serially, forking nothing, on one CPU or one item, without
-    ``os.fork``, or while another thread is alive (forking it could
-    deadlock). An ``Exception`` in any share, or a worker that dies, reruns
-    the whole list serially, so the error raised is the serial one. No
-    worker outlives the call.
+    Worker ``j`` of ``n`` runs ``items[j::n]`` and writes its doubles into
+    ``out[j::n]`` of one anonymous map shared with this process, which runs
+    share 0 itself; so every float is the serial one. It runs serially,
+    forking nothing, on one CPU or one item, without ``os.fork``, or while
+    another thread is alive (forking it could deadlock). An ``Exception`` in
+    any share, or a worker that dies, reruns the whole list serially, so the
+    error raised is the serial one. No worker outlives the call.
     """
     n = min(_usable_cpus(), len(items))
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [run(x) for x in items]
     parent = os.getpid()
-    children: dict[int, BinaryIO] = {}  # pid -> the read end of its pipe
-    shares: list[list[float]] = []
-    try:
-        for j in range(1, n):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _child(run, items[j::n], w)
-            os.close(w)
-            children[pid] = open(r, "rb")
-        shares.append([run(x) for x in items[::n]])
-        for j, (pid, pipe) in enumerate(list(children.items()), 1):
-            values = array("d", pipe.read())
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            if status or len(values) != len(items[j::n]):
-                raise ChildProcessError(f"worker {j} of {n} failed")
-            shares.append(values.tolist())
-    except Exception:
-        shares = []
-    finally:
-        if os.getpid() != parent:  # a worker that got past its own exit
-            os._exit(1)
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if not shares:
-        return [run(x) for x in items]
-    out: list[float] = [0.0] * len(items)
-    for j, share in enumerate(shares):
-        out[j::n] = share
-    return out
-
-
-def _child(run: Callable[[_T], float], share: Sequence[_T], w: int) -> NoReturn:
-    """In a forked worker: write ``run`` of each item of ``share`` to the
-    pipe ``w`` as doubles, then leave through ``os._exit``, which returns
-    into no caller and flushes and runs nothing of the parent's."""
-    code = 1
-    try:
-        data = memoryview(array("d", map(run, share)).tobytes())
-        while data:
-            data = data[os.write(w, data) :]
-        code = 0
-    finally:
-        os._exit(code)
+    workers: list[int] = []
+    failed = False
+    # The view is released before the map closes, on any way out.
+    with mmap.mmap(-1, 8 * len(items)) as shared, memoryview(shared).cast("d") as out:
+        try:
+            for j in range(1, n):
+                if (pid := os.fork()) == 0:
+                    code = 1
+                    try:
+                        out[j::n] = array("d", map(run, items[j::n]))
+                        code = 0
+                    finally:
+                        # Return into no caller; flush and run nothing of the parent's.
+                        os._exit(code)
+                workers.append(pid)
+            out[::n] = array("d", map(run, items[::n]))
+            while workers:
+                failed |= os.waitpid(workers[-1], 0)[1] != 0
+                workers.pop()
+        except Exception:
+            failed = True
+        finally:
+            if os.getpid() != parent:  # a worker that got past its own exit
+                os._exit(1)
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if not failed:
+            return out.tolist()
+    return [run(x) for x in items]

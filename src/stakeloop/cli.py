@@ -294,6 +294,9 @@ def _cmd_sweep(args) -> int:
     levels = _parse_float_list(args.l_max_list) if args.l_max_list else []
     _check_labels(levels)
     series = datamod.load_snapshots(Path(args.dataset))
+    # Each replay takes its budget from --budgets; a --budget given is only checked.
+    if args.budget is None:
+        args.budget = budgets[0]
     cfg = _config_from_args(args)
     out = Path(args.out) if args.out else None
     if levels:
@@ -346,6 +349,8 @@ def _cmd_synth(args) -> int:
 def _cmd_fetch(args) -> int:
     from .fetch import fetch_market_history
 
+    if args.workers < 1:
+        raise DataError(f"--workers must be at least 1, got {args.workers}")
     out = fetch_market_history(
         market_ids=[mid for mid in args.ids.split(",") if mid],
         start=args.start,
@@ -381,7 +386,6 @@ def _add_market_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", required=True)
-    parser.add_argument("--budget", type=float, required=True)
     parser.add_argument("--l-max", type=float, default=5.0)
     parser.add_argument("--frequency", default="1h", help="rebalance frequency (1h, 1d, or seconds)")
     parser.add_argument(
@@ -419,11 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     back = sub.add_parser("backtest", help="replay a strategy over a dataset")
     _add_backtest_flags(back)
+    back.add_argument("--budget", type=float, required=True)
     back.add_argument("--out", help="directory for report files")
     back.set_defaults(func=_cmd_backtest)
 
     sweep = sub.add_parser("sweep", help="APY versus budget (and leverage) curves")
     _add_backtest_flags(sweep)
+    sweep.add_argument("--budget", type=float, help="ignored: each of --budgets is a replay's budget")
     sweep.add_argument("--budgets", required=True, help="comma-separated budget list")
     sweep.add_argument("--l-max-list", help="comma-separated leverage caps")
     sweep.add_argument("--out", help="directory for curve files")

@@ -230,6 +230,8 @@ def fetch_market_history(
         raise DataError("end must be after start")
     if staking_endpoint is None and staking_rate is None:
         raise DataError("either staking_endpoint or staking_rate is required")
+    if parallelism < 1:
+        raise DataError(f"parallelism must be at least 1, got {parallelism}")
     post = transport or http_transport(api_key=api_key)
     limiter = _RateLimiter(min_interval)
 

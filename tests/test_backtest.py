@@ -863,6 +863,50 @@ class TestFanOut:
         assert backtest._fan_out(run, range(4)) == [third(x) for x in range(4)]
         assert_no_children()
 
+    def test_worker_that_dies_after_writing_reruns_serially(self, monkeypatch):
+        # The worker writes a wrong value for each of its items, then is killed
+        # in place of its clean exit: none of what it wrote is read.
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def run(x):
+            return third(x) if os.getpid() == parent else -1.0
+
+        monkeypatch.setattr(os, "_exit", lambda code: os.kill(os.getpid(), signal.SIGKILL))
+        assert backtest._fan_out(run, range(6)) == [third(x) for x in range(6)]
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_shares_larger_than_a_pipe_buffer(self, monkeypatch, workers):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
+        runs = range(20001)  # 80 kB for 2 workers' share 1, more than a 64 kB pipe buffer
+        assert backtest._fan_out(third, runs) == [third(x) for x in runs]
+        assert_no_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_fd_leaks(self, monkeypatch):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 3)
+        parent = os.getpid()
+
+        def failing(x):
+            raise ValueError(x)
+
+        def interrupted(x):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        before = len(os.listdir("/proc/self/fd"))
+        backtest._fan_out(third, range(7))
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ValueError):
+            backtest._fan_out(failing, range(7))
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(KeyboardInterrupt):
+            backtest._fan_out(interrupted, range(7))
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert_no_children()
+
     def test_interrupt_kills_every_worker(self, monkeypatch):
         monkeypatch.setattr(backtest, "_usable_cpus", lambda: 3)
         parent = os.getpid()

@@ -595,6 +595,23 @@ class TestSweepCommand:
         apys = [row["apy"] for row in curve]
         assert apys == sorted(apys, reverse=True)
 
+    def test_budget_flag_changes_nothing(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "rate-crossing", "--seed", "1", "--out", str(ds)], capsys)
+        outputs = []
+        for i, flag in enumerate([[], ["--budget", "7"], ["--budget", "1"]]):
+            out_dir = tmp_path / f"curves{i}"
+            code, out, _ = run(["sweep", "--dataset", str(ds), "--budgets", "1,100",
+                                "--frequency", "1d", "--out", str(out_dir), *flag], capsys)
+            assert code == 0
+            outputs.append((out, (out_dir / "apy_curve.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        # A --budget given is still checked.
+        code, out, err = run(["sweep", "--dataset", str(ds), "--budgets", "1,100",
+                              "--budget", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert "budget must be positive and finite, got -1.0" in err
+
     def test_leverage_sweep_prints_and_writes_a_curve_per_cap(self, tmp_path, capsys):
         from stakeloop import backtest
         from stakeloop.data import load_snapshots
@@ -648,6 +665,23 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "empty" in err
+
+
+class TestFetchCommand:
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2_naming_the_flag(self, workers, tmp_path, monkeypatch, capsys):
+        from stakeloop import fetch
+
+        def refuse(url, payload):
+            pytest.fail(f"requested {url}")
+
+        monkeypatch.setattr(fetch, "http_transport", lambda **_: refuse)
+        code, out, err = run(["fetch", "--ids", "a", "--start", "0", "--end", "3600",
+                              "--staking-rate", "0.03", "--workers", workers,
+                              "--out", str(tmp_path / "ds")], capsys)
+        assert (code, out) == (2, "")
+        assert f"error: --workers must be at least 1, got {workers}" in err
+        assert not (tmp_path / "ds").exists()
 
 
 class TestConfigHandling:
@@ -742,7 +776,7 @@ class TestConfigHandling:
         "config, argv",
         [
             ({"budget": 3}, ["optimize", "-s", "0.03", "--market", MARKET_A]),
-            ({"dataset": "ds", "budget": 1, "budgets": "1,10"}, ["sweep"]),
+            ({"dataset": "ds", "budgets": "1,10"}, ["sweep"]),
             ({"out": "out"}, ["synth", "--scenario", "volatile"]),
             ({"ids": "a", "start": 0, "end": 1, "out": "out"}, ["fetch"]),
         ],

@@ -206,3 +206,21 @@ class TestFetch:
         assert all(s.staking_rate == 0.05 for s in series.snapshots)
         # only market queries went out
         assert all("totalRewards" not in c[1]["query"] for c in api.calls)
+
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_parallelism_below_one_refused_before_any_request(self, tmp_path, parallelism):
+        def refuse(url, payload):
+            pytest.fail(f"requested {url}")
+
+        with pytest.raises(DataError, match=f"parallelism must be at least 1, got {parallelism}"):
+            fetch_market_history(
+                ["mkt-1"],
+                start=T0,
+                end=T0 + SECONDS_PER_DAY,
+                out_dir=tmp_path / "ds",
+                transport=refuse,
+                staking_rate=0.05,
+                parallelism=parallelism,
+                min_interval=0.0,
+            )
+        assert not (tmp_path / "ds").exists()
