@@ -20,12 +20,13 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field, replace
-from operator import sub
+from itertools import accumulate, chain, repeat
+from operator import add, le, lt, mul, sub, truediv
 from typing import Callable, Mapping, TypeVar
 
 from .allocator import Allocation, ProblemInstance
 from .errors import DataError, DomainError, ValidationError
-from .irm import IrmParams, _adaptive_curve, _compile, _curve_of, _rate
+from .irm import IrmParams, _adaptive_curve, _compile, _curve_of
 from .rebalance import GATED, HOLD, FeeModel, RebalancePlan, should_rebalance, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_YEAR
 
@@ -118,14 +119,23 @@ class SnapshotSeries:
         ts = self.timestamps
         ids = Counter(m.market_id for m in self.markets)
         problems = [f"market {mid}: listed {count} times" for mid, count in ids.items() if count > 1]
-        for k, (t, s) in enumerate(zip(ts, self.staking_rates, strict=True)):
-            if not isinstance(t, int):
-                problems.append(f"{where(k, None)}: timestamp {t!r} is not an integer")
-            elif k and t <= ts[k - 1]:
-                problems.append(f"{where(k, None)}: timestamp {t} out of order")
-            if not 0.0 <= s < math.inf:
-                bad = "negative staking rate" if s < 0.0 else f"staking_rate {s} is not finite"
-                problems.append(f"{where(k, None)}: {bad}")
+        staking = self.staking_rates
+        # Each record loop runs only where a scan of whole columns fails.
+        if not (
+            len(staking) == len(ts)
+            and all(map(isinstance, ts, repeat(int)))
+            and all(map(lt, ts, ts[1:]))
+            and _finite_floats(staking)
+            and min(staking) >= 0.0
+        ):
+            for k, (t, s) in enumerate(zip(ts, staking, strict=True)):
+                if not isinstance(t, int):
+                    problems.append(f"{where(k, None)}: timestamp {t!r} is not an integer")
+                elif k and t <= ts[k - 1]:
+                    problems.append(f"{where(k, None)}: timestamp {t} out of order")
+                if not 0.0 <= s < math.inf:
+                    bad = "negative staking rate" if s < 0.0 else f"staking_rate {s} is not finite"
+                    problems.append(f"{where(k, None)}: {bad}")
         per_market = (self.supplied, self.borrowed, self.borrow_rate, self.rate_at_target)
         for i, (meta, *columns, targets) in enumerate(zip(self.markets, *per_market, strict=True)):
             if targets is not None and None in targets:
@@ -134,6 +144,18 @@ class SnapshotSeries:
                     f"{len(targets) - targets.count(None)} of {len(targets)} snapshots; "
                     "must be all or none"
                 )
+            supplied, borrowed, rates = columns
+            if (
+                len(supplied) == len(borrowed) == len(rates) == len(ts)
+                and (targets is None or len(targets) == len(ts))
+                and _finite_floats(supplied, borrowed, rates, targets or ())
+                and min(supplied) > 0.0
+                and min(borrowed) >= 0.0
+                and all(map(le, borrowed, supplied))
+                and min(rates) >= 0.0
+                and (targets is None or min(targets) > 0.0)
+            ):
+                continue
             records = zip(ts, *columns, targets or (None,) * len(ts), strict=True)
             for k, (_, s, b, r, t) in enumerate(records):
                 # NaN fails every comparison, so only good records pass this test.
@@ -208,6 +230,13 @@ class _Rows(Sequence):
         return Snapshot(x.timestamps[k], x.staking_rates[k], markets)
 
 
+def _finite_floats(*columns: Sequence) -> bool:
+    """Whether every value of the columns is a finite float."""
+    return all(map(isinstance, chain(*columns), repeat(float))) and all(
+        map(math.isfinite, chain(*columns))
+    )
+
+
 def _optional_column(values: tuple) -> tuple | None:
     """A rate-at-target column, or ``None`` when no snapshot records one."""
     return None if all(v is None for v in values) else values
@@ -228,6 +257,8 @@ class BacktestConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.budget < math.inf:
             raise DomainError(f"budget must be positive and finite, got {self.budget}")
+        # An int budget replays, and is reported, as the float it stands for.
+        object.__setattr__(self, "budget", float(self.budget))
         if not 1.0 <= self.l_max < math.inf:
             raise DomainError(f"l_max must be at least 1 and finite, got {self.l_max}")
         if self.rebalance_frequency <= 0:
@@ -341,7 +372,8 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     debt at the pool rate including the footprint.
     """
     _check_span(series, cfg.rebalance_frequency)
-    return _replay(series, cfg, _replay_targets(series, cfg.smoothing_window))
+    targets = _replay_targets(series, cfg.smoothing_window)
+    return _replay(series, cfg, targets, _steps(series, cfg.rebalance_frequency))
 
 
 def _check_span(series: SnapshotSeries, frequency: int) -> None:
@@ -358,13 +390,44 @@ def _check_span(series: SnapshotSeries, frequency: int) -> None:
         raise DomainError("series must cover at least two rebalance intervals")
 
 
-def _replay(series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple) -> BacktestResult:
+def _steps(series: SnapshotSeries, frequency: int) -> tuple[tuple, tuple, tuple]:
+    """The step columns of a replay, which depend only on the series and the
+    rebalancing frequency: each interval's length in years, the staking
+    growth ``1 + s·dt`` over it, and the due steps."""
+    ts = series.timestamps
+    dt = tuple(map(truediv, map(sub, ts[1:], ts), repeat(SECONDS_PER_YEAR)))
+    growth = tuple(map(add, repeat(1.0), map(mul, series.staking_rates, dt)))
+    t0, due, k = ts[0], [], 0
+    while k < len(ts):
+        due.append(k)
+        # Due at the first snapshot at or after each point t0 + j * frequency;
+        # a gap over several points gives one rebalance.
+        k = bisect.bisect_left(ts, t0 + ((ts[k] - t0) // frequency + 1) * frequency, k + 1)
+    return dt, growth, tuple(due)
+
+
+def _passive(cfg: BacktestConfig) -> bool:
+    """Whether the strategy never borrows, and so never plans."""
+    return cfg.strategy == STAKING_ONLY or cfg.l_max <= 1.0
+
+
+def _replay(
+    series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple, steps: tuple
+) -> BacktestResult:
     """:func:`run_backtest` of a checked span, reading ``rate_at_target`` for
-    the series' own column and ignoring ``cfg.smoothing_window``."""
+    the series' own column and ``steps`` for :func:`_steps` at
+    ``cfg.rebalance_frequency``, and ignoring ``cfg.smoothing_window``.
+
+    The replay walks stretches, each from one due step to the next. At its
+    start a stretch marks the equity and plans; then its holdings only
+    accrue, and the markets are independent, so each market accrues over the
+    whole stretch in one loop. Every float is the one a step-by-step walk
+    gives: the same expressions in the same order.
+    """
     ts = series.timestamps
     ids = series.market_ids
     n = len(ids)
-    passive = cfg.strategy == STAKING_ONLY or cfg.l_max <= 1.0
+    passive = _passive(cfg)
     m = cfg.l_max - 1.0
 
     fallback = None if cfg.irm is None else cfg.irm._curve
@@ -375,42 +438,35 @@ def _replay(series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple) 
     unit = _recorded_curve(1.0)
     curves = [fallback if c is None else unit for c in rate_at_target]
     l_maxes = (cfg.l_max,) * n
+    dt, growth, due = steps
+    size = len(ts)
+    last = size - 1
 
     unleveraged = cfg.budget
     collateral = [0.0] * n
     debt = [0.0] * n
-
-    # The columns of the result. The holdings are kept flat, each step's n
-    # collaterals then its n debts, and split by market at the end.
-    equity_col: list[float] = []
-    fees_col: list[float] = []
-    staking_col: list[float] = []
-    interest_col: list[float] = []
+    # The holdings columns, filled a stretch at a time; each market's
+    # interest over each interval (0.0 while it holds no debt); the fees, and
+    # the equity of each step that traded, marked before its trade.
     unleveraged_col: list[float] = []
-    holdings: list[float] = []
+    collateral_cols: list[list[float]] = [[] for _ in ids]
+    debt_cols: list[list[float]] = [[] for _ in ids]
+    interest_cols: list[list[float]] = [[] for _ in ids]
+    fees_col = [0.0] * size
+    traded: dict[int, float] = {}
     total_fees = 0.0
     rebalances = 0
-    t0 = next_due = ts[0]
-    last = len(ts) - 1
-    staking_rates = series.staking_rates
-    pools = tuple(zip(series.supplied, series.borrowed, curves, rate_at_target))
 
-    for k, t in enumerate(ts):
+    columns = tuple(zip(
+        collateral_cols, debt_cols, interest_cols, series.supplied, series.borrowed, curves, rate_at_target
+    ))
+    for a, end in zip(due, (*due[1:], last)):
         equity = unleveraged + sum(map(sub, collateral, debt))
-        fees_here = 0.0
-        # Due at the first snapshot at or after each point t0 + j * frequency;
-        # a gap over several points gives one rebalance.
-        due = t >= next_due
-        if due:
-            elapsed = (t - t0) // cfg.rebalance_frequency
-            next_due = t0 + (elapsed + 1) * cfg.rebalance_frequency
-        if due and not passive and equity > 0.0:
-            forms = _forms_at(series, k, rate_at_target, fallback, cfg.l_max)
-            p = ProblemInstance(ids, l_maxes, staking_rates[k], equity, forms)
+        if not passive and equity > 0.0:
+            forms = _forms_at(series, a, rate_at_target, fallback, cfg.l_max)
+            p = ProblemInstance(ids, l_maxes, series.staking_rates[a], equity, forms)
             exposures = [d / m for d in debt]
-            current = Allocation.from_position(
-                ids, exposures, equity - sum(exposures)
-            )
+            current = Allocation.from_position(ids, exposures, equity - sum(exposures))
             plan = solve_with_fees(p, current, cfg.fees)
             if cfg.strategy == DYNAMIC:
                 plan = _gate(plan, cfg, equity)
@@ -418,58 +474,75 @@ def _replay(series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple) 
                 target = plan.target
                 collateral = [x * cfg.l_max for x in target.exposures]
                 debt = [x * m for x in target.exposures]
-                unleveraged = target.unleveraged
-                fees_here = plan.cost
                 unleveraged, collateral, debt = _charge_fee(
-                    fees_here, unleveraged, collateral, debt
+                    plan.cost, target.unleveraged, collateral, debt
                 )
+                fees_col[a] = plan.cost
+                traded[a] = equity
                 rebalances += 1
-                total_fees += fees_here
+                total_fees += plan.cost
 
-        equity_col.append(equity)
-        fees_col.append(fees_here)
-        unleveraged_col.append(unleveraged)
-        holdings += collateral
-        holdings += debt
-        if k == last:
-            break
+        # Accrue the intervals from a to the next due step, or to the last
+        # snapshot; the columns take the values at a..end-1.
+        g = growth[a:end]
+        unleveraged_col += accumulate(g, mul, initial=unleveraged)
+        unleveraged = unleveraged_col.pop()
+        for i, (c_col, d_col, i_col, supplied, borrowed, curve, targets) in enumerate(columns):
+            c, d = collateral[i], debt[i]
+            if d > 0.0:
+                _, scale, u_target, below, above = curve
+                for k in range(a, end):
+                    c_col.append(c)
+                    d_col.append(d)
+                    # Stale positions can overshoot a shrinking pool; price
+                    # them at full utilization rather than beyond it. The
+                    # record check keeps borrowed in [0, supplied], so the sum
+                    # passes supplied by rounding only. Each conditional picks
+                    # what min would, ties included.
+                    s, b = supplied[k], borrowed[k]
+                    room = s - b
+                    u = b + (room if room < d else d)
+                    u = (s if s < u else u) / s
+                    # irm._rate, inlined.
+                    level, u0, width, slope = below if u < u_target else above
+                    rate = scale * (level + (u - u0) / width * slope)
+                    if targets is not None:
+                        rate *= targets[k]
+                    step = dt[k]
+                    i_col.append(d * rate * step)
+                    d *= 1.0 + rate * step
+                    c *= growth[k]
+            else:
+                c_col += accumulate(g, mul, initial=c)
+                c = c_col.pop()
+                i_col += repeat(0.0, end - a)
+                d_col += repeat(d, end - a)
+            collateral[i] = c
+            debt[i] = d
+    # The holdings at the last snapshot, which no flow follows.
+    unleveraged_col.append(unleveraged)
+    for c_col, d_col, c, d in zip(collateral_cols, debt_cols, collateral, debt):
+        c_col.append(c)
+        d_col.append(d)
 
-        dt = (ts[k + 1] - t) / SECONDS_PER_YEAR
-        s = staking_rates[k]
-        interest_paid = 0.0
-        for i, (d, (supplied_col, borrowed_col, curve, targets)) in enumerate(zip(debt, pools)):
-            if d <= 0.0:
-                continue
-            supplied, borrowed = supplied_col[k], borrowed_col[k]
-            # Stale positions can overshoot a shrinking pool; price them at
-            # full utilization rather than extrapolating beyond it. The record
-            # check keeps borrowed in [0, supplied], so the sum passes
-            # supplied by rounding only, as irm._check_pool_amounts allows.
-            total = min(borrowed + min(d, supplied - borrowed), supplied)
-            rate = _rate(curve, total / supplied)
-            if targets is not None:
-                rate *= targets[k]
-            interest_paid += d * rate * dt
-            debt[i] *= 1.0 + rate * dt
-        interest_col.append(interest_paid)
-        staking_col.append((unleveraged + sum(collateral)) * s * dt)
-        growth = 1.0 + s * dt
-        unleveraged *= growth
-        collateral = [c * growth for c in collateral]
-
-    # No flow follows the last mark.
-    staking_col.append(0.0)
-    interest_col.append(0.0)
+    # A step that traded keeps its mark from before the trade; any other
+    # step is marked on the holdings it kept.
+    exposure = map(sum, zip(*[map(sub, c, d) for c, d in zip(collateral_cols, debt_cols)]))
+    equity_col = tuple(map(traded.get, range(size), map(add, unleveraged_col, exposure)))
+    held = map(add, unleveraged_col, map(sum, zip(*collateral_cols)))
+    interest = [0.0] * last
+    for i_col in interest_cols:  # summed in market order
+        interest = list(map(add, interest, i_col))
     return BacktestResult(
         market_ids=ids,
         timestamps=ts,
-        equity=tuple(equity_col),
-        staking_accrued=tuple(staking_col),
-        interest_paid=tuple(interest_col),
+        equity=equity_col,
+        staking_accrued=(*map(mul, map(mul, held, series.staking_rates), dt), 0.0),
+        interest_paid=(*interest, 0.0),
         fees_paid=tuple(fees_col),
         unleveraged=tuple(unleveraged_col),
-        collateral=tuple(tuple(holdings[i :: 2 * n]) for i in range(n)),
-        debt=tuple(tuple(holdings[n + i :: 2 * n]) for i in range(n)),
+        collateral=tuple(map(tuple, collateral_cols)),
+        debt=tuple(map(tuple, debt_cols)),
         apy=apy(ts, equity_col),
         total_fees_paid=total_fees,
         rebalance_count=rebalances,
@@ -556,14 +629,22 @@ def sweep_leverage(
     if not budgets:
         raise DomainError("budget list must not be empty")
     targets = _replay_targets(series, cfg.smoothing_window)
-    # Every cap, then every budget, is checked as a number before a replay; a
-    # cap above a market's LLTV bound fails only at the first solving step of
-    # its replay, which may run in a worker.
+    # Every cap, then every budget, is checked as a number before a replay.
     caps = [replace(cfg, l_max=l) for l in l_max_values]
     runs = [replace(c, budget=b) for c in caps for b in budgets]
     _check_span(series, cfg.rebalance_frequency)
-    apys = iter(_fan_out(lambda r: _replay(series, r, targets).apy, runs))
-    return {c.l_max: [(b, next(apys)) for b in budgets] for c in caps}
+    # So is what a replay that plans checks first: its curves, then, at its
+    # first step, each market compiled at its cap. A market without a rate
+    # model, or a cap above a market's LLTV bound, fails here with the error
+    # the first such replay would raise.
+    fallback = None if cfg.irm is None else cfg.irm._curve
+    for c in caps:
+        if not _passive(c):
+            _check_curves(series, targets, fallback)
+            _forms_at(series, 0, targets, fallback, c.l_max)
+    steps = _steps(series, cfg.rebalance_frequency)  # one copy for every run and worker
+    apys = iter(_fan_out(lambda r: _replay(series, r, targets, steps).apy, runs))
+    return {c.l_max: [(float(b), next(apys)) for b in budgets] for c in caps}
 
 
 _T = TypeVar("_T")

@@ -162,9 +162,10 @@ def _read_columns(path: Path, header: list[str] | None) -> tuple[list[str], list
         raise DataError(f"{path}: empty file")
     if header is not None and rows[0] != header:
         raise DataError(f"{path}: expected header {','.join(header)}")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise DataError(f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(row)}")
+    if len(set(map(len, rows))) > 1:
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != len(rows[0]):
+                raise DataError(f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(row)}")
     return rows[0], [column[1:] for column in zip(*rows)]
 
 
@@ -224,12 +225,13 @@ def load_snapshots(path: Path) -> SnapshotSeries:
         for mpath, grid in zip(paths, grids)
         if grid != grids[0]
     ]
-    first_line: dict[int, int] = {}
-    for lineno, (t, rate) in enumerate(zip(times, staking), start=2):
-        if first_line.setdefault(t, lineno) != lineno:
-            problems.append(f"{staking_path}:{lineno}: timestamp {t} repeated")
-        if rate < 0.0:
-            problems.append(f"{staking_path}:{lineno}: negative staking rate")
+    if len(set(times)) < len(times) or min(staking) < 0.0:
+        first_line: dict[int, int] = {}
+        for lineno, (t, rate) in enumerate(zip(times, staking), start=2):
+            if first_line.setdefault(t, lineno) != lineno:
+                problems.append(f"{staking_path}:{lineno}: timestamp {t} repeated")
+            if rate < 0.0:
+                problems.append(f"{staking_path}:{lineno}: negative staking rate")
     if problems:
         raise ValidationError(
             f"dataset at {directory} failed validation ({len(problems)} records)",
@@ -458,10 +460,6 @@ def scenario_names() -> list[str]:
 # --- report emission --------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_report(
     result: BacktestResult | Sequence[tuple[float, float]],
     directory: Path,
@@ -471,7 +469,8 @@ def emit_report(
 
     A backtest produces ``equity_curve.csv``, ``positions.csv`` (debts carry
     a negative sign), and ``summary.csv``/``summary.json``; a sweep produces
-    ``apy_curve.csv`` and ``apy_curve.json``.
+    ``apy_curve.csv`` and ``apy_curve.json``. ``csv`` writes a float as its
+    ``repr``, which loads back exactly.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -488,17 +487,17 @@ def _emit_backtest(result: BacktestResult, directory: Path) -> list[Path]:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "equity", "staking_accrued", "interest_paid", "fees_paid"])
         columns = (result.equity, result.staking_accrued, result.interest_paid, result.fees_paid)
-        writer.writerows(zip(result.timestamps, *(map(_fmt, c) for c in columns)))
+        writer.writerows(zip(result.timestamps, *columns))
     paths.append(curve_path)
 
     positions_path = directory / "positions.csv"
     with positions_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         header = ["timestamp", "unleveraged"]
-        columns = [result.timestamps, map(_fmt, result.unleveraged)]
+        columns = [result.timestamps, result.unleveraged]
         for mid, c, d in zip(result.market_ids, result.collateral, result.debt):
             header += [f"collateral_{mid}", f"debt_{mid}"]
-            columns += [map(_fmt, c), map(_fmt, map(neg, d))]  # debts are negative positions
+            columns += [c, map(neg, d)]  # debts are negative positions
         writer.writerow(header)
         writer.writerows(zip(*columns))
     paths.append(positions_path)
@@ -534,8 +533,7 @@ def _emit_curve(
     with csv_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["budget", "apy"])
-        for budget, value in curve:
-            writer.writerow([_fmt(budget), _fmt(value)])
+        writer.writerows(curve)
     json_path = directory / f"{label}_curve.json"
     json_path.write_text(
         json.dumps([{"budget": b, "apy": a} for b, a in curve], indent=2) + "\n"

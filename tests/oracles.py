@@ -10,13 +10,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import sub
 
+from stakeloop import backtest as bt
+from stakeloop.allocator import Allocation, ProblemInstance
 from stakeloop.irm import (
     AdaptiveIrmParams,
     KinkedIrmParams,
     LinearIrmParams,
     MarketState,
+    _rate,
 )
+from stakeloop.rebalance import HOLD, solve_with_fees
+from stakeloop.units import SECONDS_PER_YEAR
 
 
 def oracle_rate(irm, supplied: float, total_borrowed: float) -> float:
@@ -295,3 +301,97 @@ def market_states_at(series, k: int, fallback_irm=None) -> list[MarketState]:
             )
         states.append(MarketState(meta.market_id, supplied[k], borrowed[k], meta.max_ltv, irm))
     return states
+
+
+def replay_per_step(series, cfg):
+    """``run_backtest(series, cfg)`` as a walk over every snapshot in turn:
+    mark, maybe plan and trade, then accrue every market over one interval.
+    The same expressions in the same order as the replay, which walks whole
+    stretches between rebalances instead."""
+    bt._check_span(series, cfg.rebalance_frequency)
+    rate_at_target = bt._replay_targets(series, cfg.smoothing_window)
+    ts = series.timestamps
+    ids = series.market_ids
+    n = len(ids)
+    passive = cfg.strategy == bt.STAKING_ONLY or cfg.l_max <= 1.0
+    m = cfg.l_max - 1.0
+    fallback = None if cfg.irm is None else cfg.irm._curve
+    if not passive:
+        bt._check_curves(series, rate_at_target, fallback)
+    unit = bt._recorded_curve(1.0)
+    curves = [fallback if c is None else unit for c in rate_at_target]
+    pools = tuple(zip(series.supplied, series.borrowed, curves, rate_at_target))
+
+    unleveraged = cfg.budget
+    collateral = [0.0] * n
+    debt = [0.0] * n
+    equity_col, fees_col, staking_col, interest_col, unleveraged_col = [], [], [], [], []
+    collateral_cols = [[] for _ in ids]
+    debt_cols = [[] for _ in ids]
+    total_fees = 0.0
+    rebalances = 0
+    t0 = next_due = ts[0]
+    for k, t in enumerate(ts):
+        equity = unleveraged + sum(map(sub, collateral, debt))
+        fees_here = 0.0
+        due = t >= next_due
+        if due:
+            next_due = t0 + ((t - t0) // cfg.rebalance_frequency + 1) * cfg.rebalance_frequency
+        if due and not passive and equity > 0.0:
+            forms = bt._forms_at(series, k, rate_at_target, fallback, cfg.l_max)
+            p = ProblemInstance(ids, (cfg.l_max,) * n, series.staking_rates[k], equity, forms)
+            exposures = [d / m for d in debt]
+            current = Allocation.from_position(ids, exposures, equity - sum(exposures))
+            plan = solve_with_fees(p, current, cfg.fees)
+            if cfg.strategy == bt.DYNAMIC:
+                plan = bt._gate(plan, cfg, equity)
+            if plan.direction != HOLD:
+                target = plan.target
+                collateral = [x * cfg.l_max for x in target.exposures]
+                debt = [x * m for x in target.exposures]
+                fees_here = plan.cost
+                unleveraged, collateral, debt = bt._charge_fee(
+                    fees_here, target.unleveraged, collateral, debt
+                )
+                rebalances += 1
+                total_fees += fees_here
+        equity_col.append(equity)
+        fees_col.append(fees_here)
+        unleveraged_col.append(unleveraged)
+        for column, value in zip(collateral_cols + debt_cols, collateral + debt):
+            column.append(value)
+        if k == len(ts) - 1:
+            break
+        dt = (ts[k + 1] - t) / SECONDS_PER_YEAR
+        s = series.staking_rates[k]
+        interest = 0.0
+        for i, (d, (supplied, borrowed, curve, targets)) in enumerate(zip(debt, pools)):
+            if d <= 0.0:
+                continue
+            total = min(borrowed[k] + min(d, supplied[k] - borrowed[k]), supplied[k])
+            rate = _rate(curve, total / supplied[k])
+            if targets is not None:
+                rate *= targets[k]
+            interest += d * rate * dt
+            debt[i] *= 1.0 + rate * dt
+        interest_col.append(interest)
+        staking_col.append((unleveraged + sum(collateral)) * s * dt)
+        growth = 1.0 + s * dt
+        unleveraged *= growth
+        collateral = [c * growth for c in collateral]
+    staking_col.append(0.0)
+    interest_col.append(0.0)
+    return bt.BacktestResult(
+        market_ids=ids,
+        timestamps=ts,
+        equity=tuple(equity_col),
+        staking_accrued=tuple(staking_col),
+        interest_paid=tuple(interest_col),
+        fees_paid=tuple(fees_col),
+        unleveraged=tuple(unleveraged_col),
+        collateral=tuple(map(tuple, collateral_cols)),
+        debt=tuple(map(tuple, debt_cols)),
+        apy=bt.apy(ts, equity_col),
+        total_fees_paid=total_fees,
+        rebalance_count=rebalances,
+    )

@@ -760,6 +760,18 @@ class TestSweeps:
         with pytest.raises(DomainError, match="l_max must be at least 1 and finite"):
             sweep_leverage(scenario_series(), cfg, [3.0, math.nan], [1.0])
 
+    @pytest.mark.parametrize("caps", [[3.0, 30.0], [30.0, 3.0]], ids=["last", "first"])
+    def test_bad_cap_is_refused_before_any_replay(self, monkeypatch, caps):
+        replays = []
+        replay = backtest._replay
+        monkeypatch.setattr(backtest, "_replay", lambda *args: replays.append(1) or replay(*args))
+        with pytest.raises(ConstraintError) as exc:
+            sweep_leverage(scenario_series(), config(rebalance_frequency=SECONDS_PER_DAY), caps, [1.0, 1e3])
+        assert str(exc.value) == (
+            "l_max=30.0 outside (1, 18.1818] allowed by max_ltv=0.945 of market core"
+        )
+        assert replays == []
+
     def test_sweep_smooths_once(self, monkeypatch):
         calls, checks = [], []
         window_means, problems = backtest._window_means, SnapshotSeries._problems
@@ -850,6 +862,23 @@ class TestFanOut:
             assert_no_children()
         assert "l_max=30.0 outside" in errors[0]
         assert errors[0] == errors[1]
+
+    def test_error_in_a_worker_share_raises_the_serial_error(self, monkeypatch):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+        raised_in = []
+
+        def run(x):
+            if x % 2:  # items 1, 3, 5: the worker's share
+                raised_in.append(os.getpid())
+                raise ValueError(f"item {x}")
+            return third(x)
+
+        with pytest.raises(ValueError, match="^item 1$"):
+            backtest._fan_out(run, range(6))
+        # The worker's raise is not seen here; the serial rerun raises at item 1.
+        assert raised_in == [parent]
+        assert_no_children()
 
     def test_dead_worker_reruns_serially(self, monkeypatch):
         monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +340,131 @@ class TestValidation:
         assert gaps[0][1] - gaps[0][0] == 4 * SECONDS_PER_HOUR
 
 
+def _edit_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_field(index, value):
+    def edit(parts):
+        parts[index] = value(parts) if callable(value) else value
+        return parts
+
+    return edit
+
+
+class TestColumnScans:
+    """One bad record deep in long columns: each check scans whole columns
+    first and falls back to its record loop, whose text and records are
+    what a record-by-record check gives."""
+
+    LINE = 2000  # of 2162 lines per file
+
+    def _dataset(self, tmp_path):
+        series, manifest = generate_synthetic(scenario("rate-crossing"), seed=0)
+        directory = tmp_path / "ds"
+        save_snapshots(series, manifest, directory)
+        return series, directory
+
+    def test_clean_dataset_loads(self, tmp_path):
+        series, directory = self._dataset(tmp_path)
+        assert load_snapshots(directory) == series
+
+    def test_nan_field(self, tmp_path):
+        _, directory = self._dataset(tmp_path)
+        path = directory / "market_alt.csv"
+        _edit_line(path, self.LINE, _set_field(1, "nan"))
+        with pytest.raises(DataError) as err:
+            load_snapshots(directory)
+        assert str(err.value) == f"{path}:2000: non-finite value 'nan'"
+
+    def test_borrowed_over_supplied(self, tmp_path):
+        _, directory = self._dataset(tmp_path)
+        path = directory / "market_alt.csv"
+        _edit_line(path, self.LINE, _set_field(2, lambda parts: repr(float(parts[1]) * 2)))
+        borrowed = float(path.read_text().splitlines()[self.LINE - 1].split(",")[2])
+        with pytest.raises(ValidationError) as err:
+            load_snapshots(directory)
+        assert str(err.value) == f"dataset at {directory} failed validation (1 records)"
+        assert err.value.records == [f"{path}:2000: borrowed {borrowed} outside [0, supplied]"]
+
+    def test_out_of_order_timestamp(self, tmp_path):
+        series, directory = self._dataset(tmp_path)
+        for market in ("core", "alt"):  # one grid, out of order
+            path = directory / f"market_{market}.csv"
+            lines = path.read_text().splitlines()
+            lines[self.LINE - 2], lines[self.LINE - 1] = lines[self.LINE - 1], lines[self.LINE - 2]
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as err:
+            load_snapshots(directory)
+        assert str(err.value) == f"dataset at {directory} failed validation (1 records)"
+        t = series.timestamps[self.LINE - 3]
+        assert err.value.records == [f"{directory / 'market_core.csv'}:2000: timestamp {t} out of order"]
+
+    def test_fractional_timestamp(self, tmp_path):
+        _, directory = self._dataset(tmp_path)
+        path = directory / "market_core.csv"
+        _edit_line(path, self.LINE, _set_field(0, lambda parts: parts[0] + ".5"))
+        t = path.read_text().splitlines()[self.LINE - 1].split(",")[0]
+        with pytest.raises(DataError) as err:
+            load_snapshots(directory)
+        assert str(err.value) == f"{path}:2000: fractional timestamp '{t}'"
+
+    def test_repeated_and_negative_staking_rows(self, tmp_path):
+        series, directory = self._dataset(tmp_path)
+        path = directory / "staking.csv"
+        _edit_line(path, self.LINE, _set_field(0, str(series.timestamps[self.LINE - 3])))
+        _edit_line(path, self.LINE + 1, _set_field(1, "-0.01"))
+        with pytest.raises(ValidationError) as err:
+            load_snapshots(directory)
+        assert str(err.value) == f"dataset at {directory} failed validation (2 records)"
+        assert err.value.records == [
+            f"{path}:2000: timestamp {series.timestamps[self.LINE - 3]} repeated",
+            f"{path}:2001: negative staking rate",
+        ]
+
+    def test_short_row(self, tmp_path):
+        _, directory = self._dataset(tmp_path)
+        path = directory / "market_alt.csv"
+        _edit_line(path, self.LINE, lambda parts: parts[:3])
+        with pytest.raises(DataError) as err:
+            load_snapshots(directory)
+        assert str(err.value) == f"{path}:2000: expected 5 fields, got 3"
+
+    def test_bad_records_of_a_series_built_directly(self):
+        series, _ = generate_synthetic(scenario("rate-crossing"), seed=0)
+        k = self.LINE - 2
+        t = series.timestamps[k]
+
+        def at(column, value):
+            return column[:k] + (value,) + column[k + 1 :]
+
+        cases = {
+            "supplied": (
+                {"supplied": (series.supplied[0], at(series.supplied[1], math.nan))},
+                [f"t={t} market alt: supplied nan is not finite"],
+            ),
+            "borrowed": (
+                {"borrowed": (at(series.borrowed[0], 1e9), series.borrowed[1])},
+                [f"t={t} market core: borrowed 1000000000.0 outside [0, supplied]"],
+            ),
+            "timestamp": (
+                {"timestamps": at(series.timestamps, t - 7200)},
+                [f"t={t - 7200}: timestamp {t - 7200} out of order"],
+            ),
+            "staking": (
+                {"staking_rates": at(series.staking_rates, math.inf)},
+                [f"t={t}: staking_rate inf is not finite"],
+            ),
+        }
+        for name, (changes, records) in cases.items():
+            with pytest.raises(ValidationError) as err:
+                replace(series, **changes)
+            assert str(err.value) == f"snapshot series failed validation ({len(records)} records)", name
+            assert err.value.records == records, name
+
+
 class TestReports:
     def test_backtest_report_files(self, tmp_path):
         series, _ = generate_synthetic(scenario("positive-carry"), seed=0)
@@ -389,6 +516,18 @@ class TestReports:
         emit_report(curve, tmp_path, label="apy")
         digest = hashlib.sha256((tmp_path / "apy_curve.json").read_bytes()).hexdigest()
         assert digest == "9cf9274e4f1402dc7eba87875e2a5af88a4274e814edb3c28a65aa74b0d609f1"
+
+    def test_int_and_float_budgets_give_the_same_report_bytes(self, tmp_path):
+        series, _ = generate_synthetic(replace(scenario("volatile"), days=10.0), seed=0)
+        files = {}
+        for budget in (40, 40.0):
+            cfg = BacktestConfig(budget=budget, rebalance_frequency=SECONDS_PER_DAY)
+            out = tmp_path / type(budget).__name__
+            emit_report(run_backtest(series, cfg), out / "backtest")
+            emit_report(sweep_budgets(series, cfg, [budget, 10 * budget]), out / "sweep", label="apy")
+            files[budget] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+        assert files[40] == files[40.0]
+        assert b"40.0," in files[40][Path("sweep/apy_curve.csv")]
 
     def test_sweep_report_rows(self, tmp_path):
         curve = [(10.0, 0.05), (100.0, 0.04), (1000.0, 0.035)]

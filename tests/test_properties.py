@@ -8,7 +8,7 @@ import math
 import random
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +21,7 @@ from oracles import (
     grid_best_with_fees,
     market_states_at,
     oracle_rate,
+    replay_per_step,
     window_means,
 )
 from stakeloop.allocator import (
@@ -36,7 +37,9 @@ from stakeloop import backtest
 from stakeloop.backtest import (
     DYNAMIC,
     FIXED_FREQUENCY,
+    STAKING_ONLY,
     BacktestConfig,
+    BacktestResult,
     MarketMeta,
     MarketSnapshot,
     Snapshot,
@@ -392,6 +395,40 @@ def test_equity_is_conserved_at_every_step(data):
     for equity, staking, interest, fees, after in flows:
         expected = equity + staking - interest - fees
         assert abs(after - expected) <= 1e-9 * max(1.0, abs(after))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_stretch_walk_equals_the_per_step_walk(data):
+    # Jittered, gappy hourly steps; rebalancing every 1 to 5 cadences, not
+    # always a multiple of it; budgets from 1e-3 to 1e7 on pools of 1 to 1e4,
+    # so that the largest debts overshoot a pool that shrinks under them.
+    x = data.draw(series())
+    assume(len(x.timestamps) >= 3)
+    cadence = x.cadence_seconds
+    frequency = data.draw(st.integers(cadence, 5 * cadence))
+    assume(x.timestamps[-1] - x.timestamps[0] >= 2 * frequency)
+    fees = FeeModel(0.0, 0.0, 1.0 / 365.0)
+    if data.draw(st.booleans()):
+        fees = FeeModel(
+            data.draw(st.floats(0.0, 0.01)), data.draw(st.floats(0.0, 0.01)), 7.0 / 365.0
+        )
+    fallback = data.draw(st.sampled_from((
+        LinearIrmParams(0.0, 0.1, 0.9), KinkedIrmParams(0.01, 0.04, 0.8, 0.85)
+    )))
+    cfg = BacktestConfig(
+        budget=10.0 ** data.draw(st.floats(-3.0, 7.0)),
+        l_max=data.draw(st.floats(1.0, min(1.0 / (1.0 - m.max_ltv) for m in x.markets))),
+        rebalance_frequency=frequency,
+        strategy=data.draw(st.sampled_from((FIXED_FREQUENCY, DYNAMIC, STAKING_ONLY))),
+        threshold=data.draw(st.floats(0.0, 0.01)),
+        fees=fees,
+        smoothing_window=data.draw(st.one_of(st.just(0), st.integers(cadence, SECONDS_PER_DAY))),
+        irm=fallback,  # for markets without a rate-at-target
+    )
+    walked, reference = run_backtest(x, cfg), replay_per_step(x, cfg)
+    for f in fields(BacktestResult):  # repr tells every float apart, -0.0 from 0.0 too
+        assert repr(getattr(walked, f.name)) == repr(getattr(reference, f.name)), f.name
 
 
 def jittered_series(rng: random.Random, n: int, steps: int) -> SnapshotSeries:
