@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ConstraintError, DomainError, UnsupportedModelError
@@ -52,10 +53,11 @@ _REL_BUDGET_TOL = 1e-9
 class ProblemInstance:
     """Markets as their responses at their leverage caps, with the staking
     rate and the budget. ``forms`` holds each market's response compiled once
-    (``irm._compile``); every reader of the instance works from those forms."""
+    (``irm._compile``); every reader of the instance works from those forms.
+    ``l_max`` holds the cap each form was compiled at, so a fee is priced at
+    the cap its response assumed."""
 
     market_ids: tuple[str, ...]
-    l_max: tuple[float, ...]
     staking_rate: float
     budget: float
     forms: tuple[tuple, ...] = field(repr=False)
@@ -64,22 +66,25 @@ class ProblemInstance:
         ids = self.market_ids
         if not ids:
             raise DomainError("at least one market is required")
-        if not len(ids) == len(self.l_max) == len(self.forms):
-            raise DomainError("markets, l_max and forms must have the same length")
+        if len(ids) != len(self.forms):
+            raise DomainError("markets and forms must have the same length")
         if not 0.0 < self.budget < math.inf:
             raise DomainError(f"budget must be positive and finite, got {self.budget}")
         if not math.isfinite(self.staking_rate):
             raise DomainError(f"staking_rate must be finite, got {self.staking_rate}")
         if len(set(ids)) < len(ids):
             raise DomainError(f"duplicate market id {next(i for i in ids if ids.count(i) > 1)}")
+        object.__setattr__(self, "l_max", tuple(map(itemgetter(0), self.forms)))
 
     @classmethod
     def of(
         cls, markets: Sequence[MarketState], l_max: Sequence, staking_rate: float, budget: float
     ) -> ProblemInstance:
         """Market states, each compiled at its leverage cap."""
+        if len(l_max) != len(markets):
+            raise DomainError("markets and l_max must have the same length")
         ids = tuple(m.market_id for m in markets)
-        return cls(ids, tuple(l_max), staking_rate, budget, tuple(map(_state_form, markets, l_max)))
+        return cls(ids, staking_rate, budget, tuple(map(_state_form, markets, l_max)))
 
     @classmethod
     def uniform(

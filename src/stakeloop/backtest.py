@@ -320,24 +320,18 @@ def _window_means(series: SnapshotSeries, window: int) -> Callable[[tuple], tupl
 
 
 def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
-    """Trailing moving average of the borrow rates over ``(t - window, t]``.
+    """The series as a replay smoothed over ``window`` reads it: each recorded
+    rate-at-target is its trailing mean over ``(t - window, t]``.
 
-    Applies to the observed borrow rate and, when present, the recorded
-    rate-at-target; pool amounts and the staking rate pass through unchanged.
-    A window of one sample period is the identity.
+    Pool amounts, the observed borrow rate (which no replay reads) and the
+    staking rate pass through unchanged. A window of 0 or of one sample
+    period is the identity.
     """
-    means = _window_means(series, window)
-    return replace(
-        series,
-        borrow_rate=tuple(means(c) for c in series.borrow_rate),
-        rate_at_target=tuple(None if c is None else means(c) for c in series.rate_at_target),
-    )
+    return replace(series, rate_at_target=_replay_targets(series, window))
 
 
 def _replay_targets(series: SnapshotSeries, window: int) -> tuple:
-    """The rate-at-target columns a replay reads: smoothed as by
-    :func:`smooth_rates` over a positive ``window``. No replay reads the
-    observed borrow rate, so it is left as it is."""
+    """The rate-at-target columns of :func:`smooth_rates`, without building a series."""
     if not window:
         return series.rate_at_target
     means = _window_means(series, window)
@@ -371,14 +365,20 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     without the strategy's own footprint; accrual between steps prices the
     debt at the pool rate including the footprint.
     """
-    _check_span(series, cfg.rebalance_frequency)
+    return _replay(series, cfg, *_prepare(series, cfg, [cfg]))
+
+
+def _prepare(
+    series: SnapshotSeries, cfg: BacktestConfig, runs: Sequence[BacktestConfig]
+) -> tuple[tuple, tuple]:
+    """``(rate_at_target, steps)`` of the ``runs``, replays that share the
+    window, frequency and fallback rate model of ``cfg``, after every check of
+    theirs in one order: the window, the span, then, when any run plans, the
+    curves. ``steps`` holds each interval's length in years, the staking
+    growth ``1 + s·dt`` over it, and the due steps."""
     targets = _replay_targets(series, cfg.smoothing_window)
-    return _replay(series, cfg, targets, _steps(series, cfg.rebalance_frequency))
-
-
-def _check_span(series: SnapshotSeries, frequency: int) -> None:
-    """Refuse a series too short or too coarse to rebalance every ``frequency`` s."""
     ts = series.timestamps
+    frequency = cfg.rebalance_frequency
     if len(ts) < 2:
         raise DomainError("series needs at least two snapshots")
     cadence = series.cadence_seconds
@@ -388,13 +388,9 @@ def _check_span(series: SnapshotSeries, frequency: int) -> None:
         )
     if ts[-1] - ts[0] < 2 * frequency:
         raise DomainError("series must cover at least two rebalance intervals")
+    if not all(map(_passive, runs)):
+        _check_curves(series, targets, None if cfg.irm is None else cfg.irm._curve)
 
-
-def _steps(series: SnapshotSeries, frequency: int) -> tuple[tuple, tuple, tuple]:
-    """The step columns of a replay, which depend only on the series and the
-    rebalancing frequency: each interval's length in years, the staking
-    growth ``1 + s·dt`` over it, and the due steps."""
-    ts = series.timestamps
     dt = tuple(map(truediv, map(sub, ts[1:], ts), repeat(SECONDS_PER_YEAR)))
     growth = tuple(map(add, repeat(1.0), map(mul, series.staking_rates, dt)))
     t0, due, k = ts[0], [], 0
@@ -403,7 +399,7 @@ def _steps(series: SnapshotSeries, frequency: int) -> tuple[tuple, tuple, tuple]
         # Due at the first snapshot at or after each point t0 + j * frequency;
         # a gap over several points gives one rebalance.
         k = bisect.bisect_left(ts, t0 + ((ts[k] - t0) // frequency + 1) * frequency, k + 1)
-    return dt, growth, tuple(due)
+    return targets, (dt, growth, tuple(due))
 
 
 def _passive(cfg: BacktestConfig) -> bool:
@@ -414,9 +410,9 @@ def _passive(cfg: BacktestConfig) -> bool:
 def _replay(
     series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple, steps: tuple
 ) -> BacktestResult:
-    """:func:`run_backtest` of a checked span, reading ``rate_at_target`` for
-    the series' own column and ``steps`` for :func:`_steps` at
-    ``cfg.rebalance_frequency``, and ignoring ``cfg.smoothing_window``.
+    """:func:`run_backtest` of what :func:`_prepare` checked and built for
+    ``cfg``, reading ``rate_at_target`` for the series' own column and
+    ignoring ``cfg.smoothing_window``.
 
     The replay walks stretches, each from one due step to the next. At its
     start a stretch marks the equity and plans; then its holdings only
@@ -431,13 +427,10 @@ def _replay(
     m = cfg.l_max - 1.0
 
     fallback = None if cfg.irm is None else cfg.irm._curve
-    if not passive:
-        _check_curves(series, rate_at_target, fallback)
     # The accrual's curves: rate_at_target[i][k] times the unit recorded curve
     # is, float for float, the rate of the curve a solve compiles.
     unit = _recorded_curve(1.0)
     curves = [fallback if c is None else unit for c in rate_at_target]
-    l_maxes = (cfg.l_max,) * n
     dt, growth, due = steps
     size = len(ts)
     last = size - 1
@@ -464,7 +457,7 @@ def _replay(
         equity = unleveraged + sum(map(sub, collateral, debt))
         if not passive and equity > 0.0:
             forms = _forms_at(series, a, rate_at_target, fallback, cfg.l_max)
-            p = ProblemInstance(ids, l_maxes, series.staking_rates[a], equity, forms)
+            p = ProblemInstance(ids, series.staking_rates[a], equity, forms)
             exposures = [d / m for d in debt]
             current = Allocation.from_position(ids, exposures, equity - sum(exposures))
             plan = solve_with_fees(p, current, cfg.fees)
@@ -628,21 +621,17 @@ def sweep_leverage(
         raise DomainError("l_max list must not be empty")
     if not budgets:
         raise DomainError("budget list must not be empty")
-    targets = _replay_targets(series, cfg.smoothing_window)
-    # Every cap, then every budget, is checked as a number before a replay.
+    # Every cap, then every budget, is checked as a number before a replay;
+    # then what run_backtest checks, once for every run and worker.
     caps = [replace(cfg, l_max=l) for l in l_max_values]
     runs = [replace(c, budget=b) for c in caps for b in budgets]
-    _check_span(series, cfg.rebalance_frequency)
-    # So is what a replay that plans checks first: its curves, then, at its
-    # first step, each market compiled at its cap. A market without a rate
-    # model, or a cap above a market's LLTV bound, fails here with the error
-    # the first such replay would raise.
+    targets, steps = _prepare(series, cfg, caps)
+    # A cap above a market's LLTV bound fails here, with the error the first
+    # replay at that cap raises when it compiles its first step.
     fallback = None if cfg.irm is None else cfg.irm._curve
     for c in caps:
         if not _passive(c):
-            _check_curves(series, targets, fallback)
             _forms_at(series, 0, targets, fallback, c.l_max)
-    steps = _steps(series, cfg.rebalance_frequency)  # one copy for every run and worker
     apys = iter(_fan_out(lambda r: _replay(series, r, targets, steps).apy, runs))
     return {c.l_max: [(float(b), next(apys)) for b in budgets] for c in caps}
 

@@ -23,7 +23,8 @@ from .allocator import (
     verify_kkt,
     yield_breakdown,
 )
-from .errors import DataError, StakeloopError, ValidationError
+from .data import _checked
+from .errors import DataError, DomainError, StakeloopError, ValidationError
 from .irm import IrmParams, MarketState, _state_form
 from .rebalance import HOLD, FeeModel, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -53,10 +54,10 @@ def _load_json_arg(text: str, flag: str) -> object:
     except json.JSONDecodeError as exc:
         literal = exc
     try:
-        return json.loads(Path(text).read_text())
+        return json.loads(Path(text).read_text(encoding="utf-8"))
     except OSError:
         raise DataError(f"{flag}: neither JSON ({literal}) nor a readable file") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError(f"{flag}: invalid JSON in {text} ({exc})") from None
 
 
@@ -64,28 +65,6 @@ def _object(value: object, flag: str) -> dict:
     """``value`` when it is a JSON object, else a ``DataError`` naming ``flag``."""
     if not isinstance(value, dict):
         raise DataError(f"{flag}: expected a JSON object, got {type(value).__name__}")
-    return value
-
-
-# The Python types of a JSON value of each kind, and its name.
-_JSON_KINDS = {
-    float: ((int, float), "a number"),
-    int: (int, "an integer"),
-    bool: (bool, "a boolean"),
-    str: (str, "a string"),
-    list: (list, "a list"),
-}
-
-
-def _checked(value: object, kind: type, where: str) -> object:
-    """``value`` when it is a JSON value of ``kind``, else a ``DataError``
-    naming ``where``. JSON true and false are no numbers, and a number is
-    one a float can hold."""
-    types, name = _JSON_KINDS[kind]
-    if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool):
-        raise DataError(f"{where} must be {name}, got {type(value).__name__}")
-    if kind is float:
-        datamod._check_float(value, where)
     return value
 
 
@@ -120,11 +99,16 @@ def _problem_from_args(args) -> ProblemInstance:
     if args.markets:
         loaded = _load_json_arg(args.markets, "--markets")
         for raw in loaded if isinstance(loaded, list) else [loaded]:
-            markets.append(_market_from_json(raw, "--markets"))
+            markets.append(("--markets", _market_from_json(raw, "--markets")))
     for item in args.market or []:
-        markets.append(_market_from_json(_load_json_arg(item, "--market"), "--market"))
-    ids = [m.market_id for m in markets]
-    forms = [_state_form(m, args.l_max) for m in markets]
+        markets.append(("--market", _market_from_json(_load_json_arg(item, "--market"), "--market")))
+    ids = [m.market_id for _, m in markets]
+    forms = []
+    for flag, m in markets:
+        try:
+            forms.append(_state_form(m, args.l_max))
+        except DomainError as exc:
+            raise DataError(f"{flag}: {exc}") from None
     if args.dataset:
         series = datamod.load_snapshots(Path(args.dataset))
         if args.at is not None and args.at not in series.timestamps:
@@ -139,8 +123,7 @@ def _problem_from_args(args) -> ProblemInstance:
         raise StakeloopError("no markets given (use --markets, --market, or --dataset)")
     if args.staking_rate is None:
         raise StakeloopError("--staking-rate is required")
-    l_max = (args.l_max,) * len(ids)
-    return ProblemInstance(tuple(ids), l_max, args.staking_rate, args.budget, tuple(forms))
+    return ProblemInstance(tuple(ids), args.staking_rate, args.budget, tuple(forms))
 
 
 def _print_allocation(alloc: Allocation, p: ProblemInstance, args) -> None:
@@ -298,20 +281,13 @@ def _cmd_sweep(args) -> int:
     if args.budget is None:
         args.budget = budgets[0]
     cfg = _config_from_args(args)
-    out = Path(args.out) if args.out else None
-    if levels:
-        curves = bt.sweep_leverage(series, cfg, levels, budgets)
-        for level, curve in curves.items():
-            if out:
-                datamod.emit_report(curve, out, label=f"lmax_{level:g}")
-            for budget, value in curve:
-                print(f"l_max {level:g} budget {_sig(budget)} apy {_sig(value * 100)}%")
-        return 0
-    curve = bt.sweep_budgets(series, cfg, budgets)
-    if out:
-        datamod.emit_report(curve, out, label="apy")
-    for budget, value in curve:
-        print(f"budget {_sig(budget)} apy {_sig(value * 100)}%")
+    # Without --l-max-list, one curve at --l-max, unlabelled.
+    for level, curve in bt.sweep_leverage(series, cfg, levels or [cfg.l_max], budgets).items():
+        if args.out:
+            datamod.emit_report(curve, Path(args.out), label=f"lmax_{level:g}" if levels else "apy")
+        prefix = f"l_max {level:g} " if levels else ""
+        for budget, value in curve:
+            print(f"{prefix}budget {_sig(budget)} apy {_sig(value * 100)}%")
     return 0
 
 
@@ -489,8 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         path = None
     if path is not None:
         try:
-            config = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            config = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             parser.error(f"cannot read --config: {exc}")
         if not isinstance(config, dict):
             parser.error(f"cannot read --config: expected a JSON object, got {type(config).__name__}")

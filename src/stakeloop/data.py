@@ -13,6 +13,7 @@ Layout::
 Market amounts are in loan-asset units; the backtester treats them as the
 numeraire. The staking series may be coarser than the market series (daily
 against hourly); it is held piecewise-constant onto the market timestamps.
+Every file is UTF-8 text.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from operator import neg
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .backtest import BacktestResult, MarketMeta, SnapshotSeries, _recorded_curve
 from .errors import DataError, DomainError, ValidationError
@@ -80,7 +81,7 @@ def _save_manifest(manifest: DatasetManifest, series: SnapshotSeries, directory:
         ],
     }
     out = directory / "manifest.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return out
 
 
@@ -95,13 +96,17 @@ def _read_manifest(path: Path) -> tuple[DatasetManifest, tuple[MarketMeta, ...]]
     if not mpath.exists():
         raise DataError(f"manifest not found at {mpath}")
     try:
-        raw = json.loads(mpath.read_text())
+        raw = _read_utf8(mpath, json.load)
     except json.JSONDecodeError as exc:
         raise DataError(f"{mpath}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{mpath}: expected a JSON object, got {type(raw).__name__}")
+
+    def typed(obj: dict, key: str, kind: type):
+        return _checked(obj[key], kind, f"{mpath}: {key}")
+
     try:
-        if raw["schema_version"] != SCHEMA_VERSION:
+        if typed(raw, "schema_version", int) != SCHEMA_VERSION:
             raise DataError(
                 f"{mpath}: schema_version {raw['schema_version']} unsupported "
                 f"(expected {SCHEMA_VERSION})"
@@ -110,15 +115,16 @@ def _read_manifest(path: Path) -> tuple[DatasetManifest, tuple[MarketMeta, ...]]
         if not (isinstance(listed, list) and all(isinstance(m, dict) for m in listed)):
             raise DataError(f"{mpath}: markets must be a list of objects")
         markets = tuple(
-            MarketMeta(m["id"], float(m["lltv"]), m["creation_date"]) for m in listed
+            MarketMeta(typed(m, "id", str), typed(m, "lltv", float), typed(m, "creation_date", str))
+            for m in listed
         )
         manifest = DatasetManifest(
-            chain=raw["chain"], cadence_seconds=raw["cadence_seconds"], source=raw["source"]
+            typed(raw, "chain", str), typed(raw, "cadence_seconds", int), raw["source"]
         )
         return manifest, markets
     except KeyError as exc:
         raise DataError(f"{mpath}: missing manifest field {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a field of the wrong type or value
+    except DomainError as exc:  # a value out of its range
         raise DataError(f"{mpath}: {exc}") from exc
 
 
@@ -151,13 +157,22 @@ def _timestamps(column: Sequence[str], path: Path) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
+def _read_utf8(path: Path, read: Callable):
+    """``read`` of the UTF-8 text file at ``path``; a byte that is not UTF-8
+    raises a ``DataError`` naming the file."""
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            return read(handle)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _read_columns(path: Path, header: list[str] | None) -> tuple[list[str], list[tuple[str, ...]]]:
     """The header of a CSV file and its columns below it. Every row must have
     the header's field count; ``header``, when given, is the one expected."""
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
+    rows = _read_utf8(path, lambda handle: list(csv.reader(handle)))
     if not rows:
         raise DataError(f"{path}: empty file")
     if header is not None and rows[0] != header:
@@ -181,13 +196,13 @@ def save_snapshots(
         targets = series.rate_at_target[i]
         values.append(itertools.repeat("") if targets is None else map(repr, targets))
         path = directory / f"market_{meta.market_id}.csv"
-        with path.open("w", newline="") as handle:
+        with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(_MARKET_HEADER)
             writer.writerows(zip(series.timestamps, *values))
         written.append(path)
     staking_path = directory / "staking.csv"
-    with staking_path.open("w", newline="") as handle:
+    with staking_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(_STAKING_HEADER)
         writer.writerows(zip(series.timestamps, map(repr, series.staking_rates)))
@@ -199,7 +214,10 @@ def load_snapshots(path: Path) -> SnapshotSeries:
     """Load and validate a dataset directory into a snapshot series.
 
     Market files must share one timestamp grid; the staking series is joined
-    onto it, holding the last observation between staking timestamps.
+    onto it, holding the last observation between staking timestamps. Grid
+    times before the first staking observation take its rate: a warning
+    says how many there are. Gaps in the grid wider than the cadence are
+    warned of, and never filled in.
     """
     directory = _manifest_path(Path(path)).parent
     manifest, markets = _read_manifest(directory)
@@ -256,6 +274,12 @@ def load_snapshots(path: Path) -> SnapshotSeries:
             f"dataset at {directory} has {len(gaps)} gap(s) wider than the "
             f"{manifest.cadence_seconds}s cadence, first {first[0]}..{first[1]}; "
             "values are never filled in",
+            stacklevel=2,
+        )
+    if filled := bisect.bisect_left(series.timestamps, observed[0][0]):
+        warnings.warn(
+            f"dataset at {directory}: {filled} snapshot(s) before the first staking "
+            f"observation at {observed[0][0]} take its rate",
             stacklevel=2,
         )
     return series
@@ -483,7 +507,7 @@ def _emit_backtest(result: BacktestResult, directory: Path) -> list[Path]:
     paths = []
 
     curve_path = directory / "equity_curve.csv"
-    with curve_path.open("w", newline="") as handle:
+    with curve_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "equity", "staking_accrued", "interest_paid", "fees_paid"])
         columns = (result.equity, result.staking_accrued, result.interest_paid, result.fees_paid)
@@ -491,7 +515,7 @@ def _emit_backtest(result: BacktestResult, directory: Path) -> list[Path]:
     paths.append(curve_path)
 
     positions_path = directory / "positions.csv"
-    with positions_path.open("w", newline="") as handle:
+    with positions_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         header = ["timestamp", "unleveraged"]
         columns = [result.timestamps, result.unleveraged]
@@ -513,11 +537,11 @@ def _emit_backtest(result: BacktestResult, directory: Path) -> list[Path]:
         "markets": list(result.market_ids),
     }
     summary_json = directory / "summary.json"
-    summary_json.write_text(json.dumps(summary, indent=2) + "\n")
+    summary_json.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     paths.append(summary_json)
 
     summary_csv = directory / "summary.csv"
-    with summary_csv.open("w", newline="") as handle:
+    with summary_csv.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["metric", "value"])
         for key in ("apy", "rebalance_count", "total_fees_paid", "start_equity", "end_equity"):
@@ -530,13 +554,13 @@ def _emit_curve(
     curve: list[tuple[float, float]], directory: Path, label: str
 ) -> list[Path]:
     csv_path = directory / f"{label}_curve.csv"
-    with csv_path.open("w", newline="") as handle:
+    with csv_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["budget", "apy"])
         writer.writerows(curve)
     json_path = directory / f"{label}_curve.json"
     json_path.write_text(
-        json.dumps([{"budget": b, "apy": a} for b, a in curve], indent=2) + "\n"
+        json.dumps([{"budget": b, "apy": a} for b, a in curve], indent=2) + "\n", encoding="utf-8"
     )
     return [csv_path, json_path]
 
@@ -568,12 +592,29 @@ def load_position_history(path: Path) -> PositionHistory:
     )
 
 
-def _check_float(value: int | float, where: str) -> None:
-    """Refuse, naming ``where``, a JSON integer too large for a float."""
-    try:
-        float(value)
-    except OverflowError:
-        raise DataError(f"{where} must be a number, got an integer too large for a float") from None
+# The Python types of a JSON value of each kind, and its name.
+_JSON_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "a boolean"),
+    str: (str, "a string"),
+    list: (list, "a list"),
+}
+
+
+def _checked(value: object, kind: type, where: str) -> object:
+    """``value`` when it is a JSON value of ``kind``, else a ``DataError``
+    naming ``where``. JSON true and false are no numbers, and a number is
+    one a float can hold."""
+    types, name = _JSON_KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool):
+        raise DataError(f"{where} must be {name}, got {type(value).__name__}")
+    if kind is float:
+        try:
+            float(value)
+        except OverflowError:
+            raise DataError(f"{where} must be a number, got an integer too large for a float") from None
+    return value
 
 
 def irm_from_dict(raw: dict) -> object:
@@ -583,11 +624,7 @@ def irm_from_dict(raw: dict) -> object:
     from . import irm as irm_module
 
     kind = raw.get("kind")
-    fields = {k: v for k, v in raw.items() if k != "kind"}
-    for key, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"{key} must be a number, got {type(value).__name__}")
-        _check_float(value, key)
+    fields = {k: _checked(v, float, k) for k, v in raw.items() if k != "kind"}
     try:
         if kind == "linear":
             return irm_module.LinearIrmParams(**fields)

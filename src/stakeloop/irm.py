@@ -277,8 +277,9 @@ def _compile(
 ) -> tuple:
     """``(l_max, cap, k, denom, drop, kink, curve, supplied, borrowed)``: the
     terms of a market's response at ``l_max`` that are free of the staking
-    rate ``s``, after the one cap check, then what pricing a debt reads. The
-    caller has checked the values as ``MarketState`` does. A branch has level
+    rate ``s``, then what pricing a debt reads. It refuses a cap the LLTV does
+    not allow and a pool too small for its curve's slopes; the caller has
+    checked the values as ``MarketState`` does. A branch has level
     and value ``l_max*s - k`` and slope ``1/denom``: a linear curve's only
     branch, or the steep one above a kink. ``kink``, when there is room to
     borrow below it, holds ``(k, denom, k_in, plateau, k_out)`` of the gentle
@@ -291,7 +292,12 @@ def _compile(
         )
     m = l_max - 1.0
     cap = (supplied - borrowed) / m
-    c1, c2 = _slopes(curve, supplied)
+    try:
+        c1, c2 = _slopes(curve, supplied)
+    except ZeroDivisionError:  # supplied times a branch width underflows to 0
+        raise DomainError(
+            f"supplied {supplied} of market {market_id} is too small to price its rate curve"
+        ) from None
     r0, r_slope1, _, u_target = _kinked_form(curve)
     k, c, kink = m * (r0 + borrowed * c1), c1, None
     if curve[3] is not curve[4]:  # a kink at target

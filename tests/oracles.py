@@ -264,9 +264,10 @@ def random_instance(rng: random.Random, n: int | None = None):
     return markets, l_maxes, s, max(budget, 1e-3)
 
 
-def window_means(series, window: int) -> list[dict[str, tuple[float, float | None]]]:
-    """Per snapshot, each market's mean borrow rate and rate-at-target over
-    the snapshots in ``(t - window, t]``, each window summed from scratch."""
+def window_means(series, window: int) -> list[dict[str, float | None]]:
+    """Per snapshot, each market's mean rate-at-target (``None`` where none is
+    recorded) over the snapshots in ``(t - window, t]``, each window summed
+    from scratch."""
     out = []
     for snap in series.snapshots:
         span = [
@@ -274,16 +275,11 @@ def window_means(series, window: int) -> list[dict[str, tuple[float, float | Non
             for s in series.snapshots
             if snap.timestamp - window < s.timestamp <= snap.timestamp
         ]
-        means = {}
-        for mid, ms in snap.markets.items():
-            rate = math.fsum(s.markets[mid].borrow_rate for s in span) / len(span)
-            target = (
-                None
-                if ms.rate_at_target is None
-                else math.fsum(s.markets[mid].rate_at_target for s in span) / len(span)
-            )
-            means[mid] = (rate, target)
-        out.append(means)
+        out.append({
+            mid: None if ms.rate_at_target is None
+            else math.fsum(s.markets[mid].rate_at_target for s in span) / len(span)
+            for mid, ms in snap.markets.items()
+        })
     return out
 
 
@@ -308,16 +304,13 @@ def replay_per_step(series, cfg):
     mark, maybe plan and trade, then accrue every market over one interval.
     The same expressions in the same order as the replay, which walks whole
     stretches between rebalances instead."""
-    bt._check_span(series, cfg.rebalance_frequency)
-    rate_at_target = bt._replay_targets(series, cfg.smoothing_window)
+    rate_at_target, _ = bt._prepare(series, cfg, [cfg])
     ts = series.timestamps
     ids = series.market_ids
     n = len(ids)
     passive = cfg.strategy == bt.STAKING_ONLY or cfg.l_max <= 1.0
     m = cfg.l_max - 1.0
     fallback = None if cfg.irm is None else cfg.irm._curve
-    if not passive:
-        bt._check_curves(series, rate_at_target, fallback)
     unit = bt._recorded_curve(1.0)
     curves = [fallback if c is None else unit for c in rate_at_target]
     pools = tuple(zip(series.supplied, series.borrowed, curves, rate_at_target))
@@ -339,7 +332,7 @@ def replay_per_step(series, cfg):
             next_due = t0 + ((t - t0) // cfg.rebalance_frequency + 1) * cfg.rebalance_frequency
         if due and not passive and equity > 0.0:
             forms = bt._forms_at(series, k, rate_at_target, fallback, cfg.l_max)
-            p = ProblemInstance(ids, (cfg.l_max,) * n, series.staking_rates[k], equity, forms)
+            p = ProblemInstance(ids, series.staking_rates[k], equity, forms)
             exposures = [d / m for d in debt]
             current = Allocation.from_position(ids, exposures, equity - sum(exposures))
             plan = solve_with_fees(p, current, cfg.fees)

@@ -565,7 +565,7 @@ class TestVerifyKkt:
                 _compile(m.market_id, m.supplied, m.borrowed, m.max_ltv, m.irm._curve, 5.0)
                 for m in markets
             )
-            compiled = ProblemInstance(p.market_ids, p.l_max, 0.03, 6.0, forms)
+            compiled = ProblemInstance(p.market_ids, 0.03, 6.0, forms)
             assert compiled == p
             alloc = solve(compiled)
             assert alloc == solve(p)
@@ -581,8 +581,8 @@ class TestVerifyKkt:
             ({"budget": math.inf}, "budget must be positive and finite"),
             ({"budget": 0.0}, "budget must be positive and finite"),
             ({"staking_rate": math.nan}, "staking_rate must be finite"),
-            ({"market_ids": (), "l_max": (), "forms": ()}, "at least one market"),
-            ({"l_max": (5.0,)}, "must have the same length"),
+            ({"market_ids": (), "forms": ()}, "at least one market"),
+            ({"market_ids": ("A",)}, "must have the same length"),
             ({"market_ids": ("A", "A")}, "duplicate market id A"),
         ],
         ids=["inf-budget", "zero-budget", "nan-rate", "empty", "lengths", "duplicate"],
@@ -595,7 +595,7 @@ class TestVerifyKkt:
     def test_instances_of_different_markets_differ(self):
         def compiled(markets):
             p = ProblemInstance.uniform(markets, 5.0, 0.03, 6.0)
-            return ProblemInstance(p.market_ids, p.l_max, 0.03, 6.0, p.forms)
+            return ProblemInstance(p.market_ids, 0.03, 6.0, p.forms)
 
         assert compiled([LIN_A, LIN_B]) == compiled([LIN_A, LIN_B])
         assert compiled([LIN_A, LIN_B]) != compiled([LIN_A, replace(LIN_B, borrowed=10.0)])

@@ -225,6 +225,7 @@ class TestSmoothing:
                     "m": MarketSnapshot(
                         100.0,
                         50.0,
+                        0.02,
                         0.02 if T0 + k * SECONDS_PER_HOUR <= step_at else 0.04,
                     )
                 },
@@ -236,7 +237,7 @@ class TestSmoothing:
 
         def smoothed(ts):
             return next(
-                s.markets["m"].borrow_rate for s in out.snapshots if s.timestamp == ts
+                s.markets["m"].rate_at_target for s in out.snapshots if s.timestamp == ts
             )
 
         assert smoothed(step_at) == pytest.approx(0.02)
@@ -257,6 +258,17 @@ class TestSmoothing:
             a.staking_rate == b.staking_rate
             for a, b in zip(series.snapshots, out.snapshots)
         )
+
+    def test_zero_window_is_the_identity(self):
+        series = scenario_series()
+        assert smooth_rates(series, 0) == series
+
+    def test_borrow_rate_passes_through(self):
+        # Only the column a replay reads is smoothed.
+        series = scenario_series("volatile", seed=3)
+        out = smooth_rates(series, SECONDS_PER_DAY)
+        assert out.borrow_rate == series.borrow_rate
+        assert out.rate_at_target != series.rate_at_target
 
     def test_window_below_cadence_rejected(self):
         with pytest.raises(DomainError):
@@ -794,6 +806,16 @@ class TestSweeps:
         assert calls == [SECONDS_PER_DAY]
         # The smoothed columns feed the replays; no second series is built.
         assert checks == []
+
+    def test_sweep_checks_curves_once(self, monkeypatch):
+        checks = []
+        check_curves = backtest._check_curves
+        # One worker, so that the counter sees every replay.
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(backtest, "_check_curves", lambda *args: checks.append(args[0]) or check_curves(*args))
+        series = scenario_series()
+        sweep_leverage(series, config(rebalance_frequency=SECONDS_PER_DAY), [3.0, 5.0], [1.0, 100.0, 1e4])
+        assert checks == [series]
 
     def test_empty_budget_list_rejected(self):
         with pytest.raises(DomainError):

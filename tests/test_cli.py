@@ -641,6 +641,28 @@ class TestSweepCommand:
             rows = (out_dir / f"lmax_{level:g}_curve.csv").read_text().splitlines()
             assert rows == ["budget,apy", *(f"{b!r},{a!r}" for b, a in curve)]
 
+    def test_budget_sweep_prints_and_writes_one_curve(self, tmp_path, capsys):
+        from stakeloop import backtest
+        from stakeloop.data import load_snapshots
+
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "rate-crossing", "--seed", "1", "--out", str(ds)], capsys)
+        out_dir = tmp_path / "curves"
+        code, out, _ = run(
+            ["sweep", "--dataset", str(ds), "--budgets", "1,100", "--l-max", "4.5",
+             "--frequency", "1d", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines() == ["budget 1 apy 5.45428%", "budget 100 apy 4.11452%"]
+        assert sorted(path.name for path in out_dir.iterdir()) == ["apy_curve.csv", "apy_curve.json"]
+        cfg = backtest.BacktestConfig(budget=1.0, l_max=4.5, rebalance_frequency=86400)
+        curve = backtest.sweep_budgets(load_snapshots(ds), cfg, [1.0, 100.0])
+        written = json.loads((out_dir / "apy_curve.json").read_text())
+        assert [(row["budget"], row["apy"]) for row in written] == curve
+        rows = (out_dir / "apy_curve.csv").read_text().splitlines()
+        assert rows == ["budget,apy", *(f"{b!r},{a!r}" for b, a in curve)]
+
     @pytest.mark.parametrize("levels", ["2,2.0000001,16", "2,2"], ids=["alike", "repeated"])
     def test_leverage_caps_that_print_alike_exit_2(self, levels, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -974,3 +996,135 @@ class TestJsonFlags:
         ]
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
+
+
+def _rate_crossing(directory, days, targets=True):
+    """A rate-crossing dataset of ``days``, with or without its rate-at-target columns."""
+    from dataclasses import replace
+
+    from stakeloop.data import generate_synthetic, save_snapshots, scenario
+
+    series, manifest = generate_synthetic(replace(scenario("rate-crossing"), days=days), seed=0)
+    if not targets:
+        series = replace(series, rate_at_target=(None,) * len(series.markets))
+    save_snapshots(series, manifest, directory)
+    return directory
+
+
+class TestFirstErrors:
+    """The replays and the commands check the same inputs in one order, so
+    each gives the same first error."""
+
+    @pytest.mark.parametrize(
+        "days, targets, flags, message",
+        [
+            (1.0, True, ["--frequency", "1d", "--smoothing", "1800"],
+             "window 1800s is shorter than the data cadence 3600s"),
+            (1.0, False, ["--frequency", "1d"], "series must cover at least two rebalance intervals"),
+            (3.0, True, ["--frequency", "1800"],
+             "rebalance frequency 1800s is below the data cadence 3600s"),
+            (3.0, False, [],
+             "market core has no rate_at_target and no fallback rate model is configured"),
+            (3.0, True, ["--l-max", "30"],
+             "l_max=30.0 outside (1, 18.1818] allowed by max_ltv=0.945 of market core"),
+        ],
+        ids=["window-before-span", "span-before-curves", "frequency", "curves", "cap"],
+    )
+    def test_replays_and_commands_agree(self, days, targets, flags, message, tmp_path, capsys):
+        from stakeloop import backtest
+        from stakeloop.cli import _config_from_args, build_parser
+        from stakeloop.data import load_snapshots
+        from stakeloop.errors import StakeloopError
+
+        ds = _rate_crossing(tmp_path / "ds", days, targets)
+        series = load_snapshots(ds)
+        cfg = _config_from_args(
+            build_parser().parse_args(["backtest", "--dataset", str(ds), "--budget", "1", *flags])
+        )
+        for replay in (
+            lambda: backtest.run_backtest(series, cfg),
+            lambda: backtest.sweep_budgets(series, cfg, [1.0, 100.0]),
+            lambda: backtest.sweep_leverage(series, cfg, [cfg.l_max, 2.0], [1.0, 100.0]),
+        ):
+            with pytest.raises(StakeloopError) as exc:
+                replay()
+            assert str(exc.value) == message
+        for command in (["backtest", "--budget", "1"], ["sweep", "--budgets", "1,100"]):
+            assert run([*command, "--dataset", str(ds), *flags], capsys) == (2, "", f"error: {message}\n")
+
+
+class TestInputContract:
+    """Inputs off the happy path exit 2 with a message naming the flag or
+    the file, never 1 with an internal error."""
+
+    SUBNORMAL = {
+        "id": "a",
+        "supplied": 5e-324,
+        "borrowed": 0.0,
+        "max_ltv": 0.9,
+        "irm": {"kind": "adaptive", "rate_at_target": 0.03, "curve_steepness": 4.0,
+                "u_target": 0.9, "adjustment_speed": 50.0},
+    }
+
+    def test_subnormal_pool_of_a_flag(self, capsys):
+        code, out, err = run(
+            ["optimize", "--market", json.dumps(self.SUBNORMAL), "-s", "0.03", "--budget", "1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --market: supplied 5e-324 of market a is too small to price its rate curve\n"
+
+    @pytest.mark.parametrize(
+        "command", [["backtest", "--budget", "1"], ["sweep", "--budgets", "1,100"]], ids=["backtest", "sweep"]
+    )
+    def test_subnormal_pool_in_a_dataset(self, command, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        path = ds / "market_core.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[1:3] = ["5e-324", "0.0"]
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run([*command, "--dataset", str(ds)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: supplied 5e-324 of market core is too small to price its rate curve\n"
+
+    @pytest.mark.parametrize(
+        "edit, key, kind",
+        [
+            (lambda raw: raw["markets"][0].update(lltv="0.945"), "lltv", "a number, got str"),
+            (lambda raw: raw["markets"][0].update(id=7), "id", "a string, got int"),
+            (lambda raw: raw["markets"][0].update(creation_date=0), "creation_date", "a string, got int"),
+            (lambda raw: raw.update(chain=None), "chain", "a string, got NoneType"),
+            (lambda raw: raw.update(cadence_seconds=True), "cadence_seconds", "an integer, got bool"),
+            (lambda raw: raw.update(schema_version=True), "schema_version", "an integer, got bool"),
+        ],
+        ids=["lltv", "id", "creation-date", "chain", "cadence", "schema-version"],
+    )
+    def test_manifest_value_of_the_wrong_type(self, edit, key, kind, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        manifest = ds / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        edit(raw)
+        manifest.write_text(json.dumps(raw))
+        code, out, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {manifest}: {key} must be {kind}\n"
+
+    @pytest.mark.parametrize("name", ["manifest.json", "staking.csv"])
+    def test_dataset_file_that_is_not_utf8(self, name, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        (ds / name).write_bytes((ds / name).read_bytes() + b"\xff")
+        code, out, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {ds / name}: not UTF-8 text (")
+
+    def test_json_files_that_are_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"budget": 1}\xff')
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(bad), "optimize", "--market", MARKET_A, "-s", "0.03"])
+        assert exc.value.code == 2
+        assert "cannot read --config: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        code, out, err = run(["optimize", "--market", str(bad), "-s", "0.03", "--budget", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --market: invalid JSON in {bad} ('utf-8' codec can't decode byte 0xff")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -326,6 +327,41 @@ class TestValidation:
             warnings_module.simplefilter("always")
             load_snapshots(directory)
         assert any("gap" in str(w.message) for w in caught)
+
+    def test_staking_that_starts_late_is_back_filled_with_a_warning(self, tmp_path):
+        series, manifest = generate_synthetic(scenario("positive-carry"), seed=0)
+        directory = tmp_path / "ds"
+        save_snapshots(series, manifest, directory)
+        day45 = series.timestamps[0] + 45 * SECONDS_PER_DAY
+        (directory / "staking.csv").write_text(f"timestamp,staking_rate\n{day45},0.04\n")
+        with pytest.warns(UserWarning) as caught:
+            loaded = load_snapshots(directory)
+        assert [str(w.message) for w in caught] == [
+            f"dataset at {directory}: 1080 snapshot(s) before the first staking "
+            f"observation at {day45} take its rate"
+        ]
+        assert set(loaded.staking_rates) == {0.04}
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_bundled_scenarios_load_without_a_warning(self, name, tmp_path):
+        series, manifest = generate_synthetic(scenario(name), seed=0)
+        save_snapshots(series, manifest, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_snapshots(tmp_path) == series
+
+    @pytest.mark.parametrize("name", ["manifest.json", "staking.csv"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, name):
+        def corrupt(directory):
+            path = directory / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+
+        directory = self._write(tmp_path, corrupt)
+        with pytest.raises(DataError) as err:
+            load_snapshots(directory)
+        assert str(err.value).startswith(
+            f"{directory / name}: not UTF-8 text ('utf-8' codec can't decode byte 0xff"
+        )
 
     def test_gap_scan_reports_missing_hours(self):
         series, _ = generate_synthetic(

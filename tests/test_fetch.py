@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from stakeloop.data import load_manifest, load_snapshots
@@ -206,6 +208,20 @@ class TestFetch:
         assert all(s.staking_rate == 0.05 for s in series.snapshots)
         # only market queries went out
         assert all("totalRewards" not in c[1]["query"] for c in api.calls)
+
+    def test_flat_staking_rate_dataset_loads_without_a_warning(self, tmp_path):
+        out = fetch_market_history(
+            ["mkt-1"],
+            start=T0,
+            end=T0 + SECONDS_PER_DAY,
+            out_dir=tmp_path / "ds",
+            transport=FakeApi(),
+            staking_rate=0.05,
+            min_interval=0.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_snapshots(out)
 
     @pytest.mark.parametrize("parallelism", [0, -1])
     def test_parallelism_below_one_refused_before_any_request(self, tmp_path, parallelism):

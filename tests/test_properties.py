@@ -4,6 +4,7 @@ round trips and per-step equity conservation on random series."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import tempfile
@@ -142,6 +143,7 @@ def instances(min_n: int = 1, max_n: int = 50):
 
 
 def assert_certified(p: ProblemInstance) -> None:
+    assert p.l_max == tuple(f[0] for f in p.forms)
     alloc = solve(p)
     report = verify_kkt(alloc, p, 1e-8)
     assert report.passed, report
@@ -159,6 +161,20 @@ def test_solve_is_certified_and_spends_the_budget(p):
 @given(instances(min_n=50, max_n=300))
 def test_solve_is_certified_with_hundreds_of_markets(p):
     assert_certified(p)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_instance_caps_are_the_caps_its_forms_were_compiled_at(data):
+    # No constructor takes caps apart from the forms, so a fee is always
+    # priced at the cap a response was compiled at.
+    assert "l_max" not in inspect.signature(ProblemInstance).parameters
+    pool, p = data.draw(market_instances(max_n=8))
+    caps = [data.draw(st.floats(1.5, 10.0)) for _ in pool]
+    mixed = ProblemInstance.of(pool, caps, p.staking_rate, p.budget)
+    assert mixed.l_max == tuple(caps)
+    for q in (p, mixed, replace(mixed, budget=2.0 * p.budget)):
+        assert q.l_max == tuple(f[0] for f in q.forms)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -350,13 +366,15 @@ def test_smoothing_is_the_exact_window_mean(data):
     window = data.draw(st.integers(x.cadence_seconds, 3 * SECONDS_PER_DAY))
     smoothed = smooth_rates(x, window)
     assert [
-        {mid: (ms.borrow_rate, ms.rate_at_target) for mid, ms in snap.markets.items()}
+        {mid: ms.rate_at_target for mid, ms in snap.markets.items()}
         for snap in smoothed.snapshots
     ] == window_means(x, window)
     for a, b in zip(x.snapshots, smoothed.snapshots):
         assert (a.timestamp, a.staking_rate) == (b.timestamp, b.staking_rate)
         for mid, ms in a.markets.items():
-            assert (ms.supplied, ms.borrowed) == (b.markets[mid].supplied, b.markets[mid].borrowed)
+            assert (ms.supplied, ms.borrowed, ms.borrow_rate) == (
+                b.markets[mid].supplied, b.markets[mid].borrowed, b.markets[mid].borrow_rate
+            )
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
