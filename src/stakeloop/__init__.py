@@ -10,8 +10,6 @@ from .allocator import (
     effective_staking_rate,
     expected_yield,
     solve,
-    solve_saturated,
-    solve_waterfilling_linear,
     verify_kkt,
     waterfilling_detail,
     yield_breakdown,

@@ -134,7 +134,7 @@ class KktReport:
     ``stationarity`` holds, per market, the distance of ``lambda_star`` from
     the admissible marginal-value interval (zero when inside, which covers
     the flat spot at a rate kink). The budget residual is compared against
-    ``tol * max(1, budget)``; all other residuals against ``tol`` directly.
+    ``tol * budget``; all other residuals against ``tol`` directly.
     """
 
     market_ids: tuple[str, ...]
@@ -222,7 +222,7 @@ def _check_alloc_feasible(alloc: Allocation, p: ProblemInstance) -> None:
         )
     # A negative exposure is a negative debt, which no rate curve can price.
     # Each test is written so that NaN fails it.
-    slack = _REL_BUDGET_TOL * max(1.0, p.budget)
+    slack = _REL_BUDGET_TOL * p.budget
     if not (alloc.unleveraged >= -slack and all(x >= 0.0 for x in alloc.exposures)):
         raise ConstraintError("allocation has a negative or NaN component")
     if not abs(alloc.total - p.budget) <= slack:
@@ -232,13 +232,6 @@ def _check_alloc_feasible(alloc: Allocation, p: ProblemInstance) -> None:
     for x, mid, (l_max, *_, supplied, borrowed) in zip(alloc.exposures, p.market_ids, p.forms):
         if not x * (l_max - 1.0) <= supplied - borrowed + slack:
             raise ConstraintError(f"exposure {x} exceeds liquidity of market {mid}")
-
-
-def solve_saturated(p: ProblemInstance) -> Allocation | None:
-    """Allocation with every market saturated at the staking rate, or None
-    when those responses overshoot the budget (the unsaturated regime)."""
-    alloc = solve(p)
-    return alloc if alloc.regime == SATURATED else None
 
 
 def _shadow_rate(p: ProblemInstance, pieces: list, s: float) -> tuple[float, list, list[float]]:
@@ -339,7 +332,7 @@ def _solve_core(p: ProblemInstance, s: float) -> tuple[list[float], float, float
     if open_markets:
         exposures[max(open_markets, key=slopes.__getitem__)] += left
     # More than rounding left over: no float shadow rate spends the budget.
-    if abs(p.budget - math.fsum(exposures)) > _REL_BUDGET_TOL * max(1.0, p.budget):
+    if abs(p.budget - math.fsum(exposures)) > _REL_BUDGET_TOL * p.budget:
         lam_star, exposures = _between_floats(p, pieces, s)
     return exposures, 0.0, lam_star, UNSATURATED
 
@@ -429,12 +422,6 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
     )
 
 
-def solve_waterfilling_linear(p: ProblemInstance) -> Allocation:
-    """Closed-form counterpart of :func:`solve` for all-linear instances in
-    the unsaturated regime."""
-    return waterfilling_detail(p).allocation
-
-
 def verify_kkt(alloc: Allocation, p: ProblemInstance, tol: float) -> KktReport:
     """Check the stationarity, complementarity, and budget conditions.
 
@@ -447,7 +434,7 @@ def verify_kkt(alloc: Allocation, p: ProblemInstance, tol: float) -> KktReport:
     _check_alloc_feasible(alloc, p)
     lam = alloc.lambda_star
     s = p.staking_rate
-    budget_slack = tol * max(1.0, p.budget)
+    budget_slack = tol * p.budget
 
     stationarity: list[float] = []
     complementary: list[bool] = []
@@ -457,7 +444,7 @@ def verify_kkt(alloc: Allocation, p: ProblemInstance, tol: float) -> KktReport:
         # Activity and cap proximity are judged on the market's own scale; a
         # budget-relative threshold would swallow small markets whole when
         # the budget dwarfs them.
-        active = x > _REL_BUDGET_TOL * max(1.0, available / m)
+        active = x > _REL_BUDGET_TOL * (available / m)
         debt = x * m if active else 0.0
         lo_g, hi_g = _subgradient(curve, supplied, borrowed, debt)
         lo_value = l_max * s - m * hi_g
@@ -471,7 +458,7 @@ def verify_kkt(alloc: Allocation, p: ProblemInstance, tol: float) -> KktReport:
         stationarity.append(residual)
         complementary.append(active or residual <= tol)
 
-    if alloc.unleveraged > _REL_BUDGET_TOL * max(1.0, p.budget):
+    if alloc.unleveraged > _REL_BUDGET_TOL * p.budget:
         multiplier_residual = abs(lam - s)
     else:
         multiplier_residual = max(0.0, s - lam)

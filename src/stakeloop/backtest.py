@@ -299,10 +299,24 @@ class BacktestResult:
     rebalance_count: int
 
 
-def _window_means(series: SnapshotSeries, window: int) -> Callable[[tuple], tuple]:
-    """The trailing mean over ``(t - window, t]`` of a column on the series'
-    grid, after checking the window against the data cadence."""
-    if window <= 0:
+def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
+    """The series as a replay smoothed over ``window`` reads it: each recorded
+    rate-at-target is its trailing mean over ``(t - window, t]``.
+
+    Pool amounts, the observed borrow rate (which no replay reads) and the
+    staking rate pass through unchanged. A window of 0 or of one sample
+    period is the identity.
+    """
+    return replace(series, rate_at_target=_replay_targets(series, window))
+
+
+def _replay_targets(series: SnapshotSeries, window: int) -> tuple:
+    """The rate-at-target columns of :func:`smooth_rates`, without building a
+    series: each recorded column's trailing mean over ``(t - window, t]`` on
+    the series' grid, after checking the window against the data cadence."""
+    if not window:
+        return series.rate_at_target
+    if window < 0:
         raise DomainError(f"window must be positive, got {window}")
     cadence = series.cadence_seconds
     if cadence and window < cadence:
@@ -316,25 +330,6 @@ def _window_means(series: SnapshotSeries, window: int) -> Callable[[tuple], tupl
     def means(column: tuple[float, ...]) -> tuple[float, ...]:
         return tuple(math.fsum(column[a : k + 1]) / (k + 1 - a) for k, a in enumerate(starts))
 
-    return means
-
-
-def smooth_rates(series: SnapshotSeries, window: int) -> SnapshotSeries:
-    """The series as a replay smoothed over ``window`` reads it: each recorded
-    rate-at-target is its trailing mean over ``(t - window, t]``.
-
-    Pool amounts, the observed borrow rate (which no replay reads) and the
-    staking rate pass through unchanged. A window of 0 or of one sample
-    period is the identity.
-    """
-    return replace(series, rate_at_target=_replay_targets(series, window))
-
-
-def _replay_targets(series: SnapshotSeries, window: int) -> tuple:
-    """The rate-at-target columns of :func:`smooth_rates`, without building a series."""
-    if not window:
-        return series.rate_at_target
-    means = _window_means(series, window)
     return tuple(None if c is None else means(c) for c in series.rate_at_target)
 
 

@@ -128,7 +128,7 @@ def _problem_from_args(args) -> ProblemInstance:
 
 def _print_allocation(alloc: Allocation, p: ProblemInstance, args) -> None:
     base, carries = yield_breakdown(alloc, p)
-    report = verify_kkt(alloc, p, tol=args.kkt_tol)
+    report = verify_kkt(alloc, p, tol=1e-8)
     if args.json:
         payload = {
             "regime": alloc.regime,
@@ -201,7 +201,7 @@ def _current_from_args(args, p: ProblemInstance) -> Allocation:
     # Written so that NaN fails each test.
     if not all(v >= 0.0 for v in (*values, current.unleveraged)):
         raise DataError("--current: exposures and unleveraged must be non-negative numbers")
-    if not abs(current.total - p.budget) <= 1e-9 * max(1.0, p.budget):
+    if not abs(current.total - p.budget) <= 1e-9 * p.budget:
         raise DataError(f"--current: exposures and unleveraged total {current.total}, not --budget {p.budget}")
     return current
 
@@ -357,7 +357,6 @@ def _add_market_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--staking-rate", "-s", type=float, default=None)
     parser.add_argument("--budget", type=float, required=True)
     parser.add_argument("--l-max", type=float, default=5.0, help="leverage cap per market (default 5)")
-    parser.add_argument("--kkt-tol", type=float, default=1e-8)
 
 
 def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:

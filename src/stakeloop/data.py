@@ -49,7 +49,6 @@ class DatasetManifest:
     chain: str
     cadence_seconds: int
     source: str
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if self.source not in ("fetched", "synthetic"):
@@ -69,7 +68,7 @@ def _manifest_path(path: Path) -> Path:
 def _save_manifest(manifest: DatasetManifest, series: SnapshotSeries, directory: Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
-        "schema_version": manifest.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "chain": manifest.chain,
         "source": manifest.source,
         "period_start": series.timestamps[0],
@@ -276,13 +275,19 @@ def load_snapshots(path: Path) -> SnapshotSeries:
             "values are never filled in",
             stacklevel=2,
         )
-    if filled := bisect.bisect_left(series.timestamps, observed[0][0]):
+    _warn_back_fill(directory, series.timestamps, observed[0][0])
+    return series
+
+
+def _warn_back_fill(directory: Path, timestamps: Sequence[int], first_observed: int) -> None:
+    """Warn, for the caller's caller, of the grid times before the first
+    staking observation, which take its rate."""
+    if filled := bisect.bisect_left(timestamps, first_observed):
         warnings.warn(
             f"dataset at {directory}: {filled} snapshot(s) before the first staking "
-            f"observation at {observed[0][0]} take its rate",
-            stacklevel=2,
+            f"observation at {first_observed} take its rate",
+            stacklevel=3,
         )
-    return series
 
 
 def staking_rates_at(
@@ -309,7 +314,7 @@ _DEFAULT_START = 1735689600  # 2025-01-01T00:00:00Z
 class SyntheticMarketSpec:
     """Recipe for one synthetic market's borrow-rate path.
 
-    ``rate_path`` is one of ``constant``, ``step``, ``sine``. The borrow rate
+    ``rate_path`` is ``constant`` or ``sine``. The borrow rate
     path is realized through the adaptive model: utilization stays at
     ``utilization`` and rate_at_target is back-solved so the observed rate
     follows the requested path (optionally with seeded noise).
@@ -323,12 +328,10 @@ class SyntheticMarketSpec:
     rate_level: float = 0.02
     amplitude: float = 0.0
     period_days: float = 14.0
-    step_day: float = 45.0
-    step_to: float = 0.04
     noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_path not in ("constant", "step", "sine"):
+        if self.rate_path not in ("constant", "sine"):
             raise DomainError(f"unknown rate_path {self.rate_path!r}")
         if not 0.0 < self.utilization < 1.0:
             raise DomainError("utilization must be in (0, 1)")
@@ -360,8 +363,6 @@ class SyntheticSpec:
 def _rate_at(spec: SyntheticMarketSpec, day: float, rng: random.Random) -> float:
     if spec.rate_path == "constant":
         rate = spec.rate_level
-    elif spec.rate_path == "step":
-        rate = spec.step_to if day >= spec.step_day else spec.rate_level
     else:
         rate = spec.rate_level + spec.amplitude * math.sin(
             2.0 * math.pi * day / spec.period_days

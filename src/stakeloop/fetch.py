@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .backtest import MarketMeta, SnapshotSeries, _optional_column
-from .data import DatasetManifest, save_snapshots, staking_rates_at
+from .data import DatasetManifest, _warn_back_fill, save_snapshots, staking_rates_at
 from .errors import DataError
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -65,7 +65,7 @@ query StakingRates($first: Int!, $skip: Int!) {
 """
 
 
-def http_transport(timeout: float = 30.0, api_key: str | None = None) -> Transport:
+def http_transport(api_key: str | None = None) -> Transport:
     """POST JSON to a GraphQL endpoint and return the decoded body."""
 
     def post(url: str, payload: dict) -> dict:
@@ -76,7 +76,7 @@ def http_transport(timeout: float = 30.0, api_key: str | None = None) -> Transpo
             url, data=json.dumps(payload).encode(), headers=headers
         )
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
+            with urllib.request.urlopen(request, timeout=30.0) as response:
                 return json.loads(response.read().decode())
         except urllib.error.HTTPError as exc:
             retry_after = exc.headers.get("Retry-After") if exc.headers else None
@@ -130,7 +130,6 @@ def _fetch_one_market(
     start: int,
     end: int,
     limiter: _RateLimiter,
-    chunk_days: int = 30,
 ) -> tuple[MarketMeta, dict[int, tuple[float, float, float, float | None]]]:
     """The market and, per complete hour, its supplied, borrowed, borrow
     rate and rate-at-target (None when not recorded)."""
@@ -141,7 +140,7 @@ def _fetch_one_market(
     lltv = None
     creation = ""
 
-    chunk = chunk_days * SECONDS_PER_DAY
+    chunk = 30 * SECONDS_PER_DAY
     cursor = start
     while cursor < end:
         options = {
@@ -268,4 +267,5 @@ def fetch_market_history(
     )
     out_dir = Path(out_dir)
     save_snapshots(series, DatasetManifest(chain, SECONDS_PER_HOUR, "fetched"), out_dir)
+    _warn_back_fill(out_dir, series.timestamps, staking[0][0])
     return out_dir

@@ -265,7 +265,7 @@ def _subgradient(
     target_amount = supplied * curve[2]
     # Amounts derived from the kink exposure can miss it by a few ulps; treat
     # anything that close as sitting on the kink.
-    kink_snap = 1e-12 * max(1.0, target_amount)
+    kink_snap = 1e-12 * target_amount
     lo, hi = rate + borrow_amount * lo_slope, rate + borrow_amount * hi_slope
     if abs(total - target_amount) <= kink_snap:
         return lo, hi

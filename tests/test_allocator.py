@@ -16,8 +16,6 @@ from stakeloop.allocator import (
     effective_staking_rate,
     expected_yield,
     solve,
-    solve_saturated,
-    solve_waterfilling_linear,
     verify_kkt,
     waterfilling_detail,
     yield_breakdown,
@@ -105,8 +103,7 @@ KINK_PINNED_MARKETS = [
 class TestSaturated:
     def test_single_market_with_headroom(self):
         p = ProblemInstance.uniform([LIN_A], 5.0, 0.03, 10.0)
-        alloc = solve_saturated(p)
-        assert alloc is not None
+        alloc = solve(p)
         assert alloc.exposures[0] == pytest.approx(5.625)
         assert alloc.unleveraged == pytest.approx(4.375)
         assert alloc.lambda_star == 0.03
@@ -117,15 +114,15 @@ class TestSaturated:
             "E", 100.0, 0.0, 0.945, LinearIrmParams(0.08, 0.04, 0.9)
         )
         p = ProblemInstance.uniform([expensive], 5.0, 0.03, 10.0)
-        alloc = solve_saturated(p)
-        assert alloc is not None
+        alloc = solve(p)
+        assert alloc.regime == SATURATED
         assert alloc.exposures == (0.0,)
         assert alloc.unleveraged == 10.0
         assert alloc.expected_yield == pytest.approx(0.3)
 
     def test_insufficient_budget_signals(self):
         p = ProblemInstance.uniform([LIN_A], 5.0, 0.03, 3.0)
-        assert solve_saturated(p) is None
+        assert solve(p).regime == UNSATURATED
 
 
 class TestSolve:
@@ -187,9 +184,7 @@ class TestSolve:
             markets, l_maxes, s, budget = random_instance(rng)
             p = ProblemInstance.of(markets, l_maxes, s, budget)
             alloc = solve(p)
-            saturated = solve_saturated(p)
-            if saturated is not None:
-                assert alloc.regime == SATURATED
+            if alloc.regime == SATURATED:
                 assert alloc.lambda_star == s
             else:
                 assert alloc.regime == UNSATURATED
@@ -334,7 +329,7 @@ class TestBreakpointSweep:
         else:
             p = ProblemInstance.uniform([LIN_A, LIN_B, KINK], 5.0, 0.03, 1e6)
             if case == "unsaturated":
-                p = replace(p, budget=math.fsum(solve_saturated(p).exposures) / 2.0)
+                p = replace(p, budget=math.fsum(solve(p).exposures) / 2.0)
         built, crossed = [], []
         pieces, between = allocator._pieces, allocator._between_floats
 
@@ -376,7 +371,7 @@ class TestWaterfilling:
 
     def test_single_market_closed_form(self):
         p = ProblemInstance.uniform([LIN_A], 5.0, 0.03, 3.0)
-        alloc = solve_waterfilling_linear(p)
+        alloc = waterfilling_detail(p).allocation
         # lambda* = beta - budget / alpha
         assert alloc.lambda_star == pytest.approx(0.11 - 3.0 / 70.3125)
 
@@ -400,7 +395,7 @@ class TestWaterfilling:
             l_max = rng.uniform(2.0, 6.0)
             s = rng.uniform(0.01, 0.05)
             p = ProblemInstance.uniform(markets, l_max, s, budget=1.0)
-            saturated_total = sum(solve_saturated(replace(p, budget=1e12)).exposures)
+            saturated_total = sum(solve(replace(p, budget=1e12)).exposures)
             if saturated_total <= 0.0:
                 continue
             budget = saturated_total * rng.uniform(0.05, 0.95)
@@ -419,7 +414,7 @@ class TestWaterfilling:
     def test_rejects_non_linear_models(self):
         p = ProblemInstance.uniform([KINK], 5.0, 0.03, 1.0)
         with pytest.raises(UnsupportedModelError):
-            solve_waterfilling_linear(p)
+            waterfilling_detail(p)
 
     def test_rejects_a_binding_liquidity_cap(self):
         # A is nearly drained: its cap of 0.25 binds well below the closed

@@ -143,6 +143,16 @@ class TestSeriesValidation:
             SnapshotSeries.from_rows((MarketMeta("m", 0.9),), (Snapshot(T0, rate, {"m": ms}),))
         assert err.value.records == [f"t={T0}: {problem}"]
 
+    @pytest.mark.parametrize(
+        "empty, message",
+        [(dict(markets=()), "series has no markets"), (dict(timestamps=()), "series has no snapshots")],
+        ids=["markets", "timestamps"],
+    )
+    def test_empty_series_rejected(self, empty, message):
+        with pytest.raises(ValidationError) as err:
+            replace(flat_series(hours=2), **empty)
+        assert str(err.value) == message
+
     def test_repeated_market_id_rejected(self):
         row = Snapshot(T0, 0.03, {"m": MarketSnapshot(10.0, 1.0, 0.02)})
         with pytest.raises(ValidationError) as err:
@@ -274,6 +284,11 @@ class TestSmoothing:
         with pytest.raises(DomainError):
             smooth_rates(flat_series(), SECONDS_PER_HOUR // 2)
 
+    def test_negative_window_rejected(self):
+        with pytest.raises(DomainError) as err:
+            smooth_rates(flat_series(), -SECONDS_PER_HOUR)
+        assert str(err.value) == "window must be positive, got -3600"
+
     def test_replays_refuse_the_windows_smoothing_refuses(self):
         series = flat_series()
         message = "window 1800s is shorter than the data cadence 3600s"
@@ -323,6 +338,19 @@ class TestApy:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             apy([0, 100], [1.0, -2.0])
+
+    @pytest.mark.parametrize(
+        "timestamps, equity, message",
+        [
+            ([0], [1.0], "equity curve needs at least two points"),
+            ([100, 100], [1.0, 1.0], "equity curve must span positive time"),
+        ],
+        ids=["one-mark", "no-time"],
+    )
+    def test_curve_without_a_span_rejected(self, timestamps, equity, message):
+        with pytest.raises(DomainError) as err:
+            apy(timestamps, equity)
+        assert str(err.value) == message
 
     def test_columns_of_different_lengths_rejected(self):
         with pytest.raises(DomainError, match="one mark per timestamp"):
@@ -439,6 +467,20 @@ class TestRunBacktest:
         years = (snaps[-1].timestamp - snaps[0].timestamp) / SECONDS_PER_YEAR
         expected = growth ** (1.0 / years) - 1.0
         assert result.apy == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (dict(rebalance_frequency=0), "rebalance_frequency must be positive"),
+            (dict(strategy="hodl"), "unknown strategy 'hodl'"),
+            (dict(smoothing_window=-1), "smoothing_window must be non-negative"),
+        ],
+        ids=["frequency", "strategy", "window"],
+    )
+    def test_config_value_out_of_range_rejected(self, field, message):
+        with pytest.raises(DomainError) as err:
+            config(**field)
+        assert str(err.value) == message
 
     def test_frequency_below_cadence_rejected(self):
         with pytest.raises(DomainError):
@@ -786,11 +828,11 @@ class TestSweeps:
 
     def test_sweep_smooths_once(self, monkeypatch):
         calls, checks = [], []
-        window_means, problems = backtest._window_means, SnapshotSeries._problems
+        replay_targets, problems = backtest._replay_targets, SnapshotSeries._problems
 
         def counting(series, window):
             calls.append(window)
-            return window_means(series, window)
+            return replay_targets(series, window)
 
         def checking(series, where):
             checks.append(where)
@@ -799,7 +841,7 @@ class TestSweeps:
         series = scenario_series()
         # One worker, so that the counters see every replay.
         monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(backtest, "_window_means", counting)
+        monkeypatch.setattr(backtest, "_replay_targets", counting)
         monkeypatch.setattr(SnapshotSeries, "_problems", checking)
         cfg = config(rebalance_frequency=SECONDS_PER_DAY)
         sweep_leverage(series, cfg, [3.0, 5.0], [1.0, 100.0, 1e4])

@@ -185,6 +185,14 @@ class TestOptimize:
             main(["optimize", "--budget", "3", "--no-such-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["optimize", "rebalance"])
+    def test_kkt_tolerance_is_no_flag(self, command, capsys):
+        # The certificate is always checked at 1e-8.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--budget", "3", "-s", "0.03", "--market", MARKET_A, "--kkt-tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kkt-tol 1e-6" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -304,6 +312,12 @@ class TestRebalanceCommand:
 
 
 class TestSynthAndBacktest:
+    def test_step_rate_path_refused(self, tmp_path, capsys):
+        spec = {"markets": [{"market_id": "m", "rate_path": "step"}], "days": 2}
+        code, out, err = run(["synth", "--spec", json.dumps(spec), "--out", str(tmp_path / "ds")], capsys)
+        assert (code, out, err) == (2, "", "error: unknown rate_path 'step'\n")
+        assert not (tmp_path / "ds").exists()
+
     def test_synth_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -836,6 +850,14 @@ class TestConfigHandling:
         assert "smoothng" in err
         assert "workers" not in err
 
+    def test_kkt_tolerance_is_no_config_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kkt_tol": 1e-6}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(config), "optimize", "--budget", "3", "-s", "0.03", "--market", MARKET_A])
+        assert exc.value.code == 2
+        assert "cannot read --config: unknown key(s) kkt_tol" in capsys.readouterr().err
+
     def test_config_key_of_another_subcommand_accepted(self, tmp_path, capsys):
         # fetch knows workers; sweep does not, and ignores it.
         config = tmp_path / "config.json"
@@ -1128,3 +1150,35 @@ class TestInputContract:
         code, out, err = run(["optimize", "--market", str(bad), "-s", "0.03", "--budget", "1"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: --market: invalid JSON in {bad} ('utf-8' codec can't decode byte 0xff")
+
+
+class TestTinyScales:
+    """Every tolerance scales with the quantity it bounds, so a pool or a
+    budget far below one unit is solved and certified as a large one is."""
+
+    LINEAR = {"kind": "linear", "r_base": 0.01, "r_slope1": 0.01, "u_target": 0.9}
+    ADAPTIVE = {"kind": "adaptive", "rate_at_target": 0.02, "curve_steepness": 4.0,
+                "u_target": 0.9, "adjustment_speed": 50.0}
+
+    @pytest.mark.parametrize(
+        "supplied, irm", [(1e-12, LINEAR), (1e-9, LINEAR), (1e-300, ADAPTIVE)],
+        ids=["linear-1e-12", "linear-1e-9", "adaptive-1e-300"],
+    )
+    def test_market_with_a_tiny_pool_is_certified(self, supplied, irm, capsys):
+        market = {"id": "m", "supplied": supplied, "borrowed": 0.0, "max_ltv": 0.9, "irm": irm}
+        code, out, _ = run(["optimize", "-s", "0.03", "--budget", "1", "--market", json.dumps(market)], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "kkt             pass (tol 1e-08)"
+
+    def test_tiny_budgets_earn_one_apy(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "volatile", "--seed", "0", "--out", str(ds)], capsys)
+        code, out, _ = run(
+            ["sweep", "--dataset", str(ds), "--budgets", "1e-300,1e-30,1e-12", "--frequency", "1d"], capsys
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "budget 1e-300 apy 3.89169%",
+            "budget 1e-30 apy 3.89169%",
+            "budget 1e-12 apy 3.89169%",
+        ]

@@ -113,6 +113,26 @@ class TestSynthetic:
         with pytest.raises(DomainError, match="cadence_seconds must be a positive integer"):
             SyntheticSpec(markets=(SyntheticMarketSpec(market_id="m"),), cadence_seconds=cadence)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SyntheticMarketSpec("m", rate_path="step"), "unknown rate_path 'step'"),
+            (lambda: SyntheticMarketSpec("m", utilization=1.0), "utilization must be in (0, 1)"),
+            (lambda: SyntheticMarketSpec("m", supplied=0.0), "supplied and rate_level must be positive"),
+            (lambda: SyntheticMarketSpec("m", noise=-0.1), "noise and amplitude must be non-negative"),
+            (lambda: SyntheticSpec(markets=()), "at least one synthetic market is required"),
+            (
+                lambda: SyntheticSpec(markets=(SyntheticMarketSpec("m"),), staking_rate=-0.01),
+                "staking_rate must be non-negative",
+            ),
+        ],
+        ids=["step-path", "utilization", "supplied", "noise", "no-markets", "staking"],
+    )
+    def test_spec_out_of_range_rejected(self, build, message):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == message
+
 
 class TestRoundTrip:
     def test_save_and_load_identical(self, tmp_path):
@@ -156,6 +176,16 @@ class TestRoundTrip:
         assert all(s.staking_rate == series.snapshots[0].staking_rate for s in loaded.snapshots)
 
 
+def _edit_manifest(edit):
+    def mutate(directory):
+        path = directory / "manifest.json"
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
+
+    return mutate
+
+
 class TestValidation:
     def _write(self, tmp_path, mutate):
         series, manifest = generate_synthetic(
@@ -166,6 +196,33 @@ class TestValidation:
         save_snapshots(series, manifest, directory)
         mutate(directory)
         return directory
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_edit_manifest(lambda raw: raw.update(source="scraped")),
+             "{ds}/manifest.json: unknown source 'scraped'"),
+            (lambda ds: (ds / "manifest.json").write_text("not json"),
+             "{ds}/manifest.json: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+            (_edit_manifest(lambda raw: raw.update(schema_version=2)),
+             "{ds}/manifest.json: schema_version 2 unsupported (expected 1)"),
+            (_edit_manifest(lambda raw: raw.pop("chain")), "{ds}/manifest.json: missing manifest field 'chain'"),
+            (_edit_manifest(lambda raw: raw.update(markets=[])), "dataset at {ds} has no market files"),
+            (lambda ds: (ds / "market_m.csv").unlink(), "file not found: {ds}/market_m.csv"),
+            (lambda ds: (ds / "market_m.csv").write_text(""), "{ds}/market_m.csv: empty file"),
+            (lambda ds: (ds / "staking.csv").write_text("time,rate\n"),
+             "{ds}/staking.csv: expected header timestamp,staking_rate"),
+            (lambda ds: (ds / "staking.csv").write_text("timestamp,staking_rate\n"),
+             "{ds}: staking series is empty"),
+        ],
+        ids=["source", "json", "schema-version", "missing-field", "no-markets", "no-file",
+             "empty-file", "header", "no-staking"],
+    )
+    def test_malformed_dataset_rejected(self, mutate, message, tmp_path):
+        directory = self._write(tmp_path, mutate)
+        with pytest.raises(DataError) as err:
+            load_snapshots(directory)
+        assert str(err.value) == message.format(ds=directory)
 
     def test_borrowed_over_supplied_names_market_and_timestamp(self, tmp_path):
         def corrupt(directory):

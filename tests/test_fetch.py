@@ -71,6 +71,21 @@ class FakeApi:
         }
 
 
+def half_hour_apart(market_id):
+    """A ``FakeApi`` whose ``market_id`` series sit half an hour after the others."""
+    api = FakeApi()
+
+    def shifted(url, payload):
+        body = api(url, payload)
+        if payload["variables"].get("id") == market_id:
+            for points in body["data"]["market"]["historicalState"].values():
+                for point in points:
+                    point["x"] += SECONDS_PER_HOUR // 2
+        return body
+
+    return shifted
+
+
 class TestFetch:
     def test_writes_loadable_dataset(self, tmp_path):
         api = FakeApi()
@@ -222,6 +237,63 @@ class TestFetch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             load_snapshots(out)
+
+    def test_staking_that_starts_late_is_back_filled_with_a_warning(self, tmp_path):
+        first = T0 + 5 * SECONDS_PER_HOUR
+        with pytest.warns(UserWarning) as caught:
+            out = fetch_market_history(
+                ["mkt-1"],
+                start=T0,
+                end=T0 + 3 * SECONDS_PER_DAY,
+                out_dir=tmp_path / "ds",
+                transport=FakeApi(),
+                staking_endpoint="graphql://staking",
+                min_interval=0.0,
+            )
+        # The text that load_snapshots gives for a back-fill.
+        assert [str(w.message) for w in caught] == [
+            f"dataset at {out}: 5 snapshot(s) before the first staking observation at {first} take its rate"
+        ]
+
+    def test_flat_staking_rate_fetch_gives_no_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fetch_market_history(
+                ["mkt-1"],
+                start=T0,
+                end=T0 + SECONDS_PER_DAY,
+                out_dir=tmp_path / "ds",
+                transport=FakeApi(),
+                staking_rate=0.05,
+                min_interval=0.0,
+            )
+
+    @pytest.mark.parametrize(
+        "ids, start, end, transport, message",
+        [
+            ([], T0, T0 + SECONDS_PER_DAY, FakeApi, "market id list must not be empty"),
+            (["mkt-1"], T0, T0, FakeApi, "end must be after start"),
+            (["mkt-1"], T0 + 30 * SECONDS_PER_DAY, T0 + 31 * SECONDS_PER_DAY, FakeApi,
+             f"no staking rates in [{T0 + 30 * SECONDS_PER_DAY}, {T0 + 31 * SECONDS_PER_DAY}] "
+             "from graphql://staking"),
+            (["mkt-1", "mkt-2"], T0, T0 + SECONDS_PER_DAY, lambda: half_hour_apart("mkt-2"),
+             "markets share no common timestamps in the range"),
+        ],
+        ids=["no-ids", "empty-range", "no-staking", "no-common-grid"],
+    )
+    def test_unusable_request_or_answer_writes_nothing(self, ids, start, end, transport, message, tmp_path):
+        with pytest.raises(DataError) as err:
+            fetch_market_history(
+                ids,
+                start=start,
+                end=end,
+                out_dir=tmp_path / "ds",
+                transport=transport(),
+                staking_endpoint="graphql://staking",
+                min_interval=0.0,
+            )
+        assert str(err.value) == message
+        assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("parallelism", [0, -1])
     def test_parallelism_below_one_refused_before_any_request(self, tmp_path, parallelism):

@@ -125,21 +125,22 @@ def test_borrow_rate_matches_the_oracle_at_the_breakpoints(market, point, log2_s
 
 
 @st.composite
-def market_instances(draw, min_n: int = 1, max_n: int = 50):
-    """``(markets, instance)``: the market states and the instance they compile to."""
+def market_instances(draw, min_n: int = 1, max_n: int = 50, shares=st.floats(1e-6, 1.2)):
+    """``(markets, instance)``: the market states and the instance they
+    compile to, its budget a draw of ``shares`` times the saturated total."""
     n = draw(st.integers(min_n, max_n))
     pool = [draw(markets(i)) for i in range(n)]
     l_max = draw(st.floats(1.5, 10.0))
     s = draw(st.floats(0.005, 0.08))
     saturated = math.fsum(market_response(m, l_max, s, s) for m in pool)
     # Mostly below the saturated total, where the shadow rate is swept for.
-    share = draw(st.floats(1e-6, 1.2))
+    share = draw(shares)
     budget = share * saturated if saturated > 0.0 else share
     return pool, ProblemInstance.uniform(pool, l_max, s, budget)
 
 
-def instances(min_n: int = 1, max_n: int = 50):
-    return market_instances(min_n, max_n).map(lambda case: case[1])
+def instances(min_n: int = 1, max_n: int = 50, shares=st.floats(1e-6, 1.2)):
+    return market_instances(min_n, max_n, shares).map(lambda case: case[1])
 
 
 def assert_certified(p: ProblemInstance) -> None:
@@ -155,6 +156,17 @@ def assert_certified(p: ProblemInstance) -> None:
 @given(instances())
 def test_solve_is_certified_and_spends_the_budget(p):
     assert_certified(p)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(instances(max_n=4, shares=st.floats(-40.0, -9.0).map(lambda e: 10.0**e)))
+def test_solve_is_certified_and_spends_tiny_budgets(p):
+    # Every tolerance scales with what it bounds, so a budget far below one
+    # unit is spent to the solver's relative tolerance and certified.
+    alloc = solve(p)
+    assert verify_kkt(alloc, p, 1e-8).passed
+    total = math.fsum(alloc.exposures) + alloc.unleveraged
+    assert abs(total - p.budget) <= 1e-9 * p.budget
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
