@@ -74,7 +74,14 @@ class ProblemInstance:
             raise DomainError(f"staking_rate must be finite, got {self.staking_rate}")
         if len(set(ids)) < len(ids):
             raise DomainError(f"duplicate market id {next(i for i in ids if ids.count(i) > 1)}")
-        object.__setattr__(self, "l_max", tuple(map(itemgetter(0), self.forms)))
+        l_max = tuple(map(itemgetter(0), self.forms))
+        # No holding's cash flow passes budget · l_max · |s| per year.
+        if not math.isfinite(self.budget * max(l_max) * abs(self.staking_rate)):
+            raise DomainError(
+                f"staking_rate {self.staking_rate} overflows the cash flow of "
+                f"budget {self.budget} at l_max {max(l_max)}"
+            )
+        object.__setattr__(self, "l_max", l_max)
 
     @classmethod
     def of(

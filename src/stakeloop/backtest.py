@@ -20,8 +20,8 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field, replace
-from itertools import accumulate, chain, repeat
-from operator import add, le, lt, mul, sub, truediv
+from itertools import accumulate, repeat
+from operator import add, mul, sub, truediv
 from typing import Callable, Mapping, TypeVar
 
 from .allocator import Allocation, ProblemInstance
@@ -119,23 +119,14 @@ class SnapshotSeries:
         ts = self.timestamps
         ids = Counter(m.market_id for m in self.markets)
         problems = [f"market {mid}: listed {count} times" for mid, count in ids.items() if count > 1]
-        staking = self.staking_rates
-        # Each record loop runs only where a scan of whole columns fails.
-        if not (
-            len(staking) == len(ts)
-            and all(map(isinstance, ts, repeat(int)))
-            and all(map(lt, ts, ts[1:]))
-            and _finite_floats(staking)
-            and min(staking) >= 0.0
-        ):
-            for k, (t, s) in enumerate(zip(ts, staking, strict=True)):
-                if not isinstance(t, int):
-                    problems.append(f"{where(k, None)}: timestamp {t!r} is not an integer")
-                elif k and t <= ts[k - 1]:
-                    problems.append(f"{where(k, None)}: timestamp {t} out of order")
-                if not 0.0 <= s < math.inf:
-                    bad = "negative staking rate" if s < 0.0 else f"staking_rate {s} is not finite"
-                    problems.append(f"{where(k, None)}: {bad}")
+        for k, (t, s) in enumerate(zip(ts, self.staking_rates, strict=True)):
+            if not isinstance(t, int):
+                problems.append(f"{where(k, None)}: timestamp {t!r} is not an integer")
+            elif k and t <= ts[k - 1]:
+                problems.append(f"{where(k, None)}: timestamp {t} out of order")
+            if not 0.0 <= s < math.inf:
+                bad = "negative staking rate" if s < 0.0 else f"staking_rate {s} is not finite"
+                problems.append(f"{where(k, None)}: {bad}")
         per_market = (self.supplied, self.borrowed, self.borrow_rate, self.rate_at_target)
         for i, (meta, *columns, targets) in enumerate(zip(self.markets, *per_market, strict=True)):
             if targets is not None and None in targets:
@@ -144,18 +135,6 @@ class SnapshotSeries:
                     f"{len(targets) - targets.count(None)} of {len(targets)} snapshots; "
                     "must be all or none"
                 )
-            supplied, borrowed, rates = columns
-            if (
-                len(supplied) == len(borrowed) == len(rates) == len(ts)
-                and (targets is None or len(targets) == len(ts))
-                and _finite_floats(supplied, borrowed, rates, targets or ())
-                and min(supplied) > 0.0
-                and min(borrowed) >= 0.0
-                and all(map(le, borrowed, supplied))
-                and min(rates) >= 0.0
-                and (targets is None or min(targets) > 0.0)
-            ):
-                continue
             records = zip(ts, *columns, targets or (None,) * len(ts), strict=True)
             for k, (_, s, b, r, t) in enumerate(records):
                 # NaN fails every comparison, so only good records pass this test.
@@ -228,13 +207,6 @@ class _Rows(Sequence):
             for m, s, b, r, t in columns
         }
         return Snapshot(x.timestamps[k], x.staking_rates[k], markets)
-
-
-def _finite_floats(*columns: Sequence) -> bool:
-    """Whether every value of the columns is a finite float."""
-    return all(map(isinstance, chain(*columns), repeat(float))) and all(
-        map(math.isfinite, chain(*columns))
-    )
 
 
 def _optional_column(values: tuple) -> tuple | None:

@@ -30,19 +30,22 @@ from .rebalance import HOLD, FeeModel, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
-def _sig(value: float, digits: int = 6) -> str:
-    return f"{value:.{digits}g}"
+def _sig(value: float) -> str:
+    return f"{value:.6g}"
 
 
-def _parse_duration(text: str) -> int:
-    """Durations like 1h, 4h, 1d, or plain seconds."""
+def _parse_duration(text: str, flag: str) -> int:
+    """Durations like 1h, 4h, 1d, or plain seconds; an error names ``flag``."""
     text = text.strip().lower()
     unit = {"h": SECONDS_PER_HOUR, "d": SECONDS_PER_DAY}.get(text[-1:])
-    if unit is None:
-        return int(text)
-    seconds = float(text[:-1]) * unit
+    try:
+        if unit is None:
+            return int(text)
+        seconds = float(text[:-1]) * unit
+    except ValueError:
+        raise DataError(f"{flag}: {text!r} is not a duration (use 1h, 1d, or whole seconds)") from None
     if not math.isfinite(seconds):
-        raise DataError(f"duration {text} is not finite")
+        raise DataError(f"{flag}: duration {text} is not finite")
     return int(seconds)
 
 
@@ -215,11 +218,11 @@ def _config_from_args(args) -> bt.BacktestConfig:
     return bt.BacktestConfig(
         budget=args.budget,
         l_max=args.l_max,
-        rebalance_frequency=_parse_duration(args.frequency),
+        rebalance_frequency=_parse_duration(args.frequency, "--frequency"),
         strategy=args.strategy,
         threshold=args.threshold_bps / 1e4,
         fees=_fees_from_args(args),
-        smoothing_window=_parse_duration(args.smoothing),
+        smoothing_window=_parse_duration(args.smoothing, "--smoothing"),
         gate_net_of_costs=args.gate == "net",
         irm=irm,
     )
@@ -252,10 +255,14 @@ def _cmd_backtest(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
-    values = [float(x) for x in text.split(",") if x.strip()]
+def _parse_float_list(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated list; an error names ``flag``."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise DataError(f"{flag}: {exc}") from None
     if not values:
-        raise StakeloopError("empty list")
+        raise DataError(f"{flag}: empty list")
     return values
 
 
@@ -273,8 +280,8 @@ def _check_labels(levels: list[float]) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    budgets = _parse_float_list(args.budgets)
-    levels = _parse_float_list(args.l_max_list) if args.l_max_list else []
+    budgets = _parse_float_list(args.budgets, "--budgets")
+    levels = _parse_float_list(args.l_max_list, "--l-max-list") if args.l_max_list else []
     _check_labels(levels)
     series = datamod.load_snapshots(Path(args.dataset))
     # Each replay takes its budget from --budgets; a --budget given is only checked.

@@ -314,31 +314,31 @@ _DEFAULT_START = 1735689600  # 2025-01-01T00:00:00Z
 class SyntheticMarketSpec:
     """Recipe for one synthetic market's borrow-rate path.
 
-    ``rate_path`` is ``constant`` or ``sine``. The borrow rate
-    path is realized through the adaptive model: utilization stays at
-    ``utilization`` and rate_at_target is back-solved so the observed rate
-    follows the requested path (optionally with seeded noise).
+    The borrow rate is ``rate_level``, plus a sine of ``amplitude`` and
+    ``period_days`` when the amplitude is not 0. The path is realized
+    through the adaptive model: utilization stays at ``utilization`` and
+    rate_at_target is back-solved so the observed rate follows the path
+    (optionally with seeded noise).
     """
 
     market_id: str
     lltv: float = 0.945
     supplied: float = 2000.0
     utilization: float = 0.8
-    rate_path: str = "constant"
     rate_level: float = 0.02
     amplitude: float = 0.0
     period_days: float = 14.0
     noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_path not in ("constant", "sine"):
-            raise DomainError(f"unknown rate_path {self.rate_path!r}")
         if not 0.0 < self.utilization < 1.0:
             raise DomainError("utilization must be in (0, 1)")
         if self.supplied <= 0.0 or self.rate_level <= 0.0:
             raise DomainError("supplied and rate_level must be positive")
         if self.noise < 0.0 or self.amplitude < 0.0:
             raise DomainError("noise and amplitude must be non-negative")
+        if not 0.0 < self.period_days < math.inf:
+            raise DomainError(f"period_days must be positive and finite, got {self.period_days}")
 
 
 @dataclass(frozen=True)
@@ -358,15 +358,19 @@ class SyntheticSpec:
         _check_cadence(self.cadence_seconds)
         if self.staking_rate < 0.0:
             raise DomainError("staking_rate must be non-negative")
+        for m in self.markets:
+            # The phase at ``days`` bounds, to within rounding, every phase _rate_at computes.
+            if m.amplitude and math.isinf(2.0 * math.pi * self.days / m.period_days):
+                raise DomainError(
+                    f"period_days {m.period_days} of market {m.market_id} is too short "
+                    f"for {self.days} days: the sine's phase overflows"
+                )
 
 
 def _rate_at(spec: SyntheticMarketSpec, day: float, rng: random.Random) -> float:
-    if spec.rate_path == "constant":
-        rate = spec.rate_level
-    else:
-        rate = spec.rate_level + spec.amplitude * math.sin(
-            2.0 * math.pi * day / spec.period_days
-        )
+    rate = spec.rate_level
+    if spec.amplitude:
+        rate += spec.amplitude * math.sin(2.0 * math.pi * day / spec.period_days)
     if spec.noise > 0.0:
         rate += rng.uniform(-spec.noise, spec.noise)
     return max(rate, 1e-6)
@@ -415,7 +419,6 @@ _SCENARIOS = {
         markets=(
             SyntheticMarketSpec(
                 market_id="core",
-                rate_path="sine",
                 rate_level=0.029,
                 amplitude=0.012,
                 period_days=18.0,
@@ -424,7 +427,6 @@ _SCENARIOS = {
                 market_id="alt",
                 supplied=800.0,
                 utilization=0.75,
-                rate_path="sine",
                 rate_level=0.031,
                 amplitude=0.010,
                 period_days=11.0,
@@ -447,7 +449,6 @@ _SCENARIOS = {
         markets=(
             SyntheticMarketSpec(
                 market_id="core",
-                rate_path="sine",
                 rate_level=0.030,
                 amplitude=0.006,
                 period_days=4.0,
@@ -457,7 +458,6 @@ _SCENARIOS = {
                 market_id="alt",
                 supplied=1200.0,
                 utilization=0.75,
-                rate_path="sine",
                 rate_level=0.032,
                 amplitude=0.007,
                 period_days=2.5,

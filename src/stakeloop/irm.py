@@ -164,10 +164,6 @@ class MarketState:
         _curve_of(self.irm)
 
     @property
-    def utilization(self) -> float:
-        return self.borrowed / self.supplied
-
-    @property
     def available_liquidity(self) -> float:
         return self.supplied - self.borrowed
 

@@ -257,6 +257,31 @@ class TestBreakpointSweep:
         assert math.fsum(alloc.exposures) == pytest.approx(10.0, rel=1e-12)
         assert verify_kkt(alloc, p, 1e-8).passed
 
+    def test_bisection_lowers_its_upper_end(self, monkeypatch):
+        # At l_max = 1 + 2**-44 no float shadow rate spends the budget. The
+        # cheap market A is capped at a tenth of the budget, so the summed
+        # response falls below the budget well under the highest entry level,
+        # where the bisection starts its upper end, and that end comes down.
+        m = 2.0**-44
+        cheap = MarketState("A", 1.0, 1.0 - 0.1 * m, 0.9, LinearIrmParams(0.004, 0.001, 0.9))
+        deep = MarketState("B", 1e3, 0.0, 0.9, LinearIrmParams(0.01, 0.01, 0.9))
+        p = ProblemInstance.uniform([cheap, deep], 1.0 + m, 0.03, 1.0)
+        starts = []
+        between = allocator._between_floats
+
+        def spy(p, pieces, s):
+            starts.append(max(market_pieces[0][0] for market_pieces in pieces if market_pieces))
+            return between(p, pieces, s)
+
+        monkeypatch.setattr(allocator, "_between_floats", spy)
+        alloc = solve(p)
+        assert len(starts) == 1
+        # The bisection ends on adjacent floats lo < hi; had hi stayed at its
+        # start, lo would be the float just below it.
+        assert alloc.lambda_star < math.nextafter(starts[0], -math.inf)
+        assert verify_kkt(alloc, p, 1e-9).passed
+        assert abs(math.fsum(alloc.exposures) + alloc.unleveraged - p.budget) <= 1e-9 * p.budget
+
     def test_crossing_below_a_cap_breakpoint(self):
         # F is near flat and small: it enters at 0.198 and is capped at
         # 1 by 0.1971. The budget leaves LIN_A alone on the margin, at
@@ -428,6 +453,12 @@ class TestWaterfilling:
         assert alloc.exposures == pytest.approx((0.25, 1.75))
         assert verify_kkt(alloc, p, 1e-9).passed
 
+    def test_rejects_a_flat_rate_curve(self):
+        flat = MarketState("F", 100.0, 0.0, 0.945, LinearIrmParams(0.01, 0.0, 0.9))
+        with pytest.raises(UnsupportedModelError) as exc:
+            waterfilling_detail(ProblemInstance.uniform([LIN_A, flat], 5.0, 0.03, 1.0))
+        assert str(exc.value) == "market F has a flat rate curve; the closed form needs a positive slope"
+
 
 class TestYield:
     def test_pure_staking(self):
@@ -478,6 +509,13 @@ class TestYield:
             expected_yield(alloc, p)
         with pytest.raises(ConstraintError):
             yield_breakdown(alloc, p)
+
+    def test_exposure_beyond_liquidity_rejected(self):
+        # B lends 50 at l_max 5, so it takes an exposure of at most 12.5.
+        p = two_linear(20.0)
+        with pytest.raises(ConstraintError) as exc:
+            expected_yield(Allocation.from_position(p.market_ids, [0.0, 20.0], 0.0), p)
+        assert str(exc.value) == "exposure 20.0 exceeds liquidity of market B"
 
 
 class TestVerifyKkt:
@@ -587,6 +625,19 @@ class TestVerifyKkt:
         with pytest.raises(DomainError, match=message):
             replace(p, **change)
 
+    def test_markets_and_caps_of_different_lengths_rejected(self):
+        with pytest.raises(DomainError) as exc:
+            ProblemInstance.of([LIN_A, LIN_B], [5.0], 0.03, 6.0)
+        assert str(exc.value) == "markets and l_max must have the same length"
+
+    @pytest.mark.parametrize("s", [1e308, -1e308])
+    def test_staking_rate_whose_cash_flow_overflows_rejected(self, s):
+        with pytest.raises(DomainError) as exc:
+            ProblemInstance.uniform([LIN_A, LIN_B], 5.0, s, 3.0)
+        assert str(exc.value) == f"staking_rate {s} overflows the cash flow of budget 3.0 at l_max 5.0"
+        p = ProblemInstance.uniform([LIN_A, LIN_B], 5.0, s / 1e8, 3.0)
+        assert verify_kkt(solve(p), p, 1e-8).passed
+
     def test_instances_of_different_markets_differ(self):
         def compiled(markets):
             p = ProblemInstance.uniform(markets, 5.0, 0.03, 6.0)
@@ -611,6 +662,11 @@ class TestEffectiveStakingRate:
         values = [effective_staking_rate(lam / 100, 0.03, 4.0) for lam in range(3, 20)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert all(v <= 0.03 for v in values)
+
+    def test_cap_of_one_rejected(self):
+        with pytest.raises(DomainError) as exc:
+            effective_staking_rate(0.04, 0.03, 1.0)
+        assert str(exc.value) == "l_max must exceed 1, got 1.0"
 
 
 class TestOracleEquivalence:

@@ -814,6 +814,11 @@ class TestSweeps:
         with pytest.raises(DomainError, match="l_max must be at least 1 and finite"):
             sweep_leverage(scenario_series(), cfg, [3.0, math.nan], [1.0])
 
+    def test_empty_cap_list_rejected(self):
+        with pytest.raises(DomainError) as exc:
+            sweep_leverage(scenario_series(), config(rebalance_frequency=SECONDS_PER_DAY), [], [1.0])
+        assert str(exc.value) == "l_max list must not be empty"
+
     @pytest.mark.parametrize("caps", [[3.0, 30.0], [30.0, 3.0]], ids=["last", "first"])
     def test_bad_cap_is_refused_before_any_replay(self, monkeypatch, caps):
         replays = []

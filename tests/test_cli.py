@@ -315,7 +315,24 @@ class TestSynthAndBacktest:
     def test_step_rate_path_refused(self, tmp_path, capsys):
         spec = {"markets": [{"market_id": "m", "rate_path": "step"}], "days": 2}
         code, out, err = run(["synth", "--spec", json.dumps(spec), "--out", str(tmp_path / "ds")], capsys)
-        assert (code, out, err) == (2, "", "error: unknown rate_path 'step'\n")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --spec: SyntheticMarketSpec.__init__() got an unexpected keyword argument 'rate_path'\n"
+        )
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize(
+        "period, message",
+        [
+            (0, "period_days must be positive and finite, got 0"),
+            (1e-320, "period_days 1e-320 of market m is too short for 2 days: the sine's phase overflows"),
+        ],
+        ids=["zero", "phase-overflow"],
+    )
+    def test_period_days_refused(self, period, message, tmp_path, capsys):
+        spec = {"markets": [{"market_id": "m", "amplitude": 0.01, "period_days": period}], "days": 2}
+        code, out, err = run(["synth", "--spec", json.dumps(spec), "--out", str(tmp_path / "ds")], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "ds").exists()
 
     def test_synth_deterministic(self, tmp_path, capsys):
@@ -1182,3 +1199,124 @@ class TestTinyScales:
             "budget 1e-30 apy 3.89169%",
             "budget 1e-12 apy 3.89169%",
         ]
+
+
+def _strict_json(text):
+    """JSON as the standard defines it: no Infinity and no NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStakingRateOverflow:
+    """A staking rate whose cash flow overflows a float is refused, not
+    printed as Infinity or NaN."""
+
+    REBALANCE = ["--current", '{"exposures": {"A": 1}, "unleveraged": 2}', "--gamma-plus", "0.01"]
+
+    @pytest.mark.parametrize("command", [["optimize"], ["rebalance", *REBALANCE]], ids=["optimize", "rebalance"])
+    def test_overflowing_staking_rate_exits_2(self, command, capsys):
+        code, out, err = run(["--json", *command, "-s", "1e308", "--budget", "3", "--market", MARKET_A], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: staking_rate 1e+308 overflows the cash flow of budget 3.0 at l_max 5.0\n"
+
+    def test_large_finite_cash_flow_is_solved_and_certified(self, capsys):
+        code, out, _ = run(["--json", "optimize", "-s", "1e300", "--budget", "3", "--market", MARKET_A], capsys)
+        assert code == 0
+        payload = _strict_json(out)
+        assert payload["kkt_passed"] is True
+        assert math.isfinite(payload["expected_yield"])
+        code, out, _ = run(
+            ["--json", "rebalance", *self.REBALANCE, "-s", "1e300", "--budget", "3", "--market", MARKET_A],
+            capsys,
+        )
+        assert code == 0
+        assert math.isfinite(_strict_json(out)["net_gain_rate"])
+
+
+class TestParseErrorsNameTheFlag:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["backtest", "--budget", "1", "--frequency", "1.5"],
+             "--frequency: '1.5' is not a duration (use 1h, 1d, or whole seconds)"),
+            (["backtest", "--budget", "1", "--frequency", "h"],
+             "--frequency: 'h' is not a duration (use 1h, 1d, or whole seconds)"),
+            (["backtest", "--budget", "1", "--frequency", "infh"], "--frequency: duration infh is not finite"),
+            (["backtest", "--budget", "1", "--smoothing", "x"],
+             "--smoothing: 'x' is not a duration (use 1h, 1d, or whole seconds)"),
+            (["sweep", "--budgets", "abc"], "--budgets: could not convert string to float: 'abc'"),
+            (["sweep", "--budgets", ","], "--budgets: empty list"),
+            (["sweep", "--budgets", "1", "--l-max-list", "3,x"],
+             "--l-max-list: could not convert string to float: 'x'"),
+        ],
+        ids=["frequency-fraction", "frequency-unit-only", "frequency-inf", "smoothing", "budgets",
+             "budgets-empty", "l-max-list"],
+    )
+    def test_exits_2_naming_the_flag(self, argv, message, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        assert run([*argv, "--dataset", str(ds)], capsys) == (2, "", f"error: {message}\n")
+
+
+class TestRefusals:
+    """Refusals of the commands, each pinned with its text."""
+
+    def test_market_files_on_different_grids(self, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        path = ds / "market_alt.csv"
+        lines = path.read_text().splitlines()
+        lines[-1] = ",".join([str(int(lines[-1].split(",")[0]) + 1), *lines[-1].split(",")[1:]])
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: dataset at {ds} failed validation (1 records)\n"
+            f"  {path}: timestamp grid differs from market core\n"
+        )
+
+    def test_one_snapshot_dataset(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        spec = {"markets": [{"market_id": "m"}], "days": 1e-9}
+        assert run(["synth", "--spec", json.dumps(spec), "--out", str(ds)], capsys)[0] == 0
+        code, out, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert (code, out, err) == (2, "", "error: series needs at least two snapshots\n")
+
+    def test_manifest_lltv_out_of_range(self, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        manifest = ds / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["markets"][0]["lltv"] = 1.5
+        manifest.write_text(json.dumps(raw))
+        code, out, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert (code, out, err) == (2, "", f"error: {manifest}: max_ltv must be in (0, 1), got 1.5\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["optimize", "-s", "0.03", "--budget", "1"],
+             "no markets given (use --markets, --market, or --dataset)"),
+            (["synth", "--out", "ds"], "use --scenario or --spec"),
+            (["synth", "--spec", '{"markets": [{"market_id": "m"}], "bogus": 1}', "--out", "ds"],
+             "--spec: SyntheticSpec.__init__() got an unexpected keyword argument 'bogus'"),
+            (["rebalance", "-s", "0.03", "--budget", "3", "--market", MARKET_A, "--current",
+              '{"exposures": {"A": 1}, "unleveraged": 2}', "--gamma-plus", "1"],
+             "fee rates must be in [0, 1)"),
+        ],
+        ids=["no-markets", "no-synth-source", "synth-spec-field", "fee-rate"],
+    )
+    def test_command_refused(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "ds").exists()
+
+    def test_rate_model_with_an_unknown_field(self, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        code, out, err = run(
+            ["backtest", "--dataset", str(ds), "--budget", "1", "--irm", '{"kind": "linear", "bogus": 1}'], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --irm: bad rate model fields for kind 'linear': "
+            "LinearIrmParams.__init__() got an unexpected keyword argument 'bogus'\n"
+        )

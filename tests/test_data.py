@@ -59,7 +59,6 @@ class TestSynthetic:
             markets=(
                 SyntheticMarketSpec(
                     market_id="m",
-                    rate_path="sine",
                     rate_level=0.031,
                     amplitude=0.01,
                     period_days=10.0,
@@ -116,7 +115,10 @@ class TestSynthetic:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: SyntheticMarketSpec("m", rate_path="step"), "unknown rate_path 'step'"),
+            (
+                lambda: SyntheticMarketSpec("m", period_days=0.0),
+                "period_days must be positive and finite, got 0.0",
+            ),
             (lambda: SyntheticMarketSpec("m", utilization=1.0), "utilization must be in (0, 1)"),
             (lambda: SyntheticMarketSpec("m", supplied=0.0), "supplied and rate_level must be positive"),
             (lambda: SyntheticMarketSpec("m", noise=-0.1), "noise and amplitude must be non-negative"),
@@ -126,12 +128,39 @@ class TestSynthetic:
                 "staking_rate must be non-negative",
             ),
         ],
-        ids=["step-path", "utilization", "supplied", "noise", "no-markets", "staking"],
+        ids=["period", "utilization", "supplied", "noise", "no-markets", "staking"],
     )
     def test_spec_out_of_range_rejected(self, build, message):
         with pytest.raises(DomainError) as err:
             build()
         assert str(err.value) == message
+
+    def test_flat_market_is_its_rate_level_at_every_snapshot(self):
+        spec = SyntheticSpec(markets=(SyntheticMarketSpec("m", rate_level=0.023, period_days=3.0),), days=5.0)
+        series, _ = generate_synthetic(spec, seed=0)
+        assert series.borrow_rate == ((0.023,) * len(series.timestamps),)
+
+    def test_amplitude_alone_gives_the_sine(self):
+        market = SyntheticMarketSpec("m", rate_level=0.03, amplitude=0.01, period_days=2.0)
+        series, _ = generate_synthetic(SyntheticSpec(markets=(market,), days=4.0), seed=0)
+        days = [(t - series.timestamps[0]) / SECONDS_PER_DAY for t in series.timestamps]
+        assert series.borrow_rate == (tuple(0.03 + 0.01 * math.sin(2.0 * math.pi * d / 2.0) for d in days),)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -1.0])
+    def test_period_that_is_not_positive_and_finite_rejected(self, period):
+        with pytest.raises(DomainError) as err:
+            SyntheticMarketSpec("m", period_days=period)
+        assert str(err.value) == f"period_days must be positive and finite, got {period}"
+
+    def test_period_whose_phase_overflows_rejected(self):
+        market = SyntheticMarketSpec("m", amplitude=0.01, period_days=1e-320)
+        with pytest.raises(DomainError) as err:
+            SyntheticSpec(markets=(market,), days=2.0)
+        assert str(err.value) == (
+            "period_days 1e-320 of market m is too short for 2.0 days: the sine's phase overflows"
+        )
+        # A flat market never computes the phase.
+        SyntheticSpec(markets=(replace(market, amplitude=0.0),), days=2.0)
 
 
 class TestRoundTrip:
@@ -448,9 +477,10 @@ def _set_field(index, value):
 
 
 class TestColumnScans:
-    """One bad record deep in long columns: each check scans whole columns
-    first and falls back to its record loop, whose text and records are
-    what a record-by-record check gives."""
+    """One bad record deep in long columns: the loader's checks scan whole
+    columns first and fall back to their record loops, and the series check
+    runs its record loop; each text and record is what a record-by-record
+    check gives."""
 
     LINE = 2000  # of 2162 lines per file
 

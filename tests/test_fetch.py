@@ -195,6 +195,33 @@ class TestFetch:
                 min_interval=0.0,
             )
 
+    def test_answer_without_data_or_points_writes_nothing(self, tmp_path):
+        api = FakeApi()
+
+        def no_points(url, payload):
+            body = api(url, payload)
+            if "market" in body["data"]:
+                body["data"]["market"]["historicalState"]["supplyAssets"] = []
+            return body
+
+        for transport, message in (
+            (lambda url, payload: {}, "GraphQL response from graphql://markets has no data"),
+            (no_points, f"market mkt-1: no data returned for [{T0}, {T0 + SECONDS_PER_DAY})"),
+        ):
+            with pytest.raises(DataError) as err:
+                fetch_market_history(
+                    ["mkt-1"],
+                    start=T0,
+                    end=T0 + SECONDS_PER_DAY,
+                    out_dir=tmp_path / "ds",
+                    endpoint="graphql://markets",
+                    transport=transport,
+                    staking_rate=0.03,
+                    min_interval=0.0,
+                )
+            assert str(err.value) == message
+        assert not (tmp_path / "ds").exists()
+
     def test_staking_source_required(self, tmp_path):
         with pytest.raises(DataError, match="staking"):
             fetch_market_history(

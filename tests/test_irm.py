@@ -54,6 +54,22 @@ class TestConstruction:
         with pytest.raises(DomainError):
             LinearIrmParams(0.01, 0.04, 0.0)
 
+    def test_kinked_u_target_bounds(self):
+        with pytest.raises(DomainError) as exc:
+            KinkedIrmParams(r_base=0.0, r_slope1=0.01, r_slope2=0.5, u_target=1.0)
+        assert str(exc.value) == "u_target must be in (0, 1), got 1.0"
+
+    def test_non_finite_shadow_rate_rejected(self):
+        market = MarketState("x", 100.0, 10.0, 0.9, LINEAR)
+        with pytest.raises(DomainError) as exc:
+            market_response(market, 5.0, 0.03, math.nan)
+        assert str(exc.value) == "lam must be finite, got nan"
+
+    def test_controller_utilization_outside_the_unit_interval_rejected(self):
+        with pytest.raises(DomainError) as exc:
+            advance_adaptive_rate(adaptive(), 1.5, 10.0)
+        assert str(exc.value) == "u_now must be in [0, 1], got 1.5"
+
     def test_kinked_slope_ordering_required(self):
         # r_slope1 must stay below u/(1-u) * r_slope2
         with pytest.raises(DomainError):

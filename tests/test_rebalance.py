@@ -4,7 +4,7 @@ import pytest
 
 from stakeloop import allocator, irm, rebalance
 from stakeloop.allocator import Allocation, ProblemInstance, solve
-from stakeloop.errors import DomainError
+from stakeloop.errors import ConstraintError, DomainError
 from stakeloop.irm import LinearIrmParams, MarketState
 from stakeloop.rebalance import (
     AT_TARGET,
@@ -201,6 +201,12 @@ class TestSolveWithFees:
         assert plan.direction == DECREASE
         assert len(solves) == 2  # the increase branch, then the decrease branch
         assert compiled == ["A", "B"]
+
+    def test_current_position_of_other_markets_rejected(self):
+        p = instance(10.0)
+        with pytest.raises(ConstraintError) as exc:
+            solve_with_fees(p, Allocation.from_position(("A",), [1.0], 9.0), FeeModel(0.0, 0.0, DAY))
+        assert str(exc.value) == "current position markets ('A',) do not match instance markets ('A', 'B')"
 
     def test_hold_without_a_consistent_branch_says_so(self):
         p = instance(10.0, s=0.03)
