@@ -20,6 +20,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field, replace
+from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, mul, sub, truediv
 from typing import Callable, Mapping, TypeVar
@@ -332,7 +333,7 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     without the strategy's own footprint; accrual between steps prices the
     debt at the pool rate including the footprint.
     """
-    return _replay(series, cfg, *_prepare(series, cfg, [cfg]))
+    return _replay(series, cfg, *_prepare(series, cfg, [cfg]), True)
 
 
 def _prepare(
@@ -375,8 +376,8 @@ def _passive(cfg: BacktestConfig) -> bool:
 
 
 def _replay(
-    series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple, steps: tuple
-) -> BacktestResult:
+    series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple, steps: tuple, record: bool
+) -> BacktestResult | float:
     """:func:`run_backtest` of what :func:`_prepare` checked and built for
     ``cfg``, reading ``rate_at_target`` for the series' own column and
     ignoring ``cfg.smoothing_window``.
@@ -386,6 +387,12 @@ def _replay(
     accrue, and the markets are independent, so each market accrues over the
     whole stretch in one loop. Every float is the one a step-by-step walk
     gives: the same expressions in the same order.
+
+    With ``record`` the walk keeps each step's holdings and interest and
+    returns the :class:`BacktestResult`. Without it, as a sweep asks, the
+    walk is the same but appends nothing: each stretch carries the holdings
+    to its end by the same products, and the replay returns only the APY,
+    from the first and last equity marks, the floats ``equity`` would hold.
     """
     ts = series.timestamps
     ids = series.market_ids
@@ -405,14 +412,14 @@ def _replay(
     unleveraged = cfg.budget
     collateral = [0.0] * n
     debt = [0.0] * n
-    # The holdings columns, filled a stretch at a time; each market's
-    # interest over each interval (0.0 while it holds no debt); the fees, and
-    # the equity of each step that traded, marked before its trade.
+    # The holdings columns, filled a stretch at a time when recording; each
+    # market's interest over each interval (0.0 while it holds no debt); the
+    # fee and the equity of each step that traded, marked before its trade.
     unleveraged_col: list[float] = []
     collateral_cols: list[list[float]] = [[] for _ in ids]
     debt_cols: list[list[float]] = [[] for _ in ids]
     interest_cols: list[list[float]] = [[] for _ in ids]
-    fees_col = [0.0] * size
+    fees: dict[int, float] = {}
     traded: dict[int, float] = {}
     total_fees = 0.0
     rebalances = 0
@@ -437,7 +444,7 @@ def _replay(
                 unleveraged, collateral, debt = _charge_fee(
                     plan.cost, target.unleveraged, collateral, debt
                 )
-                fees_col[a] = plan.cost
+                fees[a] = plan.cost
                 traded[a] = equity
                 rebalances += 1
                 total_fees += plan.cost
@@ -445,15 +452,16 @@ def _replay(
         # Accrue the intervals from a to the next due step, or to the last
         # snapshot; the columns take the values at a..end-1.
         g = growth[a:end]
-        unleveraged_col += accumulate(g, mul, initial=unleveraged)
-        unleveraged = unleveraged_col.pop()
+        if record:
+            unleveraged_col += accumulate(g, mul, initial=unleveraged)
+            unleveraged = unleveraged_col.pop()
+        else:
+            unleveraged = reduce(mul, g, unleveraged)
         for i, (c_col, d_col, i_col, supplied, borrowed, curve, targets) in enumerate(columns):
             c, d = collateral[i], debt[i]
             if d > 0.0:
                 _, scale, u_target, below, above = curve
                 for k in range(a, end):
-                    c_col.append(c)
-                    d_col.append(d)
                     # Stale positions can overshoot a shrinking pool; price
                     # them at full utilization rather than beyond it. The
                     # record check keeps borrowed in [0, supplied], so the sum
@@ -469,16 +477,26 @@ def _replay(
                     if targets is not None:
                         rate *= targets[k]
                     step = dt[k]
-                    i_col.append(d * rate * step)
+                    if record:
+                        c_col.append(c)
+                        d_col.append(d)
+                        i_col.append(d * rate * step)
                     d *= 1.0 + rate * step
                     c *= growth[k]
-            else:
+            elif record:
                 c_col += accumulate(g, mul, initial=c)
                 c = c_col.pop()
                 i_col += repeat(0.0, end - a)
                 d_col += repeat(d, end - a)
+            else:
+                c = reduce(mul, g, c)
             collateral[i] = c
             debt[i] = d
+    if not record:
+        # The first mark is the budget, all that is held; a trade at the last
+        # snapshot leaves its pre-trade mark, as in the column below.
+        last_mark = traded.get(last, unleveraged + sum(map(sub, collateral, debt)))
+        return apy((ts[0], ts[last]), (cfg.budget, last_mark))
     # The holdings at the last snapshot, which no flow follows.
     unleveraged_col.append(unleveraged)
     for c_col, d_col, c, d in zip(collateral_cols, debt_cols, collateral, debt):
@@ -499,7 +517,7 @@ def _replay(
         equity=equity_col,
         staking_accrued=(*map(mul, map(mul, held, series.staking_rates), dt), 0.0),
         interest_paid=(*interest, 0.0),
-        fees_paid=tuple(fees_col),
+        fees_paid=tuple(map(fees.get, range(size), repeat(0.0))),
         unleveraged=tuple(unleveraged_col),
         collateral=tuple(map(tuple, collateral_cols)),
         debt=tuple(map(tuple, debt_cols)),
@@ -599,7 +617,7 @@ def sweep_leverage(
     for c in caps:
         if not _passive(c):
             _forms_at(series, 0, targets, fallback, c.l_max)
-    apys = iter(_fan_out(lambda r: _replay(series, r, targets, steps).apy, runs))
+    apys = iter(_fan_out(lambda r: _replay(series, r, targets, steps, False), runs))
     return {c.l_max: [(float(b), next(apys)) for b in budgets] for c in caps}
 
 

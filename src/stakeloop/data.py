@@ -294,9 +294,14 @@ def staking_rates_at(
     timestamps: Sequence[int], staking: Sequence[tuple[int, float]]
 ) -> list[float]:
     """Last rate of the time-sorted ``(timestamp, rate)`` list at or before
-    each timestamp; the first rate before the first observation."""
-    times = [t for t, _ in staking]
-    return [staking[max(bisect.bisect_right(times, ts) - 1, 0)][1] for ts in timestamps]
+    each timestamp of the increasing grid; the first rate before the first
+    observation. One forward pass over both."""
+    rates, j, last = [], 0, len(staking) - 1
+    for t in timestamps:
+        while j < last and staking[j + 1][0] <= t:
+            j += 1
+        rates.append(staking[j][1])
+    return rates
 
 
 def scan_gaps(series: SnapshotSeries, cadence_seconds: int) -> list[tuple[int, int]]:
@@ -356,6 +361,11 @@ class SyntheticSpec:
         if not 0.0 < self.days < math.inf:
             raise DomainError(f"days must be positive and finite, got {self.days}")
         _check_cadence(self.cadence_seconds)
+        if not math.isfinite(self.days * SECONDS_PER_DAY / self.cadence_seconds):
+            raise DomainError(
+                f"days {self.days} is too long for the {self.cadence_seconds}s cadence: "
+                "the snapshot count overflows"
+            )
         if self.staking_rate < 0.0:
             raise DomainError("staking_rate must be non-negative")
         for m in self.markets:

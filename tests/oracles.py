@@ -7,6 +7,7 @@ tests never reuse the code paths they are checking.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -262,6 +263,13 @@ def random_instance(rng: random.Random, n: int | None = None):
     else:
         budget = rng.uniform(1.0, 100.0)
     return markets, l_maxes, s, max(budget, 1e-3)
+
+
+def staking_join_by_search(timestamps, staking) -> list[float]:
+    """The staking join by search: per timestamp, the rate of the last
+    observation at or before it, else the first observation's rate."""
+    times = [t for t, _ in staking]
+    return [staking[max(bisect.bisect_right(times, ts) - 1, 0)][1] for ts in timestamps]
 
 
 def window_means(series, window: int) -> list[dict[str, float | None]]:

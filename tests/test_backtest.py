@@ -806,6 +806,30 @@ class TestSweeps:
         for level, curve in curves.items():
             assert curve == independent(replace(cfg, l_max=level))
 
+    def test_sweep_builds_no_result(self, monkeypatch):
+        series = scenario_series("volatile")
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        args = (series, cfg, [3.0, 5.0], [1.0, 1e3, 1e6])
+        expected = sweep_leverage(*args)
+        # One worker, so that a result built anywhere would raise here.
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(backtest, "BacktestResult", lambda **_: pytest.fail("built a result"))
+        assert sweep_leverage(*args) == expected
+
+    def test_apy_only_replay_reads_the_pre_trade_mark_of_a_last_step_trade(self):
+        series = flat_series(hours=48)
+        # The rate jumps past the staking rate at the last snapshot, a due
+        # step, so the replay unwinds there and pays a fee.
+        (targets,) = series.rate_at_target
+        series = replace(series, rate_at_target=((*targets[:-1], 100.0 * targets[-1]),))
+        cfg = config(smoothing_window=0, fees=FeeModel(0.001, 0.001, 1.0))
+        full = run_backtest(series, cfg)
+        assert full.fees_paid[-1] > 0.0
+        post_trade = full.unleveraged[-1] + full.collateral[0][-1] - full.debt[0][-1]
+        assert post_trade < full.equity[-1]
+        only_apy = backtest._replay(series, cfg, *backtest._prepare(series, cfg, [cfg]), False)
+        assert repr(only_apy) == repr(full.apy)
+
     def test_every_value_is_checked_before_any_replay(self, monkeypatch):
         monkeypatch.setattr(backtest, "_replay", lambda *args: pytest.fail("replayed"))
         cfg = config(rebalance_frequency=SECONDS_PER_DAY)

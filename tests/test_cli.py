@@ -335,6 +335,13 @@ class TestSynthAndBacktest:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "ds").exists()
 
+    def test_days_whose_snapshot_count_overflows_refused(self, tmp_path, capsys):
+        spec = {"markets": [{"market_id": "m"}], "days": 1e305}
+        code, out, err = run(["synth", "--spec", json.dumps(spec), "--out", str(tmp_path / "ds")], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: days 1e+305 is too long for the 3600s cadence: the snapshot count overflows\n"
+        assert not (tmp_path / "ds").exists()
+
     def test_synth_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a"
         b = tmp_path / "b"

@@ -127,8 +127,12 @@ class TestSynthetic:
                 lambda: SyntheticSpec(markets=(SyntheticMarketSpec("m"),), staking_rate=-0.01),
                 "staking_rate must be non-negative",
             ),
+            (
+                lambda: SyntheticSpec(markets=(SyntheticMarketSpec("m"),), days=1e305),
+                "days 1e+305 is too long for the 3600s cadence: the snapshot count overflows",
+            ),
         ],
-        ids=["period", "utilization", "supplied", "noise", "no-markets", "staking"],
+        ids=["period", "utilization", "supplied", "noise", "no-markets", "staking", "days-overflow"],
     )
     def test_spec_out_of_range_rejected(self, build, message):
         with pytest.raises(DomainError) as err:

@@ -23,6 +23,7 @@ from oracles import (
     market_states_at,
     oracle_rate,
     replay_per_step,
+    staking_join_by_search,
     window_means,
 )
 from stakeloop.allocator import (
@@ -48,7 +49,7 @@ from stakeloop.backtest import (
     run_backtest,
     smooth_rates,
 )
-from stakeloop.data import DatasetManifest, load_snapshots, save_snapshots
+from stakeloop.data import DatasetManifest, load_snapshots, save_snapshots, staking_rates_at
 from stakeloop.irm import (
     AdaptiveIrmParams,
     KinkedIrmParams,
@@ -389,6 +390,17 @@ def test_smoothing_is_the_exact_window_mean(data):
             )
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 50), min_size=1, unique=True).map(sorted),
+    st.lists(st.tuples(st.integers(0, 50), st.floats(0.0, 1.0)), min_size=1),
+)
+def test_staking_join_equals_the_search(grid, observations):
+    # Repeated observation times, and grid times before the first observation.
+    staking = sorted(observations, key=lambda item: item[0])
+    assert staking_rates_at(grid, staking) == staking_join_by_search(grid, staking)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(series())
 def test_save_then_load_is_exact(x):
@@ -459,6 +471,40 @@ def test_stretch_walk_equals_the_per_step_walk(data):
     walked, reference = run_backtest(x, cfg), replay_per_step(x, cfg)
     for f in fields(BacktestResult):  # repr tells every float apart, -0.0 from 0.0 too
         assert repr(getattr(walked, f.name)) == repr(getattr(reference, f.name)), f.name
+
+
+@st.composite
+def replays(draw) -> tuple[SnapshotSeries, BacktestConfig]:
+    """A series and a config drawn as the stretch-walk test above draws them."""
+    x = draw(series())
+    assume(len(x.timestamps) >= 3)
+    cadence = x.cadence_seconds
+    frequency = draw(st.integers(cadence, 5 * cadence))
+    assume(x.timestamps[-1] - x.timestamps[0] >= 2 * frequency)
+    fees = FeeModel(0.0, 0.0, 1.0 / 365.0)
+    if draw(st.booleans()):
+        fees = FeeModel(draw(st.floats(0.0, 0.01)), draw(st.floats(0.0, 0.01)), 7.0 / 365.0)
+    cfg = BacktestConfig(
+        budget=10.0 ** draw(st.floats(-3.0, 7.0)),
+        l_max=draw(st.floats(1.0, min(1.0 / (1.0 - m.max_ltv) for m in x.markets))),
+        rebalance_frequency=frequency,
+        strategy=draw(st.sampled_from((FIXED_FREQUENCY, DYNAMIC, STAKING_ONLY))),
+        threshold=draw(st.floats(0.0, 0.01)),
+        fees=fees,
+        smoothing_window=draw(st.one_of(st.just(0), st.integers(cadence, SECONDS_PER_DAY))),
+        irm=draw(st.sampled_from((
+            LinearIrmParams(0.0, 0.1, 0.9), KinkedIrmParams(0.01, 0.04, 0.8, 0.85)
+        ))),
+    )
+    return x, cfg
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(replays())
+def test_apy_only_replay_equals_the_full_replay(case):
+    x, cfg = case
+    only_apy = backtest._replay(x, cfg, *backtest._prepare(x, cfg, [cfg]), False)
+    assert repr(only_apy) == repr(run_backtest(x, cfg).apy)
 
 
 def jittered_series(rng: random.Random, n: int, steps: int) -> SnapshotSeries:
