@@ -68,19 +68,10 @@ class ProblemInstance:
             raise DomainError("at least one market is required")
         if len(ids) != len(self.forms):
             raise DomainError("markets and forms must have the same length")
-        if not 0.0 < self.budget < math.inf:
-            raise DomainError(f"budget must be positive and finite, got {self.budget}")
-        if not math.isfinite(self.staking_rate):
-            raise DomainError(f"staking_rate must be finite, got {self.staking_rate}")
         if len(set(ids)) < len(ids):
             raise DomainError(f"duplicate market id {next(i for i in ids if ids.count(i) > 1)}")
         l_max = tuple(map(itemgetter(0), self.forms))
-        # No holding's cash flow passes budget · l_max · |s| per year.
-        if not math.isfinite(self.budget * max(l_max) * abs(self.staking_rate)):
-            raise DomainError(
-                f"staking_rate {self.staking_rate} overflows the cash flow of "
-                f"budget {self.budget} at l_max {max(l_max)}"
-            )
+        _check_budget(self.budget, self.staking_rate, max(l_max))
         object.__setattr__(self, "l_max", l_max)
 
     @classmethod
@@ -99,6 +90,20 @@ class ProblemInstance:
     ) -> ProblemInstance:
         """Same leverage cap applied to every market."""
         return cls.of(markets, [l_max] * len(markets), staking_rate, budget)
+
+
+def _check_budget(budget: float, staking_rate: float, l_max: float) -> None:
+    """Refuse a budget or staking rate an instance at cap ``l_max`` refuses."""
+    if not 0.0 < budget < math.inf:
+        raise DomainError(f"budget must be positive and finite, got {budget}")
+    if not math.isfinite(staking_rate):
+        raise DomainError(f"staking_rate must be finite, got {staking_rate}")
+    # No holding's cash flow passes budget · l_max · |s| per year.
+    if not math.isfinite(budget * l_max * abs(staking_rate)):
+        raise DomainError(
+            f"staking_rate {staking_rate} overflows the cash flow of "
+            f"budget {budget} at l_max {l_max}"
+        )
 
 
 @dataclass(frozen=True)
@@ -180,18 +185,19 @@ def _responses(pieces: list[list[tuple[float, float, float]]], lam: float) -> li
 def _position_yield(
     exposures: Sequence[float],
     unleveraged: float,
-    p: ProblemInstance,
+    s: float,
+    forms: Sequence[tuple],
     clamp_utilization: bool = False,
 ) -> float:
-    """Instantaneous cash flow of a holding, without feasibility checks.
+    """Instantaneous cash flow of a holding on markets compiled as ``forms``
+    at staking rate ``s``, without feasibility checks.
 
     With ``clamp_utilization`` the borrow rate is evaluated at full pool
     utilization when the debt overshoots available liquidity (stale positions
     marked against a shrunk pool).
     """
-    s = p.staking_rate
     total = unleveraged * s
-    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(exposures, p.forms):
+    for x, (l_max, _, _, _, _, _, curve, supplied, borrowed) in zip(exposures, forms):
         debt = x * (l_max - 1.0)
         debt_for_rate = min(debt, supplied - borrowed) if clamp_utilization else debt
         rate = _rate(curve, _check_pool_amounts(supplied, borrowed, debt_for_rate) / supplied)
@@ -202,7 +208,7 @@ def _position_yield(
 def expected_yield(alloc: Allocation, p: ProblemInstance) -> float:
     """Instantaneous cash flow of a feasible allocation, per year."""
     _check_alloc_feasible(alloc, p)
-    return _position_yield(alloc.exposures, alloc.unleveraged, p)
+    return _position_yield(alloc.exposures, alloc.unleveraged, p.staking_rate, p.forms)
 
 
 def yield_breakdown(alloc: Allocation, p: ProblemInstance) -> tuple[float, tuple[float, ...]]:
@@ -241,8 +247,8 @@ def _check_alloc_feasible(alloc: Allocation, p: ProblemInstance) -> None:
             raise ConstraintError(f"exposure {x} exceeds liquidity of market {mid}")
 
 
-def _shadow_rate(p: ProblemInstance, pieces: list, s: float) -> tuple[float, list, list[float]]:
-    """Where the summed response crosses the budget, by a descending sweep
+def _shadow_rate(budget: float, pieces: list, s: float) -> tuple[float, list, list[float]]:
+    """Where the summed response crosses ``budget``, by a descending sweep
     over each market's ``pieces`` at staking rate ``s``.
 
     Returns ``lambda_star``, the markets jumping there with their jump sizes
@@ -265,7 +271,7 @@ def _shadow_rate(p: ProblemInstance, pieces: list, s: float) -> tuple[float, lis
     hi = events[0][0]
     for level, group in itertools.groupby(events, key=lambda e: e[0]):
         at_level = total + slope * (hi - level)
-        if at_level >= p.budget:
+        if at_level >= budget:
             lo = level
             break
         total = at_level
@@ -277,11 +283,11 @@ def _shadow_rate(p: ProblemInstance, pieces: list, s: float) -> tuple[float, lis
             if jump > 0.0:
                 jumpers.append((i, jump))
         hi = level
-        if total >= p.budget:
+        if total >= budget:
             return level, jumpers, slopes
     else:
         lo = s  # the saturated responses overshoot the budget
-    lam = hi - (p.budget - total) / slope if slope > 0.0 else hi
+    lam = hi - (budget - total) / slope if slope > 0.0 else hi
     # Strictly below hi, every response is on the crossing piece.
     return min(max(lam, lo), math.nextafter(hi, lo)), [], slopes
 
@@ -305,22 +311,34 @@ def _priced(
         exposures=tuple(exposures),
         unleveraged=unleveraged,
         lambda_star=lam,
-        expected_yield=_position_yield(exposures, unleveraged, p),
+        expected_yield=_position_yield(exposures, unleveraged, p.staking_rate, p.forms),
         regime=regime,
     )
 
 
-def _solve_core(p: ProblemInstance, s: float) -> tuple[list[float], float, float, str]:
-    """``(exposures, unleveraged, lambda_star, regime)`` of the optimum at
-    staking rate ``s``, unpriced, from each market's pieces at ``s``, built once."""
-    pieces = [_pieces(form, s) for form in p.forms]
-    exposures = _responses(pieces, s)
-    used = sum(exposures)
-    if used <= p.budget:
-        return exposures, p.budget - used, s, SATURATED
-    lam_star, jumpers, slopes = _shadow_rate(p, pieces, s)
+def _solve_core(p: ProblemInstance, s: float) -> tuple[Sequence[float], float, float, str]:
+    """:func:`_solve_at` of the instance's budget on its table at staking rate ``s``."""
+    return _solve_at(_table(p.forms, s), p.budget, s)
+
+
+def _table(forms: Sequence[tuple], s: float) -> tuple[list, tuple[float, ...], float]:
+    """What no budget changes of a solve at staking rate ``s``: each market's
+    pieces, built once, its saturated response (at ``s``) and their sum."""
+    pieces = [_pieces(form, s) for form in forms]
+    saturated = tuple(_responses(pieces, s))
+    return pieces, saturated, sum(saturated)
+
+
+def _solve_at(table: tuple, budget: float, s: float) -> tuple[Sequence[float], float, float, str]:
+    """``(exposures, unleveraged, lambda_star, regime)`` of the optimum of
+    ``budget`` from the :func:`_table` at staking rate ``s``, unpriced. A
+    saturated solve's exposures are the table's own tuple."""
+    pieces, saturated, used = table
+    if used <= budget:
+        return saturated, budget - used, s, SATURATED
+    lam_star, jumpers, slopes = _shadow_rate(budget, pieces, s)
     exposures = _responses(pieces, lam_star)
-    left = p.budget - math.fsum(exposures)
+    left = budget - math.fsum(exposures)
     # lambda_star lies inside the marginal-value interval of a market
     # anywhere on its jump, so the jumping markets fill in market order.
     for i, jump in jumpers:
@@ -339,13 +357,13 @@ def _solve_core(p: ProblemInstance, s: float) -> tuple[list[float], float, float
     if open_markets:
         exposures[max(open_markets, key=slopes.__getitem__)] += left
     # More than rounding left over: no float shadow rate spends the budget.
-    if abs(p.budget - math.fsum(exposures)) > _REL_BUDGET_TOL * p.budget:
-        lam_star, exposures = _between_floats(p, pieces, s)
+    if abs(budget - math.fsum(exposures)) > _REL_BUDGET_TOL * budget:
+        lam_star, exposures = _between_floats(budget, pieces, s)
     return exposures, 0.0, lam_star, UNSATURATED
 
 
-def _between_floats(p: ProblemInstance, pieces: list, s: float) -> tuple[float, list[float]]:
-    """``(lambda_star, exposures)`` when no float shadow rate spends the budget.
+def _between_floats(budget: float, pieces: list, s: float) -> tuple[float, list[float]]:
+    """``(lambda_star, exposures)`` when no float shadow rate spends ``budget``.
 
     A response's slope is ``1/(2c(l_max-1)^2)``; with a leverage cap a hair
     above 1 it moves by more than the budget per ulp of the shadow rate, and
@@ -358,13 +376,13 @@ def _between_floats(p: ProblemInstance, pieces: list, s: float) -> tuple[float, 
     lo = s
     hi = max(market_pieces[0][0] for market_pieces in pieces if market_pieces)
     while (mid := lo + (hi - lo) / 2) not in (lo, hi):
-        if math.fsum(_responses(pieces, mid)) >= p.budget:
+        if math.fsum(_responses(pieces, mid)) >= budget:
             lo = mid
         else:
             hi = mid
     at_lo, at_hi = _responses(pieces, lo), _responses(pieces, hi)
     # Each weight comes from its own difference, so neither loses digits to 1 - w.
-    over, under = math.fsum(at_lo) - p.budget, p.budget - math.fsum(at_hi)
+    over, under = math.fsum(at_lo) - budget, budget - math.fsum(at_hi)
     w_lo, w_hi = under / (over + under), over / (over + under)
     return lo, [w_lo * a + w_hi * b for a, b in zip(at_lo, at_hi)]
 

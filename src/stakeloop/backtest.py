@@ -15,6 +15,7 @@ import math
 import mmap
 import os
 import signal
+import sys
 import threading
 from array import array
 from collections import Counter
@@ -25,10 +26,10 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub, truediv
 from typing import Callable, Mapping, TypeVar
 
-from .allocator import Allocation, ProblemInstance
+from .allocator import _check_budget
 from .errors import DataError, DomainError, ValidationError
 from .irm import IrmParams, _adaptive_curve, _compile, _curve_of
-from .rebalance import GATED, HOLD, FeeModel, RebalancePlan, should_rebalance, solve_with_fees
+from .rebalance import GATED, HOLD, FeeModel, _plan, should_rebalance
 from .units import SECONDS_PER_DAY, SECONDS_PER_YEAR
 
 FIXED_FREQUENCY = "fixed_frequency"
@@ -230,6 +231,9 @@ class BacktestConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.budget < math.inf:
             raise DomainError(f"budget must be positive and finite, got {self.budget}")
+        # A step's growth is below one ulp of a subnormal equity, which then never grows.
+        if self.budget < sys.float_info.min:
+            raise DomainError(f"budget {self.budget} is below {sys.float_info.min}, the smallest normal float")
         # An int budget replays, and is reported, as the float it stands for.
         object.__setattr__(self, "budget", float(self.budget))
         if not 1.0 <= self.l_max < math.inf:
@@ -333,7 +337,7 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     without the strategy's own footprint; accrual between steps prices the
     debt at the pool rate including the footprint.
     """
-    return _replay(series, cfg, *_prepare(series, cfg, [cfg]), True)
+    return _replay(series, [cfg], *_prepare(series, cfg, [cfg]), True)
 
 
 def _prepare(
@@ -376,31 +380,32 @@ def _passive(cfg: BacktestConfig) -> bool:
 
 
 def _replay(
-    series: SnapshotSeries, cfg: BacktestConfig, rate_at_target: tuple, steps: tuple, record: bool
-) -> BacktestResult | float:
-    """:func:`run_backtest` of what :func:`_prepare` checked and built for
-    ``cfg``, reading ``rate_at_target`` for the series' own column and
-    ignoring ``cfg.smoothing_window``.
+    series: SnapshotSeries, runs: Sequence[BacktestConfig], rate_at_target: tuple, steps: tuple, record: bool
+) -> BacktestResult | list[float]:
+    """:func:`run_backtest` of each of ``runs`` (which share all but their
+    caps and budgets) on what :func:`_prepare` checked and built for them,
+    reading ``rate_at_target`` for the series' own column.
 
-    The replay walks stretches, each from one due step to the next. At its
-    start a stretch marks the equity and plans; then its holdings only
-    accrue, and the markets are independent, so each market accrues over the
-    whole stretch in one loop. Every float is the one a step-by-step walk
-    gives: the same expressions in the same order.
+    The replay walks stretches, each from one due step to the next, every
+    run through a stretch before the next. At its start a stretch marks each
+    run's equity and plans on plain values. The runs at a cap share the step's
+    compile and each table a plan builds (``rebalance._plan``); none outlives
+    the step. Then the holdings only accrue, and the markets are independent,
+    so each market accrues over the whole stretch in one loop. Every float is
+    the one a step-by-step walk of one run gives: the same expressions in the
+    same order.
 
-    With ``record`` the walk keeps each step's holdings and interest and
-    returns the :class:`BacktestResult`. Without it, as a sweep asks, the
-    walk is the same but appends nothing: each stretch carries the holdings
-    to its end by the same products, and the replay returns only the APY,
-    from the first and last equity marks, the floats ``equity`` would hold.
+    With ``record`` the walk of one run keeps each step's holdings and
+    interest and returns the :class:`BacktestResult`. Without it, as a sweep
+    asks, the walk appends nothing, carries the holdings by the same products
+    and returns each run's APY, from the first and last equity marks, the
+    floats ``equity`` would hold.
     """
     ts = series.timestamps
     ids = series.market_ids
     n = len(ids)
-    passive = _passive(cfg)
-    m = cfg.l_max - 1.0
 
-    fallback = None if cfg.irm is None else cfg.irm._curve
+    fallback = None if runs[0].irm is None else runs[0].irm._curve
     # The accrual's curves: rate_at_target[i][k] times the unit recorded curve
     # is, float for float, the rate of the curve a solve compiles.
     unit = _recorded_curve(1.0)
@@ -409,95 +414,104 @@ def _replay(
     size = len(ts)
     last = size - 1
 
-    unleveraged = cfg.budget
-    collateral = [0.0] * n
-    debt = [0.0] * n
-    # The holdings columns, filled a stretch at a time when recording; each
-    # market's interest over each interval (0.0 while it holds no debt); the
-    # fee and the equity of each step that traded, marked before its trade.
+    # Each run's holdings (unleveraged, then per market collateral and debt)
+    # and the equity of each step at which it traded, marked before its trade.
+    holdings = [[cfg.budget, [0.0] * n, [0.0] * n, {}] for cfg in runs]
+    # The holdings columns of a recorded run, filled a stretch at a time;
+    # each market's interest over each interval (0.0 while it holds no debt);
+    # the fee of each step that traded.
     unleveraged_col: list[float] = []
     collateral_cols: list[list[float]] = [[] for _ in ids]
     debt_cols: list[list[float]] = [[] for _ in ids]
     interest_cols: list[list[float]] = [[] for _ in ids]
     fees: dict[int, float] = {}
-    traded: dict[int, float] = {}
     total_fees = 0.0
-    rebalances = 0
 
     columns = tuple(zip(
         collateral_cols, debt_cols, interest_cols, series.supplied, series.borrowed, curves, rate_at_target
     ))
     for a, end in zip(due, (*due[1:], last)):
-        equity = unleveraged + sum(map(sub, collateral, debt))
-        if not passive and equity > 0.0:
-            forms = _forms_at(series, a, rate_at_target, fallback, cfg.l_max)
-            p = ProblemInstance(ids, series.staking_rates[a], equity, forms)
-            exposures = [d / m for d in debt]
-            current = Allocation.from_position(ids, exposures, equity - sum(exposures))
-            plan = solve_with_fees(p, current, cfg.fees)
-            if cfg.strategy == DYNAMIC:
-                plan = _gate(plan, cfg, equity)
-            if plan.direction != HOLD:
-                target = plan.target
-                collateral = [x * cfg.l_max for x in target.exposures]
-                debt = [x * m for x in target.exposures]
-                unleveraged, collateral, debt = _charge_fee(
-                    plan.cost, target.unleveraged, collateral, debt
-                )
-                fees[a] = plan.cost
-                traded[a] = equity
-                rebalances += 1
-                total_fees += plan.cost
-
-        # Accrue the intervals from a to the next due step, or to the last
-        # snapshot; the columns take the values at a..end-1.
+        s = series.staking_rates[a]
+        # Per cap, the forms at this step and their tables by staking rate.
+        compiled: dict[float, tuple[tuple, dict]] = {}
         g = growth[a:end]
-        if record:
-            unleveraged_col += accumulate(g, mul, initial=unleveraged)
-            unleveraged = unleveraged_col.pop()
-        else:
-            unleveraged = reduce(mul, g, unleveraged)
-        for i, (c_col, d_col, i_col, supplied, borrowed, curve, targets) in enumerate(columns):
-            c, d = collateral[i], debt[i]
-            if d > 0.0:
-                _, scale, u_target, below, above = curve
-                for k in range(a, end):
-                    # Stale positions can overshoot a shrinking pool; price
-                    # them at full utilization rather than beyond it. The
-                    # record check keeps borrowed in [0, supplied], so the sum
-                    # passes supplied by rounding only. Each conditional picks
-                    # what min would, ties included.
-                    s, b = supplied[k], borrowed[k]
-                    room = s - b
-                    u = b + (room if room < d else d)
-                    u = (s if s < u else u) / s
-                    # irm._rate, inlined.
-                    level, u0, width, slope = below if u < u_target else above
-                    rate = scale * (level + (u - u0) / width * slope)
-                    if targets is not None:
-                        rate *= targets[k]
-                    step = dt[k]
+        for cfg, holding in zip(runs, holdings):
+            unleveraged, collateral, debt, marks = holding
+            equity = unleveraged + sum(map(sub, collateral, debt))
+            if not _passive(cfg) and equity > 0.0:
+                l_max = cfg.l_max
+                if l_max not in compiled:
+                    compiled[l_max] = _forms_at(series, a, rate_at_target, fallback, l_max), {}
+                _check_budget(equity, s, l_max)
+                m = l_max - 1.0
+                exposures = [d / m for d in debt]
+                # Only the dynamic strategy's gate reads a move's yields.
+                gated = cfg.strategy == DYNAMIC
+                plan = _plan(*compiled[l_max], s, equity, exposures, equity - sum(exposures), cfg.fees, gated)
+                if gated:
+                    plan = _gate(plan, cfg, equity)
+                if plan[0] != HOLD:
+                    _, _, cost, _, target, unleveraged, *_ = plan
+                    collateral = [x * l_max for x in target]
+                    debt = [x * m for x in target]
+                    unleveraged, collateral, debt = _charge_fee(cost, unleveraged, collateral, debt)
+                    marks[a] = equity
                     if record:
-                        c_col.append(c)
-                        d_col.append(d)
-                        i_col.append(d * rate * step)
-                    d *= 1.0 + rate * step
-                    c *= growth[k]
-            elif record:
-                c_col += accumulate(g, mul, initial=c)
-                c = c_col.pop()
-                i_col += repeat(0.0, end - a)
-                d_col += repeat(d, end - a)
+                        fees[a] = cost
+                        total_fees += cost
+
+            # Accrue the intervals from a to the next due step, or to the last
+            # snapshot; the columns take the values at a..end-1.
+            if record:
+                unleveraged_col += accumulate(g, mul, initial=unleveraged)
+                unleveraged = unleveraged_col.pop()
             else:
-                c = reduce(mul, g, c)
-            collateral[i] = c
-            debt[i] = d
+                unleveraged = reduce(mul, g, unleveraged)
+            for i, (c_col, d_col, i_col, supplied, borrowed, curve, targets) in enumerate(columns):
+                c, d = collateral[i], debt[i]
+                if d > 0.0:
+                    _, scale, u_target, below, above = curve
+                    for k in range(a, end):
+                        # Stale positions can overshoot a shrinking pool; price
+                        # them at full utilization rather than beyond it. The
+                        # record check keeps borrowed in [0, supplied], so the sum
+                        # passes supplied by rounding only. Each conditional picks
+                        # what min would, ties included.
+                        s_k, b = supplied[k], borrowed[k]
+                        room = s_k - b
+                        u = b + (room if room < d else d)
+                        u = (s_k if s_k < u else u) / s_k
+                        # irm._rate, inlined.
+                        level, u0, width, slope = below if u < u_target else above
+                        rate = scale * (level + (u - u0) / width * slope)
+                        if targets is not None:
+                            rate *= targets[k]
+                        step = dt[k]
+                        if record:
+                            c_col.append(c)
+                            d_col.append(d)
+                            i_col.append(d * rate * step)
+                        d *= 1.0 + rate * step
+                        c *= growth[k]
+                elif record:
+                    c_col += accumulate(g, mul, initial=c)
+                    c = c_col.pop()
+                    i_col += repeat(0.0, end - a)
+                    d_col += repeat(d, end - a)
+                else:
+                    c = reduce(mul, g, c)
+                collateral[i] = c
+                debt[i] = d
+            holding[:3] = unleveraged, collateral, debt
     if not record:
         # The first mark is the budget, all that is held; a trade at the last
         # snapshot leaves its pre-trade mark, as in the column below.
-        last_mark = traded.get(last, unleveraged + sum(map(sub, collateral, debt)))
-        return apy((ts[0], ts[last]), (cfg.budget, last_mark))
+        return [
+            apy((ts[0], ts[last]), (cfg.budget, marks.get(last, u + sum(map(sub, c, d)))))
+            for cfg, (u, c, d, marks) in zip(runs, holdings)
+        ]
     # The holdings at the last snapshot, which no flow follows.
+    ((unleveraged, collateral, debt, marks),) = holdings
     unleveraged_col.append(unleveraged)
     for c_col, d_col, c, d in zip(collateral_cols, debt_cols, collateral, debt):
         c_col.append(c)
@@ -506,7 +520,7 @@ def _replay(
     # A step that traded keeps its mark from before the trade; any other
     # step is marked on the holdings it kept.
     exposure = map(sum, zip(*[map(sub, c, d) for c, d in zip(collateral_cols, debt_cols)]))
-    equity_col = tuple(map(traded.get, range(size), map(add, unleveraged_col, exposure)))
+    equity_col = tuple(map(marks.get, range(size), map(add, unleveraged_col, exposure)))
     held = map(add, unleveraged_col, map(sum, zip(*collateral_cols)))
     interest = [0.0] * last
     for i_col in interest_cols:  # summed in market order
@@ -523,7 +537,7 @@ def _replay(
         debt=tuple(map(tuple, debt_cols)),
         apy=apy(ts, equity_col),
         total_fees_paid=total_fees,
-        rebalance_count=rebalances,
+        rebalance_count=len(marks),
     )
 
 
@@ -553,18 +567,18 @@ def _forms_at(
     )
 
 
-def _gate(plan: RebalancePlan, cfg: BacktestConfig, equity: float) -> RebalancePlan:
-    """The dynamic strategy's verdict: a move whose yield gain per unit of
-    equity (net of its amortized cost, unless the gate is gross) does not
-    beat the threshold becomes a hold that keeps the move it turned down."""
-    if plan.direction == HOLD:
+def _gate(plan: tuple, cfg: BacktestConfig, equity: float) -> tuple:
+    """The dynamic strategy's verdict on a ``rebalance._plan``: a move whose yield
+    gain per unit of equity (net of its amortized cost, unless the gate is gross)
+    does not beat the threshold becomes a :data:`GATED` hold that keeps its values."""
+    if plan[0] == HOLD:
         return plan
-    improvement = plan.net_gain_rate
+    _, _, cost, improvement, *_ = plan
     if not cfg.gate_net_of_costs:
-        improvement += plan.cost / cfg.fees.horizon_years
+        improvement += cost / cfg.fees.horizon_years
     if should_rebalance(0.0, improvement, equity, cfg.threshold):
         return plan
-    return replace(plan, direction=HOLD, reason=GATED)
+    return (HOLD, GATED, *plan[2:])
 
 
 def _charge_fee(
@@ -617,7 +631,7 @@ def sweep_leverage(
     for c in caps:
         if not _passive(c):
             _forms_at(series, 0, targets, fallback, c.l_max)
-    apys = iter(_fan_out(lambda r: _replay(series, r, targets, steps, False), runs))
+    apys = iter(_fan_out(lambda share: _replay(series, share, targets, steps, False), runs))
     return {c.l_max: [(float(b), next(apys)) for b in budgets] for c in caps}
 
 
@@ -631,21 +645,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(run: Callable[[_T], float], items: Sequence[_T]) -> list[float]:
-    """``[run(x) for x in items]``, with the items spread over forked
-    processes, one per usable CPU and at most one per item.
+def _fan_out(run: Callable[[Sequence[_T]], list[float]], items: Sequence[_T]) -> list[float]:
+    """``run(items)``, a float per item whatever share holds it, with the
+    items spread over forked processes, one per usable CPU and at most one per item.
 
-    Worker ``j`` of ``n`` runs ``items[j::n]`` and writes its doubles into
+    Worker ``j`` of ``n`` writes ``run(items[j::n])`` as doubles into
     ``out[j::n]`` of one anonymous map shared with this process, which runs
-    share 0 itself; so every float is the serial one. It runs serially,
+    share 0 itself; so every float is the serial one. It runs ``run(items)``,
     forking nothing, on one CPU or one item, without ``os.fork``, or while
     another thread is alive (forking it could deadlock). An ``Exception`` in
-    any share, or a worker that dies, reruns the whole list serially, so the
-    error raised is the serial one. No worker outlives the call.
+    any share, or a worker that dies, reruns ``run(items)``, so the error
+    raised is the serial one. No worker outlives the call.
     """
     n = min(_usable_cpus(), len(items))
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [run(x) for x in items]
+        return run(items)
     parent = os.getpid()
     workers: list[int] = []
     failed = False
@@ -656,13 +670,13 @@ def _fan_out(run: Callable[[_T], float], items: Sequence[_T]) -> list[float]:
                 if (pid := os.fork()) == 0:
                     code = 1
                     try:
-                        out[j::n] = array("d", map(run, items[j::n]))
+                        out[j::n] = array("d", run(items[j::n]))
                         code = 0
                     finally:
                         # Return into no caller; flush and run nothing of the parent's.
                         os._exit(code)
                 workers.append(pid)
-            out[::n] = array("d", map(run, items[::n]))
+            out[::n] = array("d", run(items[::n]))
             while workers:
                 failed |= os.waitpid(workers[-1], 0)[1] != 0
                 workers.pop()
@@ -676,4 +690,4 @@ def _fan_out(run: Callable[[_T], float], items: Sequence[_T]) -> list[float]:
                 os.waitpid(pid, 0)
         if not failed:
             return out.tolist()
-    return [run(x) for x in items]
+    return run(items)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .allocator import Allocation, ProblemInstance, _position_yield, _priced, _solve_core
+from .allocator import Allocation, ProblemInstance, _position_yield, _solve_at, _table
 from .errors import ConstraintError, DomainError
 
 INCREASE = "increase"
@@ -61,10 +61,10 @@ class RebalancePlan:
     """A move to ``target``, or a hold of the current position.
 
     ``reason`` says why a plan holds: :data:`NO_BRANCH` when neither
-    fee-shifted solve moves collateral the way its shift assumed,
-    :data:`AT_TARGET` when the consistent one is the current position, and
-    :data:`GATED` when a replay's improvement gate turned a move down (that
-    plan keeps the move's target and cost). A move's is empty.
+    fee-shifted solve moves collateral the way its shift assumed, and
+    :data:`AT_TARGET` when the consistent one is the current position. A
+    move's is empty. :data:`GATED` is the verdict of a replay's gate on a
+    move, taken on plain values (``backtest._gate``), not a plan's reason.
     """
 
     target: Allocation
@@ -102,60 +102,77 @@ def rebalance_cost(
     return _fee(total_collateral(new, l_max) - total_collateral(old, l_max), fees)
 
 
-def _is_position(
-    exposures: Sequence[float], unleveraged: float, position: Allocation, scale: float
-) -> bool:
-    tol = _EQUAL_TOL * abs(scale)
-    if abs(unleveraged - position.unleveraged) > tol:
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(exposures, position.exposures))
-
-
 def solve_with_fees(
     p: ProblemInstance, current: Allocation, fees: FeeModel
 ) -> RebalancePlan:
-    """Best reachable allocation net of the cost of getting there.
-
-    Solves once with the fee-penalized staking rate for growing collateral
-    and once for shrinking it, keeping whichever solution is consistent with
-    its own direction. When neither is (or the consistent one is the current
-    position), holding is optimal. Only the kept solution is priced.
-    """
+    """Best reachable allocation net of the cost of getting there: the
+    :func:`_plan` of ``current`` on the instance's forms, its target an
+    :class:`Allocation` priced at the instance's rate (a hold's, ``current``)."""
     if current.market_ids != p.market_ids:
         raise ConstraintError(
             f"current position markets {current.market_ids} do not match "
             f"instance markets {p.market_ids}"
         )
-    held = total_collateral(current, p.l_max)
+    direction, reason, *move = _plan(
+        p.forms, {}, p.staking_rate, p.budget, current.exposures, current.unleveraged, fees
+    )
+    if direction == HOLD:
+        return RebalancePlan(current, 0.0, HOLD, 0.0, reason)
+    cost, net_gain, exposures, unleveraged, lam, regime, target_yield = move
+    target = Allocation(p.market_ids, tuple(exposures), unleveraged, lam, target_yield, regime)
+    return RebalancePlan(target=target, cost=cost, direction=direction, net_gain_rate=net_gain)
+
+
+def _plan(
+    forms: Sequence[tuple], tables: dict[float, tuple], s: float, budget: float,
+    exposures: Sequence[float], unleveraged: float, fees: FeeModel, priced: bool = True,
+) -> tuple:
+    """The fee-aware plan for a holding of ``budget`` as ``exposures`` and
+    ``unleveraged`` on markets compiled as ``forms``, at staking rate ``s``:
+    ``(HOLD, reason)``, or a move ``(direction, "", cost, net_gain_rate,
+    exposures, unleveraged, lambda_star, regime, expected_yield)``.
+
+    Solves once with the fee-penalized staking rate for growing collateral
+    and once for shrinking it, keeping whichever solution is consistent with
+    its own direction. When neither is (or the consistent one is the current
+    position), holding is optimal. Each solve reads the ``allocator._table``
+    at its rate from ``tables``, adding it when missing, so the plans of
+    other budgets on ``forms`` share it. Only the kept solution is priced,
+    if ``priced`` (else its yields are NaN).
+    """
+    l_max = [form[0] for form in forms]
+    held = _collateral(exposures, unleveraged, l_max)
     # Collateral within rounding of the current total counts as equal, so an
     # ulp in the solver's exposures cannot flip the direction.
-    tie = held + _EQUAL_TOL * p.budget * max(p.l_max)
-    s_up = p.staking_rate - fees.gamma_plus / fees.horizon_years
-    s_down = p.staking_rate + fees.gamma_minus / fees.horizon_years
+    tie = held + _EQUAL_TOL * budget * max(l_max)
 
-    solved, direction = _solve_core(p, s_up), INCREASE
-    moved = _collateral(solved[0], solved[1], p.l_max)
+    def solved_at(rate: float) -> tuple[tuple, float]:
+        solved = _solve_at(tables.get(rate) or tables.setdefault(rate, _table(forms, rate)), budget, rate)
+        return solved, _collateral(solved[0], solved[1], l_max)
+
+    s_up = s - fees.gamma_plus / fees.horizon_years
+    s_down = s + fees.gamma_minus / fees.horizon_years
+    (solved, moved), direction = solved_at(s_up), INCREASE
     if not moved > tie:
         # Without fees both shifted rates are one float, and so is the solve.
         if s_down != s_up:
-            solved = _solve_core(p, s_down)
-            moved = _collateral(solved[0], solved[1], p.l_max)
+            solved, moved = solved_at(s_down)
         if not moved <= tie:
-            return RebalancePlan(current, 0.0, HOLD, 0.0, NO_BRANCH)
+            return HOLD, NO_BRANCH
         direction = DECREASE
-    exposures, unleveraged, lam, regime = solved
-    if _is_position(exposures, unleveraged, current, p.budget):
-        return RebalancePlan(current, 0.0, HOLD, 0.0, AT_TARGET)
+    x, u, lam, regime = solved
+    tol = _EQUAL_TOL * abs(budget)
+    if abs(u - unleveraged) <= tol and all(abs(a - b) <= tol for a, b in zip(x, exposures)):
+        return HOLD, AT_TARGET
 
-    target = _priced(p, exposures, unleveraged, lam, regime)
     cost = _fee(moved - held, fees)
-    # Yields compared at the true staking rate, not the fee-adjusted one:
-    # _priced prices the target at p.staking_rate.
-    current_yield = _position_yield(
-        current.exposures, current.unleveraged, p, clamp_utilization=True
-    )
-    net_gain = target.expected_yield - current_yield - cost / fees.horizon_years
-    return RebalancePlan(target=target, cost=cost, direction=direction, net_gain_rate=net_gain)
+    if not priced:
+        return direction, "", cost, math.nan, x, u, lam, regime, math.nan
+    # Yields compared at the true staking rate, not the fee-adjusted one.
+    target_yield = _position_yield(x, u, s, forms)
+    current_yield = _position_yield(exposures, unleveraged, s, forms, clamp_utilization=True)
+    net_gain = target_yield - current_yield - cost / fees.horizon_years
+    return direction, "", cost, net_gain, x, u, lam, regime, target_yield
 
 
 def should_rebalance(

@@ -22,7 +22,7 @@ from stakeloop.irm import (
     MarketState,
     _rate,
 )
-from stakeloop.rebalance import HOLD, solve_with_fees
+from stakeloop.rebalance import HOLD, should_rebalance, solve_with_fees
 from stakeloop.units import SECONDS_PER_YEAR
 
 
@@ -344,9 +344,15 @@ def replay_per_step(series, cfg):
             exposures = [d / m for d in debt]
             current = Allocation.from_position(ids, exposures, equity - sum(exposures))
             plan = solve_with_fees(p, current, cfg.fees)
-            if cfg.strategy == bt.DYNAMIC:
-                plan = bt._gate(plan, cfg, equity)
-            if plan.direction != HOLD:
+            moves = plan.direction != HOLD
+            if moves and cfg.strategy == bt.DYNAMIC:
+                # The gate: the yield gain per unit of equity, net of the
+                # amortized cost unless the gate is gross, must beat the threshold.
+                gain = plan.net_gain_rate
+                if not cfg.gate_net_of_costs:
+                    gain += plan.cost / cfg.fees.horizon_years
+                moves = should_rebalance(0.0, gain, equity, cfg.threshold)
+            if moves:
                 target = plan.target
                 collateral = [x * cfg.l_max for x in target.exposures]
                 debt = [x * m for x in target.exposures]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -10,8 +11,8 @@ from dataclasses import replace
 import pytest
 
 from oracles import market_states_at
-from stakeloop import backtest
-from stakeloop.allocator import ProblemInstance
+from stakeloop import backtest, rebalance
+from stakeloop.allocator import Allocation, ProblemInstance
 from stakeloop.backtest import (
     DYNAMIC,
     FIXED_FREQUENCY,
@@ -36,7 +37,7 @@ from stakeloop.irm import (
     MarketState,
     borrow_rate,
 )
-from stakeloop.rebalance import AT_TARGET, GATED, HOLD, NO_BRANCH, FeeModel, solve_with_fees
+from stakeloop.rebalance import AT_TARGET, GATED, HOLD, NO_BRANCH, FeeModel, RebalancePlan
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR
 
 T0 = 1735689600
@@ -433,22 +434,21 @@ class TestRunBacktest:
         # not the pool state inflated by our own borrowing
         series = flat_series(hours=48, supplied=500.0)
         solved = []
+        plan = backtest._plan
 
-        def recording(p, current, fees):
-            solved.append(p)
-            return solve_with_fees(p, current, fees)
+        def recording(forms, tables, s, budget, *position):
+            solved.append((forms, s, budget))
+            return plan(forms, tables, s, budget, *position)
 
-        monkeypatch.setattr(backtest, "solve_with_fees", recording)
+        monkeypatch.setattr(backtest, "_plan", recording)
         cfg = config(budget=200.0, smoothing_window=0)
         result = run_backtest(series, cfg)
         assert max(result.debt[0]) > 0.0
         # Hourly data rebalanced hourly: the solve at step k reads snapshot k.
         assert len(solved) == len(series.timestamps)
-        for k, p in enumerate(solved):
-            recorded = ProblemInstance.uniform(
-                market_states_at(series, k), cfg.l_max, p.staking_rate, p.budget
-            )
-            assert p.forms == recorded.forms
+        for k, (forms, s, budget) in enumerate(solved):
+            recorded = ProblemInstance.uniform(market_states_at(series, k), cfg.l_max, s, budget)
+            assert forms == recorded.forms
 
     def test_zero_budget_limit_matches_instant_yield_path(self):
         from stakeloop.allocator import ProblemInstance, solve
@@ -533,11 +533,29 @@ class TestRunBacktest:
         # the accrual in between reads the series columns.
         assert len(calls) == 3 * len(series.markets)
 
+    @pytest.mark.parametrize("budget", [5e-324, 1e-320, sys.float_info.min / 2])
+    def test_subnormal_budget_refused(self, budget):
+        # Each step's growth is below one ulp of a subnormal equity, which
+        # would never grow and give a 0% APY.
+        message = f"budget {budget} is below {sys.float_info.min}, the smallest normal float"
+        with pytest.raises(DomainError) as exc:
+            config(budget=budget)
+        assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
+            sweep_budgets(varied_series(), config(), [1.0, budget])
+        assert str(exc.value) == message
+
+    def test_smallest_normal_budget_earns_the_tiny_budget_apy(self):
+        series = varied_series()
+        smallest = run_backtest(series, config(budget=sys.float_info.min)).apy
+        assert smallest > 0.0
+        assert smallest == pytest.approx(run_backtest(series, config(budget=1e-300)).apy, rel=1e-9)
+
     def test_non_rate_model_fallback_rejected(self):
         with pytest.raises(UnsupportedModelError):
             BacktestConfig(budget=1.0, irm=object())
 
-    def test_one_problem_instance_per_solving_step(self, monkeypatch):
+    def test_no_problem_instance_on_any_solving_step(self, monkeypatch):
         series = varied_series(hours=48)
         built = []
         check = ProblemInstance.__post_init__
@@ -557,11 +575,22 @@ class TestRunBacktest:
         result = run_backtest(series, config(strategy=FIXED_FREQUENCY, fees=fees))
         assert result.rebalance_count > 0
         # Hourly data rebalanced hourly: every step solves, with and without
-        # the fee shifts of the staking rate, on the one instance it builds,
-        # through the constructor and its checks, from forms it compiles
-        # straight from the series columns.
-        assert len(built) == len(series.timestamps)
+        # the fee shifts of the staking rate, on plain values, from forms it
+        # compiles straight from the series columns, once per market.
+        assert built == []
         assert len(compiles) == len(series.timestamps) * len(series.markets)
+
+    def test_equity_check_keeps_the_instance_text(self):
+        # The cash flow of the first step's equity overflows: the replay and
+        # the sweep refuse it with the text an instance of that equity gives.
+        series = varied_series(hours=48)
+        with pytest.raises(DomainError) as instance:
+            ProblemInstance.uniform(market_states_at(series, 0), 5.0, 0.031, 1e308)
+        with pytest.raises(DomainError) as replayed:
+            run_backtest(series, config(budget=1e308))
+        with pytest.raises(DomainError) as swept:
+            sweep_budgets(series, config(), [1.0, 1e308])
+        assert str(replayed.value) == str(swept.value) == str(instance.value)
 
     def test_deterministic(self):
         series = scenario_series("volatile", seed=3)
@@ -605,16 +634,17 @@ class TestRunBacktest:
         result = run_backtest(
             series, config(budget=10.0, strategy=DYNAMIC, threshold=0.002, fees=fees)
         )
-        gated = [(plan, out) for plan, out in verdicts if out.reason == GATED]
+        # A plan is (direction, reason, cost, net gain, target, ...).
+        gated = [(plan, out) for plan, out in verdicts if out[1] == GATED]
         assert gated
         for plan, out in gated:
             # A move turned down: held, with the move's target and cost kept.
-            assert plan.direction != HOLD and plan.reason == ""
-            assert out == replace(plan, direction=HOLD, reason=GATED)
-        moves = [out for _, out in verdicts if out.direction != HOLD]
-        assert all(out.reason == "" for out in moves)
+            assert plan[0] != HOLD and plan[1] == ""
+            assert out == (HOLD, GATED, *plan[2:])
+        moves = [out for _, out in verdicts if out[0] != HOLD]
+        assert all(out[1] == "" for out in moves)
         assert len(moves) == result.rebalance_count
-        held = {out.reason for _, out in verdicts if out.direction == HOLD}
+        held = {out[1] for _, out in verdicts if out[0] == HOLD}
         assert held <= {NO_BRANCH, AT_TARGET, GATED}
 
 
@@ -723,12 +753,13 @@ class TestSchedule:
         )
         time_of = dict(zip(series.staking_rates, series.timestamps))
         solved_at = []
+        plan = backtest._plan
 
-        def recording(p, current, fees):
-            solved_at.append(time_of[p.staking_rate])
-            return solve_with_fees(p, current, fees)
+        def recording(forms, tables, s, *rest):
+            solved_at.append(time_of[s])
+            return plan(forms, tables, s, *rest)
 
-        monkeypatch.setattr(backtest, "solve_with_fees", recording)
+        monkeypatch.setattr(backtest, "_plan", recording)
         result = run_backtest(series, config(rebalance_frequency=SECONDS_PER_DAY))
         days = [(t - T0) / SECONDS_PER_DAY for t in solved_at]
         assert days == [*range(10), 13 + 5 / 24, *range(14, 21)]
@@ -816,6 +847,38 @@ class TestSweeps:
         monkeypatch.setattr(backtest, "BacktestResult", lambda **_: pytest.fail("built a result"))
         assert sweep_leverage(*args) == expected
 
+    def test_budgets_share_each_due_step_compile_and_table(self, monkeypatch):
+        series = scenario_series("volatile")
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY, fees=FeeModel(1e-4, 2e-4, 7.0 / 365.0))
+        caps, budgets = [3.0, 5.0], [1.0, 1e3, 1e6]
+        expected = sweep_leverage(series, cfg, caps, budgets)
+        # One worker, so that the counters see every replay.
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
+        compiles = count_compiles(monkeypatch)
+        tables = []
+        table = rebalance._table
+
+        def counting(forms, s):
+            tables.append((forms, s))
+            return table(forms, s)
+
+        def refused(self, *args, **kwargs):
+            pytest.fail(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(rebalance, "_table", counting)
+        for built in (ProblemInstance, Allocation, RebalancePlan):
+            monkeypatch.setattr(built, "__init__", refused)
+        assert sweep_leverage(series, cfg, caps, budgets) == expected
+        due = len(backtest._prepare(series, cfg, [cfg])[1][2])
+        # Per cap: the check of step 0, then one compile per due step, for
+        # all three budgets.
+        assert len(compiles) == len(caps) * (1 + due) * len(series.markets)
+        # A table per fee-shifted rate of each cap's forms at each due step,
+        # built once for all three budgets.
+        assert tables
+        assert len(tables) == len(set(tables)) <= 2 * len(caps) * due
+        run_backtest(series, replace(cfg, budget=1e3))
+
     def test_apy_only_replay_reads_the_pre_trade_mark_of_a_last_step_trade(self):
         series = flat_series(hours=48)
         # The rate jumps past the staking rate at the last snapshot, a due
@@ -827,8 +890,8 @@ class TestSweeps:
         assert full.fees_paid[-1] > 0.0
         post_trade = full.unleveraged[-1] + full.collateral[0][-1] - full.debt[0][-1]
         assert post_trade < full.equity[-1]
-        only_apy = backtest._replay(series, cfg, *backtest._prepare(series, cfg, [cfg]), False)
-        assert repr(only_apy) == repr(full.apy)
+        only_apy = backtest._replay(series, [cfg], *backtest._prepare(series, cfg, [cfg]), False)
+        assert repr(only_apy) == repr([full.apy])
 
     def test_every_value_is_checked_before_any_replay(self, monkeypatch):
         monkeypatch.setattr(backtest, "_replay", lambda *args: pytest.fail("replayed"))
@@ -913,13 +976,18 @@ def third(x: int) -> float:
     return x / 3.0
 
 
+def each(run):
+    """A share's run of :func:`backtest._fan_out` that runs ``run`` per item."""
+    return lambda share: [run(x) for x in share]
+
+
 class TestFanOut:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("runs", [1, 2, 5, 7])
     def test_forced_workers_give_the_serial_list(self, monkeypatch, workers, runs):
         monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
         forks = count_forks(monkeypatch)
-        assert backtest._fan_out(third, range(runs)) == [third(x) for x in range(runs)]
+        assert backtest._fan_out(each(third), range(runs)) == [third(x) for x in range(runs)]
         assert len(forks) == min(workers, runs) - 1
         assert_no_children()
 
@@ -968,7 +1036,7 @@ class TestFanOut:
             return third(x)
 
         with pytest.raises(ValueError, match="^item 1$"):
-            backtest._fan_out(run, range(6))
+            backtest._fan_out(each(run), range(6))
         # The worker's raise is not seen here; the serial rerun raises at item 1.
         assert raised_in == [parent]
         assert_no_children()
@@ -982,7 +1050,7 @@ class TestFanOut:
                 os.kill(os.getpid(), signal.SIGKILL)
             return third(x)
 
-        assert backtest._fan_out(run, range(4)) == [third(x) for x in range(4)]
+        assert backtest._fan_out(each(run), range(4)) == [third(x) for x in range(4)]
         assert_no_children()
 
     def test_worker_that_dies_after_writing_reruns_serially(self, monkeypatch):
@@ -995,14 +1063,14 @@ class TestFanOut:
             return third(x) if os.getpid() == parent else -1.0
 
         monkeypatch.setattr(os, "_exit", lambda code: os.kill(os.getpid(), signal.SIGKILL))
-        assert backtest._fan_out(run, range(6)) == [third(x) for x in range(6)]
+        assert backtest._fan_out(each(run), range(6)) == [third(x) for x in range(6)]
         assert_no_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_shares_larger_than_a_pipe_buffer(self, monkeypatch, workers):
         monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
         runs = range(20001)  # 80 kB for 2 workers' share 1, more than a 64 kB pipe buffer
-        assert backtest._fan_out(third, runs) == [third(x) for x in runs]
+        assert backtest._fan_out(each(third), runs) == [third(x) for x in runs]
         assert_no_children()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -1019,13 +1087,13 @@ class TestFanOut:
             time.sleep(60)
 
         before = len(os.listdir("/proc/self/fd"))
-        backtest._fan_out(third, range(7))
+        backtest._fan_out(each(third), range(7))
         assert len(os.listdir("/proc/self/fd")) == before
         with pytest.raises(ValueError):
-            backtest._fan_out(failing, range(7))
+            backtest._fan_out(each(failing), range(7))
         assert len(os.listdir("/proc/self/fd")) == before
         with pytest.raises(KeyboardInterrupt):
-            backtest._fan_out(interrupted, range(7))
+            backtest._fan_out(each(interrupted), range(7))
         assert len(os.listdir("/proc/self/fd")) == before
         assert_no_children()
 
@@ -1040,7 +1108,7 @@ class TestFanOut:
 
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            backtest._fan_out(run, range(3))
+            backtest._fan_out(each(run), range(3))
         assert time.monotonic() - start < 30
         assert_no_children()
 

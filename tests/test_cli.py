@@ -1207,6 +1207,23 @@ class TestTinyScales:
             "budget 1e-12 apy 3.89169%",
         ]
 
+    def test_subnormal_budget_refused_by_replays_kept_by_optimize(self, tmp_path, capsys):
+        # Each step's growth is below one ulp of a subnormal equity, which
+        # would never grow: a replay refuses the budget rather than report 0%.
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "volatile", "--seed", "0", "--out", str(ds)], capsys)
+        refused = "error: budget 1e-320 is below 2.2250738585072014e-308, the smallest normal float\n"
+        for argv in (
+            ["--json", "backtest", "--dataset", str(ds), "--budget", "1e-320"],
+            ["sweep", "--dataset", str(ds), "--budgets", "1e-320,1e-300", "--frequency", "1d"],
+            ["sweep", "--dataset", str(ds), "--budget", "1", "--budgets", "1,1e-320", "--frequency", "1d"],
+        ):
+            assert run(argv, capsys) == (2, "", refused), argv
+        # A single solve keeps such a budget, and certifies it.
+        code, out, _ = run(["--json", "optimize", "--dataset", str(ds), "--budget", "1e-320"], capsys)
+        assert code == 0
+        assert _strict_json(out)["kkt_passed"] is True
+
 
 def _strict_json(text):
     """JSON as the standard defines it: no Infinity and no NaN."""

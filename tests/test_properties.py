@@ -503,8 +503,25 @@ def replays(draw) -> tuple[SnapshotSeries, BacktestConfig]:
 @given(replays())
 def test_apy_only_replay_equals_the_full_replay(case):
     x, cfg = case
-    only_apy = backtest._replay(x, cfg, *backtest._prepare(x, cfg, [cfg]), False)
-    assert repr(only_apy) == repr(run_backtest(x, cfg).apy)
+    only_apy = backtest._replay(x, [cfg], *backtest._prepare(x, cfg, [cfg]), False)
+    assert repr(only_apy) == repr([run_backtest(x, cfg).apy])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(replays(), st.data())
+def test_lockstep_sweeps_equal_independent_backtests(case, data):
+    # Two caps and three budgets walk in lockstep, sharing each due step's
+    # compile and tables, in one share or in two forked ones.
+    x, cfg = case
+    bound = min(1.0 / (1.0 - m.max_ltv) for m in x.markets)
+    caps = data.draw(st.lists(st.floats(1.0, bound), min_size=2, max_size=2, unique=True))
+    budgets = [10.0 ** data.draw(st.floats(-3.0, 7.0)) for _ in range(3)]
+    independent = {
+        c: [(b, run_backtest(x, replace(cfg, l_max=c, budget=b)).apy) for b in budgets] for c in caps
+    }
+    for cpus in (1, 2):
+        with mock.patch.object(backtest, "_usable_cpus", lambda: cpus):
+            assert repr(backtest.sweep_leverage(x, cfg, caps, budgets)) == repr(independent)
 
 
 def jittered_series(rng: random.Random, n: int, steps: int) -> SnapshotSeries:
@@ -606,6 +623,7 @@ def test_replay_plans_equal_plans_on_public_market_states(data):
             st.floats(1.0, min(1.0 / (1.0 - m.max_ltv) for m in x.markets), exclude_min=True)
         ),
         rebalance_frequency=x.cadence_seconds,
+        strategy=data.draw(st.sampled_from((FIXED_FREQUENCY, DYNAMIC))),
         fees=fees,
         smoothing_window=max(x.cadence_seconds, SECONDS_PER_HOUR),
         irm=LinearIrmParams(0.0, data.draw(st.floats(0.0, 0.2)), 0.9),  # for non-adaptive markets
@@ -613,33 +631,43 @@ def test_replay_plans_equal_plans_on_public_market_states(data):
     step_of = {s: k for k, s in enumerate(x.staking_rates)}
     assume(len(step_of) == len(x.timestamps))  # the staking rate names the step
     plans = []
+    plan_of = backtest._plan
 
-    def recording(p, current, fees):
-        plans.append((p, current, solve_with_fees(p, current, fees)))
-        return plans[-1][2]
+    def recording(forms, tables, s, budget, exposures, unleveraged, fees, priced):
+        plan = plan_of(forms, tables, s, budget, exposures, unleveraged, fees, priced)
+        plans.append((forms, s, budget, exposures, unleveraged, priced, plan))
+        return plan
 
-    with mock.patch.object(backtest, "solve_with_fees", recording):
+    with mock.patch.object(backtest, "_plan", recording):
         run_backtest(x, cfg)
     assert plans
     smoothed = smooth_rates(x, cfg.smoothing_window)
-    for p, current, plan in plans:
-        states = market_states_at(smoothed, step_of[p.staking_rate], cfg.irm)
-        public = ProblemInstance.uniform(states, cfg.l_max, p.staking_rate, p.budget)
+    for forms, s, budget, exposures, unleveraged, priced, plan in plans:
+        states = market_states_at(smoothed, step_of[s], cfg.irm)
+        public = ProblemInstance.uniform(states, cfg.l_max, s, budget)
+        current = Allocation.from_position(public.market_ids, exposures, unleveraged)
         expected = solve_with_fees(public, current, fees)
-        assert (plan.direction, plan.cost, plan.net_gain_rate) == (
-            expected.direction, expected.cost, expected.net_gain_rate
-        )
-        if plan.direction == HOLD:
-            assert plan.target is current and expected.target is current
+        direction, reason, *move = plan
+        assert (direction, reason) == (expected.direction, expected.reason)
+        if direction == HOLD:
+            assert expected.target is current
             continue
-        a, b = plan.target, expected.target
-        assert (a.exposures, a.unleveraged, a.lambda_star, a.expected_yield) == (
-            b.exposures, b.unleveraged, b.lambda_star, b.expected_yield
-        )
+        cost, net_gain, target, target_unleveraged, lam, regime, target_yield = move
+        b = expected.target
+        assert cost == expected.cost
+        assert (tuple(target), target_unleveraged, lam) == (b.exposures, b.unleveraged, b.lambda_star)
+        # Only the dynamic strategy's gate reads the yields, so only it prices.
+        assert priced == (cfg.strategy == DYNAMIC)
+        if priced:
+            assert (net_gain, target_yield) == (expected.net_gain_rate, b.expected_yield)
+        else:
+            assert math.isnan(net_gain) and math.isnan(target_yield)
+        a = Allocation(public.market_ids, tuple(target), target_unleveraged, lam, b.expected_yield, regime)
         # The target is the optimum at the fee-shifted staking rate it was
-        # solved at, certified on the public instance and on the replay's own.
-        shift = -fees.gamma_plus if plan.direction == INCREASE else fees.gamma_minus
-        s = p.staking_rate + shift / fees.horizon_years
-        assert verify_kkt(b, replace(public, staking_rate=s), 1e-8).passed
-        own = replace(p, staking_rate=s)
+        # solved at, certified on the public instance and on the replay's own
+        # forms.
+        shift = -fees.gamma_plus if direction == INCREASE else fees.gamma_minus
+        shifted = s + shift / fees.horizon_years
+        assert verify_kkt(b, replace(public, staking_rate=shifted), 1e-8).passed
+        own = ProblemInstance(public.market_ids, shifted, budget, forms)
         assert verify_kkt(a, own, 1e-8).passed

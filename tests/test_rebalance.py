@@ -184,18 +184,18 @@ class TestSolveWithFees:
 
     def test_both_fee_shifted_solves_share_one_compile_per_market(self, monkeypatch):
         compiled, solves = [], []
-        compile_market, solve_at = irm._compile, rebalance._solve_core
+        compile_market, solve_at = irm._compile, rebalance._solve_at
 
         def counted_compile(market_id, *columns):
             compiled.append(market_id)
             return compile_market(market_id, *columns)
 
-        def counted_solve(p, s):
+        def counted_solve(table, budget, s):
             solves.append(s)
-            return solve_at(p, s)
+            return solve_at(table, budget, s)
 
         monkeypatch.setattr(irm, "_compile", counted_compile)
-        monkeypatch.setattr(rebalance, "_solve_core", counted_solve)
+        monkeypatch.setattr(rebalance, "_solve_at", counted_solve)
         p = instance(3.0, s=0.001)
         plan = solve_with_fees(p, position(p, [3.0, 0.0], 0.0), FeeModel(0.0, 0.00001, DAY))
         assert plan.direction == DECREASE
@@ -226,19 +226,19 @@ class TestSolveWithFees:
 
     def test_only_the_kept_target_is_priced(self, monkeypatch):
         priced, rates = [], []
-        position_yield, solve_core = allocator._position_yield, rebalance._solve_core
+        position_yield, solve_at = allocator._position_yield, rebalance._solve_at
 
         def counted_yield(*args, **kwargs):
             priced.append(args[0])
             return position_yield(*args, **kwargs)
 
-        def counted_solve(p, rate):
+        def counted_solve(table, budget, rate):
             rates.append(rate)
-            return solve_core(p, rate)
+            return solve_at(table, budget, rate)
 
         monkeypatch.setattr(allocator, "_position_yield", counted_yield)
         monkeypatch.setattr(rebalance, "_position_yield", counted_yield)
-        monkeypatch.setattr(rebalance, "_solve_core", counted_solve)
+        monkeypatch.setattr(rebalance, "_solve_at", counted_solve)
         free, exit_fee = FeeModel(0.0, 0.0, DAY), FeeModel(0.0, 1e-5, DAY)
         big, low_rate = instance(10.0), instance(3.0, s=0.001)
         cases = [
