@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import bisect
 import math
-import mmap
-import os
-import signal
 import sys
-import threading
-from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field, replace
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, mul, sub, truediv
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping
 
 from .allocator import _check_budget
 from .errors import DataError, DomainError, ValidationError
@@ -604,8 +599,7 @@ def sweep_budgets(
     series: SnapshotSeries, cfg: BacktestConfig, budgets: Sequence[float]
 ) -> list[tuple[float, float]]:
     """APY per starting budget, in budget order: the rates are smoothed once,
-    then the backtests fan out over forked processes as :func:`_fan_out`
-    does (pure-Python work that threads cannot overlap)."""
+    then every budget replays in one lockstep walk."""
     return sweep_leverage(series, cfg, [cfg.l_max], budgets)[cfg.l_max]
 
 
@@ -621,7 +615,7 @@ def sweep_leverage(
     if not budgets:
         raise DomainError("budget list must not be empty")
     # Every cap, then every budget, is checked as a number before a replay;
-    # then what run_backtest checks, once for every run and worker.
+    # then what run_backtest checks, once for every run.
     caps = [replace(cfg, l_max=l) for l in l_max_values]
     runs = [replace(c, budget=b) for c in caps for b in budgets]
     targets, steps = _prepare(series, cfg, caps)
@@ -631,63 +625,6 @@ def sweep_leverage(
     for c in caps:
         if not _passive(c):
             _forms_at(series, 0, targets, fallback, c.l_max)
-    apys = iter(_fan_out(lambda share: _replay(series, share, targets, steps, False), runs))
+    apys = iter(_replay(series, runs, targets, steps, False))
     return {c.l_max: [(float(b), next(apys)) for b in budgets] for c in caps}
 
-
-_T = TypeVar("_T")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fan_out(run: Callable[[Sequence[_T]], list[float]], items: Sequence[_T]) -> list[float]:
-    """``run(items)``, a float per item whatever share holds it, with the
-    items spread over forked processes, one per usable CPU and at most one per item.
-
-    Worker ``j`` of ``n`` writes ``run(items[j::n])`` as doubles into
-    ``out[j::n]`` of one anonymous map shared with this process, which runs
-    share 0 itself; so every float is the serial one. It runs ``run(items)``,
-    forking nothing, on one CPU or one item, without ``os.fork``, or while
-    another thread is alive (forking it could deadlock). An ``Exception`` in
-    any share, or a worker that dies, reruns ``run(items)``, so the error
-    raised is the serial one. No worker outlives the call.
-    """
-    n = min(_usable_cpus(), len(items))
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return run(items)
-    parent = os.getpid()
-    workers: list[int] = []
-    failed = False
-    # The view is released before the map closes, on any way out.
-    with mmap.mmap(-1, 8 * len(items)) as shared, memoryview(shared).cast("d") as out:
-        try:
-            for j in range(1, n):
-                if (pid := os.fork()) == 0:
-                    code = 1
-                    try:
-                        out[j::n] = array("d", run(items[j::n]))
-                        code = 0
-                    finally:
-                        # Return into no caller; flush and run nothing of the parent's.
-                        os._exit(code)
-                workers.append(pid)
-            out[::n] = array("d", run(items[::n]))
-            while workers:
-                failed |= os.waitpid(workers[-1], 0)[1] != 0
-                workers.pop()
-        except Exception:
-            failed = True
-        finally:
-            if os.getpid() != parent:  # a worker that got past its own exit
-                os._exit(1)
-            for pid in workers:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if not failed:
-            return out.tolist()
-    return run(items)

@@ -2,10 +2,7 @@ from __future__ import annotations
 
 import math
 import os
-import signal
 import sys
-import threading
-import time
 from dataclasses import replace
 
 import pytest
@@ -837,13 +834,22 @@ class TestSweeps:
         for level, curve in curves.items():
             assert curve == independent(replace(cfg, l_max=level))
 
+    def test_sweep_forks_nothing(self, monkeypatch):
+        series = scenario_series("volatile")
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        caps, budgets = [3.0, 5.0], [1.0, 1e3, 1e6]
+        expected = {
+            level: [(b, run_backtest(series, replace(cfg, l_max=level, budget=b)).apy) for b in budgets]
+            for level in caps
+        }
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert sweep_leverage(series, cfg, caps, budgets) == expected
+
     def test_sweep_builds_no_result(self, monkeypatch):
         series = scenario_series("volatile")
         cfg = config(rebalance_frequency=SECONDS_PER_DAY)
         args = (series, cfg, [3.0, 5.0], [1.0, 1e3, 1e6])
         expected = sweep_leverage(*args)
-        # One worker, so that a result built anywhere would raise here.
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(backtest, "BacktestResult", lambda **_: pytest.fail("built a result"))
         assert sweep_leverage(*args) == expected
 
@@ -852,8 +858,6 @@ class TestSweeps:
         cfg = config(rebalance_frequency=SECONDS_PER_DAY, fees=FeeModel(1e-4, 2e-4, 7.0 / 365.0))
         caps, budgets = [3.0, 5.0], [1.0, 1e3, 1e6]
         expected = sweep_leverage(series, cfg, caps, budgets)
-        # One worker, so that the counters see every replay.
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
         compiles = count_compiles(monkeypatch)
         tables = []
         table = rebalance._table
@@ -931,8 +935,6 @@ class TestSweeps:
             return problems(series, where)
 
         series = scenario_series()
-        # One worker, so that the counters see every replay.
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(backtest, "_replay_targets", counting)
         monkeypatch.setattr(SnapshotSeries, "_problems", checking)
         cfg = config(rebalance_frequency=SECONDS_PER_DAY)
@@ -944,8 +946,6 @@ class TestSweeps:
     def test_sweep_checks_curves_once(self, monkeypatch):
         checks = []
         check_curves = backtest._check_curves
-        # One worker, so that the counter sees every replay.
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(backtest, "_check_curves", lambda *args: checks.append(args[0]) or check_curves(*args))
         series = scenario_series()
         sweep_leverage(series, config(rebalance_frequency=SECONDS_PER_DAY), [3.0, 5.0], [1.0, 100.0, 1e4])
@@ -955,173 +955,3 @@ class TestSweeps:
         with pytest.raises(DomainError):
             sweep_budgets(scenario_series(), config(), [])
 
-
-def assert_no_children() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def count_forks(monkeypatch) -> list[int]:
-    forks, fork = [], os.fork
-
-    def counting():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
-def third(x: int) -> float:
-    return x / 3.0
-
-
-def each(run):
-    """A share's run of :func:`backtest._fan_out` that runs ``run`` per item."""
-    return lambda share: [run(x) for x in share]
-
-
-class TestFanOut:
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("runs", [1, 2, 5, 7])
-    def test_forced_workers_give_the_serial_list(self, monkeypatch, workers, runs):
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
-        forks = count_forks(monkeypatch)
-        assert backtest._fan_out(each(third), range(runs)) == [third(x) for x in range(runs)]
-        assert len(forks) == min(workers, runs) - 1
-        assert_no_children()
-
-    @pytest.mark.parametrize("budgets", [[1.0], [1.0, 1e3, 1e6]], ids=["one", "three"])
-    def test_forced_workers_give_equal_sweeps(self, monkeypatch, budgets):
-        series = scenario_series("volatile")
-        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
-        sweeps = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
-            sweeps.append((sweep_budgets(series, cfg, budgets),
-                           sweep_leverage(series, cfg, [2.0, 3.0, 5.0], budgets)))
-            assert_no_children()
-        assert sweeps[0] == sweeps[1] == sweeps[2]
-
-    def test_two_workers_fork_once(self, monkeypatch):
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
-        forks = count_forks(monkeypatch)
-        sweep_budgets(scenario_series(), config(rebalance_frequency=SECONDS_PER_DAY), [1.0, 1e4])
-        assert forks == [1]
-        assert_no_children()
-
-    @pytest.mark.parametrize("caps", [[3.0, 30.0], [30.0, 3.0]], ids=["worker", "parent"])
-    def test_failing_replay_raises_the_serial_error(self, monkeypatch, caps):
-        series = scenario_series()
-        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
-        errors = []
-        for workers in (1, 2):
-            monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
-            with pytest.raises(ConstraintError) as exc:
-                sweep_leverage(series, cfg, caps, [1.0])
-            errors.append(str(exc.value))
-            assert_no_children()
-        assert "l_max=30.0 outside" in errors[0]
-        assert errors[0] == errors[1]
-
-    def test_error_in_a_worker_share_raises_the_serial_error(self, monkeypatch):
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
-        parent = os.getpid()
-        raised_in = []
-
-        def run(x):
-            if x % 2:  # items 1, 3, 5: the worker's share
-                raised_in.append(os.getpid())
-                raise ValueError(f"item {x}")
-            return third(x)
-
-        with pytest.raises(ValueError, match="^item 1$"):
-            backtest._fan_out(each(run), range(6))
-        # The worker's raise is not seen here; the serial rerun raises at item 1.
-        assert raised_in == [parent]
-        assert_no_children()
-
-    def test_dead_worker_reruns_serially(self, monkeypatch):
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
-        parent = os.getpid()
-
-        def run(x):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return third(x)
-
-        assert backtest._fan_out(each(run), range(4)) == [third(x) for x in range(4)]
-        assert_no_children()
-
-    def test_worker_that_dies_after_writing_reruns_serially(self, monkeypatch):
-        # The worker writes a wrong value for each of its items, then is killed
-        # in place of its clean exit: none of what it wrote is read.
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
-        parent = os.getpid()
-
-        def run(x):
-            return third(x) if os.getpid() == parent else -1.0
-
-        monkeypatch.setattr(os, "_exit", lambda code: os.kill(os.getpid(), signal.SIGKILL))
-        assert backtest._fan_out(each(run), range(6)) == [third(x) for x in range(6)]
-        assert_no_children()
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_shares_larger_than_a_pipe_buffer(self, monkeypatch, workers):
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: workers)
-        runs = range(20001)  # 80 kB for 2 workers' share 1, more than a 64 kB pipe buffer
-        assert backtest._fan_out(each(third), runs) == [third(x) for x in runs]
-        assert_no_children()
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_no_fd_leaks(self, monkeypatch):
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 3)
-        parent = os.getpid()
-
-        def failing(x):
-            raise ValueError(x)
-
-        def interrupted(x):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)
-
-        before = len(os.listdir("/proc/self/fd"))
-        backtest._fan_out(each(third), range(7))
-        assert len(os.listdir("/proc/self/fd")) == before
-        with pytest.raises(ValueError):
-            backtest._fan_out(each(failing), range(7))
-        assert len(os.listdir("/proc/self/fd")) == before
-        with pytest.raises(KeyboardInterrupt):
-            backtest._fan_out(each(interrupted), range(7))
-        assert len(os.listdir("/proc/self/fd")) == before
-        assert_no_children()
-
-    def test_interrupt_kills_every_worker(self, monkeypatch):
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 3)
-        parent = os.getpid()
-
-        def run(x):
-            if os.getpid() != parent:
-                time.sleep(60)
-            raise KeyboardInterrupt
-
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            backtest._fan_out(each(run), range(3))
-        assert time.monotonic() - start < 30
-        assert_no_children()
-
-    def test_live_thread_keeps_the_sweep_serial(self, monkeypatch):
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a live thread"))
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            curve = sweep_budgets(scenario_series(), config(rebalance_frequency=SECONDS_PER_DAY),
-                                  [1.0, 1e4])
-        finally:
-            stop.set()
-            thread.join()
-        assert [b for b, _ in curve] == [1.0, 1e4]

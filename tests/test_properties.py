@@ -439,43 +439,12 @@ def test_equity_is_conserved_at_every_step(data):
         assert abs(after - expected) <= 1e-9 * max(1.0, abs(after))
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.data())
-def test_stretch_walk_equals_the_per_step_walk(data):
-    # Jittered, gappy hourly steps; rebalancing every 1 to 5 cadences, not
-    # always a multiple of it; budgets from 1e-3 to 1e7 on pools of 1 to 1e4,
-    # so that the largest debts overshoot a pool that shrinks under them.
-    x = data.draw(series())
-    assume(len(x.timestamps) >= 3)
-    cadence = x.cadence_seconds
-    frequency = data.draw(st.integers(cadence, 5 * cadence))
-    assume(x.timestamps[-1] - x.timestamps[0] >= 2 * frequency)
-    fees = FeeModel(0.0, 0.0, 1.0 / 365.0)
-    if data.draw(st.booleans()):
-        fees = FeeModel(
-            data.draw(st.floats(0.0, 0.01)), data.draw(st.floats(0.0, 0.01)), 7.0 / 365.0
-        )
-    fallback = data.draw(st.sampled_from((
-        LinearIrmParams(0.0, 0.1, 0.9), KinkedIrmParams(0.01, 0.04, 0.8, 0.85)
-    )))
-    cfg = BacktestConfig(
-        budget=10.0 ** data.draw(st.floats(-3.0, 7.0)),
-        l_max=data.draw(st.floats(1.0, min(1.0 / (1.0 - m.max_ltv) for m in x.markets))),
-        rebalance_frequency=frequency,
-        strategy=data.draw(st.sampled_from((FIXED_FREQUENCY, DYNAMIC, STAKING_ONLY))),
-        threshold=data.draw(st.floats(0.0, 0.01)),
-        fees=fees,
-        smoothing_window=data.draw(st.one_of(st.just(0), st.integers(cadence, SECONDS_PER_DAY))),
-        irm=fallback,  # for markets without a rate-at-target
-    )
-    walked, reference = run_backtest(x, cfg), replay_per_step(x, cfg)
-    for f in fields(BacktestResult):  # repr tells every float apart, -0.0 from 0.0 too
-        assert repr(getattr(walked, f.name)) == repr(getattr(reference, f.name)), f.name
-
-
 @st.composite
 def replays(draw) -> tuple[SnapshotSeries, BacktestConfig]:
-    """A series and a config drawn as the stretch-walk test above draws them."""
+    """A series and a config to replay: jittered, gappy hourly steps;
+    rebalancing every 1 to 5 cadences, not always a multiple of it; budgets
+    from 1e-3 to 1e7 on pools of 1 to 1e4, so that the largest debts
+    overshoot a pool that shrinks under them."""
     x = draw(series())
     assume(len(x.timestamps) >= 3)
     cadence = x.cadence_seconds
@@ -499,6 +468,15 @@ def replays(draw) -> tuple[SnapshotSeries, BacktestConfig]:
     return x, cfg
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(replays())
+def test_stretch_walk_equals_the_per_step_walk(case):
+    x, cfg = case
+    walked, reference = run_backtest(x, cfg), replay_per_step(x, cfg)
+    for f in fields(BacktestResult):  # repr tells every float apart, -0.0 from 0.0 too
+        assert repr(getattr(walked, f.name)) == repr(getattr(reference, f.name)), f.name
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(replays())
 def test_apy_only_replay_equals_the_full_replay(case):
@@ -511,7 +489,7 @@ def test_apy_only_replay_equals_the_full_replay(case):
 @given(replays(), st.data())
 def test_lockstep_sweeps_equal_independent_backtests(case, data):
     # Two caps and three budgets walk in lockstep, sharing each due step's
-    # compile and tables, in one share or in two forked ones.
+    # compile and tables.
     x, cfg = case
     bound = min(1.0 / (1.0 - m.max_ltv) for m in x.markets)
     caps = data.draw(st.lists(st.floats(1.0, bound), min_size=2, max_size=2, unique=True))
@@ -519,9 +497,7 @@ def test_lockstep_sweeps_equal_independent_backtests(case, data):
     independent = {
         c: [(b, run_backtest(x, replace(cfg, l_max=c, budget=b)).apy) for b in budgets] for c in caps
     }
-    for cpus in (1, 2):
-        with mock.patch.object(backtest, "_usable_cpus", lambda: cpus):
-            assert repr(backtest.sweep_leverage(x, cfg, caps, budgets)) == repr(independent)
+    assert repr(backtest.sweep_leverage(x, cfg, caps, budgets)) == repr(independent)
 
 
 def jittered_series(rng: random.Random, n: int, steps: int) -> SnapshotSeries:
