@@ -28,7 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .errors import ConstraintError, DomainError, UnsupportedModelError
@@ -119,7 +120,7 @@ class Allocation:
 
     @property
     def total(self) -> float:
-        return self.unleveraged + sum(self.exposures)
+        return self.unleveraged + reduce(add, self.exposures, 0.0)
 
     @classmethod
     def from_position(
@@ -326,7 +327,7 @@ def _table(forms: Sequence[tuple], s: float) -> tuple[list, tuple[float, ...], f
     pieces, built once, its saturated response (at ``s``) and their sum."""
     pieces = [_pieces(form, s) for form in forms]
     saturated = tuple(_responses(pieces, s))
-    return pieces, saturated, sum(saturated)
+    return pieces, saturated, reduce(add, saturated, 0.0)
 
 
 def _solve_at(table: tuple, budget: float, s: float) -> tuple[Sequence[float], float, float, str]:
@@ -418,7 +419,7 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
     thresholds = []
     for k in range(1, n + 1):
         beta_k = betas[k - 1]
-        thresholds.append(sum(a * (b - beta_k) for a, b in zip(alphas[:k], betas[:k])))
+        thresholds.append(reduce(add, (a * (b - beta_k) for a, b in zip(alphas[:k], betas[:k])), 0.0))
 
     active = n
     for k in range(1, n + 1):
@@ -427,8 +428,8 @@ def waterfilling_detail(p: ProblemInstance) -> WaterfillingDetail:
             active = k
             break
 
-    num = sum(a * b for a, b in zip(alphas[:active], betas[:active])) - p.budget
-    lam_star = num / sum(alphas[:active])
+    num = reduce(add, map(mul, alphas[:active], betas[:active]), 0.0) - p.budget
+    lam_star = num / reduce(add, alphas[:active], 0.0)
 
     exposures = [0.0] * n
     for rank in range(active):

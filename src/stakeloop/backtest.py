@@ -413,18 +413,16 @@ def _replay(
     # and the equity of each step at which it traded, marked before its trade.
     holdings = [[cfg.budget, [0.0] * n, [0.0] * n, {}] for cfg in runs]
     # The holdings columns of a recorded run, filled a stretch at a time;
-    # each market's interest over each interval (0.0 while it holds no debt);
-    # the fee of each step that traded.
+    # the interest of each interval, summed in market order; the fee of each
+    # step that traded.
     unleveraged_col: list[float] = []
     collateral_cols: list[list[float]] = [[] for _ in ids]
     debt_cols: list[list[float]] = [[] for _ in ids]
-    interest_cols: list[list[float]] = [[] for _ in ids]
+    interest = [0.0] * last
     fees: dict[int, float] = {}
     total_fees = 0.0
 
-    columns = tuple(zip(
-        collateral_cols, debt_cols, interest_cols, series.supplied, series.borrowed, curves, rate_at_target
-    ))
+    columns = tuple(zip(collateral_cols, debt_cols, series.supplied, series.borrowed, curves, rate_at_target))
     for a, end in zip(due, (*due[1:], last)):
         s = series.staking_rates[a]
         # Per cap, the forms at this step and their tables by staking rate.
@@ -432,7 +430,7 @@ def _replay(
         g = growth[a:end]
         for cfg, holding in zip(runs, holdings):
             unleveraged, collateral, debt, marks = holding
-            equity = unleveraged + sum(map(sub, collateral, debt))
+            equity = unleveraged + reduce(add, map(sub, collateral, debt), 0.0)
             if not _passive(cfg) and equity > 0.0:
                 l_max = cfg.l_max
                 if l_max not in compiled:
@@ -442,7 +440,8 @@ def _replay(
                 exposures = [d / m for d in debt]
                 # Only the dynamic strategy's gate reads a move's yields.
                 gated = cfg.strategy == DYNAMIC
-                plan = _plan(*compiled[l_max], s, equity, exposures, equity - sum(exposures), cfg.fees, gated)
+                rest = equity - reduce(add, exposures, 0.0)
+                plan = _plan(*compiled[l_max], s, equity, exposures, rest, cfg.fees, gated)
                 if gated:
                     plan = _gate(plan, cfg, equity)
                 if plan[0] != HOLD:
@@ -456,14 +455,21 @@ def _replay(
                         total_fees += cost
 
             # Accrue the intervals from a to the next due step, or to the last
-            # snapshot; the columns take the values at a..end-1.
+            # snapshot; the columns take the values at a..end-1. What grows at
+            # the staking rate grows by one product over the stretch; only
+            # the debt, priced on its own pool, walks step by step.
             if record:
                 unleveraged_col += accumulate(g, mul, initial=unleveraged)
                 unleveraged = unleveraged_col.pop()
             else:
                 unleveraged = reduce(mul, g, unleveraged)
-            for i, (c_col, d_col, i_col, supplied, borrowed, curve, targets) in enumerate(columns):
-                c, d = collateral[i], debt[i]
+            for i, (c_col, d_col, supplied, borrowed, curve, targets) in enumerate(columns):
+                if record:
+                    c_col += accumulate(g, mul, initial=collateral[i])
+                    collateral[i] = c_col.pop()
+                else:
+                    collateral[i] = reduce(mul, g, collateral[i])
+                d = debt[i]
                 if d > 0.0:
                     _, scale, u_target, below, above = curve
                     for k in range(a, end):
@@ -483,26 +489,18 @@ def _replay(
                             rate *= targets[k]
                         step = dt[k]
                         if record:
-                            c_col.append(c)
                             d_col.append(d)
-                            i_col.append(d * rate * step)
+                            interest[k] += d * rate * step
                         d *= 1.0 + rate * step
-                        c *= growth[k]
+                    debt[i] = d
                 elif record:
-                    c_col += accumulate(g, mul, initial=c)
-                    c = c_col.pop()
-                    i_col += repeat(0.0, end - a)
                     d_col += repeat(d, end - a)
-                else:
-                    c = reduce(mul, g, c)
-                collateral[i] = c
-                debt[i] = d
             holding[:3] = unleveraged, collateral, debt
     if not record:
         # The first mark is the budget, all that is held; a trade at the last
         # snapshot leaves its pre-trade mark, as in the column below.
         return [
-            apy((ts[0], ts[last]), (cfg.budget, marks.get(last, u + sum(map(sub, c, d)))))
+            apy((ts[0], ts[last]), (cfg.budget, marks.get(last, u + reduce(add, map(sub, c, d), 0.0))))
             for cfg, (u, c, d, marks) in zip(runs, holdings)
         ]
     # The holdings at the last snapshot, which no flow follows.
@@ -514,12 +512,11 @@ def _replay(
 
     # A step that traded keeps its mark from before the trade; any other
     # step is marked on the holdings it kept.
-    exposure = map(sum, zip(*[map(sub, c, d) for c, d in zip(collateral_cols, debt_cols)]))
-    equity_col = tuple(map(marks.get, range(size), map(add, unleveraged_col, exposure)))
-    held = map(add, unleveraged_col, map(sum, zip(*collateral_cols)))
-    interest = [0.0] * last
-    for i_col in interest_cols:  # summed in market order
-        interest = list(map(add, interest, i_col))
+    # Each step's totals over the markets: the walk's left fold, row by row.
+    exposure = zip(*[map(sub, c, d) for c, d in zip(collateral_cols, debt_cols)])
+    marked = map(add, unleveraged_col, map(reduce, repeat(add), exposure, repeat(0.0)))
+    equity_col = tuple(map(marks.get, range(size), marked))
+    held = map(add, unleveraged_col, map(reduce, repeat(add), zip(*collateral_cols), repeat(0.0)))
     return BacktestResult(
         market_ids=ids,
         timestamps=ts,
@@ -584,7 +581,7 @@ def _charge_fee(
     if cost <= unleveraged:
         return unleveraged - cost, collateral, debt
     shortfall = cost - unleveraged
-    exposure = sum(c - d for c, d in zip(collateral, debt))
+    exposure = reduce(add, map(sub, collateral, debt), 0.0)
     if exposure <= shortfall:
         raise DomainError("rebalance fee exceeds portfolio equity")
     scale = (exposure - shortfall) / exposure

@@ -313,6 +313,8 @@ def scan_gaps(series: SnapshotSeries, cadence_seconds: int) -> list[tuple[int, i
 # --- synthetic datasets ----------------------------------------------------
 
 _DEFAULT_START = 1735689600  # 2025-01-01T00:00:00Z
+# The most snapshots a synthetic spec may ask for: about 114 years hourly.
+MAX_SYNTHETIC_SNAPSHOTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -361,10 +363,16 @@ class SyntheticSpec:
         if not 0.0 < self.days < math.inf:
             raise DomainError(f"days must be positive and finite, got {self.days}")
         _check_cadence(self.cadence_seconds)
-        if not math.isfinite(self.days * SECONDS_PER_DAY / self.cadence_seconds):
+        steps = self.days * SECONDS_PER_DAY / self.cadence_seconds
+        if not math.isfinite(steps):
             raise DomainError(
                 f"days {self.days} is too long for the {self.cadence_seconds}s cadence: "
                 "the snapshot count overflows"
+            )
+        if (count := int(steps) + 1) > MAX_SYNTHETIC_SNAPSHOTS:  # as generate_synthetic counts
+            raise DomainError(
+                f"days {self.days} at the {self.cadence_seconds}s cadence gives {count} snapshots, "
+                f"more than the bound of {MAX_SYNTHETIC_SNAPSHOTS}"
             )
         if self.staking_rate < 0.0:
             raise DomainError("staking_rate must be non-negative")

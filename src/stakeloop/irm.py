@@ -203,13 +203,13 @@ def kinked_equivalent(irm: AdaptiveIrmParams) -> KinkedIrmParams:
 
 
 def _check_pool_amounts(supplied: float, borrowed: float, delta_borrow: float) -> float:
-    if supplied <= 0.0:
-        raise DomainError(f"supplied must be positive, got {supplied}")
-    if borrowed < 0.0:
-        raise DomainError(f"borrowed must be non-negative, got {borrowed}")
+    if not 0.0 < supplied < math.inf:
+        raise DomainError(f"supplied must be positive and finite, got {supplied}")
+    if not 0.0 <= borrowed < math.inf:
+        raise DomainError(f"borrowed must be non-negative and finite, got {borrowed}")
     total = borrowed + delta_borrow
-    if total < 0.0:
-        raise DomainError(f"total borrowed would be negative: {total}")
+    if not 0.0 <= total < math.inf:
+        raise DomainError(f"total borrowed must be non-negative and finite, got {total}")
     if total > supplied:
         # Liquidity-capped exposures reconstruct the borrow amount as
         # x * (l_max - 1), which can overshoot the cap by rounding noise.

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Sequence
 
 from .allocator import Allocation, ProblemInstance, _position_yield, _solve_at, _table
@@ -75,7 +76,7 @@ class RebalancePlan:
 
 
 def _collateral(exposures: Sequence[float], unleveraged: float, l_max: Sequence[float]) -> float:
-    return unleveraged + sum(map(mul, exposures, l_max))
+    return unleveraged + reduce(add, map(mul, exposures, l_max), 0.0)
 
 
 def total_collateral(alloc: Allocation, l_max: Sequence[float]) -> float:

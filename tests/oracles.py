@@ -11,7 +11,8 @@ import bisect
 import itertools
 import math
 import random
-from operator import sub
+from functools import reduce
+from operator import add, sub
 
 from stakeloop import backtest as bt
 from stakeloop.allocator import Allocation, ProblemInstance
@@ -333,7 +334,7 @@ def replay_per_step(series, cfg):
     rebalances = 0
     t0 = next_due = ts[0]
     for k, t in enumerate(ts):
-        equity = unleveraged + sum(map(sub, collateral, debt))
+        equity = unleveraged + reduce(add, map(sub, collateral, debt), 0.0)
         fees_here = 0.0
         due = t >= next_due
         if due:
@@ -342,7 +343,7 @@ def replay_per_step(series, cfg):
             forms = bt._forms_at(series, k, rate_at_target, fallback, cfg.l_max)
             p = ProblemInstance(ids, series.staking_rates[k], equity, forms)
             exposures = [d / m for d in debt]
-            current = Allocation.from_position(ids, exposures, equity - sum(exposures))
+            current = Allocation.from_position(ids, exposures, equity - reduce(add, exposures, 0.0))
             plan = solve_with_fees(p, current, cfg.fees)
             moves = plan.direction != HOLD
             if moves and cfg.strategy == bt.DYNAMIC:
@@ -382,7 +383,7 @@ def replay_per_step(series, cfg):
             interest += d * rate * dt
             debt[i] *= 1.0 + rate * dt
         interest_col.append(interest)
-        staking_col.append((unleveraged + sum(collateral)) * s * dt)
+        staking_col.append((unleveraged + reduce(add, collateral, 0.0)) * s * dt)
         growth = 1.0 + s * dt
         unleveraged *= growth
         collateral = [c * growth for c in collateral]

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from stakeloop import data as datamod
 from stakeloop.cli import main
 from stakeloop.data import irm_from_dict
 from stakeloop.irm import MarketState, market_response
@@ -340,6 +341,17 @@ class TestSynthAndBacktest:
         code, out, err = run(["synth", "--spec", json.dumps(spec), "--out", str(tmp_path / "ds")], capsys)
         assert (code, out) == (2, "")
         assert err == "error: days 1e+305 is too long for the 3600s cadence: the snapshot count overflows\n"
+        assert not (tmp_path / "ds").exists()
+
+    def test_days_above_the_snapshot_bound_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(datamod, "generate_synthetic", lambda *a, **k: pytest.fail("generated"))
+        spec = {"markets": [{"market_id": "m"}], "days": 1e9}
+        code, out, err = run(["synth", "--spec", json.dumps(spec), "--out", str(tmp_path / "ds")], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: days 1000000000.0 at the 3600s cadence gives 24000000001 snapshots, "
+            "more than the bound of 1000000\n"
+        )
         assert not (tmp_path / "ds").exists()
 
     def test_synth_deterministic(self, tmp_path, capsys):
@@ -700,6 +712,33 @@ class TestSweepCommand:
         assert [(row["budget"], row["apy"]) for row in written] == curve
         rows = (out_dir / "apy_curve.csv").read_text().splitlines()
         assert rows == ["budget,apy", *(f"{b!r},{a!r}" for b, a in curve)]
+
+    def test_four_market_sweep_is_the_same_floats_on_every_python(self, tmp_path, capsys):
+        # Holdings totals are left folds: the builtin sum rounds this sweep's
+        # budget-100 APY differently on Python 3.12 and later.
+        markets = [
+            {"market_id": mid, "supplied": supplied, "utilization": u, "rate_level": level,
+             "amplitude": amplitude, "period_days": period, "noise": 0.002}
+            for mid, supplied, u, level, amplitude, period in [
+                ("a", 2000, 0.8, 0.029, 0.012, 18),
+                ("b", 800, 0.75, 0.031, 0.010, 11),
+                ("c", 1500, 0.7, 0.030, 0.008, 7),
+                ("d", 600, 0.85, 0.027, 0.006, 5),
+            ]
+        ]
+        spec = json.dumps({"days": 30, "markets": markets})
+        ds, out_dir = tmp_path / "ds", tmp_path / "curves"
+        assert run(["synth", "--spec", spec, "--seed", "3", "--out", str(ds)], capsys)[0] == 0
+        code, _, _ = run(["sweep", "--dataset", str(ds), "--budgets", "1,100,1e4,1e6",
+                          "--frequency", "6h", "--out", str(out_dir)], capsys)
+        assert code == 0
+        curve = json.loads((out_dir / "apy_curve.json").read_text())
+        assert [(row["budget"], repr(row["apy"])) for row in curve] == [
+            (1.0, "0.06341319791658462"),
+            (100.0, "0.043030564820926154"),
+            (10000.0, "0.031601017977656465"),
+            (1000000.0, "0.03148660295668049"),
+        ]
 
     @pytest.mark.parametrize("levels", ["2,2.0000001,16", "2,2"], ids=["alike", "repeated"])
     def test_leverage_caps_that_print_alike_exit_2(self, levels, tmp_path, capsys):

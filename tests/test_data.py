@@ -131,8 +131,13 @@ class TestSynthetic:
                 lambda: SyntheticSpec(markets=(SyntheticMarketSpec("m"),), days=1e305),
                 "days 1e+305 is too long for the 3600s cadence: the snapshot count overflows",
             ),
+            (
+                lambda: SyntheticSpec(markets=(SyntheticMarketSpec("m"),), days=1e9),
+                "days 1000000000.0 at the 3600s cadence gives 24000000001 snapshots, "
+                "more than the bound of 1000000",
+            ),
         ],
-        ids=["period", "utilization", "supplied", "noise", "no-markets", "staking", "days-overflow"],
+        ids=["period", "utilization", "supplied", "noise", "no-markets", "staking", "days-overflow", "days-bound"],
     )
     def test_spec_out_of_range_rejected(self, build, message):
         with pytest.raises(DomainError) as err:
@@ -165,6 +170,13 @@ class TestSynthetic:
         )
         # A flat market never computes the phase.
         SyntheticSpec(markets=(replace(market, amplitude=0.0),), days=2.0)
+
+    def test_snapshot_bound_is_inclusive(self):
+        # Daily, ``days`` days are ``days + 1`` snapshots; nothing is generated.
+        markets = (SyntheticMarketSpec("m"),)
+        SyntheticSpec(markets=markets, days=999_999.0, cadence_seconds=SECONDS_PER_DAY)
+        with pytest.raises(DomainError, match="gives 1000001 snapshots, more than the bound of 1000000"):
+            SyntheticSpec(markets=markets, days=1_000_000.0, cadence_seconds=SECONDS_PER_DAY)
 
 
 class TestRoundTrip:

@@ -99,7 +99,7 @@ class TestConstruction:
         with pytest.raises(UnsupportedModelError):
             reader(object(), 100.0, 10.0, 5.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "build",
         [
@@ -118,6 +118,12 @@ class TestConstruction:
             lambda v: MarketState("x", v, 10.0, 0.9, LINEAR),
             lambda v: MarketState("x", 100.0, v, 0.9, LINEAR),
             lambda v: MarketState("x", 100.0, 10.0, v, LINEAR),
+            lambda v: borrow_rate(LINEAR, v, 0.0),
+            lambda v: borrow_rate(LINEAR, 1000.0, v),
+            lambda v: borrow_rate(LINEAR, 1000.0, 100.0, v),
+            lambda v: marginal_cost_subgradient(LINEAR, v, 0.0, 1.0),
+            lambda v: marginal_cost_subgradient(LINEAR, 1000.0, v, 1.0),
+            lambda v: marginal_cost_subgradient(LINEAR, 1000.0, 100.0, v),
         ],
         ids=[
             "linear.r_base", "linear.r_slope1", "linear.u_target",
@@ -125,6 +131,8 @@ class TestConstruction:
             "adaptive.rate_at_target", "adaptive.curve_steepness", "adaptive.u_target",
             "adaptive.adjustment_speed", "adaptive.t_last", "adaptive.u_last",
             "market.supplied", "market.borrowed", "market.max_ltv",
+            "borrow_rate.supplied", "borrow_rate.borrowed", "borrow_rate.delta_borrow",
+            "subgradient.supplied", "subgradient.borrowed", "subgradient.borrow_amount",
         ],
     )
     def test_non_finite_field_rejected(self, build, bad):
