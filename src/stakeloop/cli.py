@@ -71,8 +71,15 @@ def _object(value: object, flag: str) -> dict:
     return value
 
 
+def _key(raw: dict, key: str, flag: str) -> object:
+    """``raw[key]``, or a ``DataError`` naming ``flag`` and the missing ``key``."""
+    if key not in raw:
+        raise DataError(f"{flag}: missing key {key!r}")
+    return raw[key]
+
+
 def _number(raw: dict, key: str, flag: str) -> float:
-    return float(_checked(raw[key], float, f"{flag}: {key}"))
+    return float(_checked(_key(raw, key, flag), float, f"{flag}: {key}"))
 
 
 def _irm(value: object, flag: str) -> IrmParams:
@@ -87,11 +94,11 @@ def _irm(value: object, flag: str) -> IrmParams:
 def _market_from_json(value: object, flag: str) -> MarketState:
     raw = _object(value, flag)
     return MarketState(
-        market_id=_checked(raw["id"], str, f"{flag}: id"),
+        market_id=_checked(_key(raw, "id", flag), str, f"{flag}: id"),
         supplied=_number(raw, "supplied", flag),
         borrowed=_number(raw, "borrowed", flag),
         max_ltv=_number(raw, "max_ltv", flag),
-        irm=_irm(raw["irm"], f"{flag} irm"),
+        irm=_irm(_key(raw, "irm", flag), f"{flag} irm"),
     )
 
 
@@ -195,7 +202,7 @@ def _current_from_args(args, p: ProblemInstance) -> Allocation:
     ``p`` and an unleveraged rest, adding up to ``--budget``. The planner does
     not check this, since a replay's rest can go negative as interest accrues."""
     raw = _object(_load_json_arg(args.current, "--current"), "--current")
-    exposures = _object(raw["exposures"], "--current exposures")
+    exposures = _object(_key(raw, "exposures", "--current"), "--current exposures")
     stray = sorted(set(exposures).symmetric_difference(p.market_ids))
     if stray:
         raise DataError(f"--current exposures: unknown or missing market ids {stray}")
@@ -314,10 +321,11 @@ def _cmd_synth(args) -> int:
         spec = datamod.scenario(args.scenario)
     elif args.spec:
         raw = _fields(_load_json_arg(args.spec, "--spec"), datamod.SyntheticSpec, "--spec")
+        listed = _checked(_key(raw, "markets", "--spec"), list, "--spec: markets")
         try:
             market = datamod.SyntheticMarketSpec
-            markets = tuple(market(**_fields(m, market, "--spec markets")) for m in raw.pop("markets"))
-            spec = datamod.SyntheticSpec(markets=markets, **raw)
+            raw["markets"] = tuple(market(**_fields(m, market, "--spec markets")) for m in listed)
+            spec = datamod.SyntheticSpec(**raw)
         except TypeError as exc:  # a field of the wrong name or type
             raise DataError(f"--spec: {exc}") from exc
     else:

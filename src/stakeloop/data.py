@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from operator import neg
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .backtest import BacktestResult, MarketMeta, SnapshotSeries, _recorded_curve
 from .errors import DataError, DomainError, ValidationError
@@ -39,6 +39,7 @@ SCHEMA_VERSION = 1
 
 _MARKET_HEADER = ["timestamp", "supplied", "borrowed", "borrow_rate", "rate_at_target"]
 _STAKING_HEADER = ["timestamp", "staking_rate"]
+_EQUITY_HEADER = ["timestamp", "equity", "staking_accrued", "interest_paid", "fees_paid"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ def _manifest_path(path: Path) -> Path:
 
 
 def _save_manifest(manifest: DatasetManifest, series: SnapshotSeries, directory: Path) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "chain": manifest.chain,
@@ -79,9 +79,7 @@ def _save_manifest(manifest: DatasetManifest, series: SnapshotSeries, directory:
             for m in series.markets
         ],
     }
-    out = directory / "manifest.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return out
+    return _write_json(directory / "manifest.json", payload)
 
 
 def load_manifest(path: Path) -> DatasetManifest:
@@ -183,6 +181,26 @@ def _read_columns(path: Path, header: list[str] | None) -> tuple[list[str], list
     return rows[0], [column[1:] for column in zip(*rows)]
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write ``header`` and ``rows`` to the UTF-8 CSV file at ``path`` in the
+    ``csv`` module's default dialect: rows end in ``\\r\\n``, a float is
+    written as its ``repr`` and None as an empty field."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_json(path: Path, payload: object) -> Path:
+    """Write ``payload`` to the UTF-8 JSON file at ``path``, indented by two
+    spaces and ending in a newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
 def save_snapshots(
     series: SnapshotSeries, manifest: DatasetManifest, directory: Path
 ) -> list[Path]:
@@ -190,22 +208,12 @@ def save_snapshots(
     The manifest file lists the series' markets and period."""
     directory = Path(directory)
     written = [_save_manifest(manifest, series, directory)]
-    for i, meta in enumerate(series.markets):
-        values = [map(repr, c[i]) for c in (series.supplied, series.borrowed, series.borrow_rate)]
-        targets = series.rate_at_target[i]
-        values.append(itertools.repeat("") if targets is None else map(repr, targets))
-        path = directory / f"market_{meta.market_id}.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_MARKET_HEADER)
-            writer.writerows(zip(series.timestamps, *values))
-        written.append(path)
-    staking_path = directory / "staking.csv"
-    with staking_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_STAKING_HEADER)
-        writer.writerows(zip(series.timestamps, map(repr, series.staking_rates)))
-    written.append(staking_path)
+    columns = (series.supplied, series.borrowed, series.borrow_rate, series.rate_at_target)
+    for meta, *values, targets in zip(series.markets, *columns):
+        rows = zip(series.timestamps, *values, itertools.repeat(None) if targets is None else targets)
+        written.append(_write_csv(directory / f"market_{meta.market_id}.csv", _MARKET_HEADER, rows))
+    rows = zip(series.timestamps, series.staking_rates)
+    written.append(_write_csv(directory / "staking.csv", _STAKING_HEADER, rows))
     return written
 
 
@@ -232,6 +240,8 @@ def load_snapshots(path: Path) -> SnapshotSeries:
         targets = _floats(targets, mpath) if any(targets) else None
         columns.append((grid, *(_floats(v, mpath) for v in values), targets))
     grids, supplied, borrowed, rates, targets = zip(*columns)
+    if not any(grids):
+        raise DataError(f"{paths[0]}: market series is empty")
     staking_path = directory / "staking.csv"
     _, (times, staking) = _read_columns(staking_path, _STAKING_HEADER)
     if not times:
@@ -369,10 +379,11 @@ class SyntheticSpec:
                 f"days {self.days} is too long for the {self.cadence_seconds}s cadence: "
                 "the snapshot count overflows"
             )
-        if (count := int(steps) + 1) > MAX_SYNTHETIC_SNAPSHOTS:  # as generate_synthetic counts
+        object.__setattr__(self, "_count", int(steps) + 1)  # the count generate_synthetic reads
+        if self._count > MAX_SYNTHETIC_SNAPSHOTS:
             raise DomainError(
-                f"days {self.days} at the {self.cadence_seconds}s cadence gives {count} snapshots, "
-                f"more than the bound of {MAX_SYNTHETIC_SNAPSHOTS}"
+                f"days {self.days} at the {self.cadence_seconds}s cadence gives {self._count} "
+                f"snapshots, more than the bound of {MAX_SYNTHETIC_SNAPSHOTS}"
             )
         if self.staking_rate < 0.0:
             raise DomainError("staking_rate must be non-negative")
@@ -403,7 +414,7 @@ def generate_synthetic(
     the fetched datasets.
     """
     rng = random.Random(seed)
-    count = int(spec.days * SECONDS_PER_DAY / spec.cadence_seconds) + 1
+    count = spec._count
     timestamps = tuple(spec.start + k * spec.cadence_seconds for k in range(count))
     days = [(ts - spec.start) / SECONDS_PER_DAY for ts in timestamps]
     # One draw per market per timestamp, in timestamp order.
@@ -516,35 +527,26 @@ def emit_report(
     ``repr``, which loads back exactly.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     if isinstance(result, BacktestResult):
         return _emit_backtest(result, directory)
-    return _emit_curve(list(result), directory, label)
+    curve = list(result)
+    return [
+        _write_csv(directory / f"{label}_curve.csv", ["budget", "apy"], curve),
+        _write_json(directory / f"{label}_curve.json", [{"budget": b, "apy": a} for b, a in curve]),
+    ]
+
+
+def _positions_header(market_ids: Sequence[str]) -> list[str]:
+    """The header of ``positions.csv``: a collateral and a debt column per market."""
+    pairs = [f"{kind}_{mid}" for mid in market_ids for kind in ("collateral", "debt")]
+    return ["timestamp", "unleveraged", *pairs]
 
 
 def _emit_backtest(result: BacktestResult, directory: Path) -> list[Path]:
-    paths = []
-
-    curve_path = directory / "equity_curve.csv"
-    with curve_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "equity", "staking_accrued", "interest_paid", "fees_paid"])
-        columns = (result.equity, result.staking_accrued, result.interest_paid, result.fees_paid)
-        writer.writerows(zip(result.timestamps, *columns))
-    paths.append(curve_path)
-
-    positions_path = directory / "positions.csv"
-    with positions_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = ["timestamp", "unleveraged"]
-        columns = [result.timestamps, result.unleveraged]
-        for mid, c, d in zip(result.market_ids, result.collateral, result.debt):
-            header += [f"collateral_{mid}", f"debt_{mid}"]
-            columns += [c, map(neg, d)]  # debts are negative positions
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
-    paths.append(positions_path)
-
+    flows = (result.equity, result.staking_accrued, result.interest_paid, result.fees_paid)
+    # Debts are negative positions.
+    holdings = [column for c, d in zip(result.collateral, result.debt) for column in (c, map(neg, d))]
+    positions = zip(result.timestamps, result.unleveraged, *holdings)
     summary = {
         "apy": result.apy,
         "rebalance_count": result.rebalance_count,
@@ -555,33 +557,13 @@ def _emit_backtest(result: BacktestResult, directory: Path) -> list[Path]:
         "end_timestamp": result.timestamps[-1],
         "markets": list(result.market_ids),
     }
-    summary_json = directory / "summary.json"
-    summary_json.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    paths.append(summary_json)
-
-    summary_csv = directory / "summary.csv"
-    with summary_csv.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["metric", "value"])
-        for key in ("apy", "rebalance_count", "total_fees_paid", "start_equity", "end_equity"):
-            writer.writerow([key, summary[key]])
-    paths.append(summary_csv)
-    return paths
-
-
-def _emit_curve(
-    curve: list[tuple[float, float]], directory: Path, label: str
-) -> list[Path]:
-    csv_path = directory / f"{label}_curve.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["budget", "apy"])
-        writer.writerows(curve)
-    json_path = directory / f"{label}_curve.json"
-    json_path.write_text(
-        json.dumps([{"budget": b, "apy": a} for b, a in curve], indent=2) + "\n", encoding="utf-8"
-    )
-    return [csv_path, json_path]
+    metrics = ("apy", "rebalance_count", "total_fees_paid", "start_equity", "end_equity")
+    return [
+        _write_csv(directory / "equity_curve.csv", _EQUITY_HEADER, zip(result.timestamps, *flows)),
+        _write_csv(directory / "positions.csv", _positions_header(result.market_ids), positions),
+        _write_json(directory / "summary.json", summary),
+        _write_csv(directory / "summary.csv", ["metric", "value"], ((k, summary[k]) for k in metrics)),
+    ]
 
 
 class PositionHistory(NamedTuple):
@@ -597,10 +579,8 @@ def load_position_history(path: Path) -> PositionHistory:
     """Read back an emitted ``positions.csv`` (debts stored negative)."""
     path = Path(path)
     header, columns = _read_columns(path, None)
-    # After the first two names, one collateral_<id>, debt_<id> pair per market.
     ids = [name.removeprefix("collateral_") for name in header[2::2]]
-    pairs = [name for mid in ids for name in (f"collateral_{mid}", f"debt_{mid}")]
-    if header != ["timestamp", "unleveraged", *pairs] or not all(ids):
+    if header != _positions_header(ids) or not all(ids):
         raise DataError(f"{path}: unexpected positions header")
     values = [_floats(column, path) for column in columns[1:]]
     return PositionHistory(

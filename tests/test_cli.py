@@ -32,6 +32,14 @@ MARKET_B = json.dumps(
 )
 
 
+def _without(market, key):
+    """The JSON market object ``market`` without its ``key``."""
+    return json.dumps({k: v for k, v in json.loads(market).items() if k != key})
+
+
+_MARKET_KEYS = ["id", "supplied", "borrowed", "max_ltv", "irm"]
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -1365,13 +1373,33 @@ class TestRefusals:
             (["rebalance", "-s", "0.03", "--budget", "3", "--market", MARKET_A, "--current",
               '{"exposures": {"A": 1}, "unleveraged": 2}', "--gamma-plus", "1"],
              "fee rates must be in [0, 1)"),
+            *[(["optimize", "-s", "0.03", "--budget", "1", "--market", _without(MARKET_A, key)],
+               f"--market: missing key {key!r}") for key in _MARKET_KEYS],
+            *[(["optimize", "-s", "0.03", "--budget", "1", "--markets", f"[{_without(MARKET_A, key)}]"],
+               f"--markets: missing key {key!r}") for key in _MARKET_KEYS],
+            (["rebalance", "-s", "0.03", "--budget", "3", "--market", MARKET_A, "--current",
+              '{"unleveraged": 3}'], "--current: missing key 'exposures'"),
+            (["rebalance", "-s", "0.03", "--budget", "3", "--market", MARKET_A, "--current",
+              '{"exposures": {"A": 1}}'], "--current: missing key 'unleveraged'"),
+            (["synth", "--spec", '{"days": 1}', "--out", "ds"], "--spec: missing key 'markets'"),
+            (["synth", "--spec", '{"markets": {"m": 1}}', "--out", "ds"], "--spec: markets must be a list, got dict"),
         ],
-        ids=["no-markets", "no-synth-source", "synth-spec-field", "fee-rate"],
+        ids=["no-markets", "no-synth-source", "synth-spec-field", "fee-rate",
+             *[f"market-no-{key}" for key in _MARKET_KEYS], *[f"markets-no-{key}" for key in _MARKET_KEYS],
+             "current-no-exposures", "current-no-unleveraged", "spec-no-markets", "spec-markets-not-a-list"],
     )
     def test_command_refused(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run(argv, capsys) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "ds").exists()
+
+    def test_header_only_market_files(self, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        for name in ("market_core.csv", "market_alt.csv"):
+            path = ds / name
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        code, out, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert (code, out, err) == (2, "", f"error: {ds / 'market_core.csv'}: market series is empty\n")
 
     def test_rate_model_with_an_unknown_field(self, tmp_path, capsys):
         ds = _rate_crossing(tmp_path / "ds", 3.0)

@@ -633,15 +633,17 @@ class TestReports:
             fees=FeeModel(0.0001, 0.0002, 7.0 / 365.0),
             smoothing_window=12 * SECONDS_PER_HOUR,
         )
-        emit_report(run_backtest(series, cfg), tmp_path)
+        paths = emit_report(run_backtest(series, cfg), tmp_path)
+        assert [p.name for p in paths] == ["equity_curve.csv", "positions.csv", "summary.json", "summary.csv"]
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("equity_curve.csv", "positions.csv", "summary.json")
+            for name in ("equity_curve.csv", "positions.csv", "summary.json", "summary.csv")
         }
         assert digests == {
             "equity_curve.csv": "ed0df74bc4c89a2e92d1215f3273eda503d7431c9804e2cb8d0a1ff0c08f0e78",
             "positions.csv": "185038244bb570dd797820a9f87274db86c575ed957b3042741cf0bbe12b216b",
             "summary.json": "f05b5b0979ed5be6942a5ec47f4e756d175d0ba222a6cee0d25dd656a0f2943c",
+            "summary.csv": "ef3d4ebe261cd3215d0d4e25763c6cf2b29f22f924c71c0c4fab82f8301e78e1",
         }
 
     def test_zero_fee_sweep_report_bytes_are_pinned(self, tmp_path):
@@ -652,9 +654,29 @@ class TestReports:
         cfg = BacktestConfig(budget=1.0, rebalance_frequency=SECONDS_PER_DAY)
         assert cfg.fees.gamma_plus == cfg.fees.gamma_minus == 0.0
         curve = sweep_budgets(series, cfg, [10.0**k for k in range(8)])
-        emit_report(curve, tmp_path, label="apy")
-        digest = hashlib.sha256((tmp_path / "apy_curve.json").read_bytes()).hexdigest()
-        assert digest == "9cf9274e4f1402dc7eba87875e2a5af88a4274e814edb3c28a65aa74b0d609f1"
+        assert [p.name for p in emit_report(curve, tmp_path, label="apy")] == ["apy_curve.csv", "apy_curve.json"]
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("apy_curve.json", "apy_curve.csv")
+        }
+        assert digests == {
+            "apy_curve.json": "9cf9274e4f1402dc7eba87875e2a5af88a4274e814edb3c28a65aa74b0d609f1",
+            "apy_curve.csv": "f651836b7a1602a9f14a099e5d2c8b0c47d82cc8ceec52cb5614dd5b00513bfc",
+        }
+
+    def test_dataset_bytes_are_pinned(self, tmp_path):
+        # Manifest and series files of a bundled scenario. Any change to the
+        # generator's floats or to the dataset layout changes these digests.
+        series, manifest = generate_synthetic(scenario("rate-crossing"), seed=0)
+        paths = save_snapshots(series, manifest, tmp_path)
+        assert [p.name for p in paths] == ["manifest.json", "market_core.csv", "market_alt.csv", "staking.csv"]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+        assert digests == {
+            "manifest.json": "026d5aefd9ca906eb841c1583cf568d90920749d5fd52edad2915a3c25f2e400",
+            "market_core.csv": "4e4a9d1e5fedcaabe5e074cf761aa77e75183a1268cc8e214b825f86d8d3a531",
+            "market_alt.csv": "3bcbf1d0f3b7da9e374b830ba262f53fde42b42541c1aaf6b4ff484143caaabe",
+            "staking.csv": "d283d77f63b3e9c1f60785393b0d4c16526680f446a5721400e46f163b70f110",
+        }
 
     def test_int_and_float_budgets_give_the_same_report_bytes(self, tmp_path):
         series, _ = generate_synthetic(replace(scenario("volatile"), days=10.0), seed=0)
