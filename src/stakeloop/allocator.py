@@ -324,9 +324,14 @@ def _solve_core(p: ProblemInstance, s: float) -> tuple[Sequence[float], float, f
 
 def _table(forms: Sequence[tuple], s: float) -> tuple[list, tuple[float, ...], float]:
     """What no budget changes of a solve at staking rate ``s``: each market's
-    pieces, built once, its saturated response (at ``s``) and their sum."""
-    pieces = [_pieces(form, s) for form in forms]
-    saturated = tuple(_responses(pieces, s))
+    pieces, built once, its saturated response (at ``s``) and their sum.
+
+    Every solve on the table reads responses at shadow rates from ``s`` up,
+    so a market whose first level is at or below ``s`` (its borrow cost
+    already at or above the staking rate) gets no pieces: it is zero there, as a
+    drained pool is."""
+    pieces = [_pieces(form, s, s) for form in forms]
+    saturated = tuple([_response(market_pieces, s) for market_pieces in pieces])
     return pieces, saturated, reduce(add, saturated, 0.0)
 
 

@@ -533,9 +533,18 @@ def _replay(
     )
 
 
+# The two branches of every deployed adaptive-curve market's curve, which
+# its rate-at-target only scales, built once.
+*_, _BELOW, _ABOVE = _adaptive_curve(1.0, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
+
+
 def _recorded_curve(rate_at_target: float) -> tuple:
-    """The rate curve of a deployed adaptive-curve market at ``rate_at_target``."""
-    return _adaptive_curve(rate_at_target, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
+    """The rate curve of a deployed adaptive-curve market at ``rate_at_target``,
+    :func:`irm._adaptive_curve`'s float for float."""
+    return (
+        rate_at_target / ADAPTIVE_CURVE_STEEPNESS, rate_at_target, ADAPTIVE_TARGET_UTILIZATION,
+        _BELOW, _ABOVE,
+    )
 
 
 def _check_curves(series: SnapshotSeries, rate_at_target: tuple, fallback: tuple | None) -> None:

@@ -241,8 +241,9 @@ def _cmd_backtest(args) -> int:
     result = bt.run_backtest(series, cfg)
     if args.out:
         paths = datamod.emit_report(result, Path(args.out))
+        # Under --json, stdout holds the one JSON document alone.
         for path in paths:
-            print(f"wrote {path}")
+            print(f"wrote {path}", file=sys.stderr if args.json else sys.stdout)
     summary = (
         f"apy {_sig(result.apy * 100)}% | rebalances {result.rebalance_count} | "
         f"fees {_sig(result.total_fees_paid)}"

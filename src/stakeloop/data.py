@@ -166,10 +166,20 @@ def _read_utf8(path: Path, read: Callable):
 
 def _read_columns(path: Path, header: list[str] | None) -> tuple[list[str], list[tuple[str, ...]]]:
     """The header of a CSV file and its columns below it. Every row must have
-    the header's field count; ``header``, when given, is the one expected."""
+    the header's field count; ``header``, when given, is the one expected. A
+    file the ``csv`` module cannot parse raises a ``DataError`` at the
+    ``path:line`` it had read to."""
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    rows = _read_utf8(path, lambda handle: list(csv.reader(handle)))
+
+    def parse(handle) -> list[list[str]]:
+        reader = csv.reader(handle)
+        try:
+            return list(reader)
+        except csv.Error as exc:  # a field over the limit; a NUL byte before Python 3.11
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+    rows = _read_utf8(path, parse)
     if not rows:
         raise DataError(f"{path}: empty file")
     if header is not None and rows[0] != header:
@@ -181,15 +191,23 @@ def _read_columns(path: Path, header: list[str] | None) -> tuple[list[str], list
     return rows[0], [column[1:] for column in zip(*rows)]
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> Path:
     """Write ``header`` and ``rows`` to the UTF-8 CSV file at ``path`` in the
     ``csv`` module's default dialect: rows end in ``\\r\\n``, a float is
-    written as its ``repr`` and None as an empty field."""
+    written as its ``repr`` and None as an empty field.
+
+    The header, whose market ids may need quoting, goes through
+    ``csv.writer``; each row, as wide as the header (two fields or more),
+    through one ``%s`` format string, which gives ``csv.writer``'s bytes
+    for numbers, None and words that need no quoting (the summary's metric
+    names). No number's text holds ``None``, so each one in a line is a
+    None field, emptied."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(handle).writerow(header)
+        lines = map(line.__mod__, rows)
+        handle.writelines(map(str.replace, lines, itertools.repeat("None"), itertools.repeat("")))
     return path
 
 
@@ -529,7 +547,7 @@ def emit_report(
     directory = Path(directory)
     if isinstance(result, BacktestResult):
         return _emit_backtest(result, directory)
-    curve = list(result)
+    curve = list(map(tuple, result))
     return [
         _write_csv(directory / f"{label}_curve.csv", ["budget", "apy"], curve),
         _write_json(directory / f"{label}_curve.json", [{"budget": b, "apy": a} for b, a in curve]),

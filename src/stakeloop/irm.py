@@ -307,7 +307,7 @@ def _compile(
     return l_max, cap, k, denom, denom * cap, kink, curve, supplied, borrowed
 
 
-def _pieces(form: tuple, s: float) -> list[tuple[float, float, float]]:
+def _pieces(form: tuple, s: float, floor: float = -math.inf) -> list[tuple[float, float, float]]:
     """The compiled response at staking rate ``s`` as ``(level, denom,
     value)`` pieces, highest first.
 
@@ -316,7 +316,9 @@ def _pieces(form: tuple, s: float) -> list[tuple[float, float, float]]:
     ``denom`` is 0: the kink plateau, or the liquidity cap, which is always
     the last piece. The response is zero from the first level up. A piece
     not wider than one float gives way to the piece below it, which then
-    starts at its level. A pool with no liquidity left has no pieces.
+    starts at its level. A pool with no liquidity left has no pieces, nor
+    has a market whose first level is at or below ``floor``: for a reader
+    that asks only at ``lam >= floor`` it is zero, as it is with no pieces.
     """
     l_max, cap, k, denom, drop, kink, _, _, _ = form
     if cap <= 0.0:
@@ -324,12 +326,16 @@ def _pieces(form: tuple, s: float) -> list[tuple[float, float, float]]:
     ls = l_max * s
     beta = ls - k
     if kink is None:
+        if beta <= floor:
+            return []
         forms = (beta, denom, beta), (beta - drop, 0.0, cap)
     else:
         # Below target: the gentle branch, then the plateau pinned at the
         # kink while lam crosses the jump in marginal cost.
         k1, denom1, k_in, plateau, k_out = kink
         beta1 = ls - k1
+        if beta1 <= floor:
+            return []
         forms = (
             (beta1, denom1, beta1),
             (ls - k_in, 0.0, plateau),

@@ -146,18 +146,13 @@ def _plan(
     # Collateral within rounding of the current total counts as equal, so an
     # ulp in the solver's exposures cannot flip the direction.
     tie = held + _EQUAL_TOL * budget * max(l_max)
-
-    def solved_at(rate: float) -> tuple[tuple, float]:
-        solved = _solve_at(tables.get(rate) or tables.setdefault(rate, _table(forms, rate)), budget, rate)
-        return solved, _collateral(solved[0], solved[1], l_max)
-
     s_up = s - fees.gamma_plus / fees.horizon_years
     s_down = s + fees.gamma_minus / fees.horizon_years
-    (solved, moved), direction = solved_at(s_up), INCREASE
+    (solved, moved), direction = _solved_at(forms, tables, s_up, budget, l_max), INCREASE
     if not moved > tie:
         # Without fees both shifted rates are one float, and so is the solve.
         if s_down != s_up:
-            solved, moved = solved_at(s_down)
+            solved, moved = _solved_at(forms, tables, s_down, budget, l_max)
         if not moved <= tie:
             return HOLD, NO_BRANCH
         direction = DECREASE
@@ -174,6 +169,18 @@ def _plan(
     current_yield = _position_yield(exposures, unleveraged, s, forms, clamp_utilization=True)
     net_gain = target_yield - current_yield - cost / fees.horizon_years
     return direction, "", cost, net_gain, x, u, lam, regime, target_yield
+
+
+def _solved_at(
+    forms: Sequence[tuple], tables: dict[float, tuple], rate: float, budget: float, l_max: list[float]
+) -> tuple[tuple, float]:
+    """The solve of ``budget`` on the table at ``rate`` in ``tables`` (built
+    and added when missing), and the collateral it holds."""
+    table = tables.get(rate)
+    if table is None:
+        table = tables[rate] = _table(forms, rate)
+    solved = _solve_at(table, budget, rate)
+    return solved, _collateral(solved[0], solved[1], l_max)
 
 
 def should_rebalance(

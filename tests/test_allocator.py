@@ -358,9 +358,9 @@ class TestBreakpointSweep:
         built, crossed = [], []
         pieces, between = allocator._pieces, allocator._between_floats
 
-        def counted(form, s):
+        def counted(form, s, *floor):
             built.append(form)
-            return pieces(form, s)
+            return pieces(form, s, *floor)
 
         def spied(*args):
             crossed.append(args)
@@ -374,6 +374,43 @@ class TestBreakpointSweep:
             assert built == list(p.forms)
         assert alloc.regime == (SATURATED if case == "saturated" else UNSATURATED)
         assert bool(crossed) == (case == "between floats")
+
+    @pytest.mark.parametrize("case", ["saturated", "unsaturated", "between floats"])
+    def test_idle_market_builds_no_pieces(self, case, monkeypatch):
+        # The idle market's borrow rate before any new debt, 0.2, is above
+        # every staking rate here, so no shadow rate a solve reaches draws it in.
+        idle = MarketState("I", 100.0, 50.0, 0.945, LinearIrmParams(0.15, 0.09, 0.9))
+        if case == "between floats":
+            markets = [
+                MarketState("A", 10000.0, 1000.0, 0.9, LinearIrmParams(0.02, 0.082, 0.9)),
+                idle,
+                MarketState("B", 1000.0, 0.0, 0.9, LinearIrmParams(0.044, 0.019, 0.9)),
+            ]
+            p = ProblemInstance.uniform(markets, 1.0 + 2.0**-50, 0.055, 10.0)
+        else:
+            p = ProblemInstance.uniform([LIN_A, idle, LIN_B, KINK], 5.0, 0.03, 1e6)
+            if case == "unsaturated":
+                p = replace(p, budget=math.fsum(solve(p).exposures) / 2.0)
+        built = []
+        pieces = allocator._pieces
+
+        def counted(form, s, *floor):
+            built.append((form, pieces(form, s, *floor)))
+            return built[-1][1]
+
+        monkeypatch.setattr(allocator, "_pieces", counted)
+        for s in (p.staking_rate, p.staking_rate + 0.001):
+            built.clear()
+            table = allocator._table(p.forms, s)
+            # Solves of other budgets on the table build nothing more.
+            for budget in (p.budget, p.budget / 3.0):
+                assert allocator._solve_at(table, budget, s)[0][1] == 0.0
+            assert [form for form, _ in built] == list(p.forms)
+            assert [bool(market_pieces) for _, market_pieces in built] == [i != 1 for i in range(len(built))]
+            assert pieces(p.forms[1], s) and not pieces(p.forms[1], s, s)
+        alloc = solve(p)
+        assert alloc.regime == (SATURATED if case == "saturated" else UNSATURATED)
+        assert verify_kkt(alloc, p, 1e-8).passed
 
 
 class TestWaterfilling:

@@ -40,6 +40,10 @@ def _without(market, key):
 _MARKET_KEYS = ["id", "supplied", "borrowed", "max_ltv", "irm"]
 
 
+# The files a backtest report holds, in the order they are written.
+REPORT_FILES = ["equity_curve.csv", "positions.csv", "summary.json", "summary.csv"]
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -521,6 +525,21 @@ class TestSynthAndBacktest:
         assert code == 0
         assert (report / "summary.json").exists()
         assert (report / "equity_curve.csv").exists()
+        assert out.splitlines()[:4] == [f"wrote {report / name}" for name in REPORT_FILES]
+
+    def test_json_stdout_with_report_is_one_document(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "positive-carry", "--seed", "1", "--out", str(ds)], capsys)
+        report = tmp_path / "report"
+        code, out, err = run(
+            ["--json", "backtest", "--dataset", str(ds), "--budget", "5", "--frequency", "1d",
+             "--out", str(report)],
+            capsys,
+        )
+        assert code == 0
+        summary = json.loads((report / "summary.json").read_text())
+        assert json.loads(out) == {k: summary[k] for k in ("apy", "rebalance_count", "total_fees_paid")}
+        assert err.splitlines() == [f"wrote {report / name}" for name in REPORT_FILES]
 
 
     @pytest.mark.parametrize("market_id", ["../escaped", "a\\b", ""])
@@ -1345,6 +1364,30 @@ class TestRefusals:
             f"error: dataset at {ds} failed validation (1 records)\n"
             f"  {path}: timestamp grid differs from market core\n"
         )
+
+    @pytest.mark.parametrize(
+        "edit, where, message",
+        [
+            # A field over the csv module's limit, and an open quote that
+            # swallows the rest of a long file into one field.
+            (lambda lines: [*lines[:4], lines[4].replace(",", "," + "1" * 131073, 1), *lines[5:]],
+             ":5: ", "field larger than field limit (131072)"),
+            (lambda lines: [*lines[:2], lines[2].replace(",", ',"', 1), *lines[3:] * 40],
+             ":", "field larger than field limit (131072)"),
+            # Before Python 3.11 the csv module refuses a NUL byte; from 3.11
+            # it reads the field, which is then not a number.
+            (lambda lines: [*lines[:4], lines[4].replace(",", ",1\0", 1), *lines[5:]], ":5: ", ""),
+        ],
+        ids=["field-over-limit", "open-quote", "nul-byte"],
+    )
+    def test_market_file_the_csv_module_refuses(self, edit, where, message, tmp_path, capsys):
+        ds = _rate_crossing(tmp_path / "ds", 3.0)
+        path = ds / "market_core.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code, out, err = run(["backtest", "--dataset", str(ds), "--budget", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}{where}")
+        assert err.endswith(f"{message}\n")
 
     def test_one_snapshot_dataset(self, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -4,7 +4,9 @@ round trips and per-step equity conservation on random series."""
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
 import math
 import random
 import tempfile
@@ -35,7 +37,7 @@ from stakeloop.allocator import (
     solve,
     verify_kkt,
 )
-from stakeloop import backtest
+from stakeloop import allocator, backtest
 from stakeloop.backtest import (
     DYNAMIC,
     FIXED_FREQUENCY,
@@ -49,12 +51,20 @@ from stakeloop.backtest import (
     run_backtest,
     smooth_rates,
 )
-from stakeloop.data import DatasetManifest, load_snapshots, save_snapshots, staking_rates_at
+from stakeloop.data import (
+    DatasetManifest,
+    _write_csv,
+    load_snapshots,
+    save_snapshots,
+    staking_rates_at,
+)
 from stakeloop.irm import (
     AdaptiveIrmParams,
     KinkedIrmParams,
     LinearIrmParams,
     MarketState,
+    _pieces,
+    _state_form,
     borrow_rate,
     market_response,
     response_events,
@@ -223,6 +233,43 @@ def test_solve_at_a_shifted_rate_keeps_the_instance(p, offset):
     assert alloc.regime == rebuilt.regime
     # ...but the yield is priced at the instance's own rate.
     assert alloc.expected_yield == expected_yield(alloc, p)
+
+
+@st.composite
+def tables_and_budgets(draw) -> tuple[list[tuple], float, float]:
+    """``(forms, s, budget)``: up to eight random markets compiled at one cap,
+    a staking rate and a budget of a regime drawn: saturated, unsaturated,
+    or between floats (a cap a hair above 1 and a budget far below the
+    saturated total, so that no float shadow rate spends it)."""
+    regime = draw(st.sampled_from(("saturated", "unsaturated", "between floats")))
+    pool = [draw(markets(i)) for i in range(draw(st.integers(1, 8)))]
+    if regime == "between floats":
+        l_max = 1.0 + 2.0 ** -draw(st.integers(44, 52))
+    else:
+        l_max = draw(st.floats(1.5, 10.0))
+    s = draw(st.floats(0.005, 0.08))
+    forms = [_state_form(m, l_max) for m in pool]
+    share = draw({
+        "saturated": st.floats(1.0, 1.2),
+        "unsaturated": st.floats(1e-6, 0.999),
+        "between floats": st.floats(-18.0, -12.0).map(lambda e: 10.0**e),
+    }[regime])
+    used = allocator._table(forms, s)[2]
+    return forms, s, share * used if used > 0.0 else share
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tables_and_budgets())
+def test_idle_markets_without_pieces_solve_as_with_them(case):
+    # A table gives a market whose first level is at or below its rate no
+    # pieces; the solve on a table that built every market's pieces is the
+    # reference.
+    forms, s, budget = case
+    floored = allocator._table(forms, s)
+    with mock.patch.object(allocator, "_pieces", lambda form, s, floor: _pieces(form, s)):
+        built = allocator._table(forms, s)
+    assert repr(built[1:]) == repr(floored[1:])
+    assert repr(allocator._solve_at(built, budget, s)) == repr(allocator._solve_at(floored, budget, s))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -409,6 +456,31 @@ def test_save_then_load_is_exact(x):
         warnings.simplefilter("ignore")  # gaps are reported, never filled
         save_snapshots(x, manifest, Path(tmp))
         assert load_snapshots(Path(tmp)) == x
+
+
+# Market ids that the csv module quotes, and the numbers a row can hold.
+_HEADER_WORDS = st.text(st.sampled_from('ab ,"\'x1'), min_size=1, max_size=6)
+_FIELDS = st.one_of(
+    st.none(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_written_csv_is_the_csv_module_s(data):
+    header = ["timestamp", *data.draw(st.lists(_HEADER_WORDS, min_size=1, max_size=5))]
+    row = st.tuples(*[_FIELDS] * len(header))
+    rows = data.draw(st.lists(row, max_size=20))
+    with tempfile.TemporaryDirectory() as tmp:
+        written = _write_csv(Path(tmp) / "out.csv", header, iter(rows)).read_bytes()
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert written == expected.getvalue().encode()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
