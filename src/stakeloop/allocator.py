@@ -364,33 +364,30 @@ def _solve_at(table: tuple, budget: float, s: float) -> tuple[Sequence[float], f
         exposures[max(open_markets, key=slopes.__getitem__)] += left
     # More than rounding left over: no float shadow rate spends the budget.
     if abs(budget - math.fsum(exposures)) > _REL_BUDGET_TOL * budget:
-        lam_star, exposures = _between_floats(budget, pieces, s)
+        lam_star, exposures = _adjacent_floats(budget, pieces, lam_star)
     return exposures, 0.0, lam_star, UNSATURATED
 
 
-def _between_floats(budget: float, pieces: list, s: float) -> tuple[float, list[float]]:
+def _adjacent_floats(budget: float, pieces: list, lam: float) -> tuple[float, list[float]]:
     """``(lambda_star, exposures)`` when no float shadow rate spends ``budget``.
 
     A response's slope is ``1/(2c(l_max-1)^2)``; with a leverage cap a hair
     above 1 it moves by more than the budget per ulp of the shadow rate, and
-    the summed response jumps past the budget between two adjacent floats.
-    Bisection finds such floats ``lo < hi``, the summed response at least the
-    budget at ``lo`` and below it at ``hi``. The exposures mix the two
-    responses with the weights that spend the budget, so every market's
-    marginal value lies between ``lo`` and ``hi``.
+    the summed response jumps past the budget between two adjacent floats
+    ``lo < hi``: at least the budget at ``lo``, below it at ``hi``. The walk's
+    ``lam`` lies in the crossing piece, at or next to ``lo``, and steps of one
+    float from it reach the pair. The exposures mix the two responses with
+    the weights that spend the budget, so every market's marginal value lies
+    between ``lo`` and ``hi``.
     """
-    lo = s
-    hi = max(market_pieces[0][0] for market_pieces in pieces if market_pieces)
-    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
-        if math.fsum(_responses(pieces, mid)) >= budget:
-            lo = mid
-        else:
-            hi = mid
-    at_lo, at_hi = _responses(pieces, lo), _responses(pieces, hi)
+    while math.fsum(at_lo := _responses(pieces, lam)) < budget:
+        lam = math.nextafter(lam, -math.inf)
+    while math.fsum(at_hi := _responses(pieces, math.nextafter(lam, math.inf))) >= budget:
+        lam, at_lo = math.nextafter(lam, math.inf), at_hi
     # Each weight comes from its own difference, so neither loses digits to 1 - w.
     over, under = math.fsum(at_lo) - budget, budget - math.fsum(at_hi)
     w_lo, w_hi = under / (over + under), over / (over + under)
-    return lo, [w_lo * a + w_hi * b for a, b in zip(at_lo, at_hi)]
+    return lam, [w_lo * a + w_hi * b for a, b in zip(at_lo, at_hi)]
 
 
 def _linear_coefficients(market_id: str, form: tuple, s: float) -> tuple[float, float]:

@@ -10,6 +10,7 @@ problem into a convex one over exposures alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConstraintError, DomainError, InsolventPositionError
@@ -23,10 +24,10 @@ class CollateralDebt:
     debt: float
 
     def __post_init__(self) -> None:
-        if self.collateral <= 0.0:
-            raise DomainError(f"collateral must be positive, got {self.collateral}")
-        if self.debt < 0.0:
-            raise DomainError(f"debt must be non-negative, got {self.debt}")
+        if not 0.0 < self.collateral < math.inf:
+            raise DomainError(f"collateral must be positive and finite, got {self.collateral}")
+        if not 0.0 <= self.debt < math.inf:
+            raise DomainError(f"debt must be non-negative and finite, got {self.debt}")
 
     def ltv_ok(self, max_ltv: float, margin: float = 0.0) -> bool:
         """Strict LTV check with an optional safety margin below the cap."""
@@ -45,10 +46,10 @@ class ExposureLeverage:
     leverage: float
 
     def __post_init__(self) -> None:
-        if self.exposure <= 0.0:
-            raise DomainError(f"exposure must be positive, got {self.exposure}")
-        if self.leverage < 1.0:
-            raise DomainError(f"leverage must be at least 1, got {self.leverage}")
+        if not 0.0 < self.exposure < math.inf:
+            raise DomainError(f"exposure must be positive and finite, got {self.exposure}")
+        if not 1.0 <= self.leverage < math.inf:
+            raise DomainError(f"leverage must be at least 1 and finite, got {self.leverage}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,10 @@ class SplitPosition:
     l_max: float
 
     def __post_init__(self) -> None:
-        if self.unleveraged < 0.0 or self.max_leveraged < 0.0:
-            raise DomainError("sub-position exposures must be non-negative")
-        if self.l_max <= 1.0:
-            raise DomainError(f"l_max must exceed 1, got {self.l_max}")
+        if not (0.0 <= self.unleveraged < math.inf and 0.0 <= self.max_leveraged < math.inf):
+            raise DomainError("sub-position exposures must be non-negative and finite")
+        if not 1.0 < self.l_max < math.inf:
+            raise DomainError(f"l_max must exceed 1 and be finite, got {self.l_max}")
 
 
 def to_exposure_leverage(cd: CollateralDebt) -> ExposureLeverage:

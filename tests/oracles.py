@@ -1,8 +1,11 @@
 """Independent reference implementations used to check the closed forms.
 
-Everything here recomputes rates and objectives from the model definitions
-directly (piecewise on utilization) and optimizes by brute force, so the
-tests never reuse the code paths they are checking.
+Most of what is here recomputes rates and objectives from the model
+definitions directly (piecewise on utilization), in floats or exactly, and
+optimizes by brute force or by a search of its own, so the tests never
+reuse the code paths they are checking. The per-step replay and the
+between-floats bisection share the package's evaluation and differ from it
+in how they walk or search.
 """
 
 from __future__ import annotations
@@ -11,9 +14,12 @@ import bisect
 import itertools
 import math
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import add, sub
+from unittest import mock
 
+from stakeloop import allocator
 from stakeloop import backtest as bt
 from stakeloop.allocator import Allocation, ProblemInstance
 from stakeloop.irm import (
@@ -264,6 +270,152 @@ def random_instance(rng: random.Random, n: int | None = None):
     else:
         budget = rng.uniform(1.0, 100.0)
     return markets, l_maxes, s, max(budget, 1e-3)
+
+
+def between_floats_by_bisection(budget: float, pieces: list, s: float) -> tuple[float, list[float]]:
+    """``(lambda_star, exposures)`` when no float shadow rate spends ``budget``,
+    by bisection from ``s`` up to the highest entry level for the adjacent
+    floats ``lo < hi`` with the summed response at least the budget at ``lo``
+    and below it at ``hi``, then the mix of the two responses that spends
+    the budget: the reference for the solver, which steps to the pair from
+    its walk's crossing."""
+    lo = s
+    hi = max(market_pieces[0][0] for market_pieces in pieces if market_pieces)
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        if math.fsum(allocator._responses(pieces, mid)) >= budget:
+            lo = mid
+        else:
+            hi = mid
+    at_lo, at_hi = allocator._responses(pieces, lo), allocator._responses(pieces, hi)
+    over, under = math.fsum(at_lo) - budget, budget - math.fsum(at_hi)
+    w_lo, w_hi = under / (over + under), over / (over + under)
+    return lo, [w_lo * a + w_hi * b for a, b in zip(at_lo, at_hi)]
+
+
+def walked_brackets(table: tuple, budget: float, s: float) -> list[tuple[int, tuple, list]]:
+    """Solve ``budget`` on ``table`` at staking rate ``s``; for each step onto
+    the between-floats path, ``(steps, folded, references)``: how many floats
+    lie from the walk's shadow rate to the bracket's lower end, the path's
+    ``(lambda_star, exposures)``, and what should equal it: that of
+    :func:`between_floats_by_bisection`, and the path's own from three floats
+    below and above the walk's shadow rate."""
+    walked = []
+    between = allocator._adjacent_floats
+
+    def spy(budget, pieces, lam):
+        folded = between(budget, pieces, lam)
+        steps, at = 0, lam
+        while at != folded[0] and steps < 64:
+            steps, at = steps + 1, math.nextafter(at, folded[0])
+        below, above = lam, lam
+        for _ in range(3):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        references = [between_floats_by_bisection(budget, pieces, s)]
+        references += [between(budget, pieces, start) for start in (below, above)]
+        walked.append((steps, folded, references))
+        return folded
+
+    with mock.patch.object(allocator, "_adjacent_floats", spy):
+        allocator._solve_at(table, budget, s)
+    return walked
+
+
+def exact_marginal_values(form: tuple, s: float) -> list[tuple]:
+    """A market's marginal value of exposure at staking rate ``s`` in exact
+    arithmetic, from its rate curve: the floats of ``form``'s cap, curve and
+    pool, each taken as the rational it is. One ``(x0, x1, v0, dv)`` per
+    branch of the curve that the new debt ``B = x*(l_max-1)`` runs over: the
+    value is ``v0 - dv*(x - x0)`` on ``[x0, x1]``, the left side of the
+    stationarity condition ``l_max*s - (l_max-1)*(b(T) + B*b'(T)) = lam`` at
+    total debt ``T = borrowed + B``, affine in ``x`` on a branch. It drops
+    where the debt crosses the kink; the last ``x1`` is the liquidity cap."""
+    l_max, (_, scale, u_target, below, above), supplied, borrowed = form[0], *form[6:]
+    l_max, scale, supplied, borrowed = map(Fraction, (l_max, scale, supplied, borrowed))
+    m = l_max - 1
+    kink = supplied * Fraction(u_target)
+    spans = []  # (debt from, debt to, branch)
+    if below is not above and borrowed < kink:
+        spans.append((Fraction(0), kink - borrowed, below))
+    spans.append((spans[-1][1] if spans else Fraction(0), supplied - borrowed, above))
+    branches = []
+    for b0, b1, (a, u0, w, slope) in spans:
+        a, u0, w, slope = map(Fraction, (a, u0, w, slope))
+        c = scale * slope / (w * supplied)  # the rate's rise per unit of total debt
+        rate = scale * (a + ((borrowed + b0) / supplied - u0) / w * slope)
+        # b(T) + B*b'(T) is rate + b0*c at B = b0 and rises 2c per unit of B.
+        branches.append((b0 / m, b1 / m, l_max * Fraction(s) - m * (rate + b0 * c), 2 * c * m * m))
+    return branches
+
+
+def exact_response(branches: list[tuple], lam: Fraction, from_below: bool = False) -> Fraction:
+    """The exposure whose marginal value meets ``lam``: the smallest optimal
+    one, the limit from above where the response jumps, or with
+    ``from_below`` the largest, the limit from below."""
+    for x0, x1, v0, dv in branches:
+        if lam > v0 or (lam == v0 and not from_below):
+            return x0
+        if dv and (x := x0 + (v0 - lam) / dv) < x1:
+            return x
+    return branches[-1][1]
+
+
+def exact_solve(p: ProblemInstance, s: float) -> tuple[Fraction, list[Fraction], Fraction, str]:
+    """``(lambda_star, exposures, unleveraged, regime)`` of the optimum of
+    ``p``'s budget at staking rate ``s``, in exact arithmetic.
+
+    The summed response is non-increasing, and affine between the marginal
+    values at the markets' branch ends. A bisection over those levels finds
+    the one where the response reaches the budget, or the gap above it
+    where the response crosses it. Where it jumps past the budget on a
+    level, the jumping markets fill in market order, the solver's rule for
+    choosing among optima."""
+    budget, floor = Fraction(p.budget), Fraction(s)
+    markets = [exact_marginal_values(form, s) for form in p.forms]
+
+    def responses(lam: Fraction, from_below: bool = False) -> list[Fraction]:
+        return [exact_response(branches, lam, from_below) for branches in markets]
+
+    if sum(responses(floor)) <= budget:
+        exposures = responses(floor)
+        return floor, exposures, budget - sum(exposures), "saturated"
+    ends = {
+        v for branches in markets for x0, x1, v0, dv in branches for v in (v0, v0 - dv * (x1 - x0))
+    }
+    levels = sorted((v for v in ends if v > floor), reverse=True)
+    # The first level from the top whose response from below reaches the budget.
+    lo, hi = 0, len(levels)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(responses(levels[mid], from_below=True)) >= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo < len(levels) and sum(exposures := responses(levels[lo])) <= budget:
+        left = budget - sum(exposures)
+        for i, x in enumerate(responses(levels[lo], from_below=True)):
+            take = min(x - exposures[i], left)
+            exposures[i] += take
+            left -= take
+        return levels[lo], exposures, Fraction(0), "unsaturated"
+    # The response is affine in the gap, from its value at the bottom to
+    # its value below the top.
+    bottom = levels[lo] if lo < len(levels) else floor
+    at_bottom, at_top = sum(responses(bottom)), sum(responses(levels[lo - 1], from_below=True))
+    lam = bottom + (levels[lo - 1] - bottom) * (at_bottom - budget) / (at_bottom - at_top)
+    return lam, responses(lam), Fraction(0), "unsaturated"
+
+
+def exact_piece_total(pieces: list, lam: float) -> Fraction:
+    """The summed response of compiled ``pieces`` at ``lam``, each piece
+    evaluated in exact arithmetic."""
+    total = Fraction(0)
+    for market_pieces in pieces:
+        for level, denom, value in reversed(market_pieces):
+            if lam < level:
+                at = (Fraction(value) - Fraction(lam)) / Fraction(denom) if denom else Fraction(value)
+                total += min(at, Fraction(market_pieces[-1][2]))
+                break
+    return total
 
 
 def staking_join_by_search(timestamps, staking) -> list[float]:

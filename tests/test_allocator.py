@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import random_instance, simplex_objective, simplex_search
+from oracles import random_instance, simplex_objective, simplex_search, walked_brackets
 from stakeloop import allocator
 from stakeloop.allocator import (
     SATURATED,
@@ -256,31 +256,38 @@ class TestBreakpointSweep:
         assert alloc.regime == UNSATURATED
         assert math.fsum(alloc.exposures) == pytest.approx(10.0, rel=1e-12)
         assert verify_kkt(alloc, p, 1e-8).passed
+        # The walk's shadow rate is the bracket's lower end, as the bisection's.
+        [(steps, folded, references)] = walked_brackets(allocator._table(p.forms, 0.055), 10.0, 0.055)
+        assert steps == 0
+        assert all(repr(folded) == repr(reference) for reference in references)
 
-    def test_bisection_lowers_its_upper_end(self, monkeypatch):
+    def test_bracket_lies_below_the_highest_entry_level(self, monkeypatch):
         # At l_max = 1 + 2**-44 no float shadow rate spends the budget. The
         # cheap market A is capped at a tenth of the budget, so the summed
-        # response falls below the budget well under the highest entry level,
-        # where the bisection starts its upper end, and that end comes down.
+        # response falls below the budget well under the highest entry level.
         m = 2.0**-44
         cheap = MarketState("A", 1.0, 1.0 - 0.1 * m, 0.9, LinearIrmParams(0.004, 0.001, 0.9))
         deep = MarketState("B", 1e3, 0.0, 0.9, LinearIrmParams(0.01, 0.01, 0.9))
         p = ProblemInstance.uniform([cheap, deep], 1.0 + m, 0.03, 1.0)
         starts = []
-        between = allocator._between_floats
+        between = allocator._adjacent_floats
 
-        def spy(p, pieces, s):
+        def spy(budget, pieces, lam):
             starts.append(max(market_pieces[0][0] for market_pieces in pieces if market_pieces))
-            return between(p, pieces, s)
+            return between(budget, pieces, lam)
 
-        monkeypatch.setattr(allocator, "_between_floats", spy)
+        monkeypatch.setattr(allocator, "_adjacent_floats", spy)
         alloc = solve(p)
         assert len(starts) == 1
-        # The bisection ends on adjacent floats lo < hi; had hi stayed at its
-        # start, lo would be the float just below it.
+        # The bracket is adjacent floats lo < hi; lo is not the float just
+        # below the highest entry level.
         assert alloc.lambda_star < math.nextafter(starts[0], -math.inf)
         assert verify_kkt(alloc, p, 1e-9).passed
         assert abs(math.fsum(alloc.exposures) + alloc.unleveraged - p.budget) <= 1e-9 * p.budget
+        monkeypatch.undo()
+        [(steps, folded, references)] = walked_brackets(allocator._table(p.forms, 0.03), 1.0, 0.03)
+        assert steps == 0
+        assert all(repr(folded) == repr(reference) for reference in references)
 
     def test_crossing_below_a_cap_breakpoint(self):
         # F is near flat and small: it enters at 0.198 and is capped at
@@ -356,7 +363,7 @@ class TestBreakpointSweep:
             if case == "unsaturated":
                 p = replace(p, budget=math.fsum(solve(p).exposures) / 2.0)
         built, crossed = [], []
-        pieces, between = allocator._pieces, allocator._between_floats
+        pieces, between = allocator._pieces, allocator._adjacent_floats
 
         def counted(form, s, *floor):
             built.append(form)
@@ -367,7 +374,7 @@ class TestBreakpointSweep:
             return between(*args)
 
         monkeypatch.setattr(allocator, "_pieces", counted)
-        monkeypatch.setattr(allocator, "_between_floats", spied)
+        monkeypatch.setattr(allocator, "_adjacent_floats", spied)
         for s in (p.staking_rate, p.staking_rate + 0.001):
             built.clear()
             alloc = allocator._priced(p, *allocator._solve_core(p, s))
@@ -623,6 +630,20 @@ class TestVerifyKkt:
         assert alloc.exposures[1] == 0.0
         report = verify_kkt(alloc, p, tol=1e-8)
         assert report.passed and report.complementary_ok[1]
+
+    def test_worthwhile_market_left_empty_fails(self):
+        # The whole budget in A, at A's marginal value there: its entry level
+        # 0.11 less 3 times its slope 2 * (0.04 / 90) * 4**2. B is worth
+        # 0.15 - 4 * 0.02 = 0.07 at zero exposure, more than that shadow
+        # rate, so leaving it empty is not optimal.
+        p = two_linear(3.0)
+        lam = 0.11 - 3.0 * 0.04 * 32.0 / 90.0
+        alloc = Allocation(p.market_ids, (3.0, 0.0), 0.0, lam, math.nan, "position")
+        report = verify_kkt(alloc, p, tol=1e-8)
+        assert report.stationarity[0] == pytest.approx(0.0, abs=1e-15)
+        assert report.stationarity[1] == pytest.approx(0.07 - lam, rel=1e-12)
+        assert not report.complementary_ok[1]
+        assert not report.passed
 
 
     def test_instance_of_compiled_markets_reads_as_the_public_instance(self):

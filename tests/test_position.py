@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -111,6 +112,35 @@ class TestSplit:
             back_sp = split(unsplit(sp), l_max)
             assert back_sp.unleveraged == pytest.approx(sp.unleveraged, rel=1e-12, abs=1e-12)
             assert back_sp.max_leveraged == pytest.approx(sp.max_leveraged, rel=1e-12, abs=1e-12)
+
+
+FIELDS = [
+    pytest.param(lambda v: CollateralDebt(v, 0.0), id="collateral"),
+    pytest.param(lambda v: CollateralDebt(1.0, v), id="debt"),
+    pytest.param(lambda v: ExposureLeverage(v, 2.0), id="exposure"),
+    pytest.param(lambda v: ExposureLeverage(1.0, v), id="leverage"),
+    pytest.param(lambda v: SplitPosition(v, 1.0, 5.0), id="unleveraged"),
+    pytest.param(lambda v: SplitPosition(1.0, v, 5.0), id="max_leveraged"),
+    pytest.param(lambda v: SplitPosition(1.0, 1.0, v), id="l_max"),
+]
+
+
+class TestFieldRefusals:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("build", FIELDS)
+    def test_nan_infinite_and_negative_fields_rejected(self, build, bad):
+        with pytest.raises(DomainError):
+            build(bad)
+
+    @pytest.mark.parametrize("build, bound", [
+        pytest.param(lambda v: CollateralDebt(v, 0.0), 0.0, id="collateral"),
+        pytest.param(lambda v: ExposureLeverage(v, 2.0), 0.0, id="exposure"),
+        pytest.param(lambda v: SplitPosition(1.0, 1.0, v), 1.0, id="l_max"),
+    ])
+    def test_open_lower_bounds_rejected(self, build, bound):
+        with pytest.raises(DomainError):
+            build(bound)
+        build(math.nextafter(bound, math.inf))
 
 
 class TestLeverageBound:

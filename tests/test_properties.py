@@ -9,9 +9,11 @@ import inspect
 import io
 import math
 import random
+import sys
 import tempfile
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -20,12 +22,18 @@ from hypothesis import strategies as st
 
 from oracles import (
     best_at_total_exposure,
+    exact_marginal_values,
+    exact_piece_total,
+    exact_response,
+    exact_solve,
     fee_penalised_objective,
     grid_best_with_fees,
     market_states_at,
     oracle_rate,
+    random_instance,
     replay_per_step,
     staking_join_by_search,
+    walked_brackets,
     window_means,
 )
 from stakeloop.allocator import (
@@ -236,19 +244,26 @@ def test_solve_at_a_shifted_rate_keeps_the_instance(p, offset):
 
 
 @st.composite
-def tables_and_budgets(draw) -> tuple[list[tuple], float, float]:
-    """``(forms, s, budget)``: up to eight random markets compiled at one cap,
-    a staking rate and a budget of a regime drawn: saturated, unsaturated,
-    or between floats (a cap a hair above 1 and a budget far below the
-    saturated total, so that no float shadow rate spends it)."""
-    regime = draw(st.sampled_from(("saturated", "unsaturated", "between floats")))
-    pool = [draw(markets(i)) for i in range(draw(st.integers(1, 8)))]
+def tables_and_budgets(
+    draw, max_n: int = 8, regimes=("saturated", "unsaturated", "between floats")
+) -> tuple[list[tuple], float, float]:
+    """``(forms, s, budget)``: up to ``max_n`` random markets compiled at one
+    cap, a staking rate and a budget of a regime drawn: saturated,
+    unsaturated, between floats (a cap a hair above 1 and a budget far below
+    the saturated total, so that no float shadow rate spends it) or tiny (a
+    budget from 2**-30 down to the smallest normal float)."""
+    regime = draw(st.sampled_from(regimes))
+    pool = [draw(markets(i)) for i in range(draw(st.integers(1, max_n)))]
     if regime == "between floats":
         l_max = 1.0 + 2.0 ** -draw(st.integers(44, 52))
     else:
         l_max = draw(st.floats(1.5, 10.0))
     s = draw(st.floats(0.005, 0.08))
     forms = [_state_form(m, l_max) for m in pool]
+    if regime == "tiny":
+        return forms, s, draw(st.one_of(
+            st.floats(-1022.0, -30.0).map(lambda e: 2.0**e), st.just(sys.float_info.min)
+        ))
     share = draw({
         "saturated": st.floats(1.0, 1.2),
         "unsaturated": st.floats(1e-6, 0.999),
@@ -270,6 +285,68 @@ def test_idle_markets_without_pieces_solve_as_with_them(case):
         built = allocator._table(forms, s)
     assert repr(built[1:]) == repr(floored[1:])
     assert repr(allocator._solve_at(built, budget, s)) == repr(allocator._solve_at(floored, budget, s))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tables_and_budgets())
+def test_between_floats_bracket_is_the_walk_s_crossing(case):
+    # The walk's shadow rate lies at or next to the bracket's lower end; a
+    # bisection from s up finds the same pair, and so do steps from a few
+    # floats either side.
+    forms, s, budget = case
+    for steps, folded, references in walked_brackets(allocator._table(forms, s), budget, s):
+        assert steps <= 8
+        assert all(repr(folded) == repr(reference) for reference in references)
+
+
+def test_between_floats_bracket_is_the_walk_s_crossing_on_random_instances():
+    # Caps from 1 + 2**-40 to 1 + 2**-52 put most random budgets between two
+    # adjacent floats of the shadow rate.
+    walked = []
+    for seed in range(200):
+        pool, _, s, budget = random_instance(random.Random(seed))
+        for k in range(40, 53):
+            forms = [_state_form(m, 1.0 + 2.0**-k) for m in pool]
+            walked += walked_brackets(allocator._table(forms, s), budget, s)
+    assert len(walked) > 1800
+    for steps, folded, references in walked:
+        assert steps <= 8
+        assert all(repr(folded) == repr(reference) for reference in references)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tables_and_budgets(30, ("saturated", "unsaturated", "between floats", "tiny")))
+def test_solve_is_the_exact_optimum(case):
+    # Compiling rounds each market's levels by an ulp or so, and a response
+    # as steep as 1e9 per unit of the shadow rate turns that into exposure
+    # errors far above 1e-12 of the budget, and a saturated total off by
+    # rounding can move an exact shadow rate across a flat stretch. So the
+    # solve is held to the exact optimum of a budget within 1e-12 of its
+    # own: its shadow rate within 1e-12 of that optimum's, each exposure
+    # within 1e-12 of the budget of the exact response at such a rate, and
+    # the regime the exact one unless such a rate meets the staking rate.
+    forms, s, budget = case
+    p = ProblemInstance(tuple(f"m{i}" for i in range(len(forms))), s, budget, tuple(forms))
+    with mock.patch.object(allocator, "_adjacent_floats", wraps=allocator._adjacent_floats) as between:
+        alloc = solve(p)
+    assert abs(math.fsum(alloc.exposures) + alloc.unleveraged - budget) <= 1e-12 * budget
+    rho = Fraction(1e-12)
+    lam_star, exposures, unleveraged, regime = exact_solve(p, s)
+    assert sum(exposures) + unleveraged == Fraction(budget)
+    lam_lo = exact_solve(replace(p, budget=budget * (1.0 + 1e-12)), s)[0] * (1 - rho)
+    lam_hi = exact_solve(replace(p, budget=budget * (1.0 - 1e-12)), s)[0] * (1 + rho)
+    assert lam_lo <= lam_star <= lam_hi
+    assert lam_lo <= Fraction(alloc.lambda_star) <= lam_hi
+    for x, form in zip(alloc.exposures, forms):
+        branches = exact_marginal_values(form, s)
+        low, high = exact_response(branches, lam_hi), exact_response(branches, lam_lo, from_below=True)
+        assert low - rho * Fraction(budget) <= Fraction(x) <= high + rho * Fraction(budget)
+    assert alloc.regime == regime or lam_lo <= s
+    if between.called:
+        # The exact crossing of the pieces the solver summed lies in the bracket.
+        pieces = between.call_args.args[1]
+        lo = alloc.lambda_star
+        assert exact_piece_total(pieces, lo) >= budget >= exact_piece_total(pieces, math.nextafter(lo, math.inf))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -516,7 +593,8 @@ def replays(draw) -> tuple[SnapshotSeries, BacktestConfig]:
     """A series and a config to replay: jittered, gappy hourly steps;
     rebalancing every 1 to 5 cadences, not always a multiple of it; budgets
     from 1e-3 to 1e7 on pools of 1 to 1e4, so that the largest debts
-    overshoot a pool that shrinks under them."""
+    overshoot a pool that shrinks under them; the dynamic gate net or gross
+    of costs."""
     x = draw(series())
     assume(len(x.timestamps) >= 3)
     cadence = x.cadence_seconds
@@ -536,6 +614,7 @@ def replays(draw) -> tuple[SnapshotSeries, BacktestConfig]:
         irm=draw(st.sampled_from((
             LinearIrmParams(0.0, 0.1, 0.9), KinkedIrmParams(0.01, 0.04, 0.8, 0.85)
         ))),
+        gate_net_of_costs=draw(st.booleans()),
     )
     return x, cfg
 

@@ -45,6 +45,12 @@ class TestTotalCollateral:
         alloc = Allocation.from_position(("a", "b"), [1.0, 2.0], 2.0)
         assert total_collateral(alloc, (5.0, 3.0)) == pytest.approx(13.0)
 
+    @pytest.mark.parametrize("l_max", [(5.0,), (5.0, 3.0, 2.0)])
+    def test_one_cap_per_market_required(self, l_max):
+        alloc = Allocation.from_position(("a", "b"), [1.0, 2.0], 2.0)
+        with pytest.raises(DomainError, match="one entry per market"):
+            total_collateral(alloc, l_max)
+
 
 class TestFeeModel:
     @pytest.mark.parametrize("gammas", [(0.001, 0.0), (0.0, 0.001)], ids=["entry", "exit"])
@@ -299,3 +305,7 @@ class TestShouldRebalance:
     def test_bad_budget_rejected(self):
         with pytest.raises(DomainError):
             should_rebalance(0.0, 1.0, 0.0, threshold=0.0)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(DomainError, match="threshold must be non-negative"):
+            should_rebalance(0.0, 1.0, 1.0, threshold=-1e-4)
