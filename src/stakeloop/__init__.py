@@ -7,7 +7,6 @@ from .allocator import (
     KktReport,
     ProblemInstance,
     WaterfillingDetail,
-    effective_staking_rate,
     expected_yield,
     solve,
     verify_kkt,

@@ -169,16 +169,6 @@ class WaterfillingDetail:
     fill_thresholds: tuple[float, ...]
 
 
-def effective_staking_rate(lam: float, s: float, l_max: float) -> float:
-    """Staking rate that makes a budget-constrained solve look unconstrained.
-
-    Equals ``s`` at ``lam = s`` and decreases as the shadow rate rises.
-    """
-    if l_max <= 1.0:
-        raise DomainError(f"l_max must exceed 1, got {l_max}")
-    return s + (s - lam) / (l_max - 1.0)
-
-
 def _responses(pieces: list[list[tuple[float, float, float]]], lam: float) -> list[float]:
     return [_response(market_pieces, lam) for market_pieces in pieces]
 
@@ -300,7 +290,8 @@ def solve(p: ProblemInstance) -> Allocation:
     breakpoints for the shadow rate ``lambda_star > s`` at which the summed
     responses equal the budget.
     """
-    return _priced(p, *_solve_core(p, p.staking_rate))
+    s = p.staking_rate
+    return _priced(p, *_solve_at(_table(p.forms, s), p.budget, s))
 
 
 def _priced(
@@ -315,11 +306,6 @@ def _priced(
         expected_yield=_position_yield(exposures, unleveraged, p.staking_rate, p.forms),
         regime=regime,
     )
-
-
-def _solve_core(p: ProblemInstance, s: float) -> tuple[Sequence[float], float, float, str]:
-    """:func:`_solve_at` of the instance's budget on its table at staking rate ``s``."""
-    return _solve_at(_table(p.forms, s), p.budget, s)
 
 
 def _table(forms: Sequence[tuple], s: float) -> tuple[list, tuple[float, ...], float]:

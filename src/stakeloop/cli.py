@@ -26,7 +26,7 @@ from .allocator import (
 from .data import _checked
 from .errors import DataError, DomainError, StakeloopError, ValidationError
 from .irm import IrmParams, MarketState, _state_form
-from .rebalance import HOLD, FeeModel, solve_with_fees
+from .rebalance import HOLD, INCREASE, FeeModel, _shifted_rates, solve_with_fees
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
@@ -136,9 +136,11 @@ def _problem_from_args(args) -> ProblemInstance:
     return ProblemInstance(tuple(ids), args.staking_rate, args.budget, tuple(forms))
 
 
-def _print_allocation(alloc: Allocation, p: ProblemInstance, args) -> None:
+def _print_allocation(alloc: Allocation, p: ProblemInstance, args, kkt_rate: float) -> None:
+    """Print ``alloc`` with its yield priced on ``p`` and its KKT certificate
+    at staking rate ``kkt_rate``, the rate it was solved at."""
     base, carries = yield_breakdown(alloc, p)
-    report = verify_kkt(alloc, p, tol=1e-8)
+    report = verify_kkt(alloc, replace(p, staking_rate=kkt_rate), tol=1e-8)
     if args.json:
         payload = {
             "regime": alloc.regime,
@@ -163,7 +165,7 @@ def _print_allocation(alloc: Allocation, p: ProblemInstance, args) -> None:
 
 def _cmd_optimize(args) -> int:
     p = _problem_from_args(args)
-    _print_allocation(solve(p), p, args)
+    _print_allocation(solve(p), p, args, p.staking_rate)
     return 0
 
 
@@ -171,7 +173,8 @@ def _cmd_rebalance(args) -> int:
     if args.current is None:
         raise StakeloopError("rebalance requires --current")
     p = _problem_from_args(args)
-    plan = solve_with_fees(p, _current_from_args(args, p), _fees_from_args(args))
+    fees = _fees_from_args(args)
+    plan = solve_with_fees(p, _current_from_args(args, p), fees)
     if args.json:
         print(
             json.dumps(
@@ -193,7 +196,9 @@ def _cmd_rebalance(args) -> int:
     print(f"cost            {_sig(plan.cost)}")
     print(f"net gain rate   {_sig(plan.net_gain_rate)} per year")
     if plan.direction != HOLD:
-        _print_allocation(plan.target, p, args)
+        # The target is optimal at the fee-shifted rate it was solved at.
+        s_up, s_down = _shifted_rates(p.staking_rate, fees)
+        _print_allocation(plan.target, p, args, s_up if plan.direction == INCREASE else s_down)
     return 0
 
 
@@ -297,9 +302,16 @@ def _cmd_sweep(args) -> int:
         args.budget = budgets[0]
     cfg = _config_from_args(args)
     # Without --l-max-list, one curve at --l-max, unlabelled.
-    for level, curve in bt.sweep_leverage(series, cfg, levels or [cfg.l_max], budgets).items():
+    curves = bt.sweep_leverage(series, cfg, levels or [cfg.l_max], budgets)
+    for level, curve in curves.items():
         if args.out:
             datamod.emit_report(curve, Path(args.out), label=f"lmax_{level:g}" if levels else "apy")
+    if args.json:
+        # Each cap's curve as its apy_curve.json holds it.
+        print(json.dumps({f"{level:g}": [{"budget": b, "apy": a} for b, a in curve]
+                          for level, curve in curves.items()}, indent=2))
+        return 0
+    for level, curve in curves.items():
         prefix = f"l_max {level:g} " if levels else ""
         for budget, value in curve:
             print(f"{prefix}budget {_sig(budget)} apy {_sig(value * 100)}%")
@@ -341,8 +353,6 @@ def _cmd_synth(args) -> int:
 def _cmd_fetch(args) -> int:
     from .fetch import fetch_market_history
 
-    if args.workers < 1:
-        raise DataError(f"--workers must be at least 1, got {args.workers}")
     out = fetch_market_history(
         market_ids=[mid for mid in args.ids.split(",") if mid],
         start=args.start,
@@ -353,7 +363,6 @@ def _cmd_fetch(args) -> int:
         staking_rate=args.staking_rate,
         api_key=args.api_key,
         chain=args.chain,
-        parallelism=args.workers,
     )
     print(f"wrote dataset to {out}")
     return 0
@@ -442,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--staking-rate", type=float, help="flat staking rate fallback")
     fetch.add_argument("--api-key")
     fetch.add_argument("--chain", default="ethereum")
-    fetch.add_argument("--workers", type=int, default=4)
     fetch.add_argument("--out", required=True)
     fetch.set_defaults(func=_cmd_fetch)
     return parser

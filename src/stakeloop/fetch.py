@@ -36,6 +36,9 @@ from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 MORPHO_API_URL = "https://api.morpho.org/graphql"
 
+# Markets fetched at once; the shared rate limiter spaces every request start.
+_WORKERS = 4
+
 Transport = Callable[[str, dict], dict]
 
 _MARKET_QUERY = """
@@ -213,7 +216,6 @@ def fetch_market_history(
     staking_rate: float | None = None,
     api_key: str | None = None,
     chain: str = "ethereum",
-    parallelism: int = 4,
     min_interval: float = 0.25,
     transport: Transport | None = None,
 ) -> Path:
@@ -229,12 +231,10 @@ def fetch_market_history(
         raise DataError("end must be after start")
     if staking_endpoint is None and staking_rate is None:
         raise DataError("either staking_endpoint or staking_rate is required")
-    if parallelism < 1:
-        raise DataError(f"parallelism must be at least 1, got {parallelism}")
     post = transport or http_transport(api_key=api_key)
     limiter = _RateLimiter(min_interval)
 
-    with ThreadPoolExecutor(max_workers=min(parallelism, len(market_ids))) as pool:
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(market_ids))) as pool:
         fetched = list(
             pool.map(
                 lambda mid: _fetch_one_market(post, endpoint, mid, start, end, limiter),

@@ -182,12 +182,6 @@ def _rate(curve: tuple, u: float) -> float:
     return scale * (a + (u - u0) / w * b)
 
 
-def adaptive_curve_factor(u: float, u_target: float, curve_steepness: float) -> float:
-    """Multiplier applied to rate_at_target: 1/steepness at u=0, 1 at target,
-    steepness at u=1."""
-    return _rate(_adaptive_curve(1.0, curve_steepness, u_target), u)
-
-
 def _kinked_form(curve: tuple) -> tuple[float, float, float, float]:
     """``(r_base, r_slope1, r_slope2, u_target)`` of the kinked curve equal to
     a two-branch ``curve`` (at a frozen controller state when the model is

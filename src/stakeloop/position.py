@@ -33,7 +33,7 @@ class CollateralDebt:
         """Strict LTV check with an optional safety margin below the cap."""
         if not 0.0 < max_ltv < 1.0:
             raise DomainError(f"max_ltv must be in (0, 1), got {max_ltv}")
-        if margin < 0.0:
+        if not margin >= 0.0:  # NaN fails too
             raise DomainError(f"margin must be non-negative, got {margin}")
         return self.debt / self.collateral < max_ltv - margin
 

@@ -103,6 +103,12 @@ def rebalance_cost(
     return _fee(total_collateral(new, l_max) - total_collateral(old, l_max), fees)
 
 
+def _shifted_rates(s: float, fees: FeeModel) -> tuple[float, float]:
+    """The staking rates an increase and a decrease of collateral are solved
+    at: ``s`` less the fee per year of growing it, and plus that of shrinking it."""
+    return s - fees.gamma_plus / fees.horizon_years, s + fees.gamma_minus / fees.horizon_years
+
+
 def solve_with_fees(
     p: ProblemInstance, current: Allocation, fees: FeeModel
 ) -> RebalancePlan:
@@ -146,8 +152,7 @@ def _plan(
     # Collateral within rounding of the current total counts as equal, so an
     # ulp in the solver's exposures cannot flip the direction.
     tie = held + _EQUAL_TOL * budget * max(l_max)
-    s_up = s - fees.gamma_plus / fees.horizon_years
-    s_down = s + fees.gamma_minus / fees.horizon_years
+    s_up, s_down = _shifted_rates(s, fees)
     (solved, moved), direction = _solved_at(forms, tables, s_up, budget, l_max), INCREASE
     if not moved > tie:
         # Without fees both shifted rates are one float, and so is the solve.
@@ -188,8 +193,9 @@ def should_rebalance(
 ) -> bool:
     """True when the yield improvement per unit budget strictly exceeds the
     threshold rate."""
-    if budget <= 0.0:
+    # Written so that NaN fails each test.
+    if not budget > 0.0:
         raise DomainError(f"budget must be positive, got {budget}")
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise DomainError(f"threshold must be non-negative, got {threshold}")
     return (candidate_yield - current_yield) / budget > threshold

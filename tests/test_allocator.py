@@ -13,7 +13,6 @@ from stakeloop.allocator import (
     UNSATURATED,
     Allocation,
     ProblemInstance,
-    effective_staking_rate,
     expected_yield,
     solve,
     verify_kkt,
@@ -377,7 +376,8 @@ class TestBreakpointSweep:
         monkeypatch.setattr(allocator, "_adjacent_floats", spied)
         for s in (p.staking_rate, p.staking_rate + 0.001):
             built.clear()
-            alloc = allocator._priced(p, *allocator._solve_core(p, s))
+            solved = allocator._solve_at(allocator._table(p.forms, s), p.budget, s)
+            alloc = allocator._priced(p, *solved)
             assert built == list(p.forms)
         assert alloc.regime == (SATURATED if case == "saturated" else UNSATURATED)
         assert bool(crossed) == (case == "between floats")
@@ -707,24 +707,6 @@ class TestVerifyKkt:
         assert ProblemInstance.uniform([LIN_A], 5.0, 0.03, 6.0) != ProblemInstance.uniform(
             [LIN_A], 4.0, 0.03, 6.0
         )
-
-
-class TestEffectiveStakingRate:
-    def test_identity_at_staking_rate(self):
-        assert effective_staking_rate(0.03, 0.03, 5.0) == 0.03
-
-    def test_worked_example(self):
-        assert effective_staking_rate(0.07, 0.03, 5.0) == pytest.approx(0.02)
-
-    def test_decreasing_in_lam(self):
-        values = [effective_staking_rate(lam / 100, 0.03, 4.0) for lam in range(3, 20)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-        assert all(v <= 0.03 for v in values)
-
-    def test_cap_of_one_rejected(self):
-        with pytest.raises(DomainError) as exc:
-            effective_staking_rate(0.04, 0.03, 1.0)
-        assert str(exc.value) == "l_max must exceed 1, got 1.0"
 
 
 class TestOracleEquivalence:

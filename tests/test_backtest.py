@@ -47,9 +47,10 @@ def flat_series(
     supplied: float = 2000.0,
     utilization: float = 0.8,
 ) -> SnapshotSeries:
-    from stakeloop.irm import adaptive_curve_factor
+    from stakeloop.backtest import _recorded_curve
+    from stakeloop.irm import _rate
 
-    target = rate / adaptive_curve_factor(utilization, 0.9, 4.0)
+    target = rate / _rate(_recorded_curve(1.0), utilization)
     snaps = tuple(
         Snapshot(
             timestamp=T0 + k * SECONDS_PER_HOUR,

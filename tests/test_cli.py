@@ -312,6 +312,30 @@ class TestRebalanceCommand:
         assert err.startswith("error: --current")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "budget, current, fee, direction",
+        [
+            ("3", {"A": 0.0, "B": 0.0}, "--gamma-plus", "increase"),
+            ("100", {"A": 60.0, "B": 40.0}, "--gamma-minus", "decrease"),
+        ],
+        ids=["increase", "decrease"],
+    )
+    def test_fee_priced_move_is_certified_at_its_shifted_rate(self, budget, current, fee, direction, capsys):
+        # The target solves the problem at the staking rate less (or plus) the
+        # fee per year; at the instance's own rate it is not the optimum.
+        unleveraged = float(budget) - sum(current.values())
+        code, out, _ = run(
+            ["rebalance", "--budget", budget, "-s", "0.03", "--market", MARKET_A, "--market", MARKET_B,
+             "--current", json.dumps({"exposures": current, "unleveraged": unleveraged}),
+             fee, "0.0001", "--horizon-days", "30"],
+            capsys,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"direction       {direction}"
+        assert float(lines[1].split()[1]) > 0.0  # the move pays a fee
+        assert lines[-1] == "kkt             pass (tol 1e-08)"
+
     def test_move_has_an_empty_reason_under_json(self, capsys):
         current = json.dumps({"exposures": {"A": 0.0, "B": 0.0}, "unleveraged": 3.0})
         code, out, _ = run(
@@ -740,6 +764,20 @@ class TestSweepCommand:
         rows = (out_dir / "apy_curve.csv").read_text().splitlines()
         assert rows == ["budget,apy", *(f"{b!r},{a!r}" for b, a in curve)]
 
+    @pytest.mark.parametrize("caps", [[], ["--l-max-list", "2,4.5"]], ids=["one-cap", "cap-list"])
+    def test_json_sweep_prints_each_cap_s_curve_file(self, caps, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["synth", "--scenario", "rate-crossing", "--seed", "1", "--out", str(ds)], capsys)
+        code, out, err = run(["--json", "sweep", "--dataset", str(ds), "--budgets", "1,100", "--l-max", "4.5",
+                              "--frequency", "1d", "--out", str(tmp_path / "curves"), *caps], capsys)
+        assert (code, err) == (0, "")
+        labels = ["2", "4.5"] if caps else ["4.5"]
+        files = [f"lmax_{label}_curve.json" for label in labels] if caps else ["apy_curve.json"]
+        assert json.loads(out) == {
+            label: json.loads((tmp_path / "curves" / name).read_text())
+            for label, name in zip(labels, files)
+        }
+
     def test_four_market_sweep_is_the_same_floats_on_every_python(self, tmp_path, capsys):
         # Holdings totals are left folds: the builtin sum rounds this sweep's
         # budget-100 APY differently on Python 3.12 and later.
@@ -794,20 +832,25 @@ class TestSweepCommand:
 
 
 class TestFetchCommand:
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_exit_2_naming_the_flag(self, workers, tmp_path, monkeypatch, capsys):
+    def test_fetch_writes_the_dataset_through_the_http_transport(self, tmp_path, monkeypatch, capsys):
         from stakeloop import fetch
+        from test_fetch import T0, FakeApi
 
-        def refuse(url, payload):
-            pytest.fail(f"requested {url}")
-
-        monkeypatch.setattr(fetch, "http_transport", lambda **_: refuse)
-        code, out, err = run(["fetch", "--ids", "a", "--start", "0", "--end", "3600",
-                              "--staking-rate", "0.03", "--workers", workers,
-                              "--out", str(tmp_path / "ds")], capsys)
-        assert (code, out) == (2, "")
-        assert f"error: --workers must be at least 1, got {workers}" in err
-        assert not (tmp_path / "ds").exists()
+        api, keys = FakeApi(), []
+        monkeypatch.setattr(fetch, "http_transport", lambda **kw: keys.append(kw) or api)
+        ds = tmp_path / "ds"
+        code, out, err = run(["fetch", "--ids", "mkt-1,mkt-2", "--start", str(T0),
+                              "--end", str(T0 + 86400), "--endpoint", "graphql://markets",
+                              "--staking-rate", "0.031", "--api-key", "k", "--chain", "base",
+                              "--out", str(ds)], capsys)
+        assert (code, out, err) == (0, f"wrote dataset to {ds}\n", "")
+        assert keys == [{"api_key": "k"}]
+        assert {url for url, _ in api.calls} == {"graphql://markets"}
+        series = datamod.load_snapshots(ds)
+        assert series.market_ids == ("mkt-1", "mkt-2")
+        assert len(series.timestamps) == 24
+        assert set(series.staking_rates) == {0.031}
+        assert datamod.load_manifest(ds).chain == "base"
 
 
 class TestConfigHandling:
@@ -930,7 +973,7 @@ class TestConfigHandling:
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"smoothng": "1h", "workers": 2}))
+        config.write_text(json.dumps({"smoothng": "1h", "chain": "base"}))
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(config), "--print-config", "sweep",
                   "--dataset", "ds", "--budget", "1", "--budgets", "1"])
@@ -938,7 +981,7 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "cannot read --config" in err
         assert "smoothng" in err
-        assert "workers" not in err
+        assert "chain" not in err
 
     def test_kkt_tolerance_is_no_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -949,9 +992,9 @@ class TestConfigHandling:
         assert "cannot read --config: unknown key(s) kkt_tol" in capsys.readouterr().err
 
     def test_config_key_of_another_subcommand_accepted(self, tmp_path, capsys):
-        # fetch knows workers; sweep does not, and ignores it.
+        # fetch knows chain; sweep does not, and ignores it.
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"smoothing": "1h", "workers": 2}))
+        config.write_text(json.dumps({"smoothing": "1h", "chain": "base"}))
         code, out, _ = run(
             ["--config", str(config), "--print-config", "sweep",
              "--dataset", "ds", "--budget", "1", "--budgets", "1"],
@@ -960,7 +1003,7 @@ class TestConfigHandling:
         assert code == 0
         resolved = json.loads(out)
         assert resolved["smoothing"] == "1h"
-        assert "workers" not in resolved
+        assert "chain" not in resolved
 
 
 class TestNonFiniteDurations:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import io
+import urllib.error
+import urllib.request
 import warnings
 
 import pytest
 
 from stakeloop.data import load_manifest, load_snapshots
 from stakeloop.errors import DataError, ValidationError
-from stakeloop.fetch import fetch_market_history
+from stakeloop.fetch import fetch_market_history, http_transport
 from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 T0 = 1735689600
@@ -322,20 +325,46 @@ class TestFetch:
         assert str(err.value) == message
         assert not (tmp_path / "ds").exists()
 
-    @pytest.mark.parametrize("parallelism", [0, -1])
-    def test_parallelism_below_one_refused_before_any_request(self, tmp_path, parallelism):
-        def refuse(url, payload):
-            pytest.fail(f"requested {url}")
 
-        with pytest.raises(DataError, match=f"parallelism must be at least 1, got {parallelism}"):
-            fetch_market_history(
-                ["mkt-1"],
-                start=T0,
-                end=T0 + SECONDS_PER_DAY,
-                out_dir=tmp_path / "ds",
-                transport=refuse,
-                staking_rate=0.05,
-                parallelism=parallelism,
-                min_interval=0.0,
-            )
-        assert not (tmp_path / "ds").exists()
+class TestHttpTransport:
+    """``http_transport``'s request and its error texts, with ``urlopen``
+    replaced so that no socket is opened."""
+
+    def test_posts_json_with_the_api_key_and_decodes_the_answer(self, monkeypatch):
+        sent = []
+
+        class Answer(io.BytesIO):
+            def __enter__(self):
+                return self
+
+        def urlopen(request, timeout):
+            sent.append((request, timeout))
+            return Answer(b'{"data": {"ok": true}}')
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        assert http_transport(api_key="k")("graphql://api", {"query": "q"}) == {"data": {"ok": True}}
+        (request, timeout), = sent
+        assert (request.full_url, request.data, timeout) == ("graphql://api", b'{"query": "q"}', 30.0)
+        assert request.get_header("Authorization") == "Bearer k"
+        assert request.get_header("Content-type") == "application/json"
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (urllib.error.HTTPError("graphql://api", 429, "Too Many Requests", {"Retry-After": "5"}, None),
+             "HTTP 429 from graphql://api (retry after 5s)"),
+            (urllib.error.HTTPError("graphql://api", 502, "Bad Gateway", {}, None),
+             "HTTP 502 from graphql://api"),
+            (urllib.error.URLError("Name or service not known"),
+             "cannot reach graphql://api: Name or service not known"),
+        ],
+        ids=["429-retry-after", "502", "unreachable"],
+    )
+    def test_request_failure_is_a_data_error_with_its_text(self, error, message, monkeypatch):
+        def urlopen(request, timeout):
+            raise error
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(DataError) as err:
+            http_transport()("graphql://api", {"query": "q"})
+        assert str(err.value) == message

@@ -61,6 +61,12 @@ class TestConversions:
         assert CollateralDebt(100.0, 94.4).ltv_ok(0.945)
         assert not CollateralDebt(100.0, 94.4).ltv_ok(0.945, margin=0.01)
 
+    @pytest.mark.parametrize("margin", [-0.01, math.nan], ids=["negative", "nan"])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(DomainError) as exc:
+            CollateralDebt(5.0, 4.0).ltv_ok(0.9, margin)
+        assert str(exc.value) == f"margin must be non-negative, got {margin}"
+
 
 class TestSplit:
     def test_fully_leveraged(self):

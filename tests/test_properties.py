@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -40,7 +40,8 @@ from stakeloop.allocator import (
     Allocation,
     ProblemInstance,
     _priced,
-    _solve_core,
+    _solve_at,
+    _table,
     expected_yield,
     solve,
     verify_kkt,
@@ -233,7 +234,7 @@ def test_events_add_up_to_the_response(market, l_max, s):
 def test_solve_at_a_shifted_rate_keeps_the_instance(p, offset):
     # The fee-aware rebalancer solves at fee-shifted staking rates.
     s = p.staking_rate + offset
-    alloc = _priced(p, *_solve_core(p, s))
+    alloc = _priced(p, *_solve_at(_table(p.forms, s), p.budget, s))
     rebuilt = solve(replace(p, staking_rate=s))
     assert alloc.exposures == rebuilt.exposures
     assert alloc.unleveraged == rebuilt.unleveraged
@@ -407,7 +408,7 @@ def test_moving_target_is_the_solve_at_its_shifted_rate(data):
     else:
         s = p.staking_rate + fees.gamma_minus / fees.horizon_years
     # Every field, the yield priced at the instance's own rate included.
-    assert plan.target == _priced(p, *_solve_core(p, s))
+    assert plan.target == _priced(p, *_solve_at(_table(p.forms, s), p.budget, s))
 
 
 @st.composite
@@ -619,7 +620,10 @@ def replays(draw) -> tuple[SnapshotSeries, BacktestConfig]:
     return x, cfg
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+# No shrink phase: shrinking a failing replay takes minutes, while the
+# failure itself is reported in about a second.
+@settings(derandomize=True, max_examples=150, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(replays())
 def test_stretch_walk_equals_the_per_step_walk(case):
     x, cfg = case

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from stakeloop import allocator, irm, rebalance
@@ -309,3 +311,14 @@ class TestShouldRebalance:
     def test_negative_threshold_rejected(self):
         with pytest.raises(DomainError, match="threshold must be non-negative"):
             should_rebalance(0.0, 1.0, 1.0, threshold=-1e-4)
+
+    @pytest.mark.parametrize(
+        "budget, threshold, message",
+        [(math.nan, 0.0, "budget must be positive, got nan"),
+         (1.0, math.nan, "threshold must be non-negative, got nan")],
+        ids=["budget", "threshold"],
+    )
+    def test_nan_budget_or_threshold_rejected(self, budget, threshold, message):
+        with pytest.raises(DomainError) as exc:
+            should_rebalance(0.0, 1.0, budget, threshold)
+        assert str(exc.value) == message
