@@ -332,41 +332,7 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     without the strategy's own footprint; accrual between steps prices the
     debt at the pool rate including the footprint.
     """
-    return _replay(series, [cfg], *_prepare(series, cfg, [cfg]), True)
-
-
-def _prepare(
-    series: SnapshotSeries, cfg: BacktestConfig, runs: Sequence[BacktestConfig]
-) -> tuple[tuple, tuple]:
-    """``(rate_at_target, steps)`` of the ``runs``, replays that share the
-    window, frequency and fallback rate model of ``cfg``, after every check of
-    theirs in one order: the window, the span, then, when any run plans, the
-    curves. ``steps`` holds each interval's length in years, the staking
-    growth ``1 + s·dt`` over it, and the due steps."""
-    targets = _replay_targets(series, cfg.smoothing_window)
-    ts = series.timestamps
-    frequency = cfg.rebalance_frequency
-    if len(ts) < 2:
-        raise DomainError("series needs at least two snapshots")
-    cadence = series.cadence_seconds
-    if frequency < cadence:
-        raise DomainError(
-            f"rebalance frequency {frequency}s is below the data cadence {cadence}s"
-        )
-    if ts[-1] - ts[0] < 2 * frequency:
-        raise DomainError("series must cover at least two rebalance intervals")
-    if not all(map(_passive, runs)):
-        _check_curves(series, targets, None if cfg.irm is None else cfg.irm._curve)
-
-    dt = tuple(map(truediv, map(sub, ts[1:], ts), repeat(SECONDS_PER_YEAR)))
-    growth = tuple(map(add, repeat(1.0), map(mul, series.staking_rates, dt)))
-    t0, due, k = ts[0], [], 0
-    while k < len(ts):
-        due.append(k)
-        # Due at the first snapshot at or after each point t0 + j * frequency;
-        # a gap over several points gives one rebalance.
-        k = bisect.bisect_left(ts, t0 + ((ts[k] - t0) // frequency + 1) * frequency, k + 1)
-    return targets, (dt, growth, tuple(due))
+    return _replay(series, [cfg], True)
 
 
 def _passive(cfg: BacktestConfig) -> bool:
@@ -375,11 +341,12 @@ def _passive(cfg: BacktestConfig) -> bool:
 
 
 def _replay(
-    series: SnapshotSeries, runs: Sequence[BacktestConfig], rate_at_target: tuple, steps: tuple, record: bool
+    series: SnapshotSeries, runs: Sequence[BacktestConfig], record: bool
 ) -> BacktestResult | list[float]:
-    """:func:`run_backtest` of each of ``runs`` (which share all but their
-    caps and budgets) on what :func:`_prepare` checked and built for them,
-    reading ``rate_at_target`` for the series' own column.
+    """:func:`run_backtest` of each of ``runs``, which share the window,
+    frequency and fallback rate model of ``runs[0]``. It checks the window,
+    the span, then, when any run plans, the curves, and builds one set of
+    step columns for all: interval lengths in years, staking growth, due steps.
 
     The replay walks stretches, each from one due step to the next, every
     run through a stretch before the next. At its start a stretch marks each
@@ -396,18 +363,38 @@ def _replay(
     and returns each run's APY, from the first and last equity marks, the
     floats ``equity`` would hold.
     """
+    shared = runs[0]
+    rate_at_target = _replay_targets(series, shared.smoothing_window)
     ts = series.timestamps
+    size = len(ts)
+    last = size - 1
+    frequency = shared.rebalance_frequency
+    if size < 2:
+        raise DomainError("series needs at least two snapshots")
+    cadence = series.cadence_seconds
+    if frequency < cadence:
+        raise DomainError(f"rebalance frequency {frequency}s is below the data cadence {cadence}s")
+    if ts[-1] - ts[0] < 2 * frequency:
+        raise DomainError("series must cover at least two rebalance intervals")
+    fallback = None if shared.irm is None else shared.irm._curve
+    if not all(map(_passive, runs)):
+        _check_curves(series, rate_at_target, fallback)
+
+    dt = tuple(map(truediv, map(sub, ts[1:], ts), repeat(SECONDS_PER_YEAR)))
+    growth = tuple(map(add, repeat(1.0), map(mul, series.staking_rates, dt)))
+    t0, due, k = ts[0], [], 0
+    while k < size:
+        due.append(k)
+        # Due at the first snapshot at or after each point t0 + j * frequency;
+        # a gap over several points gives one rebalance.
+        k = bisect.bisect_left(ts, t0 + ((ts[k] - t0) // frequency + 1) * frequency, k + 1)
+
     ids = series.market_ids
     n = len(ids)
-
-    fallback = None if runs[0].irm is None else runs[0].irm._curve
     # The accrual's curves: rate_at_target[i][k] times the unit recorded curve
     # is, float for float, the rate of the curve a solve compiles.
     unit = _recorded_curve(1.0)
     curves = [fallback if c is None else unit for c in rate_at_target]
-    dt, growth, due = steps
-    size = len(ts)
-    last = size - 1
 
     # Each run's holdings (unleveraged, then per market collateral and debt)
     # and the equity of each step at which it traded, marked before its trade.
@@ -420,7 +407,6 @@ def _replay(
     debt_cols: list[list[float]] = [[] for _ in ids]
     interest = [0.0] * last
     fees: dict[int, float] = {}
-    total_fees = 0.0
 
     columns = tuple(zip(collateral_cols, debt_cols, series.supplied, series.borrowed, curves, rate_at_target))
     for a, end in zip(due, (*due[1:], last)):
@@ -452,7 +438,6 @@ def _replay(
                     marks[a] = equity
                     if record:
                         fees[a] = cost
-                        total_fees += cost
 
             # Accrue the intervals from a to the next due step, or to the last
             # snapshot; the columns take the values at a..end-1. What grows at
@@ -528,7 +513,7 @@ def _replay(
         collateral=tuple(map(tuple, collateral_cols)),
         debt=tuple(map(tuple, debt_cols)),
         apy=apy(ts, equity_col),
-        total_fees_paid=total_fees,
+        total_fees_paid=reduce(add, fees.values(), 0.0),
         rebalance_count=len(marks),
     )
 
@@ -621,16 +606,10 @@ def sweep_leverage(
     if not budgets:
         raise DomainError("budget list must not be empty")
     # Every cap, then every budget, is checked as a number before a replay;
-    # then what run_backtest checks, once for every run.
+    # then what run_backtest checks, once for every run. A cap above a
+    # market's LLTV bound fails when a run at that cap compiles due step 0.
     caps = [replace(cfg, l_max=l) for l in l_max_values]
     runs = [replace(c, budget=b) for c in caps for b in budgets]
-    targets, steps = _prepare(series, cfg, caps)
-    # A cap above a market's LLTV bound fails here, with the error the first
-    # replay at that cap raises when it compiles its first step.
-    fallback = None if cfg.irm is None else cfg.irm._curve
-    for c in caps:
-        if not _passive(c):
-            _forms_at(series, 0, targets, fallback, c.l_max)
-    apys = iter(_replay(series, runs, targets, steps, False))
+    apys = iter(_replay(series, runs, False))
     return {c.l_max: [(float(b), next(apys)) for b in budgets] for c in caps}
 

@@ -18,6 +18,7 @@ from . import backtest as bt
 from . import data as datamod
 from .allocator import (
     Allocation,
+    KktReport,
     ProblemInstance,
     solve,
     verify_kkt,
@@ -136,11 +137,15 @@ def _problem_from_args(args) -> ProblemInstance:
     return ProblemInstance(tuple(ids), args.staking_rate, args.budget, tuple(forms))
 
 
-def _print_allocation(alloc: Allocation, p: ProblemInstance, args, kkt_rate: float) -> None:
-    """Print ``alloc`` with its yield priced on ``p`` and its KKT certificate
-    at staking rate ``kkt_rate``, the rate it was solved at."""
+def _certificate(alloc: Allocation, p: ProblemInstance, rate: float) -> KktReport:
+    """The KKT certificate of ``alloc`` on ``p`` at staking rate ``rate``,
+    the rate it was solved at."""
+    return verify_kkt(alloc, replace(p, staking_rate=rate), tol=1e-8)
+
+
+def _print_allocation(alloc: Allocation, p: ProblemInstance, args, report: KktReport) -> None:
+    """Print ``alloc`` with its yield priced on ``p`` and its KKT ``report``."""
     base, carries = yield_breakdown(alloc, p)
-    report = verify_kkt(alloc, replace(p, staking_rate=kkt_rate), tol=1e-8)
     if args.json:
         payload = {
             "regime": alloc.regime,
@@ -165,7 +170,8 @@ def _print_allocation(alloc: Allocation, p: ProblemInstance, args, kkt_rate: flo
 
 def _cmd_optimize(args) -> int:
     p = _problem_from_args(args)
-    _print_allocation(solve(p), p, args, p.staking_rate)
+    alloc = solve(p)
+    _print_allocation(alloc, p, args, _certificate(alloc, p, p.staking_rate))
     return 0
 
 
@@ -175,6 +181,12 @@ def _cmd_rebalance(args) -> int:
     p = _problem_from_args(args)
     fees = _fees_from_args(args)
     plan = solve_with_fees(p, _current_from_args(args, p), fees)
+    # A move's target is optimal at the fee-shifted rate it was solved at; a
+    # hold has no target of its own to certify.
+    report = None
+    if plan.direction != HOLD:
+        s_up, s_down = _shifted_rates(p.staking_rate, fees)
+        report = _certificate(plan.target, p, s_up if plan.direction == INCREASE else s_down)
     if args.json:
         print(
             json.dumps(
@@ -185,6 +197,7 @@ def _cmd_rebalance(args) -> int:
                     "net_gain_rate": plan.net_gain_rate,
                     "exposures": dict(zip(plan.target.market_ids, plan.target.exposures)),
                     "unleveraged": plan.target.unleveraged,
+                    "kkt_passed": None if report is None else report.passed,
                 },
                 indent=2,
             )
@@ -195,10 +208,8 @@ def _cmd_rebalance(args) -> int:
         print(f"reason          {plan.reason}")
     print(f"cost            {_sig(plan.cost)}")
     print(f"net gain rate   {_sig(plan.net_gain_rate)} per year")
-    if plan.direction != HOLD:
-        # The target is optimal at the fee-shifted rate it was solved at.
-        s_up, s_down = _shifted_rates(p.staking_rate, fees)
-        _print_allocation(plan.target, p, args, s_up if plan.direction == INCREASE else s_down)
+    if report is not None:
+        _print_allocation(plan.target, p, args, report)
     return 0
 
 
@@ -345,6 +356,9 @@ def _cmd_synth(args) -> int:
         raise StakeloopError("use --scenario or --spec")
     series, manifest = datamod.generate_synthetic(spec, seed=args.seed)
     paths = datamod.save_snapshots(series, manifest, Path(args.out))
+    if args.json:
+        print(json.dumps({"wrote": [str(path) for path in paths]}, indent=2))
+        return 0
     for path in paths:
         print(f"wrote {path}")
     return 0
@@ -364,7 +378,7 @@ def _cmd_fetch(args) -> int:
         api_key=args.api_key,
         chain=args.chain,
     )
-    print(f"wrote dataset to {out}")
+    print(json.dumps({"dataset": str(out)}, indent=2) if args.json else f"wrote dataset to {out}")
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .backtest import BacktestResult, MarketMeta, SnapshotSeries, _recorded_curve
 from .errors import DataError, DomainError, ValidationError
-from .irm import _rate
+from .irm import AdaptiveIrmParams, KinkedIrmParams, LinearIrmParams, _rate
 from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 SCHEMA_VERSION = 1
@@ -638,19 +638,17 @@ def irm_from_dict(raw: dict) -> object:
     """Parse a rate-model description used in CLI flags and config files.
     Every field but ``kind`` must be a number a float can hold: JSON true,
     false and strings are refused."""
-    from . import irm as irm_module
-
     kind = raw.get("kind")
     fields = {k: _checked(v, float, k) for k, v in raw.items() if k != "kind"}
     try:
         if kind == "linear":
-            return irm_module.LinearIrmParams(**fields)
+            return LinearIrmParams(**fields)
         if kind == "kinked":
-            return irm_module.KinkedIrmParams(**fields)
+            return KinkedIrmParams(**fields)
         if kind == "adaptive":
             fields.setdefault("t_last", 0.0)
             fields.setdefault("u_last", fields.get("u_target", 0.9))
-            return irm_module.AdaptiveIrmParams(**fields)
+            return AdaptiveIrmParams(**fields)
     except TypeError as exc:
         raise DataError(f"bad rate model fields for kind {kind!r}: {exc}") from exc
     raise DataError(f"unknown rate model kind {kind!r} (use linear/kinked/adaptive)")

