@@ -106,6 +106,8 @@ def _market_from_json(value: object, flag: str) -> MarketState:
 def _problem_from_args(args) -> ProblemInstance:
     """The instance of the markets the flags give, in this order: ``--markets``,
     ``--market``, then the ``--dataset`` snapshot, compiled as the replay does."""
+    if args.at is not None and not args.dataset:
+        raise DataError("--at: needs --dataset")
     markets = []
     if args.markets:
         loaded = _load_json_arg(args.markets, "--markets")
@@ -341,6 +343,8 @@ def _fields(value: object, cls: type, flag: str) -> dict:
 
 
 def _cmd_synth(args) -> int:
+    if args.scenario and args.spec:
+        raise StakeloopError("use --scenario or --spec, not both")
     if args.scenario:
         spec = datamod.scenario(args.scenario)
     elif args.spec:

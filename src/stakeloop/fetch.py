@@ -20,12 +20,9 @@ Values are treated as instantaneous samples at their timestamps.
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -36,9 +33,7 @@ from .units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 MORPHO_API_URL = "https://api.morpho.org/graphql"
 
-# Markets fetched at once, and the seconds between any two request starts,
-# which one rate limiter shared by the workers keeps.
-_WORKERS = 4
+# Seconds between the starts of any two requests of one ``http_transport``.
 _MIN_INTERVAL = 0.25
 
 Transport = Callable[[str, dict], dict]
@@ -71,9 +66,16 @@ query StakingRates($first: Int!, $skip: Int!) {
 
 
 def http_transport(api_key: str | None = None) -> Transport:
-    """POST JSON to a GraphQL endpoint and return the decoded body."""
+    """POST JSON to a GraphQL endpoint and return the decoded body. Each
+    request starts at least ``_MIN_INTERVAL`` seconds after the one before."""
+    last = float("-inf")
 
     def post(url: str, payload: dict) -> dict:
+        nonlocal last
+        delay = last + _MIN_INTERVAL - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        last = time.monotonic()
         headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -93,27 +95,7 @@ def http_transport(api_key: str | None = None) -> Transport:
     return post
 
 
-class _RateLimiter:
-    """Minimum spacing between calls, shared across worker threads."""
-
-    def __init__(self, min_interval: float):
-        self._min_interval = min_interval
-        self._lock = threading.Lock()
-        self._last = 0.0
-
-    def wait(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            delay = self._last + self._min_interval - now
-            if delay > 0:
-                time.sleep(delay)
-            self._last = max(now, self._last + self._min_interval)
-
-
-def _run_query(
-    transport: Transport, url: str, query: str, variables: dict, limiter: _RateLimiter
-) -> dict:
-    limiter.wait()
+def _run_query(transport: Transport, url: str, query: str, variables: dict) -> dict:
     body = transport(url, {"query": query, "variables": variables})
     if body.get("errors"):
         messages = "; ".join(e.get("message", "?") for e in body["errors"])
@@ -134,7 +116,6 @@ def _fetch_one_market(
     market_id: str,
     start: int,
     end: int,
-    limiter: _RateLimiter,
 ) -> tuple[MarketMeta, dict[int, tuple[float, float, float, float | None]]]:
     """The market and, per complete hour, its supplied, borrowed, borrow
     rate and rate-at-target (None when not recorded)."""
@@ -154,11 +135,7 @@ def _fetch_one_market(
             "interval": "HOUR",
         }
         data = _run_query(
-            transport,
-            endpoint,
-            _MARKET_QUERY,
-            {"id": market_id, "options": options},
-            limiter,
+            transport, endpoint, _MARKET_QUERY, {"id": market_id, "options": options}
         )
         market = data.get("market")
         if market is None:
@@ -186,15 +163,13 @@ def _fetch_one_market(
 
 
 def _fetch_staking(
-    transport: Transport, endpoint: str, start: int, end: int, limiter: _RateLimiter
+    transport: Transport, endpoint: str, start: int, end: int
 ) -> list[tuple[int, float]]:
     page = 1000
     skip = 0
     out: list[tuple[int, float]] = []
     while True:
-        data = _run_query(
-            transport, endpoint, _STAKING_QUERY, {"first": page, "skip": skip}, limiter
-        )
+        data = _run_query(transport, endpoint, _STAKING_QUERY, {"first": page, "skip": skip})
         rows = data.get("totalRewards") or []
         for row in rows:
             ts = int(row["blockTime"])
@@ -233,15 +208,7 @@ def fetch_market_history(
     if staking_endpoint is None and staking_rate is None:
         raise DataError("either staking_endpoint or staking_rate is required")
     post = transport or http_transport(api_key=api_key)
-    limiter = _RateLimiter(_MIN_INTERVAL)
-
-    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(market_ids))) as pool:
-        fetched = list(
-            pool.map(
-                lambda mid: _fetch_one_market(post, endpoint, mid, start, end, limiter),
-                market_ids,
-            )
-        )
+    fetched = [_fetch_one_market(post, endpoint, mid, start, end) for mid in market_ids]
 
     common = set.intersection(*(set(hours) for _, hours in fetched))
     if not common:
@@ -249,7 +216,7 @@ def fetch_market_history(
     timestamps = sorted(common)
 
     if staking_endpoint is not None:
-        staking = _fetch_staking(post, staking_endpoint, start, end, limiter)
+        staking = _fetch_staking(post, staking_endpoint, start, end)
     else:
         staking = [(timestamps[0], float(staking_rate))]
 

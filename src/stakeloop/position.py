@@ -87,8 +87,8 @@ def to_collateral_debt(el: ExposureLeverage) -> CollateralDebt:
 
 def split(el: ExposureLeverage, l_max: float) -> SplitPosition:
     """Split (x, l) into exposures at leverage 1 and at leverage ``l_max``."""
-    if l_max <= 1.0:
-        raise DomainError(f"l_max must exceed 1, got {l_max}")
+    if not 1.0 < l_max < math.inf:  # NaN fails too
+        raise DomainError(f"l_max must exceed 1 and be finite, got {l_max}")
     if el.leverage > l_max:
         raise ConstraintError(
             f"leverage {el.leverage} exceeds the cap l_max={l_max}"

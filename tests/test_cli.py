@@ -884,7 +884,6 @@ class TestFetchCommand:
         from test_fetch import T0, FakeApi
 
         monkeypatch.setattr(fetch, "http_transport", lambda **kw: FakeApi())
-        monkeypatch.setattr(fetch, "_MIN_INTERVAL", 0.0)
         ds = tmp_path / "ds"
         code, out, err = run(["--json", "fetch", "--ids", "mkt-1", "--start", str(T0),
                               "--end", str(T0 + 86400), "--staking-rate", "0.031",
@@ -1507,6 +1506,12 @@ class TestRefusals:
             (["optimize", "-s", "0.03", "--budget", "1"],
              "no markets given (use --markets, --market, or --dataset)"),
             (["synth", "--out", "ds"], "use --scenario or --spec"),
+            (["synth", "--scenario", "volatile", "--spec", '{"markets": [{"market_id": "x"}], "days": 2}',
+              "--out", "ds"], "use --scenario or --spec, not both"),
+            (["optimize", "-s", "0.03", "--budget", "3", "--at", "12345", "--market", MARKET_A],
+             "--at: needs --dataset"),
+            (["rebalance", "-s", "0.03", "--budget", "3", "--at", "12345", "--market", MARKET_A,
+              "--current", '{"exposures": {"A": 1}, "unleveraged": 2}'], "--at: needs --dataset"),
             (["synth", "--spec", '{"markets": [{"market_id": "m"}], "bogus": 1}', "--out", "ds"],
              "--spec: SyntheticSpec.__init__() got an unexpected keyword argument 'bogus'"),
             (["rebalance", "-s", "0.03", "--budget", "3", "--market", MARKET_A, "--current",
@@ -1523,7 +1528,8 @@ class TestRefusals:
             (["synth", "--spec", '{"days": 1}', "--out", "ds"], "--spec: missing key 'markets'"),
             (["synth", "--spec", '{"markets": {"m": 1}}', "--out", "ds"], "--spec: markets must be a list, got dict"),
         ],
-        ids=["no-markets", "no-synth-source", "synth-spec-field", "fee-rate",
+        ids=["no-markets", "no-synth-source", "synth-both-sources", "optimize-at-without-dataset",
+             "rebalance-at-without-dataset", "synth-spec-field", "fee-rate",
              *[f"market-no-{key}" for key in _MARKET_KEYS], *[f"markets-no-{key}" for key in _MARKET_KEYS],
              "current-no-exposures", "current-no-unleveraged", "spec-no-markets", "spec-markets-not-a-list"],
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import threading
 import urllib.error
 import urllib.request
 import warnings
@@ -15,12 +16,7 @@ from stakeloop.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 T0 = 1735689600
 WAD = 10**18
-
-
-@pytest.fixture(autouse=True)
-def no_request_spacing(monkeypatch):
-    """The fake backends answer at once; no request waits for the last."""
-    monkeypatch.setattr(fetch, "_MIN_INTERVAL", 0.0)
+BACK_FILL = "before the first staking observation"
 
 
 def _points(start, end, value, step=SECONDS_PER_HOUR, scale=1.0):
@@ -99,15 +95,16 @@ def half_hour_apart(market_id):
 class TestFetch:
     def test_writes_loadable_dataset(self, tmp_path):
         api = FakeApi()
-        out = fetch_market_history(
-            ["mkt-1", "mkt-2"],
-            start=T0,
-            end=T0 + 3 * SECONDS_PER_DAY,
-            out_dir=tmp_path / "ds",
-            transport=api,
-            staking_endpoint="graphql://staking",
-        )
-        series = load_snapshots(out)
+        with pytest.warns(UserWarning, match=BACK_FILL):
+            out = fetch_market_history(
+                ["mkt-1", "mkt-2"],
+                start=T0,
+                end=T0 + 3 * SECONDS_PER_DAY,
+                out_dir=tmp_path / "ds",
+                transport=api,
+                staking_endpoint="graphql://staking",
+            )
+            series = load_snapshots(out)
         assert series.market_ids == ("mkt-1", "mkt-2")
         assert len(series.snapshots) == 3 * 24
         snap = series.snapshots[0]
@@ -118,16 +115,17 @@ class TestFetch:
         assert load_manifest(out).source == "fetched"
 
     def test_staking_rate_is_last_observation_at_or_before(self, tmp_path):
-        out = fetch_market_history(
-            ["mkt-1"],
-            start=T0,
-            end=T0 + 3 * SECONDS_PER_DAY,
-            out_dir=tmp_path / "ds",
-            transport=FakeApi(),
-            staking_endpoint="graphql://staking",
-        )
+        with pytest.warns(UserWarning, match=BACK_FILL):
+            out = fetch_market_history(
+                ["mkt-1"],
+                start=T0,
+                end=T0 + 3 * SECONDS_PER_DAY,
+                out_dir=tmp_path / "ds",
+                transport=FakeApi(),
+                staking_endpoint="graphql://staking",
+            )
+            series = load_snapshots(out)
         rewards = staking_rewards()
-        series = load_snapshots(out)
         for snap in series.snapshots:
             seen = [r["apr"] for r in rewards if r["blockTime"] <= snap.timestamp]
             # before the first observation the first rate applies
@@ -142,11 +140,13 @@ class TestFetch:
             transport=api,
             staking_endpoint="graphql://staking",
         )
-        fetch_market_history(["mkt-1"], out_dir=tmp_path / "ds", **kwargs)
+        with pytest.warns(UserWarning, match=BACK_FILL):
+            fetch_market_history(["mkt-1"], out_dir=tmp_path / "ds", **kwargs)
         first = {
             p.name: p.read_text() for p in sorted((tmp_path / "ds").iterdir())
         }
-        fetch_market_history(["mkt-1"], out_dir=tmp_path / "ds", **kwargs)
+        with pytest.warns(UserWarning, match=BACK_FILL):
+            fetch_market_history(["mkt-1"], out_dir=tmp_path / "ds", **kwargs)
         second = {
             p.name: p.read_text() for p in sorted((tmp_path / "ds").iterdir())
         }
@@ -224,6 +224,40 @@ class TestFetch:
                 )
             assert str(err.value) == message
         assert not (tmp_path / "ds").exists()
+
+    def test_staking_pages_until_a_short_page(self, tmp_path):
+        # A full page of 1000 daily rows, all but the last four before the
+        # window, then a short page: rows of both reach the dataset.
+        pages = [
+            [{"blockTime": T0 + day * SECONDS_PER_DAY + 5 * SECONDS_PER_HOUR, "apr": 0.03 + 1e-4 * day}
+             for day in days]
+            for days in (range(-996, 4), range(4, 6))
+        ]
+        api, skips = FakeApi(), []
+
+        def paged(url, payload):
+            if "totalRewards" not in payload["query"]:
+                return api(url, payload)
+            variables = payload["variables"]
+            skips.append(variables["skip"])
+            return {"data": {"totalRewards": pages[variables["skip"] // variables["first"]]}}
+
+        out = fetch_market_history(
+            ["mkt-1"],
+            start=T0,
+            end=T0 + 5 * SECONDS_PER_DAY,
+            out_dir=tmp_path / "ds",
+            transport=paged,
+            staking_endpoint="graphql://staking",
+        )
+        assert skips == [0, 1000]
+        rows = pages[0] + pages[1]
+        series = load_snapshots(out)
+        assert series.staking_rates == tuple(
+            [r["apr"] for r in rows if r["blockTime"] <= ts][-1] for ts in series.timestamps
+        )
+        assert pages[0][-1]["apr"] in series.staking_rates
+        assert pages[1][0]["apr"] in series.staking_rates
 
     def test_staking_source_required(self, tmp_path):
         with pytest.raises(DataError, match="staking"):
@@ -320,16 +354,56 @@ class TestFetch:
         assert not (tmp_path / "ds").exists()
 
 
+class TestRequestOrder:
+    """One fetch sends its requests one at a time, on the calling thread:
+    each market's chunks in the order of the ids, then the staking pages."""
+
+    @staticmethod
+    def fetch(tmp_path):
+        api, sent = FakeApi(), []
+
+        def recording(url, payload):
+            v = payload["variables"]
+            request = ("staking", v["skip"]) if "skip" in v else (v["id"], v["options"]["startTimestamp"])
+            sent.append((threading.get_ident(), request))
+            return api(url, payload)
+
+        with pytest.warns(UserWarning, match=BACK_FILL):
+            fetch_market_history(
+                ["mkt-2", "mkt-1"],
+                start=T0,
+                end=T0 + 61 * SECONDS_PER_DAY,
+                out_dir=tmp_path / "ds",
+                transport=recording,
+                staking_endpoint="graphql://staking",
+            )
+        return sent
+
+    def test_every_request_runs_on_the_calling_thread(self, tmp_path):
+        assert {ident for ident, _ in self.fetch(tmp_path)} == {threading.get_ident()}
+
+    def test_requests_come_in_market_order_then_the_staking_pages(self, tmp_path):
+        chunks = [T0 + k * 30 * SECONDS_PER_DAY for k in range(3)]
+        assert [request for _, request in self.fetch(tmp_path)] == [
+            *(("mkt-2", ts) for ts in chunks),
+            *(("mkt-1", ts) for ts in chunks),
+            ("staking", 0),
+        ]
+
+
+class Answer(io.BytesIO):
+    """A ``urlopen`` answer that serves as its own context manager."""
+
+    def __enter__(self):
+        return self
+
+
 class TestHttpTransport:
     """``http_transport``'s request and its error texts, with ``urlopen``
     replaced so that no socket is opened."""
 
     def test_posts_json_with_the_api_key_and_decodes_the_answer(self, monkeypatch):
         sent = []
-
-        class Answer(io.BytesIO):
-            def __enter__(self):
-                return self
 
         def urlopen(request, timeout):
             sent.append((request, timeout))
@@ -341,6 +415,38 @@ class TestHttpTransport:
         assert (request.full_url, request.data, timeout) == ("graphql://api", b'{"query": "q"}', 30.0)
         assert request.get_header("Authorization") == "Bearer k"
         assert request.get_header("Content-type") == "application/json"
+
+    def test_request_starts_are_spaced_by_the_minimum_interval(self, monkeypatch):
+        class Clock:
+            """Fake ``time``: ``sleep`` moves ``now`` on and is recorded."""
+
+            def __init__(self):
+                self.now, self.sleeps = 1000.0, []
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.sleeps.append(seconds)
+                self.now += seconds
+
+        clock, starts = Clock(), []
+
+        def urlopen(request, timeout):
+            starts.append(clock.now)
+            return Answer(b'{"data": {}}')
+
+        monkeypatch.setattr(fetch, "time", clock)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        post = http_transport()
+        for _ in range(3):
+            post("graphql://api", {"query": "q"})
+        assert starts == [1000.0, 1000.25, 1000.5]
+        assert clock.sleeps == [0.25, 0.25]
+        clock.now += 1.0
+        post("graphql://api", {"query": "q"})
+        assert starts[-1] == 1001.5
+        assert clock.sleeps == [0.25, 0.25]
 
     @pytest.mark.parametrize(
         "error, message",

@@ -67,6 +67,12 @@ class TestConversions:
             CollateralDebt(5.0, 4.0).ltv_ok(0.9, margin)
         assert str(exc.value) == f"margin must be non-negative, got {margin}"
 
+    @pytest.mark.parametrize("max_ltv", [0.0, 1.0, math.nan], ids=["zero", "one", "nan"])
+    def test_bad_max_ltv_rejected(self, max_ltv):
+        with pytest.raises(DomainError) as exc:
+            CollateralDebt(5.0, 4.0).ltv_ok(max_ltv)
+        assert str(exc.value) == f"max_ltv must be in (0, 1), got {max_ltv}"
+
 
 class TestSplit:
     def test_fully_leveraged(self):
@@ -93,6 +99,12 @@ class TestSplit:
     def test_over_cap_rejected(self):
         with pytest.raises(ConstraintError):
             split(ExposureLeverage(1.0, 6.0), l_max=5.0)
+
+    @pytest.mark.parametrize("l_max", [1.0, math.nan, math.inf], ids=["one", "nan", "inf"])
+    def test_bad_cap_rejected_by_name(self, l_max):
+        with pytest.raises(DomainError) as exc:
+            split(ExposureLeverage(1.0, 1.0), l_max)
+        assert str(exc.value) == f"l_max must exceed 1 and be finite, got {l_max}"
 
     def test_unsplit_example(self):
         el = unsplit(SplitPosition(2.0, 2.0, l_max=5.0))
