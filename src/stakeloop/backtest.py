@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 import sys
 from collections import Counter
 from collections.abc import Sequence
@@ -361,7 +362,11 @@ def _replay(
     interest and returns the :class:`BacktestResult`. Without it, as a sweep
     asks, the walk appends nothing, carries the holdings by the same products
     and returns each run's APY, from the first and last equity marks, the
-    floats ``equity`` would hold.
+    floats ``equity`` would hold. There, over a stretch of several steps, a
+    run whose collateral and debt are, byte for byte, those of a run already
+    walked takes that walk's end holdings: the walk reads only them, the
+    staking growth and the market columns. A recorded run, which is alone,
+    and a one-step stretch, where a look-up costs about a walk, never look up.
     """
     shared = runs[0]
     rate_at_target = _replay_targets(series, shared.smoothing_window)
@@ -391,6 +396,7 @@ def _replay(
 
     ids = series.market_ids
     n = len(ids)
+    pack = struct.Struct(f"{2 * n}d").pack
     # The accrual's curves: rate_at_target[i][k] times the unit recorded curve
     # is, float for float, the rate of the curve a solve compiles.
     unit = _recorded_curve(1.0)
@@ -414,6 +420,8 @@ def _replay(
         # Per cap, the forms at this step and their tables by staking rate.
         compiled: dict[float, tuple[tuple, dict]] = {}
         g = growth[a:end]
+        # The end collateral and debt of each holding walked, by its bytes.
+        walked: dict[bytes, tuple] | None = None if record or end - a < 2 else {}
         for cfg, holding in zip(runs, holdings):
             unleveraged, collateral, debt, marks = holding
             equity = unleveraged + reduce(add, map(sub, collateral, debt), 0.0)
@@ -448,6 +456,13 @@ def _replay(
                 unleveraged = unleveraged_col.pop()
             else:
                 unleveraged = reduce(mul, g, unleveraged)
+            # Bytes tell -0.0 from 0.0, which compare equal as floats.
+            key = None
+            if walked is not None:
+                key = pack(*collateral, *debt)
+                if key in walked:
+                    holding[:3] = unleveraged, *map(list, walked[key])
+                    continue
             for i, (c_col, d_col, supplied, borrowed, curve, targets) in enumerate(columns):
                 if record:
                     c_col += accumulate(g, mul, initial=collateral[i])
@@ -480,6 +495,8 @@ def _replay(
                     debt[i] = d
                 elif record:
                     d_col += repeat(d, end - a)
+            if key is not None:
+                walked[key] = collateral, debt
             holding[:3] = unleveraged, collateral, debt
     if not record:
         # The first mark is the budget, all that is held; a trade at the last

@@ -250,10 +250,14 @@ def load_snapshots(path: Path) -> SnapshotSeries:
         raise DataError(f"dataset at {directory} has no market files")
     paths = [directory / f"market_{m.market_id}.csv" for m in markets]
 
+    # The first market file's timestamp text and its parse; a file that
+    # spells its timestamps the same way reuses the parse.
+    first = None
     columns = []
     for mpath in paths:
         _, (times, *values, targets) = _read_columns(mpath, _MARKET_HEADER)
-        grid = _timestamps(times, mpath)
+        grid = first[1] if first and times == first[0] else _timestamps(times, mpath)
+        first = first or (times, grid)
         # Empty fields mean no rate-at-target, in every row or in none.
         targets = _floats(targets, mpath) if any(targets) else None
         columns.append((grid, *(_floats(v, mpath) for v in values), targets))
@@ -264,7 +268,8 @@ def load_snapshots(path: Path) -> SnapshotSeries:
     _, (times, staking) = _read_columns(staking_path, _STAKING_HEADER)
     if not times:
         raise DataError(f"{directory}: staking series is empty")
-    times, staking = _timestamps(times, staking_path), _floats(staking, staking_path)
+    times = grids[0] if times == first[0] else _timestamps(times, staking_path)
+    staking = _floats(staking, staking_path)
     problems = [
         f"{mpath}: timestamp grid differs from market {markets[0].market_id}"
         for mpath, grid in zip(paths, grids)
@@ -282,11 +287,17 @@ def load_snapshots(path: Path) -> SnapshotSeries:
             f"dataset at {directory} failed validation ({len(problems)} records)",
             records=problems,
         )
-    observed = sorted(zip(times, staking), key=lambda item: item[0])
+    if times is grids[0]:
+        # On the grid, each rate is the last observation at or before its
+        # time: the column is its own join.
+        first_observed = times[0]
+    else:
+        observed = sorted(zip(times, staking), key=lambda item: item[0])
+        staking, first_observed = tuple(staking_rates_at(grids[0], observed)), observed[0][0]
     series = SnapshotSeries(
         markets=markets,
         timestamps=grids[0],
-        staking_rates=tuple(staking_rates_at(grids[0], observed)),
+        staking_rates=staking,
         supplied=supplied,
         borrowed=borrowed,
         borrow_rate=rates,
@@ -303,7 +314,7 @@ def load_snapshots(path: Path) -> SnapshotSeries:
             "values are never filled in",
             stacklevel=2,
         )
-    _warn_back_fill(directory, series.timestamps, observed[0][0])
+    _warn_back_fill(directory, series.timestamps, first_observed)
     return series
 
 

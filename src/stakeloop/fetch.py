@@ -56,8 +56,9 @@ query MarketHistory($id: String!, $options: TimeseriesOptions) {
 """
 
 _STAKING_QUERY = """
-query StakingRates($first: Int!, $skip: Int!) {
-  totalRewards(first: $first, skip: $skip, orderBy: blockTime, orderDirection: asc) {
+query StakingRates($first: Int!, $skip: Int!, $from: BigInt!, $to: BigInt!) {
+  totalRewards(first: $first, skip: $skip, orderBy: blockTime, orderDirection: asc,
+               where: {blockTime_gte: $from, blockTime_lte: $to}) {
     blockTime
     apr
   }
@@ -167,13 +168,17 @@ def _fetch_staking(
 ) -> list[tuple[int, float]]:
     page = 1000
     skip = 0
+    # The source sends only the rows in [lo, end], the bounds as BigInt
+    # decimal strings; each row is checked against the window again.
+    lo = start - SECONDS_PER_DAY
+    window = {"first": page, "from": str(lo), "to": str(end)}
     out: list[tuple[int, float]] = []
     while True:
-        data = _run_query(transport, endpoint, _STAKING_QUERY, {"first": page, "skip": skip})
+        data = _run_query(transport, endpoint, _STAKING_QUERY, {**window, "skip": skip})
         rows = data.get("totalRewards") or []
         for row in rows:
             ts = int(row["blockTime"])
-            if start - SECONDS_PER_DAY <= ts <= end:
+            if lo <= ts <= end:
                 out.append((ts, float(row["apr"])))
         if len(rows) < page:
             break

@@ -884,6 +884,29 @@ class TestSweeps:
         assert len(tables) == len(set(tables)) <= 2 * len(caps) * due
         run_backtest(series, replace(cfg, budget=1e3))
 
+    def test_budgets_that_share_a_holding_walk_it_once_per_stretch(self):
+        # Past saturation every budget holds the same floats, so each
+        # multi-step stretch walks each market once for all of them.
+        reads = []
+
+        class Counting(tuple):
+            def __getitem__(self, k):
+                reads.append(k)
+                return tuple.__getitem__(self, k)
+
+        series = scenario_series("positive-carry")
+        series = replace(series, supplied=tuple(map(Counting, series.supplied)))
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY)
+        ts, n = series.timestamps, len(series.markets)
+        due = len({(t - ts[0]) // SECONDS_PER_DAY for t in ts})
+        for budgets in ([1e6], [1e6, 1e7, 1e8]):
+            reads.clear()
+            curve = sweep_budgets(series, cfg, budgets)
+            # A compile's read per market at each due step, then one walk's
+            # read per market at each step.
+            assert len(reads) == n * (due + len(ts) - 1)
+        assert curve == [(b, run_backtest(series, replace(cfg, budget=b)).apy) for b in budgets]
+
     def test_apy_only_replay_reads_the_pre_trade_mark_of_a_last_step_trade(self):
         series = flat_series(hours=48)
         # The rate jumps past the staking rate at the last snapshot, a due

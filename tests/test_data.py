@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from stakeloop import data
 from stakeloop.backtest import (
     BacktestConfig,
     SnapshotSeries,
@@ -219,6 +220,73 @@ class TestRoundTrip:
         (directory / "staking.csv").write_text("\n".join(kept) + "\n")
         loaded = load_snapshots(directory)
         assert all(s.staking_rate == series.snapshots[0].staking_rate for s in loaded.snapshots)
+
+
+def _respell(path: Path, spell) -> None:
+    """Rewrite the timestamp field of every row of the CSV at ``path`` as ``spell(t)``."""
+    header, *rows = path.read_text().splitlines()
+    respelled = (f"{spell(int(t))},{rest}" for t, rest in (row.split(",", 1) for row in rows))
+    path.write_text("".join(f"{line}\n" for line in (header, *respelled)))
+
+
+_SPELLINGS = {"point-zero": lambda t: f"{t}.0", "exponent": lambda t: f"{t / 1e9!r}e9"}
+
+
+class TestSharedGrid:
+    """Timestamps that spell the first market file's grid otherwise, a grid
+    that differs from a header-only first file, and a daily staking file on
+    an hourly grid all load as a load that parses every file gives."""
+
+    @pytest.mark.parametrize("spelling", _SPELLINGS)
+    @pytest.mark.parametrize("name", ["market_core.csv", "market_alt.csv", "staking.csv"])
+    def test_timestamps_spelled_otherwise_load_the_same_series(self, tmp_path, name, spelling):
+        series, manifest = generate_synthetic(replace(scenario("volatile"), days=3.0), seed=0)
+        save_snapshots(series, manifest, tmp_path)
+        canonical = load_snapshots(tmp_path)
+        spell = _SPELLINGS[spelling]
+        assert spell(series.timestamps[0]) in ("1735689600.0", "1.7356896e9")
+        assert all(float(spell(t)) == t for t in series.timestamps)
+        _respell(tmp_path / name, spell)
+        assert repr(load_snapshots(tmp_path)) == repr(canonical)
+
+    def test_header_only_first_market_file_differs_from_each_later_grid(self, tmp_path):
+        spec = SyntheticSpec(markets=tuple(SyntheticMarketSpec(market_id=m) for m in "abc"), days=1.0)
+        series, manifest = generate_synthetic(spec, seed=0)
+        save_snapshots(series, manifest, tmp_path)
+        first = tmp_path / "market_a.csv"
+        first.write_text(first.read_text().splitlines()[0] + "\n")
+        with pytest.raises(ValidationError) as err:
+            load_snapshots(tmp_path)
+        assert err.value.records == [
+            f"{tmp_path / f'market_{m}.csv'}: timestamp grid differs from market a" for m in "bc"
+        ]
+
+    def test_daily_staking_under_an_hourly_grid_joins_as_before(self, tmp_path):
+        series, manifest = generate_synthetic(replace(scenario("volatile"), days=3.0), seed=0)
+        save_snapshots(series, manifest, tmp_path)
+        ts = series.timestamps
+        # A rate a day at 05:00, each day's its own.
+        daily = [(t, 0.03 + 1e-3 * day) for day, t in enumerate(ts[5::24])]
+        (tmp_path / "staking.csv").write_text(
+            "timestamp,staking_rate\n" + "".join(f"{t},{rate!r}\n" for t, rate in daily)
+        )
+        with pytest.warns(UserWarning, match=r"5 snapshot\(s\) before the first staking observation"):
+            loaded = load_snapshots(tmp_path)
+        expected = tuple(([rate for t0, rate in daily if t0 <= t] or [daily[0][1]])[-1] for t in ts)
+        assert repr(loaded) == repr(replace(series, staking_rates=expected))
+
+    def test_the_grid_is_parsed_once(self, tmp_path, monkeypatch):
+        series, manifest = generate_synthetic(replace(scenario("volatile"), days=3.0), seed=0)
+        save_snapshots(series, manifest, tmp_path)
+        parsed, timestamps = [], data._timestamps
+
+        def counting(column, path):
+            parsed.append(path)
+            return timestamps(column, path)
+
+        monkeypatch.setattr(data, "_timestamps", counting)
+        assert load_snapshots(tmp_path) == series
+        assert parsed == [tmp_path / "market_core.csv"]
 
 
 def _edit_manifest(edit):

@@ -52,7 +52,10 @@ class FakeApi:
         if "totalRewards" in query:
             if variables["skip"] > 0:
                 return {"data": {"totalRewards": []}}
-            return {"data": {"totalRewards": staking_rewards()}}
+            # The source's blockTime filter, with BigInt bounds as decimal strings.
+            lo, hi = int(variables["from"]), int(variables["to"])
+            rows = [r for r in staking_rewards() if lo <= r["blockTime"] <= hi]
+            return {"data": {"totalRewards": rows}}
         market_id = variables["id"]
         if market_id not in self.known_ids:
             return {"data": {"market": None}}
@@ -258,6 +261,22 @@ class TestFetch:
         )
         assert pages[0][-1]["apr"] in series.staking_rates
         assert pages[1][0]["apr"] in series.staking_rates
+
+    def test_staking_query_asks_only_for_the_window(self, tmp_path):
+        api = FakeApi()
+        start, end = T0 + 2 * SECONDS_PER_DAY, T0 + 3 * SECONDS_PER_DAY
+        fetch_market_history(
+            ["mkt-1"], start=start, end=end, out_dir=tmp_path / "ds",
+            transport=api, staking_endpoint="graphql://staking",
+        )
+        sent = [p for _, p in api.calls if "totalRewards" in p["query"]]
+        assert [p["variables"] for p in sent] == [
+            {"first": 1000, "skip": 0, "from": str(start - SECONDS_PER_DAY), "to": str(end)}
+        ]
+        assert "where: {blockTime_gte: $from, blockTime_lte: $to}" in sent[0]["query"]
+        # Rows of days 1 and 2 are in the window: the grid starts after both.
+        series = load_snapshots(tmp_path / "ds")
+        assert set(series.staking_rates) == {r["apr"] for r in staking_rewards()[1:3]}
 
     def test_staking_source_required(self, tmp_path):
         with pytest.raises(DataError, match="staking"):
