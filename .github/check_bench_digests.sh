@@ -6,9 +6,10 @@
 #     sh .github/check_bench_digests.sh
 #
 # PYTHON names the interpreter (python3 by default), so one checkout can
-# check each installed Python in turn:
+# check each installed Python in turn. Give its full path: a version shim
+# such as pyenv's python3.12 may not be on PATH in the shell that runs this.
 #
-#     PYTHON=python3.12 sh .github/check_bench_digests.sh
+#     PYTHON=/usr/local/bin/python3.12 sh .github/check_bench_digests.sh
 #
 # The digests are the same on every Python the CI job runs, 3.10 to 3.13.
 PYTHON=${PYTHON:-python3}

@@ -336,43 +336,63 @@ def run_backtest(series: SnapshotSeries, cfg: BacktestConfig) -> BacktestResult:
     return _replay(series, [cfg], True)
 
 
-def _passive(cfg: BacktestConfig) -> bool:
-    """Whether the strategy never borrows, and so never plans."""
-    return cfg.strategy == STAKING_ONLY or cfg.l_max <= 1.0
-
-
 def _replay(
     series: SnapshotSeries, runs: Sequence[BacktestConfig], record: bool
 ) -> BacktestResult | list[float]:
-    """:func:`run_backtest` of each of ``runs``, which share the window,
-    frequency and fallback rate model of ``runs[0]``. It checks the window,
-    the span, then, when any run plans, the curves, and builds one set of
-    step columns for all: interval lengths in years, staking growth, due steps.
+    """:func:`run_backtest` of each of ``runs`` in one lockstep walk over
+    stretches, each from one due step to the next: every planning run trades
+    at the stretch's start (:func:`_trade`), then every run accrues over it
+    (:func:`_accrue`). With ``record`` (one run) it returns what
+    :func:`_result` assembles; without, as a sweep asks, each run's APY from
+    its first and last equity marks. Every float is the one a step-by-step
+    walk of one run gives: the same expressions in the same order."""
+    n = len(series.markets)
+    # Each run's holdings (unleveraged, then per market collateral and debt)
+    # and the equity of each step at which it traded, marked before its trade.
+    holdings = [[cfg.budget, [0.0] * n, [0.0] * n, {}] for cfg in runs]
+    planners = [(c, h) for c, h in zip(runs, holdings) if c.strategy != STAKING_ONLY and c.l_max > 1.0]
+    rate_at_target, fallback, dt, growth, due = _schedule(series, runs[0], bool(planners))
+    last = len(dt)
+    # The accrual's curves: rate_at_target[i][k] times the unit recorded curve
+    # is, float for float, the rate of the curve a solve compiles.
+    curves = [fallback if c is None else _recorded_curve(1.0) for c in rate_at_target]
+    debt_cols = [[] if record else None for _ in curves]
+    columns = tuple(zip(debt_cols, series.supplied, series.borrowed, curves, rate_at_target))
+    # A recorded run's holdings where their growth starts over (step 0 and
+    # after each trade) with the fee paid there, and each interval's interest.
+    trades = {0: (0.0, (runs[0].budget, *[0.0] * n))} if record else None
+    interest = [0.0] * last if record else None
+    pack = struct.Struct(f"{2 * n}d").pack
+    for a, end in zip(due, (*due[1:], last)):
+        # Per cap, the forms at this step and their tables by staking rate.
+        compiled: dict[float, tuple[tuple, dict]] = {}
+        for cfg, holding in planners:
+            _trade(series, rate_at_target, fallback, trades, cfg, holding, compiled, a)
+        g = growth[a:end]
+        # A recorded run is alone, and over one step a look-up costs about a walk.
+        walked = None if record or end - a < 2 else {}
+        for holding in holdings:
+            _accrue(columns, dt, interest, pack, holding, g, a, end, walked)
+    if record:
+        return _result(series, dt, growth, holdings[0], trades, debt_cols, interest)
+    # The first mark is the budget, all that is held; a trade at the last
+    # snapshot leaves its pre-trade mark, as in the recorded column.
+    ts = series.timestamps
+    return [
+        apy((ts[0], ts[last]), (cfg.budget, marks.get(last, u + reduce(add, map(sub, c, d), 0.0))))
+        for cfg, (u, c, d, marks) in zip(runs, holdings)
+    ]
 
-    The replay walks stretches, each from one due step to the next, every
-    run through a stretch before the next. At its start a stretch marks each
-    run's equity and plans on plain values. The runs at a cap share the step's
-    compile and each table a plan builds (``rebalance._plan``); none outlives
-    the step. Then the holdings only accrue, and the markets are independent,
-    so each market accrues over the whole stretch in one loop. Every float is
-    the one a step-by-step walk of one run gives: the same expressions in the
-    same order.
 
-    With ``record`` the walk of one run keeps each step's holdings and
-    interest and returns the :class:`BacktestResult`. Without it, as a sweep
-    asks, the walk appends nothing, carries the holdings by the same products
-    and returns each run's APY, from the first and last equity marks, the
-    floats ``equity`` would hold. There, over a stretch of several steps, a
-    run whose collateral and debt are, byte for byte, those of a run already
-    walked takes that walk's end holdings: the walk reads only them, the
-    staking growth and the market columns. A recorded run, which is alone,
-    and a one-step stretch, where a look-up costs about a walk, never look up.
-    """
-    shared = runs[0]
+def _schedule(series: SnapshotSeries, shared: BacktestConfig, plans: bool) -> tuple:
+    """A replay's set-up, once for all its runs, which share the window,
+    frequency and fallback of ``shared``: the smoothed rate-at-target columns
+    and the fallback curve, after checking the window, the span and, if a
+    run ``plans``, the curves; each interval's length in years and staking
+    growth ``1 + s·dt``; and the due steps."""
     rate_at_target = _replay_targets(series, shared.smoothing_window)
     ts = series.timestamps
     size = len(ts)
-    last = size - 1
     frequency = shared.rebalance_frequency
     if size < 2:
         raise DomainError("series needs at least two snapshots")
@@ -382,9 +402,8 @@ def _replay(
     if ts[-1] - ts[0] < 2 * frequency:
         raise DomainError("series must cover at least two rebalance intervals")
     fallback = None if shared.irm is None else shared.irm._curve
-    if not all(map(_passive, runs)):
+    if plans:
         _check_curves(series, rate_at_target, fallback)
-
     dt = tuple(map(truediv, map(sub, ts[1:], ts), repeat(SECONDS_PER_YEAR)))
     growth = tuple(map(add, repeat(1.0), map(mul, series.staking_rates, dt)))
     t0, due, k = ts[0], [], 0
@@ -393,125 +412,113 @@ def _replay(
         # Due at the first snapshot at or after each point t0 + j * frequency;
         # a gap over several points gives one rebalance.
         k = bisect.bisect_left(ts, t0 + ((ts[k] - t0) // frequency + 1) * frequency, k + 1)
+    return rate_at_target, fallback, dt, growth, due
 
-    ids = series.market_ids
-    n = len(ids)
-    pack = struct.Struct(f"{2 * n}d").pack
-    # The accrual's curves: rate_at_target[i][k] times the unit recorded curve
-    # is, float for float, the rate of the curve a solve compiles.
-    unit = _recorded_curve(1.0)
-    curves = [fallback if c is None else unit for c in rate_at_target]
 
-    # Each run's holdings (unleveraged, then per market collateral and debt)
-    # and the equity of each step at which it traded, marked before its trade.
-    holdings = [[cfg.budget, [0.0] * n, [0.0] * n, {}] for cfg in runs]
-    # The holdings columns of a recorded run, filled a stretch at a time;
-    # the interest of each interval, summed in market order; the fee of each
-    # step that traded.
-    unleveraged_col: list[float] = []
-    collateral_cols: list[list[float]] = [[] for _ in ids]
-    debt_cols: list[list[float]] = [[] for _ in ids]
-    interest = [0.0] * last
-    fees: dict[int, float] = {}
+def _trade(
+    series: SnapshotSeries, rate_at_target: tuple, fallback: tuple | None, trades: dict | None,
+    cfg: BacktestConfig, holding: list, compiled: dict, a: int,
+) -> None:
+    """A run's decision at due step ``a``: mark its equity and, if there is
+    any, plan (``rebalance._plan``), gate and trade, paying the fee, which
+    ``trades`` keeps with the holdings after it. The runs at a cap share the
+    step's compile and each table a plan builds, through ``compiled``."""
+    unleveraged, collateral, debt, marks = holding
+    equity = unleveraged + reduce(add, map(sub, collateral, debt), 0.0)
+    if not equity > 0.0:
+        return
+    l_max = cfg.l_max
+    if l_max not in compiled:
+        compiled[l_max] = _forms_at(series, a, rate_at_target, fallback, l_max), {}
+    s = series.staking_rates[a]
+    _check_budget(equity, s, l_max)
+    m = l_max - 1.0
+    exposures = [d / m for d in debt]
+    # Only the dynamic strategy's gate reads a move's yields.
+    gated = cfg.strategy == DYNAMIC
+    rest = equity - reduce(add, exposures, 0.0)
+    plan = _plan(*compiled[l_max], s, equity, exposures, rest, cfg.fees, gated)
+    if gated:
+        plan = _gate(plan, cfg, equity)
+    if plan[0] != HOLD:
+        _, _, cost, _, target, unleveraged, *_ = plan
+        held = _charge_fee(cost, unleveraged, [x * l_max for x in target], [x * m for x in target])
+        holding[:3] = held
+        marks[a] = equity
+        if trades is not None:
+            trades[a] = cost, (held[0], *held[1])
 
-    columns = tuple(zip(collateral_cols, debt_cols, series.supplied, series.borrowed, curves, rate_at_target))
-    for a, end in zip(due, (*due[1:], last)):
-        s = series.staking_rates[a]
-        # Per cap, the forms at this step and their tables by staking rate.
-        compiled: dict[float, tuple[tuple, dict]] = {}
-        g = growth[a:end]
-        # The end collateral and debt of each holding walked, by its bytes.
-        walked: dict[bytes, tuple] | None = None if record or end - a < 2 else {}
-        for cfg, holding in zip(runs, holdings):
-            unleveraged, collateral, debt, marks = holding
-            equity = unleveraged + reduce(add, map(sub, collateral, debt), 0.0)
-            if not _passive(cfg) and equity > 0.0:
-                l_max = cfg.l_max
-                if l_max not in compiled:
-                    compiled[l_max] = _forms_at(series, a, rate_at_target, fallback, l_max), {}
-                _check_budget(equity, s, l_max)
-                m = l_max - 1.0
-                exposures = [d / m for d in debt]
-                # Only the dynamic strategy's gate reads a move's yields.
-                gated = cfg.strategy == DYNAMIC
-                rest = equity - reduce(add, exposures, 0.0)
-                plan = _plan(*compiled[l_max], s, equity, exposures, rest, cfg.fees, gated)
-                if gated:
-                    plan = _gate(plan, cfg, equity)
-                if plan[0] != HOLD:
-                    _, _, cost, _, target, unleveraged, *_ = plan
-                    collateral = [x * l_max for x in target]
-                    debt = [x * m for x in target]
-                    unleveraged, collateral, debt = _charge_fee(cost, unleveraged, collateral, debt)
-                    marks[a] = equity
-                    if record:
-                        fees[a] = cost
 
-            # Accrue the intervals from a to the next due step, or to the last
-            # snapshot; the columns take the values at a..end-1. What grows at
-            # the staking rate grows by one product over the stretch; only
-            # the debt, priced on its own pool, walks step by step.
-            if record:
-                unleveraged_col += accumulate(g, mul, initial=unleveraged)
-                unleveraged = unleveraged_col.pop()
-            else:
-                unleveraged = reduce(mul, g, unleveraged)
-            # Bytes tell -0.0 from 0.0, which compare equal as floats.
-            key = None
-            if walked is not None:
-                key = pack(*collateral, *debt)
-                if key in walked:
-                    holding[:3] = unleveraged, *map(list, walked[key])
-                    continue
-            for i, (c_col, d_col, supplied, borrowed, curve, targets) in enumerate(columns):
-                if record:
-                    c_col += accumulate(g, mul, initial=collateral[i])
-                    collateral[i] = c_col.pop()
-                else:
-                    collateral[i] = reduce(mul, g, collateral[i])
-                d = debt[i]
-                if d > 0.0:
-                    _, scale, u_target, below, above = curve
-                    for k in range(a, end):
-                        # Stale positions can overshoot a shrinking pool; price
-                        # them at full utilization rather than beyond it. The
-                        # record check keeps borrowed in [0, supplied], so the sum
-                        # passes supplied by rounding only. Each conditional picks
-                        # what min would, ties included.
-                        s_k, b = supplied[k], borrowed[k]
-                        room = s_k - b
-                        u = b + (room if room < d else d)
-                        u = (s_k if s_k < u else u) / s_k
-                        # irm._rate, inlined.
-                        level, u0, width, slope = below if u < u_target else above
-                        rate = scale * (level + (u - u0) / width * slope)
-                        if targets is not None:
-                            rate *= targets[k]
-                        step = dt[k]
-                        if record:
-                            d_col.append(d)
-                            interest[k] += d * rate * step
-                        d *= 1.0 + rate * step
-                    debt[i] = d
-                elif record:
-                    d_col += repeat(d, end - a)
-            if key is not None:
-                walked[key] = collateral, debt
-            holding[:3] = unleveraged, collateral, debt
-    if not record:
-        # The first mark is the budget, all that is held; a trade at the last
-        # snapshot leaves its pre-trade mark, as in the column below.
-        return [
-            apy((ts[0], ts[last]), (cfg.budget, marks.get(last, u + reduce(add, map(sub, c, d), 0.0))))
-            for cfg, (u, c, d, marks) in zip(runs, holdings)
-        ]
-    # The holdings at the last snapshot, which no flow follows.
-    ((unleveraged, collateral, debt, marks),) = holdings
-    unleveraged_col.append(unleveraged)
-    for c_col, d_col, c, d in zip(collateral_cols, debt_cols, collateral, debt):
-        c_col.append(c)
-        d_col.append(d)
+def _accrue(
+    columns: tuple, dt: tuple, interest: list[float] | None, pack: Callable[..., bytes],
+    holding: list, g: tuple, a: int, end: int, walked: dict[bytes, tuple] | None,
+) -> None:
+    """Accrue a run's holdings from due step ``a`` to ``end``. What grows at
+    the staking rate grows by one product of ``g``; only the debt, priced on
+    its own pool, walks step by step, a market at a time, filling a recorded
+    run's debt column and interest. With ``walked`` (a sweep's stretch of
+    several steps), a holding whose collateral and debt are, byte for byte,
+    those of one walked before takes that walk's end: the walk reads only
+    them, ``g`` and the market columns."""
+    unleveraged, collateral, debt, _ = holding
+    holding[0] = reduce(mul, g, unleveraged)
+    if walked is not None:
+        # Bytes tell -0.0 from 0.0, which compare equal as floats.
+        key = pack(*collateral, *debt)
+        if key in walked:
+            holding[1:3] = map(list, walked[key])
+            return
+    for i, (d_col, supplied, borrowed, curve, targets) in enumerate(columns):
+        collateral[i] = reduce(mul, g, collateral[i])
+        d = debt[i]
+        if d > 0.0:
+            _, scale, u_target, below, above = curve
+            for k in range(a, end):
+                # Stale positions can overshoot a shrinking pool; price them at full
+                # utilization rather than beyond it. The record check keeps borrowed in
+                # [0, supplied], so the sum passes supplied by rounding only. Each
+                # conditional picks what min would, ties included.
+                s_k, b = supplied[k], borrowed[k]
+                room = s_k - b
+                u = b + (room if room < d else d)
+                u = (s_k if s_k < u else u) / s_k
+                # irm._rate, inlined.
+                level, u0, width, slope = below if u < u_target else above
+                rate = scale * (level + (u - u0) / width * slope)
+                if targets is not None:
+                    rate *= targets[k]
+                step = dt[k]
+                if d_col is not None:
+                    d_col.append(d)
+                    interest[k] += d * rate * step
+                d *= 1.0 + rate * step
+            debt[i] = d
+        elif d_col is not None:
+            d_col += repeat(d, end - a)
+    if walked is not None:
+        walked[key] = collateral, debt
 
+
+def _result(
+    series: SnapshotSeries, dt: tuple, growth: tuple, holding: list,
+    trades: dict[int, tuple], debt_cols: list[list[float]], interest: list[float],
+) -> BacktestResult:
+    """A recorded replay's :class:`BacktestResult`. The unleveraged and
+    collateral columns grow from each start in ``trades`` up to the next by
+    the walk's own left fold of the staking growth, kept at every step."""
+    ts = series.timestamps
+    size = len(ts)
+    _, _, debt, marks = holding
+    starts = [*trades, size]
+    grown: list[list[float]] = [[] for _ in trades[0][1]]
+    for a, b in zip(starts, starts[1:]):
+        g = growth[a : b - 1]
+        for column, x in zip(grown, trades[a][1]):
+            column += accumulate(g, mul, initial=x)
+    unleveraged_col, *collateral_cols = grown
+    # The debt at the last snapshot, which no flow follows.
+    for column, d in zip(debt_cols, debt):
+        column.append(d)
     # A step that traded keeps its mark from before the trade; any other
     # step is marked on the holdings it kept.
     # Each step's totals over the markets: the walk's left fold, row by row.
@@ -519,8 +526,9 @@ def _replay(
     marked = map(add, unleveraged_col, map(reduce, repeat(add), exposure, repeat(0.0)))
     equity_col = tuple(map(marks.get, range(size), marked))
     held = map(add, unleveraged_col, map(reduce, repeat(add), zip(*collateral_cols), repeat(0.0)))
+    fees = {a: cost for a, (cost, _) in trades.items()}
     return BacktestResult(
-        market_ids=ids,
+        market_ids=series.market_ids,
         timestamps=ts,
         equity=equity_col,
         staking_accrued=(*map(mul, map(mul, held, series.staking_rates), dt), 0.0),
@@ -535,18 +543,9 @@ def _replay(
     )
 
 
-# The two branches of every deployed adaptive-curve market's curve, which
-# its rate-at-target only scales, built once.
-*_, _BELOW, _ABOVE = _adaptive_curve(1.0, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
-
-
 def _recorded_curve(rate_at_target: float) -> tuple:
-    """The rate curve of a deployed adaptive-curve market at ``rate_at_target``,
-    :func:`irm._adaptive_curve`'s float for float."""
-    return (
-        rate_at_target / ADAPTIVE_CURVE_STEEPNESS, rate_at_target, ADAPTIVE_TARGET_UTILIZATION,
-        _BELOW, _ABOVE,
-    )
+    """The rate curve of a deployed adaptive-curve market at ``rate_at_target``."""
+    return _adaptive_curve(rate_at_target, ADAPTIVE_CURVE_STEEPNESS, ADAPTIVE_TARGET_UTILIZATION)
 
 
 def _check_curves(series: SnapshotSeries, rate_at_target: tuple, fallback: tuple | None) -> None:

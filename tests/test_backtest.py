@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -975,3 +976,39 @@ class TestSweeps:
         with pytest.raises(DomainError):
             sweep_budgets(scenario_series(), config(), [])
 
+
+class TestLayers:
+    @pytest.fixture
+    def calls(self, monkeypatch) -> Counter:
+        calls = Counter()
+        for name in ("_schedule", "_trade", "_accrue", "_result"):
+
+            def counting(*args, _layer=getattr(backtest, name), _name=name):
+                calls[_name] += 1
+                return _layer(*args)
+
+            monkeypatch.setattr(backtest, name, counting)
+        return calls
+
+    def test_each_layer_runs_per_replay_due_step_or_stretch(self, calls):
+        # The set-up once per replay, a trade at most once per run and due
+        # step, an accrual once per run and stretch, the result once per
+        # backtest: none of them once per snapshot.
+        series = scenario_series("volatile")
+        cfg = config(rebalance_frequency=SECONDS_PER_DAY, fees=FeeModel(1e-4, 1e-4, 7.0 / 365.0))
+        ts = series.timestamps
+        due = len({(t - ts[0]) // SECONDS_PER_DAY for t in ts})
+        assert 10 * due < len(ts)
+        expected = sweep_leverage(series, cfg, [3.0, 5.0], [1.0, 1e3, 1e6])
+        runs = 6
+        assert calls["_schedule"] == 1
+        assert 0 < calls["_trade"] <= runs * due
+        assert calls["_accrue"] == runs * due
+        assert calls["_result"] == 0
+        calls.clear()
+        result = run_backtest(series, replace(cfg, l_max=5.0, budget=1e3))
+        assert calls["_schedule"] == 1
+        assert 0 < calls["_trade"] <= due
+        assert calls["_accrue"] == due
+        assert calls["_result"] == 1
+        assert result.apy == expected[5.0][1][1]
